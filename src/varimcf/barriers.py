@@ -29,13 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from .config import DEFAULT_TOLERANCES, Tolerances, sphere_area
 from .errors import (ConfigError, GridMismatch, NonpositiveWeight,
                      PreconditionViolated, ZeroBarrier)
 from .flow import FlowTrace
-from .varifold import DiscreteVarifold, GrassmannElement, ScalarField
+from .varifold import GrassmannElement, ScalarField
 
 DEFAULT_SCALE_CEILING = 1.0   # admissible smoothing scales are below this
 NORM_GRID_STEPS = 256
@@ -148,15 +148,6 @@ class BarrierFunction:
         gp = self.profile(rs, 1)
         gpp = self.profile(rs, 2)
         return float(np.min(4.0 * g * gpp - gp**2))
-
-    def as_scalar_field(self) -> ScalarField:
-        """Adapter to the generic weight interface used by flow monitors."""
-        return ScalarField(
-            value=lambda x, t=0.0: self.value(x, t),
-            grad=lambda x, t=0.0: self.grad(x, t),
-            hess=lambda x, t=0.0: self.hess(x, t),
-            time_derivative=lambda x, t=0.0: self.time_derivative(x, t),
-            c1_bound=None, c2_bound=None, hess_bound=None)
 
     # -- certified norm overestimates (radial sweeps at t = 0) --------------
 
@@ -309,7 +300,7 @@ def _hull_exterior_distance(points: np.ndarray, hull_points: np.ndarray) -> np.n
     """Euclidean distance to a convex hull, zero inside (n = 2 or 3)."""
     try:
         hull = ConvexHull(hull_points)
-    except Exception:
+    except QhullError:
         # fewer points than a full-dimensional hull needs, or a flat set
         return _degenerate_hull_distance(points, hull_points)
     A = hull.equations[:, :-1]

@@ -36,8 +36,6 @@ def _apply_thread_env() -> None:
     raw = os.environ.get(THREAD_ENV)
     if raw is None:
         return
-    if "numpy" in sys.modules:  # too late to matter, but harmless
-        pass
     try:
         k = int(raw)
         if k < 1:
@@ -103,6 +101,9 @@ def _parse_vector(raw: str) -> tuple[float, ...]:
 
 def _parse_cert_list(raw: str) -> tuple[str, ...]:
     names = [p.strip() for p in raw.replace(",", " ").split() if p.strip()]
+    if not names:
+        raise ConfigError("empty certificate list: name at least one "
+                          f"certificate, or 'all'; known: {', '.join(CERTIFICATES)}")
     if names == ["all"]:
         return tuple(CERTIFICATES)
     for nm in names:
@@ -186,6 +187,11 @@ def load_settings(config_path: str | None, args: argparse.Namespace) -> Settings
             st.certificates = _parse_cert_list(val)
         else:
             setattr(st, attr, val)
+    # a sweep over no samples would grade nothing and report an infinite
+    # or undefined value
+    for attr in ("mc_samples", "technical_samples", "defect_samples"):
+        if getattr(st, attr) < 1:
+            raise ConfigError(f"{attr} must be at least 1")
     return st
 
 
@@ -350,8 +356,8 @@ class Verdict:
     name: str
     trace: str
     statement: str
-    measured: float
-    bound: float
+    measured: float | None  # None when a precondition error stopped grading
+    bound: float | None
     relation: str           # "<=" or ">=" : how measured compares when passing
     passed: bool
     details: dict
@@ -363,8 +369,8 @@ class Verdict:
 
 
 def _fail_verdict(name: str, trace: str, statement: str, exc: Exception) -> Verdict:
-    return Verdict(name, trace, statement, float("nan"), float("nan"),
-                   "<=", False, {"error": f"{type(exc).__name__}: {exc}"})
+    return Verdict(name, trace, statement, None, None, "<=", False,
+                   {"error": f"{type(exc).__name__}: {exc}"})
 
 
 _SOFT_ERRORS: tuple[type, ...] = ()  # filled lazily to avoid numpy import
@@ -692,7 +698,6 @@ CERTIFICATES = {
 def _cmd_simulate(args) -> int:
     st = load_settings(args.config, args)
     from .flow import run
-    from .geometry import mesh_to_varifold  # noqa: F401  (import check)
     from .presets import make_preset
 
     scenario = make_preset(st.preset, eps=st.eps, dt=st.dt,
@@ -765,14 +770,15 @@ def _cmd_check(args) -> int:
         "all_passed": all_passed,
         "verdicts": [v.as_dict() for v in verdicts],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if args.json is not None:
         Path(args.json).write_text(text + "\n")
     for v in verdicts:
         manifest.setdefault("certificates", {})[f"{v.name}[{v.trace}]"] = \
             v.as_dict()
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True,
+                                allow_nan=False) + "\n")
     return 0 if all_passed else 1
 
 
@@ -804,7 +810,7 @@ def _cmd_volume(args) -> int:
         "all_passed": all(v.passed for v in verdicts),
         "verdicts": [v.as_dict() for v in verdicts],
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return 0 if payload["all_passed"] else 1
 
 

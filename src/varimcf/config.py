@@ -27,7 +27,6 @@ class Tolerances:
     norm_safety: float = 1.05
     # meshes
     degenerate_simplex: float = 1e-12
-    vertex_collision: float = 1e-10
     # generic slack for exact chain inequalities evaluated in floats
     chain_slack: float = 1e-9
 
@@ -49,17 +48,3 @@ def isoperimetric_constant(n: int) -> float:
     """Sharp constant in perimeter >= c_n * volume^((n-1)/n)."""
     return n * ball_volume(n) ** (1.0 / n)
 
-
-def relative_isoperimetric_constant(n: int) -> float:
-    """Half-ball value of the relative isoperimetric constant in a ball.
-
-    For a ball B and E = half of B: boundary measure inside B over
-    min(|E|, |B - E|)^((n-1)/n).  Exposed for reporting; not used by the
-    nontriviality bound itself.
-    """
-    if n == 2:
-        return 2.0 * math.sqrt(2.0 / math.pi)
-    if n == 3:
-        return math.pi ** (1.0 / 3.0) * (3.0 / 2.0) ** (2.0 / 3.0)
-    half = ball_volume(n) / 2.0
-    return ball_volume(n - 1) / half ** ((n - 1.0) / n)

@@ -65,10 +65,6 @@ class OpenMesh(VarimcfError):
     """Mesh is not closed / consistently oriented."""
 
 
-class SelfIntersectionSuspected(VarimcfError):
-    """Advected mesh has collapsing vertices."""
-
-
 class DeltaTooLarge(VarimcfError):
     """Step perturbation size is >= 1; the volume bound does not apply."""
 

@@ -22,9 +22,8 @@ weighted-mass balance; halving the step halves it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,76 +32,16 @@ from .errors import (ConfigError, GateViolated, MassBoundExceeded, OutOfSpan,
                      SingularMap)
 from .mollifier import (Mollifier, QuadratureGrid, curvature_with_jacobian,
                         dissipation)
-from .varifold import DiscreteVarifold, GrassmannElement, ScalarField, VectorField
+from .varifold import DiscreteVarifold, ScalarField
 
 
-@dataclass(frozen=True)
-class SmoothMap:
-    """A C^1 map of R^n with a Jacobian evaluator (value/jacobian batched)."""
+def pushforward(V: DiscreteVarifold, positions: np.ndarray, Df: np.ndarray,
+                tol: Tolerances = DEFAULT_TOLERANCES
+                ) -> tuple[DiscreteVarifold, np.ndarray]:
+    """f_# V for atomic V, given f and Df at every atom.
 
-    value: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def identity_plus(cls, X: VectorField, scale: float, n: int) -> "SmoothMap":
-        """x -> x + scale * X(x)."""
-        s = float(scale)
-        eye = np.eye(n)
-
-        def value(pts):
-            pts = np.atleast_2d(np.asarray(pts, float))
-            return pts + s * X.value(pts)
-
-        def jac(pts):
-            pts = np.atleast_2d(np.asarray(pts, float))
-            return eye[None, :, :] + s * X.jacobian(pts)
-
-        return cls(value, jac)
-
-    @classmethod
-    def translation(cls, shift) -> "SmoothMap":
-        b = np.asarray(shift, dtype=float)
-        n = b.shape[0]
-        eye = np.eye(n)
-        return cls(lambda p: np.atleast_2d(np.asarray(p, float)) + b,
-                   lambda p: np.broadcast_to(eye, (np.atleast_2d(p).shape[0], n, n)).copy())
-
-
-def tangential_jacobian(Df, plane: GrassmannElement,
-                        tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """d-dimensional Jacobian of the map restricted to the plane."""
-    Df = np.asarray(Df, dtype=float)
-    det = float(np.linalg.det(Df))
-    if abs(det) <= tol.map_determinant:
-        raise SingularMap(f"|det Df| = {abs(det):.3e} below tolerance")
-    Y = Df @ plane.basis().T
-    gram = Y.T @ Y
-    g = float(np.linalg.det(gram))
-    if g <= 0.0:
-        raise SingularMap("tangential Gram determinant not positive")
-    return math.sqrt(g)
-
-
-def plane_image(Df, plane: GrassmannElement,
-                tol: Tolerances = DEFAULT_TOLERANCES) -> GrassmannElement:
-    """Image plane Df(S) as a projection matrix (basis independent)."""
-    Df = np.asarray(Df, dtype=float)
-    det = float(np.linalg.det(Df))
-    if abs(det) <= tol.map_determinant:
-        raise SingularMap(f"|det Df| = {abs(det):.3e} below tolerance")
-    Y = Df @ plane.basis().T
-    gram = Y.T @ Y
-    if float(np.linalg.det(gram)) <= tol.gram_determinant:
-        raise SingularMap("image plane is degenerate")
-    P = Y @ np.linalg.solve(gram, Y.T)
-    return GrassmannElement(0.5 * (P + P.T), plane.d)
-
-
-def _apply_map_arrays(V: DiscreteVarifold, new_positions: np.ndarray,
-                      Df: np.ndarray,
-                      tol: Tolerances = DEFAULT_TOLERANCES
-                      ) -> tuple[DiscreteVarifold, np.ndarray]:
-    """Pushforward with per-atom map data; returns (f_# V, tangential Jacobians)."""
+    Returns the exact image varifold and det Df at the atoms.
+    """
     if len(V) == 0:
         return V, np.zeros(0)
     dets = np.linalg.det(Df)
@@ -115,22 +54,17 @@ def _apply_map_arrays(V: DiscreteVarifold, new_positions: np.ndarray,
     gdet = np.linalg.det(gram)
     if np.any(gdet <= 0.0):
         raise SingularMap("a tangent plane degenerates under the step map")
-    tang = np.sqrt(gdet)
     sol = np.linalg.solve(gram, np.transpose(Y, (0, 2, 1)))  # (N, d, n)
     P = np.einsum("aid,adj->aij", Y, sol)
     P = 0.5 * (P + np.transpose(P, (0, 2, 1)))
-    W = DiscreteVarifold(V.n, V.d, new_positions, P, V.masses * tang)
-    return W, tang
+    W = DiscreteVarifold(V.n, V.d, positions, P, V.masses * np.sqrt(gdet))
+    return W, dets
 
 
-def pushforward(V: DiscreteVarifold, f: SmoothMap,
-                tol: Tolerances = DEFAULT_TOLERANCES) -> DiscreteVarifold:
-    """f_# V for atomic V: exact image varifold under a C^1 map."""
-    if len(V) == 0:
-        return V
-    newpos = f.value(V.positions)
-    Df = f.jacobian(V.positions)
-    return _apply_map_arrays(V, newpos, Df, tol)[0]
+def _step(V: DiscreteVarifold, tau: float, h: np.ndarray, J: np.ndarray,
+          tol: Tolerances) -> tuple[DiscreteVarifold, np.ndarray]:
+    """Push V through x -> x + tau h(x), whose Jacobian is I + tau Dh."""
+    return pushforward(V, V.positions + tau * h, np.eye(V.n) + tau * J, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +78,7 @@ class FlowConfig:
     when `enforce_gate` is set; it is far smaller than any affordable step at
     practical scales, so preset runs disable it and rely on the structural
     per-step checks (positive tangential Jacobians, invertible step maps),
-    which hold unconditionally in `advance`.
+    which `run` applies unconditionally.
     """
 
     eps: float
@@ -201,7 +135,7 @@ class Snapshot:
     mass: float
     curvature: np.ndarray | None = None        # h at the atoms (N, n)
     curvature_jacobian: np.ndarray | None = None
-    curvature_max: float | None = None         # max |h| over atoms
+    curvature_max: float | None = None         # max |h| over atoms and mesh vertices
     dissipation: float | None = None
     mesh_vertices: np.ndarray | None = None
     step_delta: float | None = None            # max(|f - id|, |det Df - 1|)
@@ -235,43 +169,6 @@ class FlowTrace:
         return min(max(i, 0), len(times) - 1)
 
 
-def _step_arrays(V: DiscreteVarifold, kernel: Mollifier, grid: QuadratureGrid,
-                 extra_points: np.ndarray | None):
-    """Curvature and Jacobian at atoms (and optional extra points) in one pass."""
-    pts = V.positions
-    n_atoms = pts.shape[0]
-    if extra_points is not None and len(extra_points):
-        pts = np.vstack([pts, extra_points])
-    h, J = curvature_with_jacobian(V, kernel, grid, pts)
-    return (h[:n_atoms], J[:n_atoms],
-            h[n_atoms:] if extra_points is not None else None,
-            J[n_atoms:] if extra_points is not None else None)
-
-
-def advance(V: DiscreteVarifold, config: FlowConfig, dt: float | None = None,
-            kernel: Mollifier | None = None, grid: QuadratureGrid | None = None,
-            mass_bound: float | None = None,
-            tol: Tolerances = DEFAULT_TOLERANCES) -> DiscreteVarifold:
-    """One explicit step of size dt (config.dt when omitted)."""
-    dt = config.dt if dt is None else float(dt)
-    M = mass_bound if mass_bound is not None else (
-        config.mass_bound or max(1.0, V.total_mass()))
-    if V.total_mass() > M + 1.0 + tol.chain_slack:
-        raise MassBoundExceeded(f"total mass {V.total_mass():.6g} > M + 1 = {M + 1.0:.6g}")
-    if config.enforce_gate and dt > config.gate_bound(M) * (1.0 + 1e-12):
-        raise GateViolated(
-            f"dt = {dt:.3e} exceeds gate bound {config.gate_bound(M):.3e}; "
-            "shrink dt, lower gate_constant, or set enforce_gate=False")
-    if kernel is None:
-        kernel = Mollifier(config.eps, V.n, config.cutoff)
-    if grid is None:
-        grid = QuadratureGrid.for_kernel(kernel, config.refinement)
-    h, J, _, _ = _step_arrays(V, kernel, grid, None)
-    eye = np.eye(V.n)
-    W, _ = _apply_map_arrays(V, V.positions + dt * h, eye[None] + dt * J, tol)
-    return W
-
-
 def run(V0: DiscreteVarifold, config: FlowConfig,
         mesh_vertices: np.ndarray | None = None,
         mesh_simplices: np.ndarray | None = None,
@@ -294,38 +191,34 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
                 "shrink dt, lower gate_constant, or set enforce_gate=False")
     kernel = Mollifier(config.eps, V0.n, config.cutoff)
     grid = QuadratureGrid.for_kernel(kernel, config.refinement)
-    eye = np.eye(V0.n)
+    N = len(V0)
     snaps: list[Snapshot] = []
     V = V0
     verts = None if mesh_vertices is None else np.asarray(mesh_vertices, dtype=float)
     for i in range(len(times) - 1):
         dt = float(times[i + 1] - times[i])
-        h, J, hv, Jv = _step_arrays(V, kernel, grid, verts)
+        # one field evaluation at the atoms and the tracked mesh vertices
+        pts = V.positions if verts is None else np.vstack([V.positions, verts])
+        h, J = curvature_with_jacobian(V, kernel, grid, pts)
         diss = dissipation(V, kernel, grid) if config.record_dissipation else None
-        hmax = float(np.max(np.linalg.norm(h, axis=1))) if len(V) else 0.0
-        if hv is not None and len(hv):
-            hmax = max(hmax, float(np.max(np.linalg.norm(hv, axis=1))))
         # structural step checks (the gate's content): the step map must stay
-        # a diffeomorphism near the support
-        Df = eye[None] + dt * J
-        step_delta = dt * hmax
-        dets = np.linalg.det(Df) if len(V) else np.ones(0)
-        if len(V):
-            step_delta = max(step_delta, float(np.max(np.abs(dets - 1.0))))
-        if verts is not None and len(verts):
-            dv = np.linalg.det(eye[None] + dt * Jv)
-            step_delta = max(step_delta, float(np.max(np.abs(dv - 1.0))))
-        snaps.append(Snapshot(float(times[i]), V, V.total_mass(), h, J, hmax,
-                              diss, None if verts is None else verts.copy(),
+        # a diffeomorphism near the support, so pushforward refuses singular
+        # maps and step_delta records the distance from the identity
+        W, dets = _step(V, dt, h[:N], J[:N], tol)
+        hmax = float(np.max(np.linalg.norm(h, axis=1), initial=0.0))
+        dets_v = np.linalg.det(np.eye(V.n) + dt * J[N:])
+        excess = np.abs(np.concatenate([dets, dets_v]) - 1.0)
+        step_delta = max(dt * hmax, float(np.max(excess, initial=0.0)))
+        snaps.append(Snapshot(float(times[i]), V, V.total_mass(), h[:N], J[:N],
+                              hmax, diss, None if verts is None else verts.copy(),
                               step_delta))
-        W, _ = _apply_map_arrays(V, V.positions + dt * h, Df, tol)
         if W.total_mass() > V.total_mass() + dt + tol.chain_slack:
             raise MassBoundExceeded("per-step mass growth exceeded dt")
         if W.total_mass() > M + 1.0 + tol.chain_slack:
             raise MassBoundExceeded("total mass exceeded M + 1 along the run")
         V = W
         if verts is not None:
-            verts = verts + dt * hv
+            verts = verts + dt * h[N:]
     snaps.append(Snapshot(float(times[-1]), V, V.total_mass(), None, None,
                           None, None, None if verts is None else verts.copy(), None))
     return FlowTrace(config, M, tuple(snaps), mesh_simplices)
@@ -348,13 +241,10 @@ def sample(trace: FlowTrace, t: float, mode: str | None = None,
         return snap.varifold
     if mode != "interpolated":
         raise ConfigError(f"unknown sampling mode {mode!r}")
-    if snap.curvature is None:
+    if snap.curvature is None or snap.curvature_jacobian is None:
         raise ConfigError("trace lacks stored curvature fields; cannot interpolate")
-    V = snap.varifold
-    eye = np.eye(V.n)
-    W, _ = _apply_map_arrays(V, V.positions + tau * snap.curvature,
-                             eye[None] + tau * snap.curvature_jacobian, tol)
-    return W
+    return _step(snap.varifold, tau, snap.curvature, snap.curvature_jacobian,
+                 tol)[0]
 
 
 def _weighted_fv_arrays(V: DiscreteVarifold, phi: ScalarField, t: float,

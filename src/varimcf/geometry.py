@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .config import (DEFAULT_TOLERANCES, Tolerances, ball_volume,
                      isoperimetric_constant)
 from .errors import (BallNotInterior, ConfigError, DegenerateSimplex,
-                     DeltaTooLarge, OpenMesh, SelfIntersectionSuspected)
+                     DeltaTooLarge, OpenMesh)
 from .flow import FlowTrace
-from .varifold import DiscreteVarifold, grassmann_from_basis
+from .varifold import DiscreteVarifold
 
 MC_DEFAULT_SAMPLES = 100_000
 
@@ -135,21 +134,6 @@ class SurfaceMesh:
         return float(self.measures().sum())
 
 
-@dataclass(frozen=True)
-class OpenPartition:
-    """Finitely many disjoint open regions presented through one boundary mesh."""
-
-    labels: tuple[str, ...]
-    boundary: SurfaceMesh
-    bounded: tuple[bool, ...]
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.bounded):
-            raise ConfigError("one bounded flag per region label")
-        if not any(not b for b in self.bounded):
-            raise ConfigError("at least one region must be unbounded")
-
-
 def loop_mesh(points) -> SurfaceMesh:
     """Closed polygon through the points in order (n = 2)."""
     pts = np.asarray(points, dtype=float)
@@ -163,21 +147,6 @@ def regular_polygon_mesh(sides: int, radius: float = 1.0,
     th = (np.arange(sides) + 0.5) / sides * 2.0 * math.pi
     pts = np.stack([np.cos(th), np.sin(th)], 1) * radius + np.asarray(center, float)
     return loop_mesh(pts)
-
-
-def merge_meshes(*meshes: SurfaceMesh) -> SurfaceMesh:
-    """Disjoint union (indices offset); orientation of each part preserved."""
-    if not meshes:
-        raise ConfigError("nothing to merge")
-    n = meshes[0].n
-    verts, simps, offset = [], [], 0
-    for m in meshes:
-        if m.n != n:
-            raise ConfigError("meshes live in different ambient dimensions")
-        verts.append(m.vertices)
-        simps.append(m.simplices + offset)
-        offset += len(m.vertices)
-    return SurfaceMesh(np.vstack(verts), np.vstack(simps))
 
 
 _ICO_T = (1.0 + math.sqrt(5.0)) / 2.0
@@ -270,28 +239,6 @@ def enclosed_volume(mesh: SurfaceMesh) -> float:
         return float(0.5 * np.sum(A[:, 0] * B[:, 1] - A[:, 1] * B[:, 0]))
     A, B, C = V[S[:, 0]], V[S[:, 1]], V[S[:, 2]]
     return float(np.sum(np.einsum("ai,ai->a", A, np.cross(B, C))) / 6.0)
-
-
-def advect_mesh(mesh: SurfaceMesh, f,
-                tol: Tolerances = DEFAULT_TOLERANCES) -> SurfaceMesh:
-    """Map the vertices, keep connectivity; refuse on vertex collisions."""
-    value = f.value if hasattr(f, "value") else f
-    new_verts = np.atleast_2d(np.asarray(value(mesh.vertices), dtype=float))
-    _check_vertex_collisions(new_verts, tol.vertex_collision)
-    return SurfaceMesh(new_verts, mesh.simplices)
-
-
-def _check_vertex_collisions(verts: np.ndarray, threshold: float,
-                             chunk: int = 1024) -> None:
-    M = len(verts)
-    for lo in range(0, M, chunk):
-        block = verts[lo:lo + chunk]
-        d2 = np.sum((block[:, None, :] - verts[None, :, :]) ** 2, axis=2)
-        rows = np.arange(lo, min(lo + chunk, M))
-        d2[rows - lo, rows] = np.inf
-        if np.min(d2) < threshold**2:
-            raise SelfIntersectionSuspected(
-                "two mesh vertices collapsed onto each other")
 
 
 # ---------------------------------------------------------------------------
@@ -489,65 +436,3 @@ def nontriviality_certificate(trace: FlowTrace, center, radius: float,
     min_mass = min(s.mass for s in window)
     return NontrivialityReport(horizon, floor, constant, min_mass,
                                min_mass >= floor)
-
-
-# ---------------------------------------------------------------------------
-# mesh file formats
-
-
-def load_mesh_off(path) -> SurfaceMesh:
-    lines = [ln.split("#")[0].strip() for ln in Path(path).read_text().splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != "OFF":
-        raise ConfigError(f"{path}: missing OFF header")
-    nv, nf, _ = (int(x) for x in lines[1].split()[:3])
-    verts = np.array([[float(x) for x in lines[2 + i].split()[:3]]
-                      for i in range(nv)])
-    faces = []
-    for i in range(nf):
-        parts = lines[2 + nv + i].split()
-        if int(parts[0]) != 3:
-            raise ConfigError(f"{path}: only triangular faces are supported")
-        faces.append([int(x) for x in parts[1:4]])
-    return SurfaceMesh(verts, np.array(faces, dtype=np.int64))
-
-
-def load_mesh_obj(path) -> SurfaceMesh:
-    verts, faces = [], []
-    for ln in Path(path).read_text().splitlines():
-        parts = ln.split()
-        if not parts:
-            continue
-        if parts[0] == "v":
-            verts.append([float(x) for x in parts[1:4]])
-        elif parts[0] == "f":
-            idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-            if len(idx) != 3:
-                raise ConfigError(f"{path}: only triangular faces are supported")
-            faces.append(idx)
-    if not verts or not faces:
-        raise ConfigError(f"{path}: no usable vertex/face data")
-    return SurfaceMesh(np.array(verts), np.array(faces, dtype=np.int64))
-
-
-def load_loops_csv(path) -> SurfaceMesh:
-    """Planar loops: columns x1, x2 and an optional trailing loop_id."""
-    import csv as _csv
-    with Path(path).open(newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        has_id = header[-1] == "loop_id"
-        want = 3 if has_id else 2
-        pts, ids = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != want:
-                raise ConfigError(f"{path}: row of width {len(row)}, want {want}")
-            pts.append([float(row[0]), float(row[1])])
-            ids.append(row[2] if has_id else "0")
-    pts = np.array(pts)
-    loops = []
-    for lid in dict.fromkeys(ids):
-        loops.append(loop_mesh(pts[np.array([i == lid for i in ids])]))
-    return merge_meshes(*loops)

@@ -28,7 +28,7 @@ from scipy.optimize import linprog
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ConfigError, SolverFailure, SupportTooLarge
 from .flow import FlowTrace, sample
-from .varifold import DiscreteVarifold, _fmt
+from .varifold import DiscreteVarifold
 
 DEFAULT_SUPPORT_CAP = 2000
 
@@ -194,7 +194,7 @@ def save_measure_csv(path, measure: DiscreteMeasure) -> None:
         writer = csv.writer(fh)
         writer.writerow([f"x{i + 1}" for i in range(k)] + ["w"])
         for p, w in zip(measure.points, measure.weights):
-            writer.writerow([_fmt(v) for v in p] + [_fmt(w)])
+            writer.writerow([format(float(v), ".17g") for v in (*p, w)])
     sidecar = {"ambient_dimension": k, "count": len(measure)}
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar))
 

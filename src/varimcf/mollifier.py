@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
 from .config import sphere_area
 from .errors import ConfigError, GridTooCoarse
-from .varifold import DiscreteVarifold, VectorField, _as_points
+from .varifold import DiscreteVarifold, _as_points
 
 _QUERY_CHUNK = 65536
 _HASH_HALF_RANGE = 1 << 19  # per-axis cell index limit for int64 packing
@@ -275,28 +274,6 @@ def _field_sums(V: DiscreteVarifold, kernel: Mollifier, points: np.ndarray,
     return mass, fvar
 
 
-def smoothed_mass(V: DiscreteVarifold, kernel: Mollifier, points) -> np.ndarray:
-    """(||V|| * Phi_eps)(y) = sum_i m_i Phi_eps(y - x_i)."""
-    pts, single = _as_points(points, V.n)
-    out = _field_sums(V, kernel, pts)[0]
-    return float(out[0]) if single else out
-
-
-def smoothed_first_variation(V: DiscreteVarifold, kernel: Mollifier, points) -> np.ndarray:
-    """(delta V * Phi_eps)(y) = -sum_i m_i S_i grad Phi_eps(y - x_i)."""
-    pts, single = _as_points(points, V.n)
-    out = _field_sums(V, kernel, pts)[1]
-    return out[0] if single else out
-
-
-def raw_curvature(V: DiscreteVarifold, kernel: Mollifier, points) -> np.ndarray:
-    """-(delta V * Phi) / ((||V|| * Phi) + eps): the pre-mollified quotient."""
-    pts, single = _as_points(points, V.n)
-    mass, fvar = _field_sums(V, kernel, pts)
-    out = -fvar / (mass + kernel.eps)[:, None]
-    return out[0] if single else out
-
-
 def _stencil(kernel: Mollifier, grid: QuadratureGrid):
     """Grid nodes restricted to the open kernel support, with their weights."""
     if grid.spacing > kernel.eps / 2.0 + 1e-12:
@@ -312,34 +289,15 @@ def _stencil(kernel: Mollifier, grid: QuadratureGrid):
     return offs, wphi, wgrad
 
 
-def _quotient_on_stencil(V, kernel, offsets, points, hash_=None):
+def _quotient_on_stencil(V, kernel, offsets, points):
+    """-(delta V * Phi) / ((||V|| * Phi) + eps) at every point + offset."""
     pts = np.atleast_2d(points)
     Q, n = pts.shape
     P = offsets.shape[0]
     nodes = (pts[:, None, :] + offsets[None, :, :]).reshape(Q * P, n)
-    mass, fvar = _field_sums(V, kernel, nodes, hash_=hash_)
+    mass, fvar = _field_sums(V, kernel, nodes)
     quot = -fvar / (mass + kernel.eps)[:, None]
     return quot.reshape(Q, P, n)
-
-
-def approximate_curvature(V: DiscreteVarifold, kernel: Mollifier,
-                          grid: QuadratureGrid, points) -> np.ndarray:
-    """h_eps: the outer mollification of raw_curvature, by midpoint quadrature."""
-    pts, single = _as_points(points, V.n)
-    offs, wphi, _ = _stencil(kernel, grid)
-    quot = _quotient_on_stencil(V, kernel, offs, pts)
-    out = np.einsum("p,qpn->qn", wphi, quot)
-    return out[0] if single else out
-
-
-def curvature_jacobian(V: DiscreteVarifold, kernel: Mollifier,
-                       grid: QuadratureGrid, points) -> np.ndarray:
-    """Jacobian of h_eps; row i is the gradient of component i."""
-    pts, single = _as_points(points, V.n)
-    offs, _, wgrad = _stencil(kernel, grid)
-    quot = _quotient_on_stencil(V, kernel, offs, pts)
-    out = np.einsum("qpn,pb->qnb", quot, wgrad)
-    return out[0] if single else out
 
 
 def curvature_with_jacobian(V: DiscreteVarifold, kernel: Mollifier,
@@ -353,14 +311,6 @@ def curvature_with_jacobian(V: DiscreteVarifold, kernel: Mollifier,
     if single:
         return h[0], J[0]
     return h, J
-
-
-def curvature_vector_field(V: DiscreteVarifold, kernel: Mollifier,
-                           grid: QuadratureGrid) -> VectorField:
-    """h_eps(., V) packaged as a VectorField (value + Jacobian evaluators)."""
-    value = lambda pts: approximate_curvature(V, kernel, grid, np.atleast_2d(pts))
-    jac = lambda pts: curvature_jacobian(V, kernel, grid, np.atleast_2d(pts))
-    return VectorField(value, jac)
 
 
 def _support_lattice(V: DiscreteVarifold, kernel: Mollifier, spacing: float) -> np.ndarray:

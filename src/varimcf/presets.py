@@ -9,15 +9,14 @@ per-step checks in the stepper still apply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .flow import FlowConfig
-from .geometry import (OpenPartition, SurfaceMesh, icosphere_mesh,
-                       loop_mesh, merge_meshes, mesh_to_varifold,
-                       regular_polygon_mesh)
+from .geometry import (SurfaceMesh, icosphere_mesh, loop_mesh,
+                       mesh_to_varifold, regular_polygon_mesh)
 from .varifold import DiscreteVarifold
 
 __all__ = ["Scenario", "PRESET_NAMES", "make_preset", "space_curve_loop"]
@@ -27,20 +26,19 @@ __all__ = ["Scenario", "PRESET_NAMES", "make_preset", "space_curve_loop"]
 class Scenario:
     """An initial condition plus the configuration that evolves it.
 
-    `varifold` is what `simulate` runs.  When the scenario consists of two
-    separate surfaces whose mutual distance is the interesting quantity,
-    `pair` carries them individually so each can be run as its own flow.
+    A single-flow scenario carries `varifold` (and the boundary `mesh` it was
+    sampled from, if any).  When the scenario consists of two separate
+    surfaces whose mutual distance is the interesting quantity, `pair` (and
+    `pair_meshes`) carry them instead, and each is run as its own flow.
     """
 
     name: str
     description: str
-    varifold: DiscreteVarifold
     config: FlowConfig
+    varifold: DiscreteVarifold | None = None
     mesh: SurfaceMesh | None = None
-    partition: OpenPartition | None = None
     pair: tuple[DiscreteVarifold, DiscreteVarifold] | None = None
     pair_meshes: tuple[SurfaceMesh, SurfaceMesh] | None = None
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
 
 def space_curve_loop(points) -> DiscreteVarifold:
@@ -104,19 +102,13 @@ def _two_concentric(eps: float, dt: float, end_time: float) -> Scenario:
     outer = regular_polygon_mesh(200, 1.0)
     cfg = FlowConfig(eps=eps, dt=dt, end_time=end_time, refinement=2,
                      enforce_gate=False)
-    both = merge_meshes(inner, outer)
     return Scenario(
         name="two-concentric-circles",
         description="circles of radius 0.5 and 1.0 about the origin, "
                     "evolved as two separate flows to watch their gap",
-        varifold=mesh_to_varifold(both),
         config=cfg,
-        mesh=both,
         pair=(mesh_to_varifold(inner), mesh_to_varifold(outer)),
         pair_meshes=(inner, outer),
-        notes=("the inner circle vanishes first; the gap between the two "
-               "supports should never shrink by more than the smoothing "
-               "length",),
     )
 
 
@@ -124,8 +116,6 @@ def _square_partition(eps: float, dt: float, end_time: float) -> Scenario:
     mesh = loop_mesh([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     cfg = FlowConfig(eps=eps, dt=dt, end_time=end_time, refinement=2,
                      enforce_gate=False)
-    part = OpenPartition(labels=("inside", "outside"), boundary=mesh,
-                         bounded=(True, False))
     return Scenario(
         name="square-partition",
         description="side-2 square splitting the plane into inside/outside; "
@@ -133,26 +123,19 @@ def _square_partition(eps: float, dt: float, end_time: float) -> Scenario:
         varifold=mesh_to_varifold(mesh, 3),
         config=cfg,
         mesh=mesh,
-        partition=part,
     )
 
 
 def _two_region(eps: float, dt: float, end_time: float) -> Scenario:
     inner = regular_polygon_mesh(64, 0.5)
     outer = regular_polygon_mesh(128, 1.0)
-    both = merge_meshes(inner, outer)
     cfg = FlowConfig(eps=eps, dt=dt, end_time=end_time, refinement=2,
                      enforce_gate=False)
-    part = OpenPartition(labels=("core", "annulus", "outside"), boundary=both,
-                         bounded=(True, True, False))
     return Scenario(
         name="two-region",
         description="nested circles bounding a disk, an annulus and the "
                     "unbounded exterior",
-        varifold=mesh_to_varifold(both),
         config=cfg,
-        mesh=both,
-        partition=part,
         pair=(mesh_to_varifold(inner), mesh_to_varifold(outer)),
         pair_meshes=(inner, outer),
     )
@@ -167,12 +150,6 @@ def _enlaced(eps: float, dt: float, end_time: float) -> Scenario:
                 ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), 80)
     b = _ring3d([1.0, 0.0, 0.0], 1.0,
                 ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]), 80)
-    joint = DiscreteVarifold.from_arrays(
-        np.vstack([a.positions, b.positions]),
-        np.vstack([a.planes, b.planes]),
-        np.concatenate([a.masses, b.masses]),
-        d=1,
-    )
     cfg = FlowConfig(eps=eps, dt=dt, end_time=end_time, refinement=2,
                      enforce_gate=False)
     return Scenario(
@@ -180,11 +157,8 @@ def _enlaced(eps: float, dt: float, end_time: float) -> Scenario:
         description="two linked unit circles in R^3; separately evolved "
                     "curves of codimension two can collide, and their gap "
                     "heads to zero",
-        varifold=joint,
         config=cfg,
         pair=(a, b),
-        notes=("demonstration only: no certificate claims a positive gap "
-               "for curves of codimension two",),
     )
 
 

@@ -18,10 +18,7 @@ quadrature; smoothing enters only in the mollifier module.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -395,51 +392,3 @@ class VectorField:
 
         return cls(value, jac)
 
-
-# ---------------------------------------------------------------------------
-# CSV exchange format: header x1..xn,m,p11..pnn plus a JSON sidecar
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def varifold_csv_header(n: int) -> list[str]:
-    cols = [f"x{i + 1}" for i in range(n)] + ["m"]
-    cols += [f"p{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    return cols
-
-
-def save_varifold_csv(V: DiscreteVarifold, path) -> None:
-    """Write atoms as CSV (row-major projector columns) plus a JSON sidecar."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(varifold_csv_header(V.n))
-        for i in range(len(V)):
-            row = [_fmt(v) for v in V.positions[i]]
-            row.append(_fmt(V.masses[i]))
-            row.extend(_fmt(v) for v in V.planes[i].reshape(-1))
-            w.writerow(row)
-    sidecar = {"n": V.n, "d": V.d, "count": len(V)}
-    with open(path.with_suffix(".json"), "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_varifold_csv(path, validate: bool = True,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> DiscreteVarifold:
-    path = Path(path)
-    with open(path.with_suffix(".json")) as fh:
-        sidecar = json.load(fh)
-    n, d, count = int(sidecar["n"]), int(sidecar["d"]), int(sidecar["count"])
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, dtype=float)
-    if data.shape[0] != count:
-        raise ConfigError(f"{path}: sidecar count {count} != {data.shape[0]} rows")
-    if data.shape[1] != n + 1 + n * n:
-        raise ConfigError(f"{path}: expected {n + 1 + n * n} columns, got {data.shape[1]}")
-    pos = data[:, :n]
-    masses = data[:, n]
-    planes = data[:, n + 1:].reshape(-1, n, n)
-    return DiscreteVarifold.from_arrays(pos, planes, masses, d,
-                                        validate=validate, tol=tol)

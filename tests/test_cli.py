@@ -117,6 +117,7 @@ def test_config_file_drives_the_run(tmp_path):
     ("[run]\nflavor = mint\n", "flavor"),
     ("[desserts]\ncake = yes\n", "desserts"),
     ("[run]\nseed = soon\n", "seed"),
+    ("[constants]\ntechnical_samples = 0\n", "technical_samples"),
 ])
 def test_bad_config_files_are_usage_errors(tmp_path, capsys, body, fragment):
     ini = tmp_path / "bad.ini"
@@ -191,6 +192,41 @@ def test_check_usage_errors(run_dir, tmp_path, capsys):
     # the pair-gap certificate needs two recorded flows
     assert main(["check", str(run_dir), "--certificates", "avoidance"]) == 2
     capsys.readouterr()
+
+
+def strict_json(text: str):
+    """Parse JSON, rejecting the NaN and Infinity extensions."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_failed_precondition_reports_null_not_nan(tmp_path, capsys):
+    out = tmp_path / "two-steps"
+    assert main(["simulate", "--preset", "circle", "--out", str(out),
+                 "--end-time", "0.004"]) == 0
+    ini = tmp_path / "wide.ini"
+    ini.write_text("[certificates]\nball_radius = 2.0\n")
+    capsys.readouterr()
+    rc = main(["check", str(out), "--certificates", "nontriviality",
+               "--config", str(ini)])
+    payload = strict_json(capsys.readouterr().out)
+    assert rc == 1
+    (verdict,) = payload["verdicts"]
+    assert verdict["passed"] is False
+    assert verdict["measured"] is None and verdict["bound"] is None
+    assert "BallNotInterior" in verdict["details"]["error"]
+    stored = strict_json((out / "manifest.json").read_text())["certificates"]
+    assert stored["nontriviality[main]"]["bound"] is None
+
+
+def test_empty_certificate_list_is_a_usage_error(still_dir, tmp_path, capsys):
+    assert main(["check", str(still_dir), "--certificates", ""]) == 2
+    assert "empty certificate list" in capsys.readouterr().err
+    ini = tmp_path / "none.ini"
+    ini.write_text("[certificates]\nlist =\n")
+    assert main(["check", str(still_dir), "--config", str(ini)]) == 2
+    assert "empty certificate list" in capsys.readouterr().err
 
 
 def test_missing_frame_file_is_reported(run_dir, tmp_path):

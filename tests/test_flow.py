@@ -2,6 +2,8 @@
 
 The pushforward oracle here is deliberately low-tech: explicit loops and
 Gram-Schmidt, no shared code with the library path (batched eigh + solve).
+Maps are given as (value, jacobian) evaluator pairs; `push` hands their
+values at the atoms to `pushforward`, as the stepper does.
 """
 
 import math
@@ -11,11 +13,10 @@ import pytest
 
 from varimcf.errors import (ConfigError, GateViolated, MassBoundExceeded,
                             OutOfSpan, SingularMap)
-from varimcf.flow import (FlowConfig, SmoothMap, advance, brakke_residual,
-                          dissipation_budget, plane_image, pushforward, run,
-                          sample, tangential_jacobian)
-from varimcf.varifold import (DiscreteVarifold, GrassmannElement, ScalarField,
-                              VectorField, grassmann_from_basis)
+from varimcf.flow import (FlowConfig, brakke_residual, dissipation_budget,
+                          pushforward, run, sample)
+from varimcf.varifold import (DiscreteVarifold, ScalarField, VectorField,
+                              grassmann_from_basis)
 
 
 def polygon_circle(N=100, r=1.0):
@@ -52,7 +53,21 @@ def quadratic_map(n, alpha, rng):
         J = 2.0 * alpha * np.einsum("ijk,ak->aij", C, pts)
         return np.eye(n)[None] + J
 
-    return SmoothMap(value, jac)
+    return value, jac
+
+
+def push(V, f):
+    """f_# V for a map f = (value, jacobian)."""
+    value, jac = f
+    return pushforward(V, value(V.positions), jac(V.positions))[0]
+
+
+def push_atom(plane, Df):
+    """Image plane and tangential Jacobian of a unit atom at the origin."""
+    V = DiscreteVarifold.from_arrays(np.zeros((1, plane.n)), plane.projection,
+                                     [1.0], d=plane.d)
+    W = push(V, (lambda p: p, lambda p: np.asarray(Df, float)[None]))
+    return W.planes[0], W.masses[0]
 
 
 def gram_schmidt(rows):
@@ -80,7 +95,8 @@ def oracle_pushforward_atom(pos, proj, mass, d, f):
         if len(basis) == d:
             break
     assert len(basis) == d
-    Df = f.jacobian(pos[None])[0]
+    f_value, f_jac = f
+    Df = f_jac(pos[None])[0]
     images = [Df @ b for b in basis]
     G = np.zeros((d, d))
     for k in range(d):
@@ -89,7 +105,7 @@ def oracle_pushforward_atom(pos, proj, mass, d, f):
     jac = math.sqrt(np.linalg.det(G))
     Q = gram_schmidt(images)
     newP = sum(np.outer(q, q) for q in Q)
-    return f.value(pos[None])[0], newP, mass * jac
+    return f_value(pos[None])[0], newP, mass * jac
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2)])
@@ -97,7 +113,7 @@ def test_pushforward_matches_loop_oracle(n, d):
     rng = np.random.default_rng(7 * n + d)
     V = random_varifold(rng, n, d, 12)
     f = quadratic_map(n, 0.05, rng)
-    W = pushforward(V, f)
+    W = push(V, f)
     for a in range(len(V)):
         pos, P, m = oracle_pushforward_atom(V.positions[a], V.planes[a],
                                             V.masses[a], d, f)
@@ -108,12 +124,12 @@ def test_pushforward_matches_loop_oracle(n, d):
 
 def test_tangential_jacobian_identity_and_scaling():
     plane = grassmann_from_basis(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    assert tangential_jacobian(np.eye(3), plane) == pytest.approx(1.0)
+    assert push_atom(plane, np.eye(3))[1] == pytest.approx(1.0)
     # uniform dilation by 2 scales d-areas by 2^d
-    assert tangential_jacobian(2.0 * np.eye(3), plane) == pytest.approx(4.0)
+    assert push_atom(plane, 2.0 * np.eye(3))[1] == pytest.approx(4.0)
     # stretching the normal direction alone leaves the plane area unchanged
     D = np.diag([1.0, 1.0, 3.0])
-    assert tangential_jacobian(D, plane) == pytest.approx(1.0)
+    assert push_atom(plane, D)[1] == pytest.approx(1.0)
 
 
 def test_tangential_jacobian_rotation_invariant():
@@ -124,10 +140,10 @@ def test_tangential_jacobian_rotation_invariant():
     R = np.array([[math.cos(th), -math.sin(th), 0.0],
                   [math.sin(th), math.cos(th), 0.0],
                   [0.0, 0.0, 1.0]])
-    assert tangential_jacobian(R, plane) == pytest.approx(1.0, abs=1e-12)
-    img = plane_image(R, plane)
+    img, jac = push_atom(plane, R)
+    assert jac == pytest.approx(1.0, abs=1e-12)
     expect = R @ plane.projection @ R.T
-    assert np.allclose(img.projection, expect, atol=1e-12)
+    assert np.allclose(img, expect, atol=1e-12)
 
 
 def test_plane_image_basis_independent():
@@ -138,43 +154,47 @@ def test_plane_image_basis_independent():
     p1 = grassmann_from_basis(B)
     p2 = grassmann_from_basis(mix @ B)
     Df = np.eye(3) + 0.1 * rng.normal(size=(3, 3))
-    i1 = plane_image(Df, p1)
-    i2 = plane_image(Df, p2)
-    assert np.allclose(i1.projection, i2.projection, atol=1e-10)
-    assert tangential_jacobian(Df, p1) == pytest.approx(tangential_jacobian(Df, p2))
+    i1, j1 = push_atom(p1, Df)
+    i2, j2 = push_atom(p2, Df)
+    assert np.allclose(i1, i2, atol=1e-10)
+    assert j1 == pytest.approx(j2)
 
 
 def test_pushforward_singular_map_raises():
     V = polygon_circle(8)
-    squash = SmoothMap(
+    squash = (
         lambda p: np.atleast_2d(np.asarray(p, float)) * np.array([1.0, 0.0]),
         lambda p: np.broadcast_to(np.diag([1.0, 0.0]),
                                   (np.atleast_2d(p).shape[0], 2, 2)).copy())
     with pytest.raises(SingularMap):
-        pushforward(V, squash)
+        push(V, squash)
 
 
 def test_pushforward_translation_exact():
     V = polygon_circle(16)
-    W = pushforward(V, SmoothMap.translation([0.3, -1.2]))
+    shift = np.array([0.3, -1.2])
+    W = push(V, (lambda p: p + shift,
+                 lambda p: np.broadcast_to(np.eye(2), (len(p), 2, 2))))
     assert np.allclose(W.positions, V.positions + np.array([0.3, -1.2]))
     assert np.allclose(W.planes, V.planes)
     assert np.allclose(W.masses, V.masses)
 
 
 def test_identity_plus_linear_field_jacobian():
+    # the step map x + s X(x) and its Jacobian I + s DX, built as the
+    # stepper builds them, agree with central differences of the map
     A = np.array([[0.1, -0.3], [0.2, 0.05]])
     X = VectorField.linear(A, np.array([1.0, 2.0]))
-    f = SmoothMap.identity_plus(X, 0.5, 2)
+    s = 0.5
+    value = lambda p: np.atleast_2d(p) + s * X.value(p)
     pts = np.array([[0.4, -0.7], [2.0, 1.0]])
-    # value consistency with central differences of the map itself
-    J = f.jacobian(pts)
+    J = np.eye(2) + s * X.jacobian(pts)
     step = 1e-6
     for a in range(2):
         for j in range(2):
             e = np.zeros(2)
             e[j] = step
-            fd = (f.value(pts[a] + e)[0] - f.value(pts[a] - e)[0]) / (2 * step)
+            fd = (value(pts[a] + e)[0] - value(pts[a] - e)[0]) / (2 * step)
             assert np.allclose(J[a, :, j], fd, atol=1e-8)
 
 
@@ -196,8 +216,10 @@ def test_lone_atom_holds_position_and_sheds_mass():
     plane = grassmann_from_basis(np.array([[1.0, 0.0]]))
     V = DiscreteVarifold.from_arrays(np.array([[0.2, -0.4]]),
                                      plane.projection, np.array([1.0]), d=1)
-    cfg = FlowConfig(eps=0.2, dt=1e-2, end_time=0.05, enforce_gate=False)
-    W = advance(V, cfg)
+    cfg = FlowConfig(eps=0.2, dt=1e-2, end_time=0.01, enforce_gate=False)
+    tr = run(V, cfg)
+    assert len(tr.snapshots) == 2
+    W = tr.snapshots[-1].varifold
     assert np.allclose(W.positions, V.positions, atol=1e-12)
     assert 0.0 < W.total_mass() <= V.total_mass()
 

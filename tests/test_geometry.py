@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from varimcf.errors import (BallNotInterior, ConfigError, DegenerateSimplex,
-                            DeltaTooLarge, OpenMesh,
-                            SelfIntersectionSuspected)
-from varimcf.flow import FlowConfig, SmoothMap, run
-from varimcf.geometry import (SurfaceMesh, advect_mesh, clipped_volume_change,
-                              contains, enclosed_volume, icosphere_mesh,
-                              load_loops_csv, load_mesh_obj, load_mesh_off,
-                              loop_mesh, merge_meshes, mesh_to_varifold,
+                            DeltaTooLarge, OpenMesh)
+from varimcf.flow import FlowConfig, run
+from varimcf.geometry import (SurfaceMesh, clipped_volume_change, contains,
+                              enclosed_volume, icosphere_mesh, loop_mesh,
+                              mesh_to_varifold,
                               nontriviality_certificate,
                               point_segment_distance, point_triangle_distance,
                               regular_polygon_mesh, volume_change_constant,
@@ -23,6 +21,12 @@ from varimcf.varifold import DiscreteVarifold
 
 def unit_square():
     return loop_mesh([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+def moved(mesh, f):
+    """The mesh with every vertex mapped by f, connectivity kept (as `run`
+    advects tracked meshes)."""
+    return SurfaceMesh(f(mesh.vertices), mesh.simplices)
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +155,16 @@ def test_varifold_planes_match_facets():
 
 def test_advect_identity_and_translation():
     sq = unit_square()
-    same = advect_mesh(sq, lambda p: p)
+    same = moved(sq, lambda p: p)
     assert np.allclose(same.vertices, sq.vertices)
-    moved = advect_mesh(sq, SmoothMap.translation([2.0, -1.0]))
-    assert enclosed_volume(moved) == pytest.approx(1.0, abs=1e-12)
+    shifted = moved(sq, lambda p: p + np.array([2.0, -1.0]))
+    assert enclosed_volume(shifted) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_advect_scaling_scales_area():
     sq = unit_square()
-    doubled = advect_mesh(sq, lambda p: 2.0 * np.asarray(p, float))
+    doubled = moved(sq, lambda p: 2.0 * p)
     assert enclosed_volume(doubled) == pytest.approx(4.0, abs=1e-12)
-
-
-def test_advect_detects_vertex_collision():
-    sq = unit_square()
-    with pytest.raises(SelfIntersectionSuspected):
-        advect_mesh(sq, lambda p: np.asarray(p, float) * np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +228,8 @@ def test_clipped_change_identity():
 
 def test_clipped_change_translation_against_grid_oracle():
     sq = loop_mesh([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
-    moved = advect_mesh(sq, SmoothMap.translation([0.5, 0.0]))
-    rep = clipped_volume_change(sq, moved, [0.0, 0.0], 0.8, 0.5,
+    shifted = moved(sq, lambda p: p + np.array([0.5, 0.0]))
+    rep = clipped_volume_change(sq, shifted, [0.0, 0.0], 0.8, 0.5,
                                 samples=100_000, seed=3)
     g = np.linspace(-0.8, 0.8, 801)
     X, Y = np.meshgrid(g, g)
@@ -239,7 +237,7 @@ def test_clipped_change_translation_against_grid_oracle():
     inball = np.linalg.norm(P, axis=1) <= 0.8
     cell = (g[1] - g[0]) ** 2
     oracle = abs(float((contains(sq, P) & inball).sum())
-                 - float((contains(moved, P) & inball).sum())) * cell
+                 - float((contains(shifted, P) & inball).sum())) * cell
     assert rep.measured == pytest.approx(oracle, abs=4.0 * rep.standard_error + 1e-2)
     assert rep.bound == pytest.approx(volume_change_constant(2, 0.8) * 0.5)
     assert rep.passed
@@ -262,10 +260,10 @@ def test_volume_change_constant_formula():
 
 def test_clipped_change_deterministic_in_seed():
     circle = regular_polygon_mesh(64)
-    moved = advect_mesh(circle, SmoothMap.translation([0.05, 0.0]))
-    a = clipped_volume_change(circle, moved, [0.0, 0.0], 1.2, 0.05,
+    shifted = moved(circle, lambda p: p + np.array([0.05, 0.0]))
+    a = clipped_volume_change(circle, shifted, [0.0, 0.0], 1.2, 0.05,
                               samples=20_000, seed=9)
-    b = clipped_volume_change(circle, moved, [0.0, 0.0], 1.2, 0.05,
+    b = clipped_volume_change(circle, shifted, [0.0, 0.0], 1.2, 0.05,
                               samples=20_000, seed=9)
     assert a.measured == b.measured
     assert a.standard_error == b.standard_error
@@ -334,56 +332,3 @@ def test_refinement_consistency_tiny_flow():
     second = abs(terminal[2] - terminal[1])
     assert second <= first + 1e-12
 
-
-# ---------------------------------------------------------------------------
-# file formats
-
-
-def test_off_round_trip(tmp_path):
-    ico = icosphere_mesh(0)
-    lines = ["OFF", f"{len(ico.vertices)} {len(ico.simplices)} 0"]
-    lines += [" ".join(f"{float(x)!r}" for x in v) for v in ico.vertices]
-    lines += ["3 " + " ".join(str(i) for i in f) for f in ico.simplices]
-    p = tmp_path / "ico.off"
-    p.write_text("\n".join(lines))
-    back = load_mesh_off(p)
-    assert np.allclose(back.vertices, ico.vertices)
-    assert np.array_equal(back.simplices, ico.simplices)
-
-
-def test_obj_round_trip(tmp_path):
-    ico = icosphere_mesh(0)
-    lines = ["# comment"]
-    lines += ["v " + " ".join(f"{float(x)!r}" for x in v) for v in ico.vertices]
-    lines += ["f " + " ".join(str(i + 1) for i in f) for f in ico.simplices]
-    p = tmp_path / "ico.obj"
-    p.write_text("\n".join(lines))
-    back = load_mesh_obj(p)
-    assert np.allclose(back.vertices, ico.vertices)
-    assert np.array_equal(back.simplices, ico.simplices)
-
-
-def test_loops_csv_two_loops(tmp_path):
-    outer = regular_polygon_mesh(8, 1.0)
-    inner = regular_polygon_mesh(6, 0.4)
-    rows = ["x1,x2,loop_id"]
-    rows += [f"{float(v[0])!r},{float(v[1])!r},a" for v in outer.vertices]
-    rows += [f"{float(v[0])!r},{float(v[1])!r},b" for v in inner.vertices]
-    p = tmp_path / "loops.csv"
-    p.write_text("\n".join(rows))
-    mesh = load_loops_csv(p)
-    mesh.check_closed()
-    assert len(mesh.simplices) == 14
-    expect = merge_meshes(outer, inner)
-    assert np.allclose(mesh.vertices, expect.vertices)
-
-
-def test_loader_rejections(tmp_path):
-    p = tmp_path / "bad.off"
-    p.write_text("NOT-OFF\n1 0 0\n0 0 0\n")
-    with pytest.raises(ConfigError):
-        load_mesh_off(p)
-    q = tmp_path / "bad.obj"
-    q.write_text("v 0 0 0\nf 1 2 3 4\nv 1 0 0\nv 0 1 0\nv 0 0 1\n")
-    with pytest.raises(ConfigError):
-        load_mesh_obj(q)

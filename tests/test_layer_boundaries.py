@@ -1,0 +1,74 @@
+"""The layer boundaries that perfbench/tracing.py wraps stay where it looks.
+
+The tracer replaces module and class attributes for the duration of a traced
+run.  A boundary that moved, was renamed or was bound to a local name would
+silently drop out of the per-layer metrics, so this pins each one down.
+"""
+
+import dataclasses
+
+import numpy as np
+
+from varimcf import cli, flow, geometry, metrics, mollifier, presets
+from varimcf.flow import FlowConfig
+from varimcf.geometry import mesh_to_varifold, regular_polygon_mesh
+
+WRAPPED = [
+    (presets, "make_preset"),
+    (flow, "run"),
+    (flow, "curvature_with_jacobian"),
+    (flow, "dissipation"),
+    (mollifier.SpatialHash, "neighbor_pairs"),
+    (mollifier.Mollifier, "_profile01"),
+    (cli, "load_manifest"),
+    (geometry, "volume_change_series"),
+    (geometry, "contains"),
+    (metrics, "bounded_lipschitz"),
+]
+
+CERTIFICATE_NAMES = (
+    "mass-decay", "dissipation-budget", "technical-lemma", "barrier-defect",
+    "eps-sphere-barrier", "external-sphere", "internal-sphere", "convex-hull",
+    "avoidance", "lsc", "volume-change", "nontriviality")
+
+
+def test_wrapped_names_are_their_owners_own_attributes():
+    for owner, attr in WRAPPED:
+        assert attr in vars(owner), f"{owner.__name__}.{attr}"
+        assert callable(vars(owner)[attr])
+    # flow calls the mollifier's evaluators through its own module globals
+    assert vars(flow)["curvature_with_jacobian"] is \
+        mollifier.curvature_with_jacobian
+    assert vars(flow)["dissipation"] is mollifier.dissipation
+    assert set(CERTIFICATE_NAMES) == set(cli.CERTIFICATES)
+
+
+def test_attributes_the_benchmark_reads_exist():
+    fields = {f.name for f in dataclasses.fields(presets.Scenario)}
+    assert {"pair", "pair_meshes", "varifold", "mesh", "config"} <= fields
+    kernel = mollifier.Mollifier(0.1, 2)
+    grid = mollifier.QuadratureGrid.for_kernel(kernel, 2)
+    assert grid.offsets.shape[1] == 2
+
+
+def test_run_calls_each_field_layer_once_per_step(monkeypatch):
+    calls = {"curvature_with_jacobian": 0, "dissipation": 0}
+
+    def counting(name):
+        inner = getattr(flow, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(flow, name, counting(name))
+    mesh = regular_polygon_mesh(32)
+    cfg = FlowConfig(eps=0.15, dt=2e-3, end_time=4e-3, refinement=2,
+                     enforce_gate=False)
+    tr = flow.run(mesh_to_varifold(mesh), cfg, mesh_vertices=mesh.vertices,
+                  mesh_simplices=mesh.simplices)
+    assert len(tr.snapshots) == 3
+    assert calls == {"curvature_with_jacobian": 2, "dissipation": 2}
+    assert np.all(np.isfinite(tr.snapshots[-1].mesh_vertices))

@@ -8,11 +8,8 @@ import pytest
 
 from varimcf.errors import ConfigError, GridTooCoarse
 from varimcf.mollifier import (Mollifier, QuadratureGrid, SpatialHash,
-                               approximate_curvature, curvature_jacobian,
-                               curvature_vector_field,
-                               curvature_with_jacobian, dissipation,
-                               raw_curvature, smoothed_first_variation,
-                               smoothed_mass)
+                               _field_sums, _quotient_on_stencil,
+                               curvature_with_jacobian, dissipation)
 from varimcf.varifold import (DiscreteVarifold, VectorField, first_variation,
                               grassmann_from_basis)
 
@@ -32,6 +29,17 @@ def polygon_circle(N, R=1.0):
     P = np.einsum("ai,aj->aij", t, t)
     m = np.full(N, 2.0 * R * math.sin(math.pi / N))
     return DiscreteVarifold.from_arrays(pts, P, m, d=1)
+
+
+def curvature(V, kern, grid, pts):
+    return curvature_with_jacobian(V, kern, grid, pts)[0]
+
+
+def curvature_field(V, kern, grid):
+    """h_eps(., V) as a VectorField, for pairing with the first variation."""
+    return VectorField(lambda p: curvature(V, kern, grid, np.atleast_2d(p)),
+                       lambda p: curvature_with_jacobian(
+                           V, kern, grid, np.atleast_2d(p))[1])
 
 
 def rotation2(angle):
@@ -118,14 +126,14 @@ def test_grid_refinement_guard():
     with pytest.raises(GridTooCoarse):
         QuadratureGrid.for_kernel(kern, 1)
     with pytest.raises(GridTooCoarse):
-        approximate_curvature(polygon_circle(16), kern,
-                              QuadratureGrid(2, kern.support_radius, 0.15),
-                              np.zeros((1, 2)))
+        curvature_with_jacobian(polygon_circle(16), kern,
+                                QuadratureGrid(2, kern.support_radius, 0.15),
+                                np.zeros((1, 2)))
     with pytest.raises(ConfigError):
-        approximate_curvature(polygon_circle(16), kern,
-                              QuadratureGrid(2, 0.5 * kern.support_radius,
-                                             0.05),
-                              np.zeros((1, 2)))
+        curvature_with_jacobian(polygon_circle(16), kern,
+                                QuadratureGrid(2, 0.5 * kern.support_radius,
+                                               0.05),
+                                np.zeros((1, 2)))
 
 
 def test_spatial_hash_finds_exactly_the_near_pairs():
@@ -172,8 +180,7 @@ def test_smoothed_fields_match_brute_force(n, d):
     kern = Mollifier(0.3, n)
     pts = np.vstack([rng.uniform(-1.2, 1.2, (15, n)),
                      np.full((1, n), 50.0)])   # one point far off support
-    mass = smoothed_mass(V, kern, pts)
-    fvar = smoothed_first_variation(V, kern, pts)
+    mass, fvar = _field_sums(V, kern, pts)
     assert np.allclose(mass, brute_mass(V, kern, pts), atol=1e-12)
     assert np.allclose(fvar, brute_fvar(V, kern, pts), atol=1e-12)
     assert mass[-1] == 0.0 and np.all(fvar[-1] == 0.0)
@@ -186,7 +193,7 @@ def test_smoothed_first_variation_equals_exact_pairing():
     V = random_varifold(rng, 12, n=2, d=1)
     kern = Mollifier(0.4, 2)
     y = np.array([0.1, -0.2])
-    fv = smoothed_first_variation(V, kern, y)
+    fv = _field_sums(V, kern, y)[1][0]
     for j in range(2):
         ej = np.zeros(2)
         ej[j] = 1.0
@@ -208,7 +215,7 @@ def test_raw_curvature_quotient_definition():
     V = random_varifold(rng, 10, n=2, d=1)
     kern = Mollifier(0.3, 2)
     pts = rng.uniform(-1.0, 1.0, (8, 2))
-    got = raw_curvature(V, kern, pts)
+    got = _quotient_on_stencil(V, kern, np.zeros((1, 2)), pts)[:, 0]
     expect = -brute_fvar(V, kern, pts) / (brute_mass(V, kern, pts)
                                           + kern.eps)[:, None]
     assert np.allclose(got, expect, atol=1e-12)
@@ -224,7 +231,7 @@ def test_lone_atom_has_zero_curvature():
                                      [1.0], d=1)
     kern = Mollifier(0.2, 2)
     grid = QuadratureGrid.for_kernel(kern, 4)
-    h = approximate_curvature(V, kern, grid, V.positions)
+    h = curvature(V, kern, grid, V.positions)
     assert np.all(np.abs(h) <= 1e-12)
 
 
@@ -232,7 +239,7 @@ def test_circle_curvature_points_inward_with_unit_magnitude():
     V = polygon_circle(100)
     kern = Mollifier(0.1, 2)
     grid = QuadratureGrid.for_kernel(kern, 2)
-    h = approximate_curvature(V, kern, grid, V.positions)
+    h = curvature(V, kern, grid, V.positions)
     radial = V.positions / np.linalg.norm(V.positions, axis=1, keepdims=True)
     inward = -np.einsum("ai,ai->a", h, radial)
     assert np.all(inward > 0.0)
@@ -248,20 +255,18 @@ def test_curvature_equivariance():
     kern = Mollifier(0.1, 2)
     grid = QuadratureGrid.for_kernel(kern, 2)
     probes = np.array([[1.0, 0.0], [0.95, 0.1], [0.7, 0.7]])
-    h = approximate_curvature(V, kern, grid, probes)
+    h = curvature(V, kern, grid, probes)
     # translations: exact (the grid is relative to the query point)
     s = np.array([0.371, -1.2345])
-    ht = approximate_curvature(V.transformed(shift=s), kern, grid, probes + s)
+    ht = curvature(V.transformed(shift=s), kern, grid, probes + s)
     assert np.allclose(ht, h, atol=1e-12)
     # quarter turn: exact, the stencil is invariant under it
     R = rotation2(math.pi / 2.0)
-    hr = approximate_curvature(V.transformed(rotation=R), kern, grid,
-                               (R @ probes.T).T)
+    hr = curvature(V.transformed(rotation=R), kern, grid, (R @ probes.T).T)
     assert np.allclose(hr, (R @ h.T).T, atol=1e-12)
     # generic rotation: equal up to the quadrature error of the rotated grid
     R = rotation2(0.31)
-    hr = approximate_curvature(V.transformed(rotation=R), kern, grid,
-                               (R @ probes.T).T)
+    hr = curvature(V.transformed(rotation=R), kern, grid, (R @ probes.T).T)
     assert np.allclose(hr, (R @ h.T).T, atol=1e-4)
 
 
@@ -271,17 +276,17 @@ def test_curvature_jacobian_by_finite_differences():
     grid = QuadratureGrid.for_kernel(kern, 4)
     probes = np.array([[0.9, 0.05], [0.6, 0.6]])
     h, J = curvature_with_jacobian(V, kern, grid, probes)
-    assert np.allclose(h, approximate_curvature(V, kern, grid, probes),
-                       atol=1e-14)
-    assert np.allclose(J, curvature_jacobian(V, kern, grid, probes),
-                       atol=1e-14)
+    # a single point evaluates exactly as the same point inside a batch
+    for q, p in enumerate(probes):
+        hq, Jq = curvature_with_jacobian(V, kern, grid, p)
+        assert np.array_equal(hq, h[q]) and np.array_equal(Jq, J[q])
     e = 1e-6
     for q, p in enumerate(probes):
         for j in range(2):
             dp = np.zeros(2)
             dp[j] = e
-            fd = (approximate_curvature(V, kern, grid, (p + dp)[None])[0]
-                  - approximate_curvature(V, kern, grid, (p - dp)[None])[0]) / (2 * e)
+            fd = (curvature(V, kern, grid, (p + dp)[None])[0]
+                  - curvature(V, kern, grid, (p - dp)[None])[0]) / (2 * e)
             assert np.allclose(J[q][:, j], fd, atol=5e-4)
 
 
@@ -289,8 +294,7 @@ def test_refining_the_stencil_converges_fast():
     V = polygon_circle(100)
     kern = Mollifier(0.1, 2)
     probes = np.array([[1.0, 0.0], [0.95, 0.1], [0.7, 0.7]])
-    vals = {q: approximate_curvature(V, kern, QuadratureGrid.for_kernel(kern, q),
-                                     probes)
+    vals = {q: curvature(V, kern, QuadratureGrid.for_kernel(kern, q), probes)
             for q in (2, 4, 8)}
     d24 = float(np.max(np.abs(vals[2] - vals[4])))
     d48 = float(np.max(np.abs(vals[4] - vals[8])))
@@ -311,7 +315,7 @@ def test_dissipation_identity_on_random_varifolds():
     for _ in range(6):
         V = random_varifold(rng, int(rng.integers(5, 50)))
         D = dissipation(V, kern, grid)
-        paired = first_variation(V, curvature_vector_field(V, kern, grid))
+        paired = first_variation(V, curvature_field(V, kern, grid))
         assert D >= 0.0
         assert abs(paired + D) <= 1e-3 * max(1.0, D)
 
@@ -321,7 +325,7 @@ def test_dissipation_identity_on_circle():
     kern = Mollifier(0.1, 2)
     grid = QuadratureGrid.for_kernel(kern, 2)
     D = dissipation(V, kern, grid)
-    paired = first_variation(V, curvature_vector_field(V, kern, grid))
+    paired = first_variation(V, curvature_field(V, kern, grid))
     assert abs(paired + D) <= 1e-3 * max(1.0, D)
 
 

@@ -1,14 +1,17 @@
-"""Atomic varifolds: plane representation, exact first variation, CSV IO."""
+"""Atomic varifolds: plane representation, exact first variation, and
+their round trip through the recorded frame files."""
+
+import json
 
 import numpy as np
 import pytest
 
+from varimcf.cli import _write_trace, load_trace
 from varimcf.errors import ConfigError, DegenerateBasis, NonpositiveWeight
-from varimcf.flow import SmoothMap, pushforward
+from varimcf.flow import FlowConfig, FlowTrace, Snapshot, pushforward
 from varimcf.varifold import (Atom, DiscreteVarifold, GrassmannElement,
                               ScalarField, VectorField, first_variation,
-                              grassmann_from_basis, load_varifold_csv,
-                              mass_integral, save_varifold_csv,
+                              grassmann_from_basis, mass_integral,
                               tangential_divergence, total_mass,
                               weighted_first_variation)
 
@@ -30,6 +33,12 @@ def random_varifold(rng, N, n=2, d=1):
                        for _ in range(N)])
     return DiscreteVarifold.from_arrays(pos, planes,
                                         rng.uniform(0.5, 1.5, N), d=d)
+
+
+def push_along(V, X, s):
+    """(id + s X)_# V through the exact pushforward."""
+    Df = np.eye(V.n) + s * X.jacobian(V.positions)
+    return pushforward(V, V.positions + s * X.value(V.positions), Df)[0]
 
 
 def random_rotation(rng, n):
@@ -131,12 +140,8 @@ def test_first_variation_is_mass_derivative(n, d):
     for X in (VectorField.linear(rng.normal(size=(n, n)), rng.normal(size=n)),
               quadratic_field(n)):
         s = 1e-5
-        plus = SmoothMap(lambda x: np.atleast_2d(x) + s * X.value(x),
-                         lambda x: np.eye(n)[None] + s * X.jacobian(x))
-        minus = SmoothMap(lambda x: np.atleast_2d(x) - s * X.value(x),
-                          lambda x: np.eye(n)[None] - s * X.jacobian(x))
-        fd = (pushforward(V, plus).total_mass()
-              - pushforward(V, minus).total_mass()) / (2.0 * s)
+        fd = (push_along(V, X, s).total_mass()
+              - push_along(V, X, -s).total_mass()) / (2.0 * s)
         exact = first_variation(V, X)
         assert exact == pytest.approx(fd, abs=1e-6 * (1.0 + abs(exact)))
 
@@ -188,13 +193,8 @@ def test_weighted_first_variation_is_weighted_mass_derivative():
     phi = ScalarField.bump(np.array([0.2, -0.1]), 2.5, 1.3)
     X = VectorField.linear(rng.normal(size=(2, 2)), rng.normal(size=2))
     s = 1e-5
-    n = 2
-    plus = SmoothMap(lambda x: np.atleast_2d(x) + s * X.value(x),
-                     lambda x: np.eye(n)[None] + s * X.jacobian(x))
-    minus = SmoothMap(lambda x: np.atleast_2d(x) - s * X.value(x),
-                      lambda x: np.eye(n)[None] - s * X.jacobian(x))
-    fd = (mass_integral(pushforward(V, plus), phi)
-          - mass_integral(pushforward(V, minus), phi)) / (2.0 * s)
+    fd = (mass_integral(push_along(V, X, s), phi)
+          - mass_integral(push_along(V, X, -s), phi)) / (2.0 * s)
     exact = weighted_first_variation(V, phi, X)
     assert exact == pytest.approx(fd, abs=1e-5 * (1.0 + abs(exact)))
 
@@ -257,15 +257,27 @@ def test_time_scaled_field_derivative():
 
 
 # ---------------------------------------------------------------------------
-# CSV exchange
+# frame files
+
+
+def write_frames(tmp_path, V):
+    """Record V as the single snapshot of a trace; return (manifest, record)."""
+    cfg = FlowConfig(eps=0.1, dt=1e-3, end_time=0.0, enforce_gate=False)
+    trace = FlowTrace(cfg, V.total_mass(), (Snapshot(0.0, V, V.total_mass()),))
+    record = _write_trace(tmp_path, "main", trace)
+    manifest = {"config": {"eps": cfg.eps, "dt": cfg.dt,
+                           "end_time": cfg.end_time, "enforce_gate": False},
+                "traces": [record]}
+    # the manifest goes through JSON, as simulate writes it
+    return json.loads(json.dumps(manifest)), record
 
 
 def test_varifold_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(18)
     V = random_varifold(rng, 9, n=3, d=2)
-    p = tmp_path / "v.csv"
-    save_varifold_csv(V, p)
-    W = load_varifold_csv(p)
+    manifest, _ = write_frames(tmp_path, V)
+    (snap,) = load_trace(manifest, tmp_path, manifest["traces"][0]).snapshots
+    W = snap.varifold
     assert W.n == V.n and W.d == V.d
     assert np.array_equal(W.positions, V.positions)
     assert np.array_equal(W.planes, V.planes)
@@ -273,11 +285,11 @@ def test_varifold_csv_round_trip_is_exact(tmp_path):
 
 
 def test_varifold_csv_rejects_inconsistent_sidecar(tmp_path):
+    # the manifest is the frames' sidecar: a dimension that disagrees with
+    # the frame's columns is refused
     rng = np.random.default_rng(19)
     V = random_varifold(rng, 4, n=2, d=1)
-    p = tmp_path / "v.csv"
-    save_varifold_csv(V, p)
-    side = p.with_suffix(".json")
-    side.write_text(side.read_text().replace('"count": 4', '"count": 5'))
+    manifest, record = write_frames(tmp_path, V)
+    record = dict(record, ambient_dimension=3)
     with pytest.raises(ConfigError):
-        load_varifold_csv(p)
+        load_trace(manifest, tmp_path, record)
