@@ -30,8 +30,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (ConfigError, GateViolated, MassBoundExceeded, OutOfSpan,
                      SingularMap)
-from .mollifier import (Mollifier, QuadratureGrid, curvature_with_jacobian,
-                        dissipation)
+from .mollifier import (Mollifier, QuadratureGrid, _Lattice,
+                        curvature_with_jacobian, dissipation)
 from .varifold import DiscreteVarifold, ScalarField
 
 
@@ -197,10 +197,11 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
     verts = None if mesh_vertices is None else np.asarray(mesh_vertices, dtype=float)
     for i in range(len(times) - 1):
         dt = float(times[i + 1] - times[i])
-        # one field evaluation at the atoms and the tracked mesh vertices
+        # one field pass on the lattice of V: atoms, mesh vertices, dissipation
+        lat = _Lattice(V, kernel, grid)
         pts = V.positions if verts is None else np.vstack([V.positions, verts])
-        h, J = curvature_with_jacobian(V, kernel, grid, pts)
-        diss = dissipation(V, kernel, grid) if config.record_dissipation else None
+        h, J = curvature_with_jacobian(V, kernel, grid, pts, lat)
+        diss = dissipation(V, kernel, grid, lat) if config.record_dissipation else None
         # structural step checks (the gate's content): the step map must stay
         # a diffeomorphism near the support, so pushforward refuses singular
         # maps and step_delta records the distance from the identity
@@ -283,7 +284,7 @@ def brakke_residual(trace: FlowTrace, phi: ScalarField,
         if w <= 1e-15:
             continue
         s = trace.snapshots[i]
-        if s.curvature is None:
+        if s.curvature is None or s.curvature_jacobian is None:
             raise ConfigError("trace lacks stored curvature fields")
         V = s.varifold
         wfv = _weighted_fv_arrays(V, phi, s.time, s.curvature, s.curvature_jacobian)

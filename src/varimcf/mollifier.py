@@ -9,11 +9,8 @@ derivatives vanish at the support boundary, so Phi_eps is C^2 on R^n with
 compact support; A = A(n, k) is fixed once per (dimension, cutoff) by radial
 quadrature so that the kernel integrates to one exactly in the continuum.
 
-Writing Phi_eps(x) = g(|x|^2) for a scalar profile g gives closed forms
-
-    grad Phi = 2 g'(rho) x,      D^2 Phi = 4 g''(rho) x ox x + 2 g'(rho) I,
-
-which is what the field evaluators below use.
+Writing Phi_eps(x) = g(|x|^2) for a scalar profile g, grad Phi = 2 g'(rho) x,
+so the field evaluators below need only g and g'.
 
 For an atomic varifold V the smoothed mass and smoothed first variation are
 finite sums over atoms,
@@ -21,19 +18,28 @@ finite sums over atoms,
     (||V|| * Phi)(y)    =  sum_i m_i Phi(y - x_i)
     (delta V * Phi)(y)  = -sum_i m_i S_i grad Phi(y - x_i),
 
-and the regularized mean curvature field is the mollified quotient
+and the regularized mean curvature field is h = Phi * q, with the quotient
+q = -(delta V * Phi) / ((||V|| * Phi) + eps).  The outer convolution is a
+midpoint rule on one lattice per varifold: the nodes y_k = a + k*eta (k
+integer, eta = eps/refinement, a the first atom) within R + sqrt(n)*eta of an
+atom, R the kernel support radius.  They include every node within R of an
+atom and q vanishes exactly at every other node, so q is evaluated once, and
 
-    h(y)  = Phi * [ -(delta V * Phi) / ((||V|| * Phi) + eps) ](y),
+    h(y)  = eta^n sum_k Phi(y - y_k) q(y_k)
+    Dh(y) = eta^n sum_k q(y_k) (x) grad Phi(y - y_k)
+    D     = eta^n sum_k |(delta V * Phi)(y_k)|^2 / ((||V|| * Phi)(y_k) + eps),
 
-where the outer convolution is evaluated by a midpoint rule on an
-axis-aligned grid of spacing eps/q over the kernel support.  Neighbor sums
-use an exact uniform spatial hash with cell size equal to the kernel support
-radius; all reductions are fixed-order (bincount / einsum), so results are
-bitwise reproducible regardless of thread configuration.
+the dissipation, are sums over the same nodes; as grad Phi is odd,
+delta V(h) = -D to roundoff.  Anchored at an atom, the nodes move with V under
+translations and quarter turns.  Neighbor sums use an exact uniform spatial
+hash with cell size equal to the kernel support radius; all reductions are
+fixed-order (bincount / einsum), so results are bitwise reproducible
+regardless of thread configuration.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -45,6 +51,7 @@ from .errors import ConfigError, GridTooCoarse
 from .varifold import DiscreteVarifold, _as_points
 
 _QUERY_CHUNK = 65536
+_PAIR_CHUNK = 1 << 20     # candidate (point, lattice node) pairs per chunk
 _HASH_HALF_RANGE = 1 << 19  # per-axis cell index limit for int64 packing
 
 
@@ -68,24 +75,8 @@ class Mollifier:
         if err > 1e-9 * val:
             raise ConfigError("kernel normalization quadrature did not converge")
 
-    # radial profile g and its derivatives in rho = |x|^2
-    def _profile(self, rho: np.ndarray, order: int) -> np.ndarray:
-        eps2 = self.eps * self.eps
-        R2 = self.support_radius**2
-        inside = rho < R2
-        rho_in = np.where(inside, rho, 0.0)
-        u = 1.0 - rho_in / R2
-        E = (self._amplitude / self.eps**self.dim) * np.exp(-0.5 * rho_in / eps2)
-        if order == 0:
-            out = E * u**3
-        elif order == 1:
-            out = E * (-(u**3) / (2.0 * eps2) - 3.0 * u**2 / R2)
-        else:
-            out = E * (u**3 / (4.0 * eps2 * eps2) + 3.0 * u**2 / (eps2 * R2) + 6.0 * u / (R2 * R2))
-        return np.where(inside, out, 0.0)
-
     def _profile01(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """g and g' together, sharing one exponential (hot path)."""
+        """The radial profile g and g' = dg/drho at rho = |x|^2."""
         eps2 = self.eps * self.eps
         R2 = self.support_radius**2
         inside = rho < R2
@@ -98,27 +89,23 @@ class Mollifier:
         zero = np.zeros_like(g)
         return np.where(inside, g, zero), np.where(inside, gp, zero)
 
-    def value(self, points) -> np.ndarray:
-        x, single = _as_points(points, self.dim)
-        rho = np.einsum("ai,ai->a", x, x)
-        out = self._profile(rho, 0)
-        return out[0] if single else out
 
-    def grad(self, points) -> np.ndarray:
-        x, single = _as_points(points, self.dim)
-        rho = np.einsum("ai,ai->a", x, x)
-        out = 2.0 * self._profile(rho, 1)[:, None] * x
-        return out[0] if single else out
+def _integer_ball(dim: int, reach: float) -> np.ndarray:
+    """Integer points k with |k| <= reach, in lexicographic order."""
+    half = int(math.floor(reach))
+    axis = np.arange(-half, half + 1)
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    ints = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    return ints[np.einsum("ai,ai->a", ints, ints) <= reach * reach]
 
-    def hess(self, points) -> np.ndarray:
-        x, single = _as_points(points, self.dim)
-        rho = np.einsum("ai,ai->a", x, x)
-        gp = self._profile(rho, 1)
-        gpp = self._profile(rho, 2)
-        eye = np.eye(self.dim)
-        out = 4.0 * gpp[:, None, None] * np.einsum("ai,aj->aij", x, x) \
-            + 2.0 * gp[:, None, None] * eye[None, :, :]
-        return out[0] if single else out
+
+def _pack(cells: np.ndarray) -> np.ndarray:
+    """One int64 code per row of cell indices, ordered as the rows sort.
+
+    Indices out of range wrap around instead of failing.
+    """
+    dims = (2 * _HASH_HALF_RANGE,) * cells.shape[1]
+    return np.ravel_multi_index(tuple((cells + _HASH_HALF_RANGE).T), dims, mode="wrap")
 
 
 class QuadratureGrid:
@@ -127,7 +114,7 @@ class QuadratureGrid:
     Nodes are integer multiples of the spacing; each carries weight
     spacing^dim.  The node set covers the stated ball (every ball point lies
     in some node's cell), and the weights sum to the covered cell-union
-    volume exactly.
+    volume exactly.  The spacing is the one of the curvature lattice.
     """
 
     def __init__(self, dim: int, radius: float, spacing: float):
@@ -137,13 +124,8 @@ class QuadratureGrid:
         self.radius = float(radius)
         self.spacing = float(spacing)
         reach = self.radius + 0.5 * math.sqrt(dim) * self.spacing
-        half = int(math.floor(reach / self.spacing))
-        axis = np.arange(-half, half + 1)
-        mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-        ints = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        offsets = ints * self.spacing
-        keep = np.einsum("ai,ai->a", offsets, offsets) <= reach * reach
-        self.offsets = np.ascontiguousarray(offsets[keep])
+        self.offsets = np.ascontiguousarray(
+            _integer_ball(self.dim, reach / self.spacing) * self.spacing)
         self.weight = self.spacing**dim
 
     @classmethod
@@ -178,7 +160,7 @@ class SpatialHash:
         cells = np.floor(pts / self.cell_size).astype(np.int64)
         if cells.size and np.max(np.abs(cells)) >= _HASH_HALF_RANGE - 1:
             raise ConfigError("coordinates too large for the spatial hash")
-        codes = self._pack(cells)
+        codes = _pack(cells)
         self.order = np.argsort(codes, kind="stable")
         sorted_codes = codes[self.order]
         self.cell_codes, self.starts = np.unique(sorted_codes, return_index=True)
@@ -190,20 +172,13 @@ class SpatialHash:
         self._neighborhood = np.array(
             list(itertools.product((-1, 0, 1), repeat=self.dim)), dtype=np.int64)
 
-    def _pack(self, cells: np.ndarray) -> np.ndarray:
-        base = np.int64(2 * _HASH_HALF_RANGE)
-        code = np.zeros(cells.shape[0], dtype=np.int64)
-        for axis in range(self.dim):
-            code = code * base + (cells[:, axis] + _HASH_HALF_RANGE)
-        return code
-
     def neighbor_pairs(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """All (query row, point index) pairs within one cell ring."""
         q = np.atleast_2d(np.asarray(queries, dtype=float))
         qcells = np.floor(q / self.cell_size).astype(np.int64)
         rows_out, cols_out = [], []
         for off in self._neighborhood:
-            codes = self._pack(qcells + off)
+            codes = _pack(qcells + off)
             pos = np.searchsorted(self.cell_codes, codes)
             pos_c = np.minimum(pos, len(self.cell_codes) - 1) if len(self.cell_codes) else pos
             hit = np.zeros(codes.shape[0], dtype=bool)
@@ -223,27 +198,19 @@ class SpatialHash:
         return np.concatenate(rows_out), np.concatenate(cols_out)
 
 
-def _orthobases(V: DiscreteVarifold) -> np.ndarray:
-    """Orthonormal bases of all atom planes, shape (N, d, n)."""
-    _, vecs = np.linalg.eigh(V.planes)
-    return np.ascontiguousarray(np.transpose(vecs[:, :, -V.d:], (0, 2, 1)))
-
-
-def _field_sums(V: DiscreteVarifold, kernel: Mollifier, points: np.ndarray,
-                hash_: SpatialHash | None = None,
-                bases: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _field_sums(V: DiscreteVarifold, kernel: Mollifier,
+                points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smoothed mass and smoothed first variation at the given points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     Q, n = pts.shape
-    mass = np.zeros(Q)
-    fvar = np.zeros((Q, n))
+    mass, fvar = np.zeros(Q), np.zeros((Q, n))
     if len(V) == 0:
         return mass, fvar
     R2 = kernel.support_radius**2
-    if hash_ is None and n <= 3:
-        hash_ = SpatialHash(V.positions, kernel.support_radius)
-    if bases is None:
-        bases = _orthobases(V)
+    hash_ = SpatialHash(V.positions, kernel.support_radius) if n <= 3 else None
+    # orthonormal bases of the atom planes, shape (N, d, n)
+    bases = np.ascontiguousarray(np.transpose(
+        np.linalg.eigh(V.planes)[1][:, :, -V.d:], (0, 2, 1)))
     for lo in range(0, Q, _QUERY_CHUNK):
         hi = min(lo + _QUERY_CHUNK, Q)
         chunk = pts[lo:hi]
@@ -274,89 +241,119 @@ def _field_sums(V: DiscreteVarifold, kernel: Mollifier, points: np.ndarray,
     return mass, fvar
 
 
-def _stencil(kernel: Mollifier, grid: QuadratureGrid):
-    """Grid nodes restricted to the open kernel support, with their weights."""
-    if grid.spacing > kernel.eps / 2.0 + 1e-12:
-        raise GridTooCoarse(
-            f"grid spacing {grid.spacing:.3g} exceeds eps/2 = {kernel.eps / 2.0:.3g}")
-    if grid.radius < kernel.support_radius - 1e-12:
-        raise ConfigError("quadrature grid does not cover the kernel support")
-    offs = grid.offsets
-    inside = np.einsum("pi,pi->p", offs, offs) < kernel.support_radius**2
-    offs = offs[inside]
-    wphi = kernel.value(offs) * grid.weight
-    wgrad = -kernel.grad(offs) * grid.weight  # grad Phi(x - y) at offsets y - x
-    return offs, wphi, wgrad
+class _Lattice:
+    """The curvature lattice of V: nodes anchor + k*spacing and the fields there.
 
+    The node set and the field sums are computed on first use, once per
+    lattice, so one lattice serves all curvature evaluations and the
+    dissipation of a step.
+    """
 
-def _quotient_on_stencil(V, kernel, offsets, points):
-    """-(delta V * Phi) / ((||V|| * Phi) + eps) at every point + offset."""
-    pts = np.atleast_2d(points)
-    Q, n = pts.shape
-    P = offsets.shape[0]
-    nodes = (pts[:, None, :] + offsets[None, :, :]).reshape(Q * P, n)
-    mass, fvar = _field_sums(V, kernel, nodes)
-    quot = -fvar / (mass + kernel.eps)[:, None]
-    return quot.reshape(Q, P, n)
+    def __init__(self, V: DiscreteVarifold, kernel: Mollifier, grid: QuadratureGrid):
+        if grid.spacing > kernel.eps / 2.0 + 1e-12:
+            raise GridTooCoarse(
+                f"grid spacing {grid.spacing:.3g} exceeds eps/2 = {kernel.eps / 2.0:.3g}")
+        if grid.radius < kernel.support_radius - 1e-12:
+            raise ConfigError("quadrature grid does not cover the kernel support")
+        self.V, self.kernel = V, kernel
+        self.spacing, self.weight = grid.spacing, grid.weight
+        self.anchor = V.positions[0] if len(V) else np.zeros(V.n)
+        # from a point's own cell, R + sqrt(n) spacing reaches all nodes within R
+        self.offsets = _integer_ball(V.n, kernel.support_radius / self.spacing
+                                     + math.sqrt(V.n))
+
+    def cells(self, points: np.ndarray) -> np.ndarray:
+        return np.floor((points - self.anchor) / self.spacing).astype(np.int64)
+
+    def _candidates(self, base: np.ndarray):
+        """Node codes at the offsets around rows of cells, a chunk of rows at a time."""
+        step = max(1, _PAIR_CHUNK // self.offsets.shape[0])
+        for lo in range(0, base.shape[0], step):
+            cand = base[lo:lo + step, None, :] + self.offsets[None, :, :]
+            yield lo, _pack(cand.reshape(-1, base.shape[1]))
+
+    @functools.cached_property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted node codes and the node positions."""
+        base = self.cells(self.V.positions)
+        if np.max(np.abs(base)) >= _HASH_HALF_RANGE // 2:
+            raise ConfigError("coordinates too large for the curvature lattice")
+        codes = np.unique(np.concatenate(
+            [np.unique(c) for _, c in self._candidates(base)]))
+        cells = np.stack(np.unravel_index(codes, (2 * _HASH_HALF_RANGE,) * self.V.n),
+                         axis=1) - _HASH_HALF_RANGE
+        return codes, self.anchor + cells * self.spacing
+
+    @functools.cached_property
+    def fields(self) -> tuple[np.ndarray, np.ndarray]:
+        """||V|| * Phi and delta V * Phi at the nodes."""
+        return _field_sums(self.V, self.kernel, self.nodes[1])
+
+    def quotient(self) -> np.ndarray:
+        mass, fvar = self.fields
+        return -fvar / (mass + self.kernel.eps)[:, None]
+
+    def mollify(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Phi * q and its Jacobian at the points, as sums over the nodes.
+
+        A candidate code that wraps around (a point far off the lattice) can
+        only meet a far node, which the support test drops.
+        """
+        Q, n = points.shape
+        h, J = np.zeros((Q, n)), np.zeros((Q, n, n))
+        codes, nodes = self.nodes
+        quot = self.quotient()
+        P = self.offsets.shape[0]
+        for lo, cand in self._candidates(self.cells(points)):
+            pos = np.minimum(np.searchsorted(codes, cand), codes.size - 1)
+            hit = np.nonzero(codes[pos] == cand)[0]
+            rows, idx = hit // P, pos[hit]
+            rows_out = slice(lo, lo + cand.size // P)
+            diff = points[rows_out][rows] - nodes[idx]
+            rho = np.einsum("pi,pi->p", diff, diff)
+            keep = rho < self.kernel.support_radius**2
+            rows, idx, diff, rho = rows[keep], idx[keep], diff[keep], rho[keep]
+            g, gp = self.kernel._profile01(rho)
+            wq = quot[idx]
+            wphi = self.weight * g
+            wgrad = (2.0 * self.weight) * gp  # grad Phi(x - y) = 2 g' (x - y)
+            for a in range(n):
+                h[rows_out, a] = np.bincount(rows, weights=wphi * wq[:, a],
+                                             minlength=cand.size // P)
+                for b in range(n):
+                    J[rows_out, a, b] = np.bincount(
+                        rows, weights=wq[:, a] * (wgrad * diff[:, b]),
+                        minlength=cand.size // P)
+        return h, J
 
 
 def curvature_with_jacobian(V: DiscreteVarifold, kernel: Mollifier,
-                            grid: QuadratureGrid, points) -> tuple[np.ndarray, np.ndarray]:
-    """h_eps and its Jacobian in one pass over the quadrature stencil."""
+                            grid: QuadratureGrid, points,
+                            lattice: _Lattice | None = None
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """h_eps and its Jacobian at the points, on `lattice` (built from `grid`
+    when not given; passing the lattice of V reuses its field sums)."""
     pts, single = _as_points(points, V.n)
-    offs, wphi, wgrad = _stencil(kernel, grid)
-    quot = _quotient_on_stencil(V, kernel, offs, pts)
-    h = np.einsum("p,qpn->qn", wphi, quot)
-    J = np.einsum("qpn,pb->qnb", quot, wgrad)
-    if single:
-        return h[0], J[0]
-    return h, J
-
-
-def _support_lattice(V: DiscreteVarifold, kernel: Mollifier, spacing: float) -> np.ndarray:
-    """Deduplicated lattice nodes within the fattened support of ||V||."""
-    half_range = np.int64(2 * _HASH_HALF_RANGE)
-    reach = int(math.ceil(kernel.support_radius / spacing)) + 1
-    axis = np.arange(-reach, reach + 1)
-    mesh = np.meshgrid(*([axis] * V.n), indexing="ij")
-    offs = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    keep = (offs * offs).sum(axis=1) * spacing**2 <= (kernel.support_radius + spacing) ** 2
-    offs = offs[keep]
-    base = np.floor(V.positions / spacing).astype(np.int64)
-    cells = (base[:, None, :] + offs[None, :, :]).reshape(-1, V.n)
-    code = np.zeros(cells.shape[0], dtype=np.int64)
-    for a in range(V.n):
-        code = code * half_range + (cells[:, a] + _HASH_HALF_RANGE)
-    code = np.unique(code)
-    out = np.empty((code.shape[0], V.n), dtype=np.int64)
-    for a in range(V.n - 1, -1, -1):
-        out[:, a] = code % half_range - _HASH_HALF_RANGE
-        code = code // half_range
-    return out * spacing
+    if len(V) == 0:
+        h, J = np.zeros_like(pts), np.zeros((len(pts), V.n, V.n))
+    else:
+        h, J = (lattice or _Lattice(V, kernel, grid)).mollify(pts)
+    return (h[0], J[0]) if single else (h, J)
 
 
 def dissipation(V: DiscreteVarifold, kernel: Mollifier,
                 grid: QuadratureGrid | None = None,
-                nodes: np.ndarray | None = None,
-                spacing: float | None = None) -> float:
+                lattice: _Lattice | None = None) -> float:
     """integral of |delta V * Phi|^2 / ((||V|| * Phi) + eps) over R^n.
 
-    The integrand is supported within the fattened support of ||V||, so by
-    default the quadrature lattice is generated there (spacing taken from
-    `grid` when given).  Equals -delta V(h_eps(., V)) in the continuum.
+    The integrand vanishes off the curvature lattice of V, here `lattice` or
+    the one built from `grid` (spacing eps/4 when not given).  Equals
+    -delta V(h_eps(., V)) to roundoff.
     """
     if len(V) == 0:
         return 0.0
-    if nodes is not None:
-        if spacing is None:
-            raise ConfigError("explicit nodes need an explicit spacing")
-        pts = np.atleast_2d(np.asarray(nodes, dtype=float))
-        eta = float(spacing)
-    else:
-        eta = grid.spacing if grid is not None else kernel.eps / 4.0
-        if eta > kernel.eps / 2.0 + 1e-12:
-            raise GridTooCoarse("dissipation grid spacing exceeds eps/2")
-        pts = _support_lattice(V, kernel, eta)
-    mass, fvar = _field_sums(V, kernel, pts)
+    if lattice is None:
+        lattice = _Lattice(V, kernel, grid or QuadratureGrid.for_kernel(kernel))
+    mass, fvar = lattice.fields
     dens = np.einsum("qi,qi->q", fvar, fvar) / (mass + kernel.eps)
-    return float(dens.sum() * eta**V.n)
+    return float(dens.sum() * lattice.weight)

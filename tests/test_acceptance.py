@@ -125,7 +125,7 @@ def test_02_curvature_pairing_equals_negative_dissipation():
             lambda p: curvature_with_jacobian(V, kern, grid, p)[0],
             lambda p: curvature_with_jacobian(V, kern, grid, p)[1])
         paired = first_variation(V, h)
-        assert abs(paired + D) <= 1e-3 * max(1.0, D)
+        assert abs(paired + D) <= 1e-12 * max(1.0, D)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from varimcf.cli import load_manifest, main
+from varimcf.errors import ConfigError
+from varimcf.flow import brakke_residual, sample
 from varimcf.metrics import DiscreteMeasure, save_measure_csv
+from varimcf.varifold import ScalarField
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +79,19 @@ def test_frames_round_trip_through_the_loader(run_dir):
     # accepting the manifest.json path itself is equivalent
     _, man2, _ = load_manifest(str(run_dir / "manifest.json"))
     assert man2["traces"][0]["frames"] == man["traces"][0]["frames"]
+
+
+def test_loaded_trace_refuses_what_needs_the_curvature_jacobian(run_dir):
+    # frames store h but not Dh: the readings that need Dh stop with a named
+    # error on a written-then-loaded trace
+    _, _, traces = load_manifest(str(run_dir))
+    tr = traces["main"]
+    assert tr.snapshots[0].curvature_jacobian is None
+    phi = ScalarField.bump(np.zeros(2), 2.0, 1.0)
+    with pytest.raises(ConfigError):
+        brakke_residual(tr, phi, 0.0, 0.01)
+    with pytest.raises(ConfigError):
+        sample(tr, 0.005, "interpolated")
 
 
 def test_zero_step_run_has_one_snapshot(still_dir):

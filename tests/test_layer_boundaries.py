@@ -52,23 +52,27 @@ def test_attributes_the_benchmark_reads_exist():
 
 
 def test_run_calls_each_field_layer_once_per_step(monkeypatch):
-    calls = {"curvature_with_jacobian": 0, "dissipation": 0}
+    layers = [(flow, "curvature_with_jacobian"), (flow, "dissipation"),
+              (mollifier, "_field_sums")]
+    calls = {name: 0 for _, name in layers}
 
-    def counting(name):
-        inner = getattr(flow, name)
+    def counting(owner, name):
+        inner = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return inner(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(flow, name, counting(name))
+    for owner, name in layers:
+        monkeypatch.setattr(owner, name, counting(owner, name))
     mesh = regular_polygon_mesh(32)
     cfg = FlowConfig(eps=0.15, dt=2e-3, end_time=4e-3, refinement=2,
                      enforce_gate=False)
     tr = flow.run(mesh_to_varifold(mesh), cfg, mesh_vertices=mesh.vertices,
                   mesh_simplices=mesh.simplices)
     assert len(tr.snapshots) == 3
-    assert calls == {"curvature_with_jacobian": 2, "dissipation": 2}
+    # one smoothed-field pass per step serves the curvature and dissipation
+    assert calls == {"curvature_with_jacobian": 2, "dissipation": 2,
+                     "_field_sums": 2}
     assert np.all(np.isfinite(tr.snapshots[-1].mesh_vertices))
