@@ -50,9 +50,10 @@ from .config import sphere_area
 from .errors import ConfigError, GridTooCoarse
 from .varifold import DiscreteVarifold, _as_points
 
-_QUERY_CHUNK = 65536
-_PAIR_CHUNK = 1 << 20     # candidate (point, lattice node) pairs per chunk
+_QUERY_CHUNK = 4096        # field-sum query points per chunk
+_PAIR_CHUNK = 1 << 17     # candidate (point, lattice node) pairs per chunk
 _HASH_HALF_RANGE = 1 << 19  # per-axis cell index limit for int64 packing
+_ROUNDOFF = 1e-6          # slack, in cells, of the lattice's range tests
 
 
 class Mollifier:
@@ -106,6 +107,13 @@ def _pack(cells: np.ndarray) -> np.ndarray:
     """
     dims = (2 * _HASH_HALF_RANGE,) * cells.shape[1]
     return np.ravel_multi_index(tuple((cells + _HASH_HALF_RANGE).T), dims, mode="wrap")
+
+
+def _ranges(lo: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """arange(lo[i], stop[i]) for every i, concatenated (stop >= lo)."""
+    counts = stop - lo
+    return (np.arange(int(counts.sum()), dtype=np.int64)
+            + np.repeat(lo - (np.cumsum(counts) - counts), counts))
 
 
 class QuadratureGrid:
@@ -188,14 +196,27 @@ class SpatialHash:
                 continue
             starts = self.starts[pos_c[hit]]
             counts = self.counts[pos_c[hit]]
-            total = int(counts.sum())
-            shift = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            flat = np.arange(total, dtype=np.int64) + np.repeat(starts - shift, counts)
+            flat = _ranges(starts, starts + counts)
             rows_out.append(np.repeat(np.nonzero(hit)[0], counts))
             cols_out.append(self.order[flat])
         if not rows_out:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         return np.concatenate(rows_out), np.concatenate(cols_out)
+
+
+def _within(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarray,
+            R2: float) -> tuple[np.ndarray, ...]:
+    """The pairs with |a[row] - b[col]|^2 < R2: rows, cols, differences, rho.
+
+    Rows of 2-D arrays are gathered with np.take, which copies them several
+    times faster than fancy or boolean indexing and gives the same values.
+    """
+    diff = np.take(a, rows, axis=0) - np.take(b, cols, axis=0)
+    rho = np.einsum("pi,pi->p", diff, diff)
+    inside = np.flatnonzero(rho < R2)
+    if inside.size == rho.size:
+        return rows, cols, diff, rho
+    return tuple(np.take(x, inside, axis=0) for x in (rows, cols, diff, rho))
 
 
 def _field_sums(V: DiscreteVarifold, kernel: Mollifier,
@@ -221,17 +242,14 @@ def _field_sums(V: DiscreteVarifold, kernel: Mollifier,
             cols = np.tile(np.arange(len(V)), hi - lo)
         if rows.size == 0:
             continue
-        diff = chunk[rows] - V.positions[cols]
-        rho = np.einsum("pi,pi->p", diff, diff)
-        keep = rho < R2
-        rows, cols, diff, rho = rows[keep], cols[keep], diff[keep], rho[keep]
+        rows, cols, diff, rho = _within(chunk, rows, V.positions, cols, R2)
         if rows.size == 0:
             continue
         g, gp = kernel._profile01(rho)
-        m = V.masses[cols]
+        m = np.take(V.masses, cols)
         mass[lo:hi] += np.bincount(rows, weights=m * g, minlength=hi - lo)
         # S_j diff through the orthonormal basis: S v = B^T (B v)
-        B = bases[cols]
+        B = np.take(bases, cols, axis=0)
         coeff = np.einsum("pkj,pj->pk", B, diff)
         sd = np.einsum("pk,pkj->pj", coeff, B)
         coef = -2.0 * m * gp
@@ -246,7 +264,9 @@ class _Lattice:
 
     The node set and the field sums are computed on first use, once per
     lattice, so one lattice serves all curvature evaluations and the
-    dissipation of a step.
+    dissipation of a step.  Node codes are linear in the cell, and the cells
+    along the last axis of a column have consecutive codes, so the nodes near
+    a point are found a column at a time: one code range per column.
     """
 
     def __init__(self, V: DiscreteVarifold, kernel: Mollifier, grid: QuadratureGrid):
@@ -258,19 +278,21 @@ class _Lattice:
         self.V, self.kernel = V, kernel
         self.spacing, self.weight = grid.spacing, grid.weight
         self.anchor = V.positions[0] if len(V) else np.zeros(V.n)
-        # from a point's own cell, R + sqrt(n) spacing reaches all nodes within R
-        self.offsets = _integer_ball(V.n, kernel.support_radius / self.spacing
-                                     + math.sqrt(V.n))
+        # from a point's own cell, R + sqrt(n) spacing reaches all nodes within
+        # R; that integer ball as columns: heads on the first n - 1 axes and
+        # the half length of each column along the last
+        ball = _integer_ball(V.n, kernel.support_radius / self.spacing
+                             + math.sqrt(V.n))
+        self.heads, first = np.unique(ball[:, :-1], axis=0, return_index=True)
+        self.half = -ball[first, -1]
+        self.strides = (2 * _HASH_HALF_RANGE) ** np.arange(V.n - 1, -1, -1)
 
     def cells(self, points: np.ndarray) -> np.ndarray:
         return np.floor((points - self.anchor) / self.spacing).astype(np.int64)
 
-    def _candidates(self, base: np.ndarray):
-        """Node codes at the offsets around rows of cells, a chunk of rows at a time."""
-        step = max(1, _PAIR_CHUNK // self.offsets.shape[0])
-        for lo in range(0, base.shape[0], step):
-            cand = base[lo:lo + step, None, :] + self.offsets[None, :, :]
-            yield lo, _pack(cand.reshape(-1, base.shape[1]))
+    def _code(self, heads: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """Codes of the cells (heads, last); heads carry the first n - 1 axes."""
+        return (heads + _HASH_HALF_RANGE) @ self.strides[:-1] + (last + _HASH_HALF_RANGE)
 
     @functools.cached_property
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +300,15 @@ class _Lattice:
         base = self.cells(self.V.positions)
         if np.max(np.abs(base)) >= _HASH_HALF_RANGE // 2:
             raise ConfigError("coordinates too large for the curvature lattice")
-        codes = np.unique(np.concatenate(
-            [np.unique(c) for _, c in self._candidates(base)]))
+        # the code range of each column around each atom, merged in code order
+        lo = self._code(base[:, None, :-1] + self.heads,
+                        base[:, None, -1] - self.half).ravel()
+        order = np.argsort(lo, kind="stable")
+        lo = lo[order]
+        end = np.maximum.accumulate(lo + np.tile(2 * self.half, len(base))[order])
+        new = np.concatenate(([True], lo[1:] > end[:-1] + 1))
+        stop = end[np.append(np.nonzero(new)[0][1:] - 1, -1)] + 1
+        codes = _ranges(lo[new], stop)
         cells = np.stack(np.unravel_index(codes, (2 * _HASH_HALF_RANGE,) * self.V.n),
                          axis=1) - _HASH_HALF_RANGE
         return codes, self.anchor + cells * self.spacing
@@ -293,37 +322,55 @@ class _Lattice:
         mass, fvar = self.fields
         return -fvar / (mass + self.kernel.eps)[:, None]
 
-    def mollify(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Phi * q and its Jacobian at the points, as sums over the nodes.
+    def _near(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(point row, node index) pairs holding every node within R of a point.
 
-        A candidate code that wraps around (a point far off the lattice) can
-        only meet a far node, which the support test drops.
+        Each column of the point's integer ball that passes within R gives
+        the code range of the cells within R of the point along it; both
+        tests are widened by _ROUNDOFF of a cell, so that the support test
+        on the pairs alone decides.  Nodes come in code order per point.  A
+        point far off the lattice can only meet far nodes, which that test
+        drops.
         """
+        codes = self.nodes[0]
+        r2 = (self.kernel.support_radius / self.spacing) ** 2
+        u = (points - self.anchor) / self.spacing
+        heads = np.floor(u[:, None, :-1]) + self.heads
+        off = heads - u[:, None, :-1]
+        s2 = r2 - np.einsum("qhi,qhi->qh", off, off)
+        s = np.sqrt(np.maximum(s2, 0.0))
+        heads = heads.astype(np.int64)
+        first = np.searchsorted(codes, self._code(
+            heads, np.ceil(u[:, -1:] - s - _ROUNDOFF).astype(np.int64)))
+        last = np.searchsorted(codes, self._code(
+            heads, np.floor(u[:, -1:] + s + _ROUNDOFF).astype(np.int64)), side="right")
+        counts = np.where(s2 > -_ROUNDOFF, np.maximum(last - first, 0), 0)
+        rows = np.repeat(np.arange(len(points)), counts.sum(axis=1))
+        return rows, _ranges(first.ravel(), first.ravel() + counts.ravel())
+
+    def mollify(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Phi * q and its Jacobian at the points, as sums over the nodes."""
         Q, n = points.shape
         h, J = np.zeros((Q, n)), np.zeros((Q, n, n))
-        codes, nodes = self.nodes
+        nodes = self.nodes[1]
         quot = self.quotient()
-        P = self.offsets.shape[0]
-        for lo, cand in self._candidates(self.cells(points)):
-            pos = np.minimum(np.searchsorted(codes, cand), codes.size - 1)
-            hit = np.nonzero(codes[pos] == cand)[0]
-            rows, idx = hit // P, pos[hit]
-            rows_out = slice(lo, lo + cand.size // P)
-            diff = points[rows_out][rows] - nodes[idx]
-            rho = np.einsum("pi,pi->p", diff, diff)
-            keep = rho < self.kernel.support_radius**2
-            rows, idx, diff, rho = rows[keep], idx[keep], diff[keep], rho[keep]
+        step = max(1, _PAIR_CHUNK // int(np.sum(2 * self.half + 1)))
+        for lo in range(0, Q, step):
+            chunk = points[lo:lo + step]
+            rows, idx = self._near(chunk)
+            rows, idx, diff, rho = _within(chunk, rows, nodes, idx,
+                                           self.kernel.support_radius**2)
             g, gp = self.kernel._profile01(rho)
-            wq = quot[idx]
+            wq = np.take(quot, idx, axis=0)
             wphi = self.weight * g
-            wgrad = (2.0 * self.weight) * gp  # grad Phi(x - y) = 2 g' (x - y)
+            # grad Phi(x - y) = 2 g' (x - y)
+            wgrad = ((2.0 * self.weight) * gp)[:, None] * diff
             for a in range(n):
-                h[rows_out, a] = np.bincount(rows, weights=wphi * wq[:, a],
-                                             minlength=cand.size // P)
+                h[lo:lo + step, a] = np.bincount(rows, weights=wphi * wq[:, a],
+                                                 minlength=len(chunk))
                 for b in range(n):
-                    J[rows_out, a, b] = np.bincount(
-                        rows, weights=wq[:, a] * (wgrad * diff[:, b]),
-                        minlength=cand.size // P)
+                    J[lo:lo + step, a, b] = np.bincount(
+                        rows, weights=wq[:, a] * wgrad[:, b], minlength=len(chunk))
         return h, J
 
 

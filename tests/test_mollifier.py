@@ -8,8 +8,8 @@ import pytest
 
 from varimcf.errors import ConfigError, GridTooCoarse
 from varimcf.mollifier import (Mollifier, QuadratureGrid, SpatialHash,
-                               _field_sums, _Lattice, curvature_with_jacobian,
-                               dissipation)
+                               _field_sums, _integer_ball, _Lattice, _pack,
+                               _within, curvature_with_jacobian, dissipation)
 from varimcf.varifold import (DiscreteVarifold, VectorField, first_variation,
                               grassmann_from_basis)
 
@@ -273,6 +273,46 @@ def test_lattice_holds_every_node_near_an_atom(n, d, refinement):
         cand = lattice.cells(x[None])[0] + ks
         near = np.linalg.norm(lattice.anchor + cand * eta - x, axis=1) < R
         assert all(tuple(c) in found for c in cand[near].tolist())
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 2)])
+def test_lattice_nodes_are_the_integer_balls_around_the_atoms(n, d):
+    # the merged column ranges hold exactly the cells within R + sqrt(n)
+    # spacing of an atom's cell, in code order
+    rng = np.random.default_rng(27 + n)
+    kern = Mollifier(0.3, n)
+    grid = QuadratureGrid.for_kernel(kern, 2)
+    V = random_varifold(rng, 12, n=n, d=d)
+    lattice = _Lattice(V, kern, grid)
+    ball = _integer_ball(n, kern.support_radius / grid.spacing + math.sqrt(n))
+    cells = lattice.cells(V.positions)[:, None, :] + ball
+    expect = np.unique(_pack(cells.reshape(-1, n)))
+    codes, nodes = lattice.nodes
+    assert np.array_equal(codes, expect)
+    assert np.allclose(np.round((nodes - lattice.anchor) / grid.spacing),
+                       (nodes - lattice.anchor) / grid.spacing, atol=1e-9)
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 2)])
+def test_lattice_lookup_finds_exactly_the_nodes_within_the_support(n, d):
+    # per point, in code order: the nodes a brute-force scan finds within R;
+    # a point far off the lattice finds none
+    rng = np.random.default_rng(29 + n)
+    kern = Mollifier(0.3, n)
+    grid = QuadratureGrid.for_kernel(kern, 3)
+    V = random_varifold(rng, 10, n=n, d=d)
+    lattice = _Lattice(V, kern, grid)
+    codes, nodes = lattice.nodes
+    R2 = kern.support_radius**2
+    pts = np.vstack([V.positions, rng.uniform(-1.6, 1.6, (25, n)),
+                     np.full((1, n), 1e3)])
+    rows, idx = lattice._near(pts)
+    rows, idx, _, _ = _within(pts, rows, nodes, idx, R2)
+    diff = pts[:, None, :] - nodes[None, :, :]
+    want_rows, want_idx = np.nonzero(np.einsum("qki,qki->qk", diff, diff) < R2)
+    assert np.array_equal(rows, want_rows) and np.array_equal(idx, want_idx)
+    h, J = curvature_with_jacobian(V, kern, grid, pts[-1])
+    assert not np.any(h) and not np.any(J)
 
 
 # ---------------------------------------------------------------------------
