@@ -15,16 +15,19 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
 import json
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
-from .errors import (ConfigError, GateViolated, MassBoundExceeded,
-                     MissingFrames, VarimcfError)
+from .errors import (BallNotInterior, ConfigError, DeltaTooLarge,
+                     GateViolated, GridMismatch, MassBoundExceeded,
+                     MissingFrames, NonpositiveWeight, OutOfSpan,
+                     PreconditionViolated, SolverFailure, VarimcfError,
+                     ZeroBarrier)
 
 THREAD_ENV = "VARIMCF_THREADS"
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -44,10 +47,6 @@ def _apply_thread_env() -> None:
         raise ConfigError(f"{THREAD_ENV} must be a positive integer, got {raw!r}")
     for var in _THREAD_VARS:
         os.environ[var] = str(k)
-
-
-def _fmt(v) -> str:
-    return "%.17g" % float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +195,54 @@ def load_settings(config_path: str | None, args: argparse.Namespace) -> Settings
 
 
 # ---------------------------------------------------------------------------
-# frame IO
+# frame IO: every recorded file is one table, a header line of column names
+# and then one comma-separated row per item
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+def _save_table(path: Path, header: list[str], array, fmt: str = "%.17g") -> None:
+    import numpy as np
+    np.savetxt(path, array, fmt=fmt, delimiter=",", header=",".join(header),
+               comments="")
+
+
+def _load_table(path: Path, header, dtype=float):
+    """The rows of a table, refusing any header but the expected one.
+
+    `header` is the list of column names, or a function from the column
+    count found in the file to that list.
+    """
+    import numpy as np
+
+    path = Path(path)
+    if not path.exists():
+        raise MissingFrames(f"missing file {path}")
+    with path.open() as fh:
+        found = fh.readline().rstrip("\n").split(",")
+        want = header(len(found)) if callable(header) else header
+        if found != want:
+            raise ConfigError(f"{path}: header {','.join(found)}, "
+                              f"want {','.join(want)}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header, no rows
+            try:
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",",
+                                  comments=None, ndmin=2)
+            except ValueError as e:
+                raise ConfigError(f"{path}: {e}") from None
+    if rows.size and rows.shape[1] != len(want):
+        raise ConfigError(f"{path}: {rows.shape[1]} columns, want {len(want)}")
+    return rows.reshape(-1, len(want))
+
+
+def _frame_header(n: int) -> list[str]:
+    return ([f"x{i + 1}" for i in range(n)]
+            + [f"p{i + 1}{j + 1}" for i in range(n) for j in range(n)]
+            + ["m"] + [f"h{i + 1}" for i in range(n)])
+
+
+def _measure_header(columns: int) -> list[str]:
+    """A measure file's columns: the point coordinates, then the weight."""
+    return [f"x{i + 1}" for i in range(columns - 1)] + ["w"]
 
 
 def _write_trace(outdir: Path, name: str, trace) -> dict:
@@ -212,28 +250,21 @@ def _write_trace(outdir: Path, name: str, trace) -> dict:
 
     n = trace.snapshots[0].varifold.n
     d = trace.snapshots[0].varifold.d
-    header = ([f"x{i + 1}" for i in range(n)]
-              + [f"p{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-              + ["m"] + [f"h{i + 1}" for i in range(n)])
     frames, mesh_frames = [], []
     for i, snap in enumerate(trace.snapshots):
         V = snap.varifold
         h = snap.curvature
         if h is None:
             h = np.full((len(V), n), np.nan)
-        rows = []
-        for a in range(len(V)):
-            rows.append([_fmt(v) for v in V.positions[a]]
-                        + [_fmt(v) for v in V.planes[a].ravel()]
-                        + [_fmt(V.masses[a])]
-                        + [_fmt(v) for v in h[a]])
         fname = f"frame_{name}_{i:04d}.csv"
-        _write_csv(outdir / fname, header, rows)
+        _save_table(outdir / fname, _frame_header(n),
+                    np.hstack([V.positions, V.planes.reshape(len(V), n * n),
+                               V.masses[:, None], h]))
         frames.append(fname)
         if snap.mesh_vertices is not None:
             mname = f"mesh_{name}_{i:04d}.csv"
-            _write_csv(outdir / mname, [f"v{i + 1}" for i in range(n)],
-                       [[_fmt(v) for v in row] for row in snap.mesh_vertices])
+            _save_table(outdir / mname, [f"v{i + 1}" for i in range(n)],
+                        snap.mesh_vertices)
             mesh_frames.append(mname)
     record = {
         "name": name,
@@ -251,31 +282,10 @@ def _write_trace(outdir: Path, name: str, trace) -> dict:
     }
     if trace.mesh_simplices is not None:
         sname = f"simplices_{name}.csv"
-        k = trace.mesh_simplices.shape[1]
-        _write_csv(outdir / sname, [f"s{i + 1}" for i in range(k)],
-                   [[str(int(v)) for v in row] for row in trace.mesh_simplices])
+        _save_table(outdir / sname, [f"s{i + 1}" for i in range(n)],
+                    trace.mesh_simplices, fmt="%d")
         record["simplices"] = sname
     return record
-
-
-def _read_frame(path: Path, n: int):
-    import numpy as np
-
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        want = 2 * n + n * n + 1
-        if len(header) != want:
-            raise ConfigError(f"{path}: {len(header)} columns, want {want}")
-        data = [[float(v) for v in row] for row in reader if row]
-    arr = np.array(data, dtype=float).reshape(len(data), want)
-    pos = arr[:, :n]
-    planes = arr[:, n:n + n * n].reshape(-1, n, n)
-    masses = arr[:, n + n * n]
-    h = arr[:, n + n * n + 1:]
-    if np.all(np.isnan(h)):
-        h = None
-    return pos, planes, masses, h
 
 
 def load_trace(manifest: dict, base: Path, record: dict):
@@ -283,43 +293,31 @@ def load_trace(manifest: dict, base: Path, record: dict):
     import numpy as np
 
     from .flow import FlowConfig, FlowTrace, Snapshot
+    from .varifold import DiscreteVarifold
 
     cfg = FlowConfig(**manifest["config"])
     n = record["ambient_dimension"]
     d = record["surface_dimension"]
     simp = None
     if record.get("simplices"):
-        spath = base / record["simplices"]
-        if not spath.exists():
-            raise MissingFrames(f"missing simplex file {spath}")
-        with spath.open(newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            simp = np.array([[int(v) for v in row] for row in reader if row])
+        simp = _load_table(base / record["simplices"],
+                           [f"s{i + 1}" for i in range(n)], dtype=np.int64)
     mesh_frames = record.get("mesh_frames") or [None] * len(record["frames"])
     snaps = []
     for i, fname in enumerate(record["frames"]):
-        fpath = base / fname
-        if not fpath.exists():
-            raise MissingFrames(f"missing frame file {fpath}")
-        pos, planes, masses, h = _read_frame(fpath, n)
-        from .varifold import DiscreteVarifold
-        V = DiscreteVarifold.from_arrays(pos, planes, masses, d=d)
+        arr = _load_table(base / fname, _frame_header(n))
+        h = arr[:, n + n * n + 1:]
+        V = DiscreteVarifold.from_arrays(arr[:, :n],
+                                         arr[:, n:n + n * n].reshape(-1, n, n),
+                                         arr[:, n + n * n], d=d)
         verts = None
         if mesh_frames[i] is not None:
-            mpath = base / mesh_frames[i]
-            if not mpath.exists():
-                raise MissingFrames(f"missing mesh file {mpath}")
-            with mpath.open(newline="") as fh:
-                reader = csv.reader(fh)
-                next(reader)
-                verts = np.array([[float(v) for v in row]
-                                  for row in reader if row])
+            verts = _load_table(base / mesh_frames[i],
+                                [f"v{i + 1}" for i in range(n)])
         snaps.append(Snapshot(
             time=float(record["times"][i]),
             varifold=V,
-            mass=float(record["masses"][i]),
-            curvature=h,
+            curvature=None if np.all(np.isnan(h)) else h,
             curvature_jacobian=None,
             curvature_max=record["curvature_max"][i],
             dissipation=record["dissipation"][i],
@@ -373,20 +371,10 @@ def _fail_verdict(name: str, trace: str, statement: str, exc: Exception) -> Verd
                    {"error": f"{type(exc).__name__}: {exc}"})
 
 
-_SOFT_ERRORS: tuple[type, ...] = ()  # filled lazily to avoid numpy import
-
-
-def _soft_errors():
-    global _SOFT_ERRORS
-    if not _SOFT_ERRORS:
-        from .errors import (BallNotInterior, DeltaTooLarge, GridMismatch,
-                             NonpositiveWeight, OutOfSpan,
-                             PreconditionViolated, SolverFailure, ZeroBarrier)
-        _SOFT_ERRORS = (PreconditionViolated, BallNotInterior, ZeroBarrier,
-                        NonpositiveWeight, DeltaTooLarge, GridMismatch,
-                        OutOfSpan, SolverFailure, MassBoundExceeded,
-                        GateViolated)
-    return _SOFT_ERRORS
+# precondition errors that fail one verdict instead of the whole check
+_SOFT_ERRORS = (PreconditionViolated, BallNotInterior, ZeroBarrier,
+                NonpositiveWeight, DeltaTooLarge, GridMismatch, OutOfSpan,
+                SolverFailure, MassBoundExceeded, GateViolated)
 
 
 def _center(st_vec, n: int, what: str):
@@ -510,7 +498,7 @@ def _cert_eps_sphere_barrier(traces, st, manifest, rng):
             rep = epsilon_barrier_certificate(
                 tr, psi, c5_cfg=st.certificate_step_constant,
                 scale_ceiling=st.scale_ceiling)
-        except _soft_errors() as e:
+        except _SOFT_ERRORS as e:
             out.append(_fail_verdict("eps-sphere-barrier", name, stmt, e))
             continue
         out.append(Verdict("eps-sphere-barrier", name, stmt,
@@ -529,7 +517,7 @@ def _cert_external_sphere(traces, st, manifest, rng):
         c = _center(st.ball_center, n, "ball_center")
         try:
             series = external_sphere_monitor(tr, c, st.ball_radius)
-        except _soft_errors() as e:
+        except _SOFT_ERRORS as e:
             out.append(_fail_verdict("external-sphere", name, stmt, e))
             continue
         tol = 1e-9 * (1.0 + tr.masses[0])
@@ -549,7 +537,7 @@ def _cert_internal_sphere(traces, st, manifest, rng):
         c = _center(st.ball_center, n, "ball_center")
         try:
             series = internal_sphere_monitor(tr, c, st.enclosing_radius)
-        except _soft_errors() as e:
+        except _SOFT_ERRORS as e:
             out.append(_fail_verdict("internal-sphere", name, stmt, e))
             continue
         slack = st.slack_factor * tr.config.eps
@@ -566,7 +554,7 @@ def _cert_convex_hull(traces, st, manifest, rng):
     for name, tr in traces.items():
         try:
             series = convex_hull_monitor(tr)
-        except _soft_errors() as e:
+        except _SOFT_ERRORS as e:
             out.append(_fail_verdict("convex-hull", name, stmt, e))
             continue
         peak = float(max(series))
@@ -585,7 +573,10 @@ def _cert_avoidance(traces, st, manifest, rng):
         raise ConfigError("avoidance needs a run with exactly two flows "
                           f"(manifest has {len(traces)})")
     (na, ta), (nb, tb) = traces.items()
-    gaps = avoidance_distance(ta, tb)
+    try:
+        gaps = avoidance_distance(ta, tb)
+    except _SOFT_ERRORS as e:
+        return [_fail_verdict("avoidance", f"{na}+{nb}", stmt, e)]
     running = np.maximum.accumulate(gaps)
     measured = float(np.max(running - gaps))
     slack = st.slack_factor * ta.config.eps
@@ -607,7 +598,7 @@ def _cert_lsc(traces, st, manifest, rng):
                                 st.weight_width, 1.0)
         try:
             rep = lsc_monitor(tr, bump)
-        except _soft_errors() as e:
+        except _SOFT_ERRORS as e:
             out.append(_fail_verdict("lsc", name, stmt, e))
             continue
         out.append(Verdict("lsc", name, stmt, rep.max_uptick, rep.slack, "<=",
@@ -631,7 +622,7 @@ def _cert_volume_change(traces, st, manifest, rng):
         try:
             reports = volume_change_series(tr, c, st.ball_radius,
                                            samples=st.mc_samples, seed=seed)
-        except _soft_errors() as e:
+        except _SOFT_ERRORS as e:
             out.append(_fail_verdict("volume-change", name, stmt, e))
             continue
         margins = [r.measured - (r.bound + 3.0 * r.standard_error)
@@ -663,7 +654,7 @@ def _cert_nontriviality(traces, st, manifest, rng):
         try:
             rep = nontriviality_certificate(tr, c, st.ball_radius,
                                             constant=st.isoperimetric_constant)
-        except _soft_errors() as e:
+        except _SOFT_ERRORS as e:
             out.append(_fail_verdict("nontriviality", name, stmt, e))
             continue
         out.append(Verdict("nontriviality", name, stmt, rep.min_mass,
@@ -745,7 +736,6 @@ def _cmd_simulate(args) -> int:
             "record_dissipation": cfg.record_dissipation,
         },
         "traces": records,
-        "certificates": {},
     }
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -774,19 +764,15 @@ def _cmd_check(args) -> int:
     print(text)
     if args.json is not None:
         Path(args.json).write_text(text + "\n")
-    for v in verdicts:
-        manifest.setdefault("certificates", {})[f"{v.name}[{v.trace}]"] = \
-            v.as_dict()
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True,
-                                allow_nan=False) + "\n")
     return 0 if all_passed else 1
 
 
 def _cmd_distance(args) -> int:
     st = load_settings(args.config, args)
-    from .metrics import bounded_lipschitz, load_measure_csv
-    mu = load_measure_csv(args.first)
-    nu = load_measure_csv(args.second)
+    from .metrics import DiscreteMeasure, bounded_lipschitz
+    tables = [_load_table(path, _measure_header)
+              for path in (args.first, args.second)]
+    mu, nu = (DiscreteMeasure(t[:, :-1], t[:, -1]) for t in tables)
     res = bounded_lipschitz(mu, nu, support_cap=st.lp_support_cap)
     print(json.dumps({
         "distance": res.distance,

@@ -132,13 +132,16 @@ class FlowConfig:
 class Snapshot:
     time: float
     varifold: DiscreteVarifold
-    mass: float
     curvature: np.ndarray | None = None        # h at the atoms (N, n)
     curvature_jacobian: np.ndarray | None = None
     curvature_max: float | None = None         # max |h| over atoms and mesh vertices
     dissipation: float | None = None
     mesh_vertices: np.ndarray | None = None
     step_delta: float | None = None            # max(|f - id|, |det Df - 1|)
+
+    @property
+    def mass(self) -> float:
+        return self.varifold.total_mass()
 
 
 @dataclass(frozen=True)
@@ -210,7 +213,7 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
         dets_v = np.linalg.det(np.eye(V.n) + dt * J[N:])
         excess = np.abs(np.concatenate([dets, dets_v]) - 1.0)
         step_delta = max(dt * hmax, float(np.max(excess, initial=0.0)))
-        snaps.append(Snapshot(float(times[i]), V, V.total_mass(), h[:N], J[:N],
+        snaps.append(Snapshot(float(times[i]), V, h[:N], J[:N],
                               hmax, diss, None if verts is None else verts.copy(),
                               step_delta))
         if W.total_mass() > V.total_mass() + dt + tol.chain_slack:
@@ -220,7 +223,7 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
         V = W
         if verts is not None:
             verts = verts + dt * h[N:]
-    snaps.append(Snapshot(float(times[-1]), V, V.total_mass(), None, None,
+    snaps.append(Snapshot(float(times[-1]), V, None, None,
                           None, None, None if verts is None else verts.copy(), None))
     return FlowTrace(config, M, tuple(snaps), mesh_simplices)
 

@@ -15,11 +15,8 @@ solver.  Two unit point masses at distance r give min(r, 2).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -181,39 +178,3 @@ def stability_certificate(trace_a: FlowTrace, trace_b: FlowTrace, t: float,
         bound = initial * growth + constant * t * step * eps ** (-n - 11) * growth
         passed = measured <= bound
     return StabilityReport(t, eps, step, initial, measured, constant, bound, passed)
-
-
-# ---------------------------------------------------------------------------
-# CSV round trip for the CLI
-
-
-def save_measure_csv(path, measure: DiscreteMeasure) -> None:
-    path = Path(path)
-    k = measure.points.shape[1]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(k)] + ["w"])
-        for p, w in zip(measure.points, measure.weights):
-            writer.writerow([format(float(v), ".17g") for v in (*p, w)])
-    sidecar = {"ambient_dimension": k, "count": len(measure)}
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar))
-
-
-def load_measure_csv(path) -> DiscreteMeasure:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[-1] != "w":
-            raise ConfigError(f"{path}: expected trailing weight column 'w'")
-        k = len(header) - 1
-        pts, ws = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != k + 1:
-                raise ConfigError(f"{path}: row of width {len(row)}, want {k + 1}")
-            pts.append([float(v) for v in row[:k]])
-            ws.append(float(row[k]))
-    return DiscreteMeasure(np.array(pts, dtype=float).reshape(len(ws), k),
-                           np.array(ws, dtype=float))

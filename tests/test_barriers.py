@@ -362,12 +362,9 @@ def test_certificate_rejects_wrong_profile(admissible_trace):
         epsilon_barrier_certificate(admissible_trace, rough, c5_cfg=1e-9)
 
 
-def _tampered(trace, index, new_varifold, new_mass=None):
+def _tampered(trace, index, new_varifold):
     snaps = list(trace.snapshots)
-    snap = snaps[index]
-    snaps[index] = dataclasses.replace(
-        snap, varifold=new_varifold,
-        mass=new_mass if new_mass is not None else snap.mass)
+    snaps[index] = dataclasses.replace(snaps[index], varifold=new_varifold)
     return dataclasses.replace(trace, snapshots=tuple(snaps))
 
 
@@ -387,6 +384,6 @@ def test_certificate_catches_mass_injection(admissible_trace):
     V = admissible_trace.snapshots[mid].varifold
     bad = DiscreteVarifold(V.n, V.d, V.positions.copy(), V.planes.copy(),
                            V.masses * 3.0)
-    doctored = _tampered(admissible_trace, mid, bad, new_mass=3.0 * V.total_mass())
+    doctored = _tampered(admissible_trace, mid, bad)
     with pytest.raises(PreconditionViolated, match="mass"):
         epsilon_barrier_certificate(doctored, inner_barrier(), c5_cfg=1e-9)

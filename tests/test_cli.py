@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varimcf.cli import load_manifest, main
+from varimcf.cli import (_load_table, _measure_header, _save_table,
+                         _write_trace, load_manifest, main)
 from varimcf.errors import ConfigError
-from varimcf.flow import brakke_residual, sample
-from varimcf.metrics import DiscreteMeasure, save_measure_csv
-from varimcf.varifold import ScalarField
+from varimcf.flow import FlowConfig, FlowTrace, Snapshot, brakke_residual, sample
+from varimcf.varifold import DiscreteVarifold, ScalarField
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +39,21 @@ def still_dir(tmp_path_factory):
 
 def manifest_of(path: Path) -> dict:
     return json.loads((path / "manifest.json").read_text())
+
+
+def save_measure(path: Path, points, weights) -> None:
+    points = np.asarray(points, dtype=float)
+    _save_table(path, _measure_header(points.shape[1] + 1),
+                np.column_stack([points, weights]))
+
+
+def rewrite_rows(path: Path, edit) -> None:
+    """Apply edit(rows) to a recorded table's rows of strings, header first."""
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +167,7 @@ def test_missing_config_file_is_a_usage_error(tmp_path):
 
 def test_check_passes_and_records_verdicts(run_dir, tmp_path, capsys):
     report = tmp_path / "verdicts.json"
+    before = (run_dir / "manifest.json").read_bytes()
     rc = main(["check", str(run_dir), "--json", str(report),
                "--certificates",
                "mass-decay,dissipation-budget,technical-lemma,"
@@ -166,21 +182,21 @@ def test_check_passes_and_records_verdicts(run_dir, tmp_path, capsys):
         assert v["passed"] is True
         assert v["relation"] in ("<=", ">=")
         assert v["statement"]
-    # the same verdicts were written back into the manifest and to --json
+    # the same verdicts went to --json; the run directory is left untouched
     assert json.loads(report.read_text()) == payload
-    stored = manifest_of(run_dir)["certificates"]
+    assert (run_dir / "manifest.json").read_bytes() == before
+    stored = {f"{v['name']}[{v['trace']}]": v
+              for v in json.loads(report.read_text())["verdicts"]}
     assert stored["mass-decay[main]"]["passed"] is True
 
 
 def test_check_detects_a_teleported_atom(run_dir, tmp_path, capsys):
     broken = tmp_path / "tampered"
     shutil.copytree(run_dir, broken)
-    fpath = broken / "frame_main_0005.csv"
-    with fpath.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows[1][0] = repr(float(rows[1][0]) + 1.0)   # shove one atom sideways
-    with fpath.open("w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+    def shove(rows):   # one atom sideways
+        rows[1][0] = repr(float(rows[1][0]) + 1.0)
+    rewrite_rows(broken / "frame_main_0005.csv", shove)
     rc = main(["check", str(broken), "--certificates", "eps-sphere-barrier"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 1
@@ -188,6 +204,22 @@ def test_check_detects_a_teleported_atom(run_dir, tmp_path, capsys):
     (verdict,) = payload["verdicts"]
     assert verdict["passed"] is False
     assert "displacement" in verdict["details"]["error"]
+
+
+def test_check_grades_the_masses_the_frames_hold(run_dir, tmp_path, capsys):
+    broken = tmp_path / "heavier"
+    shutil.copytree(run_dir, broken)
+
+    def inflate(rows):
+        m = rows[0].index("m")
+        for row in rows[1:]:
+            row[m] = repr(1.5 * float(row[m]))
+    rewrite_rows(broken / "frame_main_0005.csv", inflate)
+    rc = main(["check", str(broken), "--certificates", "mass-decay"])
+    (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+    assert rc == 1
+    assert verdict["passed"] is False
+    assert verdict["details"]["worst_step"] == 4
 
 
 def test_check_on_single_snapshot_is_trivially_green(still_dir, capsys):
@@ -223,17 +255,40 @@ def test_failed_precondition_reports_null_not_nan(tmp_path, capsys):
                  "--end-time", "0.004"]) == 0
     ini = tmp_path / "wide.ini"
     ini.write_text("[certificates]\nball_radius = 2.0\n")
+    report = tmp_path / "verdicts.json"
+    before = (out / "manifest.json").read_bytes()
     capsys.readouterr()
     rc = main(["check", str(out), "--certificates", "nontriviality",
-               "--config", str(ini)])
+               "--config", str(ini), "--json", str(report)])
     payload = strict_json(capsys.readouterr().out)
     assert rc == 1
     (verdict,) = payload["verdicts"]
     assert verdict["passed"] is False
     assert verdict["measured"] is None and verdict["bound"] is None
     assert "BallNotInterior" in verdict["details"]["error"]
-    stored = strict_json((out / "manifest.json").read_text())["certificates"]
+    assert (out / "manifest.json").read_bytes() == before
+    stored = {f"{v['name']}[{v['trace']}]": v
+              for v in strict_json(report.read_text())["verdicts"]}
     assert stored["nontriviality[main]"]["bound"] is None
+
+
+def test_avoidance_on_mismatched_grids_is_a_failed_verdict(tmp_path, capsys):
+    out = tmp_path / "pair"
+    assert main(["simulate", "--preset", "two-concentric-circles",
+                 "--out", str(out), "--end-time", "0.008"]) == 0
+    man = manifest_of(out)
+    man["traces"][1]["times"][3] += 1e-4
+    (out / "manifest.json").write_text(json.dumps(man))
+    capsys.readouterr()
+    rc = main(["check", str(out), "--certificates", "avoidance,mass-decay"])
+    payload = strict_json(capsys.readouterr().out)
+    assert rc == 1
+    avoidance, *decay = payload["verdicts"]
+    assert avoidance["name"] == "avoidance"
+    assert avoidance["passed"] is False and avoidance["measured"] is None
+    assert "GridMismatch" in avoidance["details"]["error"]
+    assert [(v["name"], v["trace"]) for v in decay] == [
+        ("mass-decay", "first"), ("mass-decay", "second")]
 
 
 def test_empty_certificate_list_is_a_usage_error(still_dir, tmp_path, capsys):
@@ -253,16 +308,66 @@ def test_missing_frame_file_is_reported(run_dir, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the table format of frames and measure files
+
+
+def test_frame_text_is_fixed(tmp_path):
+    # two atoms of a 2-D curve over one step: %.17g fields, nan for h in the
+    # last frame, integer simplices
+    horizontal = np.array([[1.0, 0.0], [0.0, 0.0]])
+    pos = np.array([[0.1, 0.0], [-1.0 / 3.0, 2.0]])
+    V0 = DiscreteVarifold.from_arrays(pos, np.stack([horizontal] * 2),
+                                      [0.5, 0.25], d=1)
+    V1 = DiscreteVarifold.from_arrays(pos, np.stack([horizontal] * 2),
+                                      [0.5, 0.2], d=1)
+    cfg = FlowConfig(eps=0.1, dt=0.1, end_time=0.1, enforce_gate=False)
+    trace = FlowTrace(cfg, 1.0, (
+        Snapshot(0.0, V0, curvature=np.array([[-2.0, 0.1], [0.0, 3.0]]),
+                 mesh_vertices=np.array([[0.0, 1.0], [0.5, -0.0]])),
+        Snapshot(0.1, V1, mesh_vertices=np.array([[0.0, 1.0], [0.75, 0.0]])),
+    ), np.array([[0, 1], [1, 0]]))
+    record = _write_trace(tmp_path, "main", trace)
+    header = "x1,x2,p11,p12,p21,p22,m,h1,h2\n"
+    expected = {
+        "frame_main_0000.csv": header
+        + "0.10000000000000001,0,1,0,0,0,0.5,-2,0.10000000000000001\n"
+        + "-0.33333333333333331,2,1,0,0,0,0.25,0,3\n",
+        "frame_main_0001.csv": header
+        + "0.10000000000000001,0,1,0,0,0,0.5,nan,nan\n"
+        + "-0.33333333333333331,2,1,0,0,0,0.20000000000000001,nan,nan\n",
+        "mesh_main_0000.csv": "v1,v2\n0,1\n0.5,-0\n",
+        "mesh_main_0001.csv": "v1,v2\n0,1\n0.75,0\n",
+        "simplices_main.csv": "s1,s2\n0,1\n1,0\n",
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode(), name
+    assert record["masses"] == [0.75, 0.7]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: rows[0].__setitem__(slice(0, 2), ["x2", "x1"]),
+    lambda rows: rows[3].pop(),
+], ids=["swapped-header", "ragged-row"])
+def test_malformed_frames_are_usage_errors(run_dir, tmp_path, capsys, edit):
+    broken = tmp_path / "malformed"
+    shutil.copytree(run_dir, broken)
+    rewrite_rows(broken / "frame_main_0003.csv", edit)
+    with pytest.raises(ConfigError):
+        load_manifest(str(broken))
+    assert main(["check", str(broken)]) == 2
+    assert "frame_main_0003.csv" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # distance
 
 
 def test_distance_subcommand_reports_the_metric(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    save_measure_csv(a, DiscreteMeasure(np.array([[0.0], [1.0]]),
-                                        np.array([1.0, 1.0])))
-    save_measure_csv(b, DiscreteMeasure(np.array([[0.5], [1.0]]),
-                                        np.array([1.0, 1.0])))
+    save_measure(a, [[0.0], [1.0]], [1.0, 1.0])
+    save_measure(b, [[0.5], [1.0]], [1.0, 1.0])
     rc = main(["distance", str(a), str(b)])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
@@ -271,12 +376,56 @@ def test_distance_subcommand_reports_the_metric(tmp_path, capsys):
     assert payload["status"] == "optimal"
 
 
+def test_measure_file_needs_a_trailing_weight_column(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    save_measure(a, [[0.0, 0.0]], [1.0])
+    b = tmp_path / "b.csv"
+    b.write_text("x1,x2\n0,0\n")
+    assert main(["distance", str(a), str(b)]) == 2
+    assert "b.csv" in capsys.readouterr().err
+
+
+def test_measure_file_without_rows_is_an_empty_measure(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("x1,x2,w\n")
+    assert _load_table(empty, _measure_header).shape == (0, 3)
+    one = tmp_path / "one.csv"
+    save_measure(one, [[0.0, 0.0]], [0.5])
+    rc = main(["distance", str(empty), str(one)])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert payload["support_first"] == 0 and payload["support_second"] == 1
+    assert payload["distance"] == 0.5
+
+
+def test_distance_reads_measures_copied_out_of_frames(run_dir, tmp_path,
+                                                      capsys):
+    # the benchmark writes its measure files this way: the position and
+    # mass strings of a frame, copied out with csv.writer
+    paths = []
+    for tag, frame in (("first", "frame_main_0000.csv"),
+                       ("final", "frame_main_0010.csv")):
+        with (run_dir / frame).open(newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row][1:]
+        path = tmp_path / f"main_{tag}.csv"
+        with path.open("w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["x1", "x2", "w"])
+            w.writerows(row[:2] + [row[6]] for row in rows)
+        paths.append(path)
+    rc = main(["distance", *map(str, paths)])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert payload["status"] == "optimal"
+    assert payload["support_first"] == 200 == payload["support_second"]
+
+
 def test_distance_respects_the_support_cap(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     pts = np.linspace(0.0, 1.0, 12)[:, None]
-    save_measure_csv(a, DiscreteMeasure(pts, np.ones(12)))
-    save_measure_csv(b, DiscreteMeasure(pts + 0.001, np.ones(12)))
+    save_measure(a, pts, np.ones(12))
+    save_measure(b, pts + 0.001, np.ones(12))
     assert main(["distance", str(a), str(b), "--support-cap", "10"]) == 1
     assert "support" in capsys.readouterr().err
 

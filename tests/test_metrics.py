@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from varimcf.cli import _load_table, _measure_header, _save_table
 from varimcf.errors import ConfigError, SolverFailure, SupportTooLarge
 from varimcf.flow import FlowConfig, run
 from varimcf.metrics import (BLResult, DiscreteMeasure, bounded_lipschitz,
-                             load_measure_csv, save_measure_csv,
                              stability_certificate)
 from varimcf.varifold import DiscreteVarifold
 
@@ -155,8 +155,10 @@ def test_measure_csv_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     mu = DiscreteMeasure(rng.normal(size=(6, 3)), rng.uniform(0.1, 1.0, 6))
     path = tmp_path / "mu.csv"
-    save_measure_csv(path, mu)
-    back = load_measure_csv(path)
+    _save_table(path, _measure_header(4),
+                np.column_stack([mu.points, mu.weights]))
+    rows = _load_table(path, _measure_header)
+    back = DiscreteMeasure(rows[:, :-1], rows[:, -1])
     assert np.array_equal(back.points, mu.points)
     assert np.array_equal(back.weights, mu.weights)
 
