@@ -195,13 +195,26 @@ def technical_gap(h, phi_val: float, grad_phi, S: GrassmannElement) -> float:
 
     with equality at h = -(1/2) S grad / phi.
     """
-    if phi_val <= 0.0:
-        raise NonpositiveWeight(f"weight value {phi_val} must be positive")
-    h = np.asarray(h, dtype=float)
-    grad_phi = np.asarray(grad_phi, dtype=float)
-    Sg = S.projection @ grad_phi
-    lhs = -float(np.dot(h, h)) * phi_val + float(np.dot(grad_phi - Sg, h))
-    rhs = 0.25 * float(np.dot(Sg, Sg)) / phi_val + float(np.dot(grad_phi, h))
+    return float(technical_gaps(np.asarray(h, dtype=float)[None],
+                                np.array([phi_val], dtype=float),
+                                np.asarray(grad_phi, dtype=float)[None],
+                                S.projection[None])[0])
+
+
+def technical_gaps(h, phi, grad_phi, P) -> np.ndarray:
+    """`technical_gap` for K samples at once.
+
+    h, grad_phi : (K, n); phi : (K,); P : (K, n, n) plane projections.
+    """
+    phi = np.asarray(phi, dtype=float)
+    bad = np.flatnonzero(phi <= 0.0)
+    if len(bad):
+        raise NonpositiveWeight(f"weight value {phi[bad[0]]} must be positive")
+    Sg = np.einsum("kij,kj->ki", P, grad_phi)
+    lhs = (-np.einsum("ki,ki->k", h, h) * phi
+           + np.einsum("ki,ki->k", grad_phi - Sg, h))
+    rhs = (0.25 * np.einsum("ki,ki->k", Sg, Sg) / phi
+           + np.einsum("ki,ki->k", grad_phi, h))
     return rhs - lhs
 
 

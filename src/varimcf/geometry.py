@@ -10,6 +10,8 @@ into equal pieces sampled at midpoints; a triangle is cut into strips of
 equal area between similar copies of itself scaled about a vertex, sampled
 at the strip centroids.  Total mass equals total mesh measure exactly.
 
+In the plane the area of a region inside a disk is exact: Green's theorem
+over the boundary segments, each cut where it crosses the circle.  In space
 Monte Carlo volume queries draw from a counter-based generator seeded
 explicitly, and the same sample points serve both regions of a comparison,
 so results never depend on thread count and differences carry low variance.
@@ -315,7 +317,47 @@ def contains(mesh: SurfaceMesh, points) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo clipped volumes
+# clipped volumes: exact in the plane, Monte Carlo in space
+
+
+def _disk_area(mesh: SurfaceMesh, center, r: float) -> float:
+    """Area inside the disk B(center, r) enclosed by a closed segment mesh.
+
+    Green's theorem over the oriented segments, exact up to roundoff.  Each
+    segment is cut at its crossings with the circle (at most two) into three
+    pieces, some possibly empty.  The middle one lies inside the disk and adds
+    (1/2) u x v; the outer two add the sector area (1/2) r^2 angle(u, v), u
+    and v being a piece's end points relative to the centre.
+
+    The result is the integral over the disk of the winding number of the
+    loops.  It equals the parity area that `contains` counts wherever that
+    number is 0 or 1, as for one simple counter-clockwise loop, and its
+    negative where it is 0 or -1, as for a clockwise one.  Every planar
+    preset mesh is one simple loop, and an orientation-preserving step keeps
+    it one.
+    """
+    mesh.check_closed()
+    V = mesh.vertices - np.asarray(center, dtype=float)
+    A = V[mesh.simplices[:, 0]]
+    D = V[mesh.simplices[:, 1]] - A
+    # |A + t D|^2 = r^2  <=>  a t^2 + b t + c = 0; the piece between the
+    # two roots lies inside the disk, the pieces before and after outside
+    a = np.einsum("ei,ei->e", D, D)
+    b = 2.0 * np.einsum("ei,ei->e", A, D)
+    c = np.einsum("ei,ei->e", A, A) - r * r
+    # (a segment missing or touching the circle has one double root, and a
+    # zero-length one a = b = 0: the middle piece is empty either way)
+    root = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+    two_a = np.where(a > 0.0, 2.0 * a, 1.0)
+    t = np.stack([np.zeros_like(a), (-b - root) / two_a, (-b + root) / two_a,
+                  np.ones_like(a)], axis=1)
+    P = A[:, None, :] + np.clip(t, 0.0, 1.0)[:, :, None] * D[:, None, :]
+    u, v = P[:, :-1], P[:, 1:]                          # (E, 3, 2) pieces
+    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    dot = np.einsum("epi,epi->ep", u, v)
+    inside = cross[:, 1].sum()
+    outside = np.arctan2(cross[:, [0, 2]], dot[:, [0, 2]]).sum()
+    return 0.5 * float(inside + r * r * outside)
 
 
 def _ball_samples(center, radius, count, n, seed):
@@ -338,9 +380,10 @@ class VolumeChangeReport:
     measured: float
     bound: float
     delta: float
-    standard_error: float
-    samples: int
+    standard_error: float   # 0 for the exact planar area
+    samples: int            # 0 for the exact planar area
     passed: bool
+    method: str             # "exact" (n = 2) or "monte-carlo" (n = 3)
 
 
 def clipped_volume_change(mesh_before: SurfaceMesh, mesh_after: SurfaceMesh,
@@ -349,23 +392,30 @@ def clipped_volume_change(mesh_before: SurfaceMesh, mesh_after: SurfaceMesh,
                           seed: int = 0) -> VolumeChangeReport:
     """|vol(B cap after) - vol(B cap before)| against the linear-in-delta bound.
 
-    delta is the recorded step perturbation max{sup|f - id|, sup|Jf - 1|};
-    the same sample points probe both regions (paired estimator).
+    delta is the recorded step perturbation max{sup|f - id|, sup|Jf - 1|}.
+    In the plane both areas are exact (`_disk_area`) and the report carries
+    no sampling error.  In space the same sample points probe both regions
+    (paired estimator) and the verdict allows three standard errors.
     """
     if delta >= 1.0:
         raise DeltaTooLarge(f"step perturbation {delta} must be below 1")
     if delta < 0.0:
         raise ConfigError("delta must be nonnegative")
     n = mesh_before.n
+    bound = volume_change_constant(n, radius) * delta
+    if n == 2:
+        measured = abs(_disk_area(mesh_after, center, radius)
+                       - _disk_area(mesh_before, center, radius))
+        return VolumeChangeReport(measured, bound, delta, 0.0, 0,
+                                  measured <= bound, "exact")
     pts = _ball_samples(center, radius, samples, n, seed)
     ball_vol = ball_volume(n, radius)
     diff = contains(mesh_after, pts).astype(float) - contains(mesh_before, pts)
     mean = float(np.mean(diff))
     se = float(np.std(diff) / math.sqrt(samples)) * ball_vol
     measured = abs(mean) * ball_vol
-    bound = volume_change_constant(n, radius) * delta
     return VolumeChangeReport(measured, bound, delta, se, samples,
-                              measured <= bound + 3.0 * se)
+                              measured <= bound + 3.0 * se, "monte-carlo")
 
 
 def volume_change_series(trace: FlowTrace, center, radius: float,

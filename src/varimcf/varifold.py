@@ -113,6 +113,35 @@ def grassmann_from_basis(vectors, tol: Tolerances = DEFAULT_TOLERANCES) -> Grass
     return GrassmannElement.from_basis(vectors, tol)
 
 
+def projections_from_bases(bases: Sequence[np.ndarray],
+                           tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Projections (K, n, n) onto the planes spanned by K bases at once.
+
+    Basis k is a (d_k, n) array; d_k may vary.  Each projection is that of
+    `GrassmannElement.from_basis`, up to roundoff, computed with one batched
+    solve per plane dimension.  Raises DegenerateBasis for the first basis
+    whose Gram determinant is at or below tolerance.
+    """
+    dims = np.array([len(b) for b in bases])
+    groups, det = [], np.empty(len(bases))
+    for d in np.unique(dims):
+        idx = np.flatnonzero(dims == d)
+        B = np.stack([np.asarray(bases[k], dtype=float) for k in idx])
+        gram = B @ B.transpose(0, 2, 1)
+        det[idx] = np.linalg.det(gram)
+        groups.append((idx, B, gram))
+    bad = np.flatnonzero(det <= tol.gram_determinant)
+    if len(bad):
+        raise DegenerateBasis(f"basis {bad[0]}: Gram determinant "
+                              f"{det[bad[0]]:.3e} <= {tol.gram_determinant:.0e}")
+    n = groups[0][1].shape[2]
+    out = np.empty((len(bases), n, n))
+    for idx, B, gram in groups:
+        P = B.transpose(0, 2, 1) @ np.linalg.solve(gram, B)
+        out[idx] = 0.5 * (P + P.transpose(0, 2, 1))
+    return out
+
+
 @dataclass(frozen=True)
 class Atom:
     """One weighted Dirac of a discrete varifold."""

@@ -15,13 +15,13 @@ from varimcf.barriers import (BarrierFunction, avoidance_distance,
                               barrier_defect, convex_hull_monitor,
                               epsilon_barrier_certificate,
                               external_sphere_monitor, internal_sphere_monitor,
-                              lsc_monitor, technical_gap)
+                              lsc_monitor, technical_gap, technical_gaps)
 from varimcf.errors import (ConfigError, GridMismatch, NonpositiveWeight,
                             PreconditionViolated, ZeroBarrier)
 from varimcf.flow import FlowConfig, run
 from varimcf.geometry import mesh_to_varifold, regular_polygon_mesh
 from varimcf.varifold import (DiscreteVarifold, ScalarField,
-                              grassmann_from_basis)
+                              grassmann_from_basis, projections_from_bases)
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +145,23 @@ def test_technical_gap_requires_positive_weight():
     S = grassmann_from_basis(np.array([[1.0, 0.0]]))
     with pytest.raises(NonpositiveWeight):
         technical_gap(np.zeros(2), 0.0, np.ones(2), S)
+
+
+def test_batched_gaps_match_the_scalar_formula():
+    rng = np.random.default_rng(5)
+    K, n = 500, 3
+    h, g = rng.normal(size=(2, K, n))
+    phi = rng.uniform(1e-3, 2.0, K)
+    P = projections_from_bases([rng.normal(size=(int(rng.integers(1, n)), n))
+                                for _ in range(K)])
+    gaps = technical_gaps(h, phi, g, P)
+    for k in range(K):
+        Sg = P[k] @ g[k]
+        lhs = -float(h[k] @ h[k]) * phi[k] + float((g[k] - Sg) @ h[k])
+        rhs = 0.25 * float(Sg @ Sg) / phi[k] + float(g[k] @ h[k])
+        assert gaps[k] == pytest.approx(rhs - lhs, rel=1e-12, abs=1e-12)
+    with pytest.raises(NonpositiveWeight):
+        technical_gaps(h[:2], np.array([1.0, 0.0]), g[:2], P[:2])
 
 
 def test_defect_zero_at_center():

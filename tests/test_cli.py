@@ -2,6 +2,7 @@
 tamper detection, standalone distance and volume reports."""
 
 import csv
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -9,11 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varimcf.cli import (_load_table, _measure_header, _save_table,
+from varimcf.cli import (Settings, _cert_technical_lemma, _cert_volume_change,
+                         _load_table, _measure_header, _save_table,
                          _write_trace, load_manifest, main)
 from varimcf.errors import ConfigError
 from varimcf.flow import FlowConfig, FlowTrace, Snapshot, brakke_residual, sample
-from varimcf.varifold import DiscreteVarifold, ScalarField
+from varimcf.geometry import icosphere_mesh, mesh_to_varifold
+from varimcf.varifold import (DiscreteVarifold, ScalarField,
+                              grassmann_from_basis)
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +304,46 @@ def test_empty_certificate_list_is_a_usage_error(still_dir, tmp_path, capsys):
     assert "empty certificate list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda rec: rec["times"].pop(), "times"),
+    (lambda rec: rec.pop("step_delta"), "step_delta"),
+], ids=["short-times", "missing-step_delta"])
+def test_per_frame_lists_must_match_the_frames(run_dir, tmp_path, capsys,
+                                               edit, key):
+    broken = tmp_path / "inconsistent"
+    shutil.copytree(run_dir, broken)
+    man = manifest_of(broken)
+    edit(man["traces"][0])
+    (broken / "manifest.json").write_text(json.dumps(man))
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        load_manifest(str(broken))
+    assert main(["check", str(broken)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_technical_lemma_consumes_the_stream_one_sample_at_a_time(run_dir):
+    _, manifest, traces = load_manifest(str(run_dir))
+    st = dataclasses.replace(Settings(), technical_samples=3000)
+    rng = np.random.default_rng(7)
+    (verdict,) = _cert_technical_lemma(traces, st, manifest, rng)
+    # reference: the scalar formula, one sample at a time
+    ref = np.random.default_rng(7)
+    worst = np.inf
+    for _ in range(3000):
+        h = ref.normal(size=2)
+        grad = ref.normal(size=2)
+        phi = float(ref.uniform(0.05, 3.0))
+        S = grassmann_from_basis(ref.normal(size=(int(ref.integers(1, 2)), 2)))
+        Sg = S.projection @ grad
+        gap = (0.25 * float(Sg @ Sg) / phi + float(grad @ h)
+               + float(h @ h) * phi - float((grad - Sg) @ h))
+        worst = min(worst, gap)
+    assert verdict.measured == pytest.approx(worst, rel=1e-12)
+    assert verdict.passed
+    # the certificates after this one draw from where the loop left off
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_missing_frame_file_is_reported(run_dir, tmp_path):
     broken = tmp_path / "gappy"
     shutil.copytree(run_dir, broken)
@@ -443,6 +487,25 @@ def test_volume_subcommand_on_an_interior_window(run_dir, capsys):
     assert payload["verdicts"]
     for v in payload["verdicts"]:
         assert v["measured"] <= v["bound"]
+        assert v["details"]["method"] == "exact"
+        assert "samples" not in v["details"]
+
+
+def test_volume_verdict_in_space_names_its_samples():
+    sphere = icosphere_mesh(1)
+    V = mesh_to_varifold(sphere)
+    cfg = FlowConfig(eps=0.1, dt=0.01, end_time=0.01, enforce_gate=False)
+    trace = FlowTrace(cfg, 1.0, (
+        Snapshot(0.0, V, mesh_vertices=sphere.vertices, step_delta=0.05),
+        Snapshot(0.01, V, mesh_vertices=sphere.vertices + [0.05, 0.0, 0.0]),
+    ), sphere.simplices)
+    st = dataclasses.replace(Settings(), mc_samples=2000,
+                             ball_center=(0.0, 0.0, 0.0), ball_radius=1.2)
+    (verdict,) = _cert_volume_change({"main": trace}, st, {"seed": 1}, None)
+    assert verdict.passed
+    assert verdict.details["method"] == "monte-carlo"
+    assert verdict.details["samples"] == 2000
+    assert verdict.measured > 0.0
 
 
 def test_volume_needs_recorded_meshes(run_dir, tmp_path, capsys):

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from varimcf import geometry
 from varimcf.errors import (BallNotInterior, ConfigError, DegenerateSimplex,
                             DeltaTooLarge, OpenMesh)
 from varimcf.flow import FlowConfig, run
-from varimcf.geometry import (SurfaceMesh, clipped_volume_change, contains,
+from varimcf.geometry import (SurfaceMesh, _ball_samples, _disk_area,
+                              clipped_volume_change, contains,
                               enclosed_volume, icosphere_mesh, loop_mesh,
                               mesh_to_varifold,
                               nontriviality_certificate,
@@ -241,6 +243,100 @@ def test_clipped_change_translation_against_grid_oracle():
     assert rep.measured == pytest.approx(oracle, abs=4.0 * rep.standard_error + 1e-2)
     assert rep.bound == pytest.approx(volume_change_constant(2, 0.8) * 0.5)
     assert rep.passed
+
+
+def square(a, center=(0.0, 0.0)):
+    return loop_mesh(np.array([[-a, -a], [a, -a], [a, a], [-a, a]]) + center)
+
+
+def reversed_loops(mesh):
+    return SurfaceMesh(mesh.vertices, mesh.simplices[:, ::-1])
+
+
+STAR = loop_mesh([[0.9, 0.0], [0.2, 0.3], [0.0, 0.8], [-0.4, 0.1],
+                  [-0.7, -0.6], [0.1, -0.2], [0.5, -0.7]])
+_A, _R = 0.5, 0.6
+
+
+@pytest.mark.parametrize("mesh, center, r, area", [
+    (regular_polygon_mesh(12, 2.0), (0.1, -0.2), 0.7, math.pi * 0.49),
+    (STAR, (0.05, 0.0), 1.5, enclosed_volume(STAR)),
+    (square(100.0, (100.0, 0.0)), (0.0, 0.0), 0.8, math.pi * 0.64 / 2.0),
+    (square(_A), (0.0, 0.0), _R,
+     math.pi * _R**2 - 4.0 * (_R**2 * math.acos(_A / _R)
+                              - _A * math.sqrt(_R**2 - _A**2))),
+    # every vertex of the 6 x 8 rectangle lies on the circle of radius 5
+    (loop_mesh([[-3.0, -4.0], [3.0, -4.0], [3.0, 4.0], [-3.0, 4.0]]),
+     (0.0, 0.0), 5.0, 48.0),
+    # every edge of the square touches the circle at its midpoint
+    (square(1.0), (0.0, 0.0), 1.0, math.pi),
+], ids=["disk-inside-polygon", "polygon-inside-disk", "half-plane",
+        "square-corners-outside", "vertices-on-circle", "edges-tangent"])
+def test_disk_area_closed_forms(mesh, center, r, area):
+    assert _disk_area(mesh, center, r) == pytest.approx(area, abs=1e-12)
+    assert _disk_area(reversed_loops(mesh), center, r) == pytest.approx(
+        -area, abs=1e-12)
+
+
+def test_reversed_loops_give_the_same_change():
+    before = regular_polygon_mesh(40)
+    after = moved(before, lambda p: p + np.array([0.1, 0.05]))
+    fwd = clipped_volume_change(before, after, [0.2, 0.0], 0.9, 0.1)
+    back = clipped_volume_change(reversed_loops(before), reversed_loops(after),
+                                 [0.2, 0.0], 0.9, 0.1)
+    assert fwd.measured > 0.01
+    assert back.measured == pytest.approx(fwd.measured, abs=1e-12)
+    assert back.standard_error == 0.0 == fwd.standard_error
+
+
+def random_star_polygon(rng):
+    """A simple polygon star-shaped about its centre: sorted angles, every
+    gap between neighbours below pi."""
+    k = int(rng.integers(5, 13))
+    while True:
+        th = np.sort(rng.uniform(0.0, 2.0 * math.pi, k))
+        if np.diff(np.append(th, th[0] + 2.0 * math.pi)).max() < math.pi:
+            break
+    rad = rng.uniform(0.3, 1.5, k)
+    return loop_mesh(np.column_stack([rad * np.cos(th), rad * np.sin(th)])
+                     + rng.uniform(-0.3, 0.3, 2))
+
+
+def test_disk_area_matches_monte_carlo_on_random_star_polygons():
+    rng = np.random.default_rng(2024)
+    samples = 100_000
+    for trial in range(50):
+        mesh = random_star_polygon(rng)
+        center = rng.uniform(-0.5, 0.5, 2)
+        r = float(rng.uniform(0.3, 1.2))
+        hit = contains(mesh, _ball_samples(center, r, samples, 2, trial))
+        disk = math.pi * r * r
+        mc = disk * float(np.mean(hit))
+        se = disk * float(np.std(hit)) / math.sqrt(samples)
+        assert abs(_disk_area(mesh, center, r) - mc) <= 4.0 * se + 1e-12, trial
+
+
+def test_only_three_dimensions_sample_the_ball(monkeypatch):
+    calls = []
+    inner = geometry._ball_samples
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(geometry, "_ball_samples", counting)
+    circle = regular_polygon_mesh(32)
+    flat = clipped_volume_change(
+        circle, moved(circle, lambda p: p + np.array([0.05, 0.0])),
+        [0.0, 0.0], 0.9, 0.05, samples=2000, seed=1)
+    assert calls == []
+    assert (flat.method, flat.samples, flat.standard_error) == ("exact", 0, 0.0)
+    sphere = icosphere_mesh(1)
+    solid = clipped_volume_change(
+        sphere, moved(sphere, lambda p: p + np.array([0.05, 0.0, 0.0])),
+        [0.0, 0.0, 0.0], 1.2, 0.05, samples=2000, seed=1)
+    assert len(calls) == 1
+    assert (solid.method, solid.samples) == ("monte-carlo", 2000)
+    assert solid.standard_error > 0.0
 
 
 def test_clipped_change_rejects_large_delta():

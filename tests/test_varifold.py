@@ -12,7 +12,7 @@ from varimcf.flow import FlowConfig, FlowTrace, Snapshot, pushforward
 from varimcf.varifold import (Atom, DiscreteVarifold, GrassmannElement,
                               ScalarField, VectorField, first_variation,
                               grassmann_from_basis, mass_integral,
-                              tangential_divergence, total_mass,
+                              projections_from_bases, tangential_divergence, total_mass,
                               weighted_first_variation)
 
 
@@ -82,6 +82,25 @@ def test_plane_basis_returns_orthonormal_spanning_rows():
 def test_degenerate_basis_rejected():
     with pytest.raises(DegenerateBasis):
         grassmann_from_basis(np.array([[1.0, 0.0], [2.0, 0.0]]))
+
+
+def test_batched_planes_match_one_at_a_time():
+    rng = np.random.default_rng(12)
+    bases = [rng.normal(size=(int(rng.integers(1, 3)), 3)) for _ in range(200)]
+    P = projections_from_bases(bases)
+    assert P.shape == (200, 3, 3)
+    for k, rows in enumerate(bases):
+        assert np.allclose(P[k], grassmann_from_basis(rows).projection,
+                           rtol=0.0, atol=1e-14)
+
+
+def test_batched_planes_name_the_first_degenerate_basis():
+    line = np.array([[1.0, 2.0, 0.0]])
+    collinear = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    with pytest.raises(DegenerateBasis, match="basis 1:"):
+        projections_from_bases([line, collinear, line, np.zeros((1, 3))])
+    with pytest.raises(DegenerateBasis, match="basis 1:"):
+        projections_from_bases([line, np.zeros((1, 3)), collinear])
 
 
 def test_projection_validation_rejects_junk():
