@@ -35,7 +35,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances, sphere_area
 from .errors import (ConfigError, GridMismatch, NonpositiveWeight,
                      PreconditionViolated, ZeroBarrier)
 from .flow import FlowTrace
-from .varifold import GrassmannElement, ScalarField
+from .varifold import ScalarField
 
 DEFAULT_SCALE_CEILING = 1.0   # admissible smoothing scales are below this
 NORM_GRID_STEPS = 256
@@ -66,10 +66,6 @@ class BarrierFunction:
     def n(self) -> int:
         return self.center.shape[0]
 
-    def is_smooth(self) -> bool:
-        """Twice continuous differentiability across the sphere needs beta > 2."""
-        return self.beta > 2.0
-
     def _sign(self) -> float:
         return 1.0 if self.orientation == "external" else -1.0
 
@@ -79,22 +75,6 @@ class BarrierFunction:
         r = np.einsum("ai,ai->a", w, w) + 2.0 * self.d * t
         u = self._sign() * (self.radius**2 - r)
         return w, np.maximum(u, 0.0), u > 0.0
-
-    def profile(self, r, order: int = 0):
-        """gamma and its first three derivatives in the argument r."""
-        r = np.asarray(r, dtype=float)
-        s = self._sign()
-        u = np.maximum(s * (self.radius**2 - r), 0.0)
-        b = self.beta
-        if order == 0:
-            return u**b
-        if order == 1:
-            return -s * b * u ** (b - 1.0)
-        if order == 2:
-            return b * (b - 1.0) * u ** (b - 2.0)
-        if order == 3:
-            return -s * b * (b - 1.0) * (b - 2.0) * u ** (b - 3.0)
-        raise ConfigError(f"profile order {order} not available")
 
     def value(self, x, t: float) -> np.ndarray:
         _, u, _ = self._uvals(x, t)
@@ -132,22 +112,6 @@ class BarrierFunction:
         _, u, live = self._uvals(x, t)
         gp = np.where(live, -self._sign() * self.beta * u ** (self.beta - 1.0), 0.0)
         return 2.0 * self.d * gp
-
-    def axiom_margin(self, samples: int = 512) -> float:
-        """min of 4 gamma gamma'' - (gamma')^2 over the profile's support.
-
-        Nonnegative iff the defect below is nonpositive; for the power
-        profiles this is the condition beta >= 4/3.
-        """
-        if self.orientation == "external":
-            rs = np.linspace(0.0, self.radius**2, samples, endpoint=False)
-        else:
-            rs = np.linspace(self.radius**2, 4.0 * self.radius**2, samples,
-                             endpoint=False)[1:]
-        g = self.profile(rs, 0)
-        gp = self.profile(rs, 1)
-        gpp = self.profile(rs, 2)
-        return float(np.min(4.0 * g * gpp - gp**2))
 
     # -- certified norm overestimates (radial sweeps at t = 0) --------------
 
@@ -187,24 +151,15 @@ class BarrierFunction:
         return safety * math.sqrt(sphere_area(self.n) * val)
 
 
-def technical_gap(h, phi_val: float, grad_phi, S: GrassmannElement) -> float:
+def technical_gaps(h, phi, grad_phi, P) -> np.ndarray:
     """Slack of the completed-square bound tying curvature to a weight.
 
     gap = (1/4)|S grad|^2 / phi + grad . h + |h|^2 phi - (I - S) grad . h
         = | sqrt(phi) h + S grad / (2 sqrt(phi)) |^2  >= 0,
 
-    with equality at h = -(1/2) S grad / phi.
-    """
-    return float(technical_gaps(np.asarray(h, dtype=float)[None],
-                                np.array([phi_val], dtype=float),
-                                np.asarray(grad_phi, dtype=float)[None],
-                                S.projection[None])[0])
-
-
-def technical_gaps(h, phi, grad_phi, P) -> np.ndarray:
-    """`technical_gap` for K samples at once.
-
+    with equality at h = -(1/2) S grad / phi, for K samples at once:
     h, grad_phi : (K, n); phi : (K,); P : (K, n, n) plane projections.
+    Raises NonpositiveWeight for the first sample with phi <= 0.
     """
     phi = np.asarray(phi, dtype=float)
     bad = np.flatnonzero(phi <= 0.0)
@@ -218,23 +173,25 @@ def technical_gaps(h, phi, grad_phi, P) -> np.ndarray:
     return rhs - lhs
 
 
-def barrier_defect(psi: BarrierFunction, x, S: GrassmannElement, t: float,
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """(1/4)|S grad psi|^2/psi - S : hess psi + d psi/dt at a single point.
+def barrier_defects(psi: BarrierFunction, x, P, t,
+                    tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """(1/4)|S grad psi|^2/psi - S : hess psi + d psi/dt at K points.
 
-    Nonpositive wherever psi > 0, provided the profile passes the axiom
-    check; a profile violating it (beta < 4/3) makes this positive somewhere.
+    x : (K, n) points; P : (K, n, n) plane projections; t : (K,) times or
+    one time for all rows.  Nonpositive wherever psi > 0, provided the
+    profile satisfies (gamma')^2 <= 4 gamma gamma'' (beta >= 4/3); a profile
+    violating it makes this positive somewhere.  Raises ZeroBarrier for the
+    first row where psi is at or below the barrier floor.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    val = float(psi.value(x, t)[0])
-    if val <= tol.barrier_floor:
-        raise ZeroBarrier(f"psi = {val:.3e} at the queried point")
-    g = psi.grad(x, t)[0]
-    H = psi.hess(x, t)[0]
-    dt_ = float(psi.time_derivative(x, t)[0])
-    Sg = S.projection @ g
-    return (0.25 * float(np.dot(Sg, Sg)) / val
-            - float(np.einsum("ij,ij->", S.projection, H)) + dt_)
+    x = np.asarray(x, dtype=float)
+    val = psi.value(x, t)
+    bad = np.flatnonzero(val <= tol.barrier_floor)
+    if len(bad):
+        raise ZeroBarrier(f"psi = {val[bad[0]]:.3e} at row {bad[0]}")
+    Sg = np.einsum("kij,kj->ki", P, psi.grad(x, t))
+    return (0.25 * np.einsum("ki,ki->k", Sg, Sg) / val
+            - np.einsum("kij,kij->k", P, psi.hess(x, t))
+            + psi.time_derivative(x, t))
 
 
 # ---------------------------------------------------------------------------

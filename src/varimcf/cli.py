@@ -288,14 +288,50 @@ def _write_trace(outdir: Path, name: str, trace) -> dict:
     return record
 
 
+def _is_kind(value, kind) -> bool:
+    """JSON type check: a float field also takes an int, and only a bool
+    field takes a bool."""
+    return ((isinstance(value, kind) or kind is float and isinstance(value, int))
+            and isinstance(value, bool) == (kind is bool))
+
+
+def _flow_config(manifest: dict):
+    """The manifest's 'config' as a FlowConfig; ConfigError names the key
+    that is unknown, missing or of the wrong JSON type."""
+    from .flow import FlowConfig
+
+    raw = manifest.get("config")
+    if not isinstance(raw, dict):
+        raise ConfigError("manifest: 'config' must be an object")
+    defaults = {f.name: f.default for f in dataclasses.fields(FlowConfig)}
+    for key, value in raw.items():
+        default = defaults.get(key, dataclasses.MISSING)
+        kind = float if default in (None, dataclasses.MISSING) else type(default)
+        if key not in defaults or not (_is_kind(value, kind)
+                                       or value is default is None):
+            raise ConfigError(f"manifest config: '{key}' = {value!r} is not "
+                              "a FlowConfig field of that type")
+    try:
+        return FlowConfig(**raw)
+    except TypeError as e:      # a required key is missing
+        raise ConfigError(f"manifest config: {e}") from None
+
+
 def load_trace(manifest: dict, base: Path, record: dict):
     """Rebuild a FlowTrace from one manifest trace record."""
     import numpy as np
 
-    from .flow import FlowConfig, FlowTrace, Snapshot
+    from .flow import FlowTrace, Snapshot
     from .varifold import DiscreteVarifold
 
-    cfg = FlowConfig(**manifest["config"])
+    cfg = _flow_config(manifest)
+    if not isinstance(record, dict):
+        raise ConfigError("manifest: each entry of 'traces' must be an object")
+    for key, kind in (("name", str), ("ambient_dimension", int),
+                      ("surface_dimension", int), ("mass_bound", float)):
+        if not _is_kind(record.get(key), kind):
+            raise ConfigError(f"trace {record.get('name')!r}: '{key}' must "
+                              f"be of type {kind.__name__}")
     n = record["ambient_dimension"]
     d = record["surface_dimension"]
     frames = record.get("frames")
@@ -349,6 +385,12 @@ def load_manifest(path: str):
         manifest = json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{p}: not valid JSON ({e})") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{p}: the manifest must be a JSON object")
+    if not isinstance(manifest.get("traces"), list) or not manifest["traces"]:
+        raise ConfigError(f"{p}: 'traces' must be a non-empty list")
+    if not _is_kind(manifest.get("seed", 0), int):
+        raise ConfigError(f"{p}: 'seed' must be an integer")
     traces = {}
     for record in manifest["traces"]:
         traces[record["name"]] = load_trace(manifest, p.parent, record)
@@ -467,8 +509,8 @@ def _cert_technical_lemma(traces, st, manifest, rng):
 def _cert_barrier_defect(traces, st, manifest, rng):
     import numpy as np
 
-    from .barriers import BarrierFunction, barrier_defect
-    from .varifold import grassmann_from_basis
+    from .barriers import BarrierFunction, barrier_defects
+    from .varifold import projections_from_bases
 
     stmt = ("the radial comparison weight has nonpositive flow defect "
             "throughout its support window")
@@ -480,22 +522,24 @@ def _cert_barrier_defect(traces, st, manifest, rng):
                           d=d, orientation="external")
     R2 = st.barrier_radius**2
     horizon = 0.8 * R2 / (2.0 * d)
-    worst = -np.inf
     times = np.linspace(0.0, horizon, 5)
     per_t = max(1, st.defect_samples // len(times))
+    x, bases = [], []
+    # one sample at a time, so the shared stream is consumed as the later
+    # certificates expect; the defects then run on all samples at once
     for t in times:
-        live = max(R2 - 2.0 * d * t, 0.0) * 0.95
-        if live <= 0.0:
-            continue
+        live = (R2 - 2.0 * d * t) * 0.95      # t <= horizon keeps it positive
         for _ in range(per_t):
             direction = rng.normal(size=n)
             direction /= np.linalg.norm(direction)
             r = np.sqrt(float(rng.uniform(0.0, live)))
-            x = psi.center + r * direction
+            x.append(psi.center + r * direction)
             dd = int(rng.integers(1, n))
-            S = grassmann_from_basis(rng.normal(size=(dd, n)))
-            worst = max(worst, barrier_defect(psi, x, S, float(t)))
-    return [Verdict("barrier-defect", "-", stmt, float(worst), 1e-10, "<=",
+            bases.append(rng.normal(size=(dd, n)))
+    worst = float(np.max(barrier_defects(psi, np.array(x),
+                                         projections_from_bases(bases),
+                                         np.repeat(times, per_t))))
+    return [Verdict("barrier-defect", "-", stmt, worst, 1e-10, "<=",
                     worst <= 1e-10, {"samples": st.defect_samples,
                                      "exponent": st.barrier_exponent})]
 

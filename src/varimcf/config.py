@@ -12,15 +12,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # Grassmann element validation
+    # plane projection validation
     projector_symmetry: float = 1e-12
     projector_idempotency: float = 1e-10
     projector_trace: float = 1e-10
     # linear algebra guards
     gram_determinant: float = 1e-12
     map_determinant: float = 1e-12
-    # bounded-Lipschitz LP feasibility re-check
-    lp_box: float = 1e-9
+    # bounded-Lipschitz LP feasibility re-check (box and Lipschitz rows)
     lp_lipschitz: float = 1e-9
     # barriers
     barrier_floor: float = 1e-14

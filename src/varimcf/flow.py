@@ -23,7 +23,6 @@ weighted-mass balance; halving the step halves it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -91,29 +90,18 @@ class FlowConfig:
     gate_constant: float = 1.0
     enforce_gate: bool = True
     record_dissipation: bool = True
-    nodes: Sequence[float] | None = None
 
     def __post_init__(self):
         if self.eps <= 0.0:
             raise ConfigError("eps must be positive")
-        if self.nodes is None:
-            if self.dt <= 0.0 or self.end_time < 0.0:
-                raise ConfigError("dt must be positive and end_time nonnegative")
-            if self.end_time > 1.0 + 1e-12:
-                raise ConfigError("end_time must be <= 1")
+        if self.dt <= 0.0 or self.end_time < 0.0:
+            raise ConfigError("dt must be positive and end_time nonnegative")
+        if self.end_time > 1.0 + 1e-12:
+            raise ConfigError("end_time must be <= 1")
         if self.mode not in ("piecewise", "interpolated"):
             raise ConfigError(f"unknown sampling mode {self.mode!r}")
-        if self.nodes is not None:
-            self.times()  # fail fast on malformed node lists
 
     def times(self) -> np.ndarray:
-        if self.nodes is not None:
-            t = np.asarray(self.nodes, dtype=float)
-            if t.ndim != 1 or len(t) < 2 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
-                raise ConfigError("nodes must be increasing and start at 0")
-            if t[-1] > 1.0 + 1e-12:
-                raise ConfigError("end time must be <= 1")
-            return t
         if self.end_time == 0.0:
             return np.zeros(1)
         steps = max(1, int(round(self.end_time / self.dt)))

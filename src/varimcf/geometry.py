@@ -132,9 +132,6 @@ class SurfaceMesh:
         cr = np.cross(V[S[:, 1]] - V[S[:, 0]], V[S[:, 2]] - V[S[:, 0]])
         return 0.5 * np.linalg.norm(cr, axis=1)
 
-    def total_measure(self) -> float:
-        return float(self.measures().sum())
-
 
 def loop_mesh(points) -> SurfaceMesh:
     """Closed polygon through the points in order (n = 2)."""

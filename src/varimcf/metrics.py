@@ -24,7 +24,6 @@ from scipy.optimize import linprog
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ConfigError, SolverFailure, SupportTooLarge
-from .flow import FlowTrace, sample
 from .varifold import DiscreteVarifold
 
 DEFAULT_SUPPORT_CAP = 2000
@@ -57,9 +56,6 @@ class DiscreteMeasure:
     def from_varifold(cls, V: DiscreteVarifold) -> "DiscreteMeasure":
         """The weight measure: positions with their masses."""
         return cls(V.positions, V.masses)
-
-    def total(self) -> float:
-        return float(self.weights.sum())
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -129,52 +125,3 @@ def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure,
     out.verify_feasible(tol.lp_lipschitz)
     return out
 
-
-# ---------------------------------------------------------------------------
-# stability of flows with respect to step size and initial data
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Measured distance of two flows at a time, next to the theoretical bound.
-
-    The bound initial * exp(t * c * eps^(-n-7)) + c * t * step * eps^(-n-11)
-    * exp(t * c * eps^(-n-7)) needs the constant c, which no closed form
-    provides; without a configured value only the measurement is reported
-    and `passed` stays None.
-    """
-
-    time: float
-    eps: float
-    step: float
-    initial_distance: float
-    measured: float
-    constant: float | None = None
-    bound: float | None = None
-    passed: bool | None = None
-
-
-def stability_certificate(trace_a: FlowTrace, trace_b: FlowTrace, t: float,
-                          constant: float | None = None,
-                          support_cap: int = DEFAULT_SUPPORT_CAP) -> StabilityReport:
-    """Compare the mass measures of two flows at time t against the bound."""
-    if trace_a.config.eps != trace_b.config.eps:
-        raise ConfigError("flows were run with different smoothing scales")
-    eps = trace_a.config.eps
-    n = trace_a.snapshots[0].varifold.n
-    step = max(trace_a.config.delta(), trace_b.config.delta())
-    mu0 = DiscreteMeasure.from_varifold(trace_a.snapshots[0].varifold)
-    nu0 = DiscreteMeasure.from_varifold(trace_b.snapshots[0].varifold)
-    initial = bounded_lipschitz(mu0, nu0, support_cap).distance
-    mu = DiscreteMeasure.from_varifold(sample(trace_a, t, "piecewise"))
-    nu = DiscreteMeasure.from_varifold(sample(trace_b, t, "piecewise"))
-    measured = bounded_lipschitz(mu, nu, support_cap).distance
-    bound = None
-    passed = None
-    if constant is not None:
-        if constant < 0.0:
-            raise ConfigError("stability constant must be nonnegative")
-        growth = math.exp(t * constant * eps ** (-n - 7))
-        bound = initial * growth + constant * t * step * eps ** (-n - 11) * growth
-        passed = measured <= bound
-    return StabilityReport(t, eps, step, initial, measured, constant, bound, passed)

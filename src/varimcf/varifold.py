@@ -11,15 +11,16 @@ field X is the exact finite sum
 
     delta V (X) = sum_i m_i  S_i : DX(x_i),
 
-with M : N = trace(M N^T), and its phi-weighted refinement adds the
-transport term grad(phi) . X.  Both are evaluated here without any
-quadrature; smoothing enters only in the mollifier module.
+with M : N = trace(M N^T), evaluated here without any quadrature;
+smoothing enters only in the mollifier module.  Its phi-weighted refinement,
+which adds the transport term grad(phi) . X, lives in the flow module next
+to the weighted mass balance it enters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,88 +40,15 @@ def _as_points(x: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     return a, False
 
 
-@dataclass(frozen=True)
-class GrassmannElement:
-    """A d-dimensional plane through the origin in R^n.
-
-    Stored as the orthogonal projection matrix onto the plane; this makes
-    plane comparison, tangential divergence and pushforward formulas
-    basis-free.
-    """
-
-    projection: np.ndarray
-    d: int
-
-    def __post_init__(self):
-        P = np.ascontiguousarray(np.asarray(self.projection, dtype=float))
-        P.flags.writeable = False
-        object.__setattr__(self, "projection", P)
-
-    @property
-    def n(self) -> int:
-        return self.projection.shape[0]
-
-    @classmethod
-    def from_projection(cls, P, d: int | None = None,
-                        tol: Tolerances = DEFAULT_TOLERANCES) -> "GrassmannElement":
-        P = np.asarray(P, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ConfigError(f"projection matrix must be square, got {P.shape}")
-        if d is None:
-            d = int(round(float(np.trace(P))))
-        elem = cls(P, d)
-        elem.validate(tol)
-        return elem
-
-    @classmethod
-    def from_basis(cls, vectors,
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> "GrassmannElement":
-        """Plane spanned by the rows of `vectors` (need not be orthonormal)."""
-        B = np.atleast_2d(np.asarray(vectors, dtype=float))
-        gram = B @ B.T
-        det = float(np.linalg.det(gram))
-        if det <= tol.gram_determinant:
-            raise DegenerateBasis(
-                f"Gram determinant {det:.3e} <= {tol.gram_determinant:.0e}")
-        P = B.T @ np.linalg.solve(gram, B)
-        P = 0.5 * (P + P.T)
-        return cls(P, B.shape[0])
-
-    def validate(self, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
-        P, d = self.projection, self.d
-        sym = float(np.max(np.abs(P - P.T)))
-        if sym > tol.projector_symmetry:
-            raise ConfigError(f"projection not symmetric: max dev {sym:.3e}")
-        idem = float(np.max(np.abs(P @ P - P)))
-        if idem > tol.projector_idempotency:
-            raise ConfigError(f"projection not idempotent: max dev {idem:.3e}")
-        tr = float(np.trace(P))
-        if abs(tr - d) > tol.projector_trace:
-            raise ConfigError(f"trace {tr!r} != d = {d}")
-
-    def basis(self) -> np.ndarray:
-        """An orthonormal basis of the plane, rows of a (d, n) array."""
-        w, v = np.linalg.eigh(self.projection)
-        return v[:, -self.d:].T if self.d > 0 else np.zeros((0, self.n))
-
-    def perp(self) -> np.ndarray:
-        """Projection onto the orthogonal complement."""
-        return np.eye(self.n) - self.projection
-
-
-def grassmann_from_basis(vectors, tol: Tolerances = DEFAULT_TOLERANCES) -> GrassmannElement:
-    """Plane spanned by the given row vectors; raises DegenerateBasis."""
-    return GrassmannElement.from_basis(vectors, tol)
-
-
 def projections_from_bases(bases: Sequence[np.ndarray],
                            tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Projections (K, n, n) onto the planes spanned by K bases at once.
 
-    Basis k is a (d_k, n) array; d_k may vary.  Each projection is that of
-    `GrassmannElement.from_basis`, up to roundoff, computed with one batched
-    solve per plane dimension.  Raises DegenerateBasis for the first basis
-    whose Gram determinant is at or below tolerance.
+    Basis k is a (d_k, n) array of rows spanning the plane; they need not be
+    orthonormal, and d_k may vary.  Each projection is B^T (B B^T)^-1 B,
+    computed with one batched solve per plane dimension.  Raises
+    DegenerateBasis for the first basis whose Gram determinant is at or
+    below tolerance.
     """
     dims = np.array([len(b) for b in bases])
     groups, det = [], np.empty(len(bases))
@@ -140,15 +68,6 @@ def projections_from_bases(bases: Sequence[np.ndarray],
         P = B.transpose(0, 2, 1) @ np.linalg.solve(gram, B)
         out[idx] = 0.5 * (P + P.transpose(0, 2, 1))
     return out
-
-
-@dataclass(frozen=True)
-class Atom:
-    """One weighted Dirac of a discrete varifold."""
-
-    position: np.ndarray
-    plane: GrassmannElement
-    mass: float
 
 
 @dataclass(frozen=True)
@@ -191,18 +110,6 @@ class DiscreteVarifold:
             V.validate(tol)
         return V
 
-    @classmethod
-    def from_atoms(cls, atoms: Sequence[Atom],
-                   tol: Tolerances = DEFAULT_TOLERANCES) -> "DiscreteVarifold":
-        if not atoms:
-            raise ConfigError("cannot infer dimensions from an empty atom list")
-        n = len(np.asarray(atoms[0].position))
-        d = atoms[0].plane.d
-        pos = np.array([a.position for a in atoms], dtype=float)
-        planes = np.array([a.plane.projection for a in atoms], dtype=float)
-        m = np.array([a.mass for a in atoms], dtype=float)
-        return cls.from_arrays(pos, planes, m, d, tol=tol)
-
     def validate(self, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
         N = len(self)
         if self.positions.shape != (N, self.n):
@@ -226,14 +133,6 @@ class DiscreteVarifold:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def atom(self, i: int) -> Atom:
-        return Atom(self.positions[i],
-                    GrassmannElement(self.planes[i], self.d),
-                    float(self.masses[i]))
-
-    def __iter__(self) -> Iterator[Atom]:
-        return (self.atom(i) for i in range(len(self)))
-
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
@@ -250,24 +149,6 @@ class DiscreteVarifold:
         return DiscreteVarifold(self.n, self.d, pos, planes, self.masses)
 
 
-def total_mass(V: DiscreteVarifold) -> float:
-    """||V||(R^n), the sum of atom masses."""
-    return V.total_mass()
-
-
-def mass_integral(V: DiscreteVarifold, phi: "ScalarField", t: float = 0.0) -> float:
-    """integral of phi(., t) against the mass measure ||V||."""
-    vals = phi.value(V.positions, t)
-    return float(np.dot(V.masses, vals))
-
-
-def tangential_divergence(plane, jacobian) -> float:
-    """div_S X at a point: S : DX = trace(S DX^T) for symmetric S."""
-    P = plane.projection if isinstance(plane, GrassmannElement) else np.asarray(plane, float)
-    J = np.asarray(jacobian, dtype=float)
-    return float(np.sum(P * J))
-
-
 def first_variation(V: DiscreteVarifold, X: "VectorField") -> float:
     """delta V (X) = sum_i m_i S_i : DX(x_i).  Exact (no quadrature)."""
     if len(V) == 0:
@@ -275,19 +156,6 @@ def first_variation(V: DiscreteVarifold, X: "VectorField") -> float:
     J = X.jacobian(V.positions)
     div = np.einsum("aij,aij->a", V.planes, J)
     return float(np.dot(V.masses, div))
-
-
-def weighted_first_variation(V: DiscreteVarifold, phi: "ScalarField",
-                             X: "VectorField", t: float = 0.0) -> float:
-    """delta(V, phi)(X) = sum_i m_i [phi S_i:DX + grad(phi) . X] at time t."""
-    if len(V) == 0:
-        return 0.0
-    J = X.jacobian(V.positions)
-    div = np.einsum("aij,aij->a", V.planes, J)
-    vals = phi.value(V.positions, t)
-    grads = phi.grad(V.positions, t)
-    Xv = X.value(V.positions)
-    return float(np.dot(V.masses, vals * div + np.einsum("ai,ai->a", grads, Xv)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,16 @@ import numpy as np
 import pytest
 
 from varimcf.barriers import (BarrierFunction, avoidance_distance,
-                              barrier_defect, convex_hull_monitor,
+                              barrier_defects, convex_hull_monitor,
                               epsilon_barrier_certificate,
                               external_sphere_monitor, internal_sphere_monitor,
-                              lsc_monitor, technical_gap, technical_gaps)
+                              lsc_monitor, technical_gaps)
 from varimcf.errors import (ConfigError, GridMismatch, NonpositiveWeight,
                             PreconditionViolated, ZeroBarrier)
 from varimcf.flow import FlowConfig, run
 from varimcf.geometry import mesh_to_varifold, regular_polygon_mesh
 from varimcf.varifold import (DiscreteVarifold, ScalarField,
-                              grassmann_from_basis, projections_from_bases)
+                              projections_from_bases)
 
 
 @pytest.fixture(scope="module")
@@ -38,17 +38,25 @@ def circle_trace():
 
 
 def test_axiom_margin_by_exponent():
-    # (gamma')^2 <= 4 gamma gamma'' for the power profile means beta >= 4/3
-    assert BarrierFunction(np.zeros(2), 1.0, 4.0, 1).axiom_margin() >= -1e-12
-    assert BarrierFunction(np.zeros(2), 1.0, 2.5, 1).axiom_margin() >= -1e-12
-    boundary = BarrierFunction(np.zeros(2), 1.0, 4.0 / 3.0, 1).axiom_margin()
-    assert abs(boundary) <= 1e-12
-    assert BarrierFunction(np.zeros(2), 1.0, 1.0, 1).axiom_margin() <= -0.5
-
-
-def test_smoothness_flag():
-    assert BarrierFunction(np.zeros(2), 1.0, 4.0, 1).is_smooth()
-    assert not BarrierFunction(np.zeros(2), 1.0, 1.5, 1).is_smooth()
+    # for psi = gamma(|x|^2 + 2dt), gamma(r) = u^beta with u = R^2 - r, the
+    # defect is |S x|^2 beta (4 - 3 beta) u^(beta - 2): nonpositive exactly
+    # when beta >= 4/3, identically zero at the boundary
+    rng = np.random.default_rng(2)
+    K = 400
+    x = rng.uniform(-0.5, 0.5, (K, 2))
+    t = rng.uniform(0.0, 0.1, K)
+    P = projections_from_bases(list(rng.normal(size=(K, 1, 2))))
+    Sx = np.einsum("kij,kj->ki", P, x)
+    u = 1.0 - np.einsum("ki,ki->k", x, x) - 2.0 * t
+    for beta in (4.0, 2.5, 4.0 / 3.0, 1.0):
+        got = barrier_defects(BarrierFunction(np.zeros(2), 1.0, beta, 1), x, P, t)
+        want = np.einsum("ki,ki->k", Sx, Sx) * beta * (4.0 - 3.0 * beta) \
+            * u ** (beta - 2.0)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        if beta >= 4.0 / 3.0:
+            assert np.max(got) <= 1e-12
+        else:
+            assert np.max(got) >= 0.5
 
 
 @pytest.mark.parametrize("orientation", ["external", "internal"])
@@ -108,43 +116,55 @@ def test_barrier_config_rejections():
 # pointwise inequalities
 
 
+def gap(h, phi, grad, P):
+    """technical_gaps on one sample."""
+    return float(technical_gaps(np.asarray(h, float)[None], np.array([phi]),
+                                np.asarray(grad, float)[None], P[None])[0])
+
+
 def test_technical_gap_special_cases():
     rng = np.random.default_rng(3)
-    S = grassmann_from_basis(rng.normal(size=(2, 3)))
+    P = projections_from_bases([rng.normal(size=(2, 3))])[0]
     g = rng.normal(size=3)
     phi = 0.8
-    Sg = S.projection @ g
-    assert technical_gap(np.zeros(3), phi, g, S) == pytest.approx(
+    Sg = P @ g
+    assert gap(np.zeros(3), phi, g, P) == pytest.approx(
         0.25 * float(Sg @ Sg) / phi, abs=1e-12)
     h = rng.normal(size=3)
-    assert technical_gap(h, phi, np.zeros(3), S) == pytest.approx(
+    assert gap(h, phi, np.zeros(3), P) == pytest.approx(
         float(h @ h) * phi, abs=1e-12)
 
 
 def test_technical_gap_nonnegative_and_tight():
     rng = np.random.default_rng(4)
-    worst = math.inf
+    by_n = {}
     for _ in range(20_000):
         n = rng.integers(2, 5)
         d = rng.integers(1, n)
-        S = grassmann_from_basis(rng.normal(size=(d, n)))
+        B = rng.normal(size=(d, n))
         h = rng.normal(size=n) * rng.uniform(0.1, 3.0)
         g = rng.normal(size=n)
         phi = rng.uniform(1e-3, 2.0)
-        worst = min(worst, technical_gap(h, phi, g, S))
+        by_n.setdefault(int(n), []).append((h, g, phi, B))
+    worst = math.inf
+    for rows in by_n.values():
+        h, g, phi, bases = zip(*rows)
+        worst = min(worst, float(np.min(technical_gaps(
+            np.array(h), np.array(phi), np.array(g),
+            projections_from_bases(bases)))))
     assert worst >= -1e-12
     # equality at h = -(1/2) S grad / phi
-    S = grassmann_from_basis(rng.normal(size=(2, 3)))
+    P = projections_from_bases([rng.normal(size=(2, 3))])[0]
     g = rng.normal(size=3)
     phi = 0.7
-    h_eq = -0.5 * (S.projection @ g) / phi
-    assert technical_gap(h_eq, phi, g, S) == pytest.approx(0.0, abs=1e-12)
+    h_eq = -0.5 * (P @ g) / phi
+    assert gap(h_eq, phi, g, P) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_technical_gap_requires_positive_weight():
-    S = grassmann_from_basis(np.array([[1.0, 0.0]]))
+    P = projections_from_bases([np.array([[1.0, 0.0]])])[0]
     with pytest.raises(NonpositiveWeight):
-        technical_gap(np.zeros(2), 0.0, np.ones(2), S)
+        gap(np.zeros(2), 0.0, np.ones(2), P)
 
 
 def test_batched_gaps_match_the_scalar_formula():
@@ -166,54 +186,63 @@ def test_batched_gaps_match_the_scalar_formula():
 
 def test_defect_zero_at_center():
     psi = BarrierFunction(np.zeros(3), 1.0, 4.0, 2)
-    S = grassmann_from_basis(np.random.default_rng(5).normal(size=(2, 3)))
-    assert barrier_defect(psi, np.zeros(3), S, 0.05) == pytest.approx(0.0, abs=1e-12)
+    P = projections_from_bases([np.random.default_rng(5).normal(size=(2, 3))])
+    assert barrier_defects(psi, np.zeros((1, 3)), P, 0.05)[0] == pytest.approx(
+        0.0, abs=1e-12)
 
 
 def test_defect_nonpositive_for_valid_profile():
     rng = np.random.default_rng(6)
     psi = BarrierFunction(np.zeros(2), 1.0, 4.0, 1)
-    worst = -math.inf
+    pts, times, bases = [], [], []
     for _ in range(500):
         p = rng.uniform(-0.7, 0.7, size=2)
         t = rng.uniform(0.0, 0.2)
         if psi.value(p[None], t)[0] <= 1e-10:
             continue
-        S = grassmann_from_basis(rng.normal(size=(1, 2)))
-        worst = max(worst, barrier_defect(psi, p, S, t))
+        pts.append(p)
+        times.append(t)
+        bases.append(rng.normal(size=(1, 2)))
+    worst = np.max(barrier_defects(psi, np.array(pts),
+                                   projections_from_bases(bases),
+                                   np.array(times)))
     assert worst <= 1e-10
 
 
 def test_defect_positive_for_broken_profile():
     rng = np.random.default_rng(7)
     psi = BarrierFunction(np.zeros(2), 1.0, 1.0, 1)
-    best = -math.inf
+    pts, bases = [], []
     for _ in range(500):
         p = rng.uniform(-0.9, 0.9, size=2)
         if psi.value(p[None], 0.0)[0] <= 1e-10:
             continue
-        S = grassmann_from_basis(rng.normal(size=(1, 2)))
-        best = max(best, barrier_defect(psi, p, S, 0.0))
+        pts.append(p)
+        bases.append(rng.normal(size=(1, 2)))
+    best = np.max(barrier_defects(psi, np.array(pts),
+                                  projections_from_bases(bases), 0.0))
     assert best > 0.0
 
 
 def test_defect_nonpositive_internal_profile():
     rng = np.random.default_rng(8)
     psi = BarrierFunction(np.zeros(2), 0.5, 4.0, 1, orientation="internal")
-    worst = -math.inf
+    pts, bases = [], []
     for _ in range(300):
         d = rng.normal(size=2)
-        p = d / np.linalg.norm(d) * rng.uniform(0.6, 1.5)
-        S = grassmann_from_basis(rng.normal(size=(1, 2)))
-        worst = max(worst, barrier_defect(psi, p, S, 0.0))
+        pts.append(d / np.linalg.norm(d) * rng.uniform(0.6, 1.5))
+        bases.append(rng.normal(size=(1, 2)))
+    worst = np.max(barrier_defects(psi, np.array(pts),
+                                   projections_from_bases(bases), 0.0))
     assert worst <= 1e-10
 
 
 def test_defect_refuses_zero_weight():
     psi = BarrierFunction(np.zeros(2), 0.5, 4.0, 1)
-    S = grassmann_from_basis(np.array([[1.0, 0.0]]))
-    with pytest.raises(ZeroBarrier):
-        barrier_defect(psi, np.array([2.0, 0.0]), S, 0.0)
+    P = projections_from_bases([np.array([[1.0, 0.0]])] * 3)
+    inside = np.array([[0.1, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    with pytest.raises(ZeroBarrier, match="at row 1"):
+        barrier_defects(psi, inside, P, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +267,8 @@ def test_internal_monitor_circle_tracks_law(circle_trace):
 
 
 def test_interior_atom_stays_interior():
-    plane = grassmann_from_basis(np.array([[1.0, 0.0]]))
     V = DiscreteVarifold.from_arrays(np.array([[0.1, 0.0]]),
-                                     plane.projection, np.array([0.5]), d=1)
+                                     np.diag([1.0, 0.0]), np.array([0.5]), d=1)
     cfg = FlowConfig(eps=0.2, dt=5e-3, end_time=0.04, enforce_gate=False)
     tr = run(V, cfg)
     series = internal_sphere_monitor(tr, [0.0, 0.0], 1.0)
@@ -253,9 +281,8 @@ def test_hull_monitor_inward_flow(circle_trace):
 
 
 def test_hull_monitor_lone_atom():
-    plane = grassmann_from_basis(np.array([[1.0, 0.0]]))
     V = DiscreteVarifold.from_arrays(np.array([[0.3, 0.2]]),
-                                     plane.projection, np.array([1.0]), d=1)
+                                     np.diag([1.0, 0.0]), np.array([1.0]), d=1)
     cfg = FlowConfig(eps=0.2, dt=5e-3, end_time=0.02, enforce_gate=False)
     excess = convex_hull_monitor(run(V, cfg))
     assert np.max(excess) == 0.0

@@ -10,14 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varimcf.cli import (Settings, _cert_technical_lemma, _cert_volume_change,
-                         _load_table, _measure_header, _save_table,
-                         _write_trace, load_manifest, main)
+from varimcf.cli import (Settings, _cert_barrier_defect, _cert_technical_lemma,
+                         _cert_volume_change, _load_table, _measure_header,
+                         _save_table, _write_trace, load_manifest, main)
 from varimcf.errors import ConfigError
 from varimcf.flow import FlowConfig, FlowTrace, Snapshot, brakke_residual, sample
 from varimcf.geometry import icosphere_mesh, mesh_to_varifold
 from varimcf.varifold import (DiscreteVarifold, ScalarField,
-                              grassmann_from_basis)
+                              projections_from_bases)
 
 
 @pytest.fixture(scope="module")
@@ -333,8 +333,9 @@ def test_technical_lemma_consumes_the_stream_one_sample_at_a_time(run_dir):
         h = ref.normal(size=2)
         grad = ref.normal(size=2)
         phi = float(ref.uniform(0.05, 3.0))
-        S = grassmann_from_basis(ref.normal(size=(int(ref.integers(1, 2)), 2)))
-        Sg = S.projection @ grad
+        (P,) = projections_from_bases(
+            [ref.normal(size=(int(ref.integers(1, 2)), 2))])
+        Sg = P @ grad
         gap = (0.25 * float(Sg @ Sg) / phi + float(grad @ h)
                + float(h @ h) * phi - float((grad - Sg) @ h))
         worst = min(worst, gap)
@@ -342,6 +343,75 @@ def test_technical_lemma_consumes_the_stream_one_sample_at_a_time(run_dir):
     assert verdict.passed
     # the certificates after this one draw from where the loop left off
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_barrier_defect_consumes_the_stream_one_sample_at_a_time(run_dir):
+    _, manifest, traces = load_manifest(str(run_dir))
+    st = Settings()
+    rng = np.random.default_rng(5)
+    (verdict,) = _cert_barrier_defect(traces, st, manifest, rng)
+    # reference: the defect formula, one sample at a time
+    ref = np.random.default_rng(5)
+    d, n = 1, 2
+    c = np.asarray(st.barrier_center, dtype=float)
+    R2, beta = st.barrier_radius**2, st.barrier_exponent
+    worst = -np.inf
+    for t in np.linspace(0.0, 0.8 * R2 / (2.0 * d), 5):
+        live = (R2 - 2.0 * d * t) * 0.95
+        for _ in range(st.defect_samples // 5):
+            direction = ref.normal(size=n)
+            direction /= np.linalg.norm(direction)
+            x = c + np.sqrt(float(ref.uniform(0.0, live))) * direction
+            (P,) = projections_from_bases(
+                [ref.normal(size=(int(ref.integers(1, n)), n))])
+            # psi = u^beta with u = R^2 - |x - c|^2 - 2 d t
+            w = x - c
+            u = R2 - float(w @ w) - 2.0 * d * t
+            psi = u**beta
+            grad = -2.0 * beta * u ** (beta - 1.0) * w
+            hess = (4.0 * beta * (beta - 1.0) * u ** (beta - 2.0) * np.outer(w, w)
+                    - 2.0 * beta * u ** (beta - 1.0) * np.eye(n))
+            dpsi_dt = -2.0 * d * beta * u ** (beta - 1.0)
+            Sg = P @ grad
+            defect = (0.25 * float(Sg @ Sg) / psi
+                      - float(np.sum(P * hess)) + dpsi_dt)
+            worst = max(worst, defect)
+    assert verdict.measured == pytest.approx(worst, rel=1e-12)
+    assert verdict.passed
+    # the certificates after this one draw from where the loop left off
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def without(mapping: dict, key: str) -> dict:
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda man: without(man, "traces"), "'traces'"),
+    (lambda man: {**man, "traces": 5}, "'traces'"),
+    (lambda man: {**man, "traces": []}, "'traces'"),
+    (lambda man: without(man, "config"), "'config'"),
+    (lambda man: {**man, "config": {**man["config"], "bogus": 1}}, "'bogus'"),
+    (lambda man: {**man, "config": {**man["config"], "eps": "x"}}, "'eps'"),
+    (lambda man: {**man, "config": without(man["config"], "dt")}, "'dt'"),
+    (lambda man: {**man, "traces": [without(man["traces"][0],
+                                            "ambient_dimension")]},
+     "'ambient_dimension'"),
+    (lambda man: {**man, "seed": "x"}, "'seed'"),
+    (lambda man: [man], "JSON object"),
+], ids=["missing-traces", "traces-not-a-list", "no-traces", "missing-config",
+        "unknown-config-key", "eps-not-a-number", "missing-dt",
+        "missing-ambient_dimension", "seed-not-an-integer", "top-level-list"])
+def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
+                                              fragment):
+    broken = tmp_path / "malformed"
+    shutil.copytree(run_dir, broken)
+    (broken / "manifest.json").write_text(json.dumps(edit(manifest_of(broken))))
+    with pytest.raises(ConfigError, match=fragment):
+        load_manifest(str(broken))
+    for command in ("check", "volume"):
+        assert main([command, str(broken)]) == 2
+        assert fragment in capsys.readouterr().err
 
 
 def test_missing_frame_file_is_reported(run_dir, tmp_path):

@@ -8,9 +8,8 @@ import pytest
 
 from varimcf.cli import _load_table, _measure_header, _save_table
 from varimcf.errors import ConfigError, SolverFailure, SupportTooLarge
-from varimcf.flow import FlowConfig, run
-from varimcf.metrics import (BLResult, DiscreteMeasure, bounded_lipschitz,
-                             stability_certificate)
+from varimcf.flow import FlowConfig, run, sample
+from varimcf.metrics import BLResult, DiscreteMeasure, bounded_lipschitz
 from varimcf.varifold import DiscreteVarifold
 
 
@@ -183,12 +182,11 @@ def small_config(dt):
                       enforce_gate=False)
 
 
-def test_stability_identical_traces():
-    tr = run(polygon_circle(48), small_config(2e-3))
-    rep = stability_certificate(tr, tr, 0.02, constant=0.0)
-    assert rep.measured == pytest.approx(0.0, abs=1e-12)
-    assert rep.initial_distance == pytest.approx(0.0, abs=1e-12)
-    assert rep.passed
+def distance_at(trace_a, trace_b, t):
+    """Bounded-Lipschitz distance of the two flows' mass measures at t."""
+    mu, nu = (DiscreteMeasure.from_varifold(sample(tr, t, "piecewise"))
+              for tr in (trace_a, trace_b))
+    return bounded_lipschitz(mu, nu).distance
 
 
 def test_stability_distance_shrinks_with_step():
@@ -196,19 +194,10 @@ def test_stability_distance_shrinks_with_step():
     fine = run(V0, small_config(5e-4))
     mid = run(V0, small_config(2e-3))
     coarse = run(V0, small_config(4e-3))
-    d_coarse = stability_certificate(coarse, fine, 0.02).measured
-    d_mid = stability_certificate(mid, fine, 0.02).measured
+    d_coarse = distance_at(coarse, fine, 0.02)
+    d_mid = distance_at(mid, fine, 0.02)
     assert d_mid < d_coarse
     assert d_coarse < 0.05
-
-
-def test_stability_report_without_constant_has_no_verdict():
-    V0 = polygon_circle(48)
-    a = run(V0, small_config(2e-3))
-    b = run(V0, small_config(1e-3))
-    rep = stability_certificate(a, b, 0.02)
-    assert rep.passed is None and rep.bound is None
-    assert rep.step == pytest.approx(2e-3)
 
 
 def test_stability_jittered_start_stays_comparable():
@@ -217,18 +206,10 @@ def test_stability_jittered_start_stays_comparable():
     W0 = polygon_circle(48, jitter=1e-3 * rng.normal(size=(48, 2)))
     a = run(V0, small_config(2e-3))
     b = run(W0, small_config(2e-3))
-    rep = stability_certificate(a, b, 0.02)
-    assert rep.initial_distance > 0.0
+    initial = distance_at(a, b, 0.0)
+    assert initial > 0.0
     # fixed eps: the terminal distance stays a bounded multiple of the
     # initial one (the exponential in the bound is benign at this horizon)
-    assert rep.measured <= 10.0 * rep.initial_distance
+    assert distance_at(a, b, 0.02) <= 10.0 * initial
 
 
-def test_stability_requires_matching_eps():
-    V0 = polygon_circle(32)
-    a = run(V0, small_config(2e-3))
-    cfg = FlowConfig(eps=0.15, dt=2e-3, end_time=0.02, refinement=2,
-                     enforce_gate=False)
-    b = run(V0, cfg)
-    with pytest.raises(ConfigError):
-        stability_certificate(a, b, 0.02)

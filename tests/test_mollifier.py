@@ -11,13 +11,12 @@ from varimcf.mollifier import (Mollifier, QuadratureGrid, SpatialHash,
                                _field_sums, _integer_ball, _Lattice, _pack,
                                _within, curvature_with_jacobian, dissipation)
 from varimcf.varifold import (DiscreteVarifold, VectorField, first_variation,
-                              grassmann_from_basis)
+                              projections_from_bases)
 
 
 def random_varifold(rng, N, n=2, d=1, box=1.0):
     pos = rng.uniform(-box, box, (N, n))
-    planes = np.array([grassmann_from_basis(rng.normal(size=(d, n))).projection
-                       for _ in range(N)])
+    planes = projections_from_bases([rng.normal(size=(d, n)) for _ in range(N)])
     return DiscreteVarifold.from_arrays(pos, planes,
                                         rng.uniform(0.5, 1.5, N), d=d)
 
@@ -320,8 +319,7 @@ def test_lattice_lookup_finds_exactly_the_nodes_within_the_support(n, d):
 
 
 def test_lone_atom_has_zero_curvature():
-    S = grassmann_from_basis([[1.0, 0.0]])
-    V = DiscreteVarifold.from_arrays([[0.25, -0.4]], S.projection[None],
+    V = DiscreteVarifold.from_arrays([[0.25, -0.4]], np.diag([1.0, 0.0]),
                                      [1.0], d=1)
     kern = Mollifier(0.2, 2)
     grid = QuadratureGrid.for_kernel(kern, 4)

@@ -8,12 +8,10 @@ import pytest
 
 from varimcf.cli import _write_trace, load_trace
 from varimcf.errors import ConfigError, DegenerateBasis, NonpositiveWeight
-from varimcf.flow import FlowConfig, FlowTrace, Snapshot, pushforward
-from varimcf.varifold import (Atom, DiscreteVarifold, GrassmannElement,
-                              ScalarField, VectorField, first_variation,
-                              grassmann_from_basis, mass_integral,
-                              projections_from_bases, tangential_divergence, total_mass,
-                              weighted_first_variation)
+from varimcf.flow import (FlowConfig, FlowTrace, Snapshot, _weighted_fv_arrays,
+                          pushforward)
+from varimcf.varifold import (DiscreteVarifold, ScalarField, VectorField,
+                              first_variation, projections_from_bases)
 
 
 def gram_schmidt_projector(rows: np.ndarray) -> np.ndarray:
@@ -29,8 +27,7 @@ def gram_schmidt_projector(rows: np.ndarray) -> np.ndarray:
 
 def random_varifold(rng, N, n=2, d=1):
     pos = rng.uniform(-1.0, 1.0, (N, n))
-    planes = np.array([grassmann_from_basis(rng.normal(size=(d, n))).projection
-                       for _ in range(N)])
+    planes = projections_from_bases([rng.normal(size=(d, n)) for _ in range(N)])
     return DiscreteVarifold.from_arrays(pos, planes,
                                         rng.uniform(0.5, 1.5, N), d=d)
 
@@ -55,33 +52,22 @@ def test_plane_from_basis_matches_gram_schmidt(n, d):
     rng = np.random.default_rng(10 * n + d)
     for _ in range(20):
         rows = rng.normal(size=(d, n))
-        S = grassmann_from_basis(rows)
-        assert np.allclose(S.projection, gram_schmidt_projector(rows),
-                           atol=1e-12)
-        S.validate()
+        P = projections_from_bases([rows])
+        assert np.allclose(P[0], gram_schmidt_projector(rows), atol=1e-12)
+        DiscreteVarifold.from_arrays(np.zeros((1, n)), P, [1.0], d=d)
 
 
 def test_plane_independent_of_spanning_set():
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(2, 3))
     mixed = np.array([3.0 * rows[0], rows[1] - 0.7 * rows[0]])
-    a = grassmann_from_basis(rows).projection
-    b = grassmann_from_basis(mixed).projection
+    a, b = projections_from_bases([rows, mixed])
     assert np.allclose(a, b, atol=1e-12)
-
-
-def test_plane_basis_returns_orthonormal_spanning_rows():
-    rng = np.random.default_rng(4)
-    S = grassmann_from_basis(rng.normal(size=(2, 3)))
-    B = S.basis()
-    assert np.allclose(B @ B.T, np.eye(2), atol=1e-12)
-    assert np.allclose(B.T @ B, S.projection, atol=1e-12)
-    assert np.allclose(S.projection + S.perp(), np.eye(3), atol=1e-12)
 
 
 def test_degenerate_basis_rejected():
     with pytest.raises(DegenerateBasis):
-        grassmann_from_basis(np.array([[1.0, 0.0], [2.0, 0.0]]))
+        projections_from_bases([np.array([[1.0, 0.0], [2.0, 0.0]])])
 
 
 def test_batched_planes_match_one_at_a_time():
@@ -90,7 +76,7 @@ def test_batched_planes_match_one_at_a_time():
     P = projections_from_bases(bases)
     assert P.shape == (200, 3, 3)
     for k, rows in enumerate(bases):
-        assert np.allclose(P[k], grassmann_from_basis(rows).projection,
+        assert np.allclose(P[k], projections_from_bases([rows])[0],
                            rtol=0.0, atol=1e-14)
 
 
@@ -104,12 +90,14 @@ def test_batched_planes_name_the_first_degenerate_basis():
 
 
 def test_projection_validation_rejects_junk():
-    with pytest.raises(ConfigError):
-        GrassmannElement.from_projection(np.array([[1.0, 0.3], [0.0, 0.0]]))
-    with pytest.raises(ConfigError):
-        GrassmannElement.from_projection(0.5 * np.eye(2), d=1)
-    with pytest.raises(ConfigError):
-        GrassmannElement.from_projection(np.eye(2), d=1)
+    def plane(P, d):
+        return DiscreteVarifold.from_arrays([[0.0, 0.0]], P, [1.0], d=d)
+    with pytest.raises(ConfigError, match="not symmetric"):
+        plane(np.array([[1.0, 0.3], [0.0, 0.0]]), 1)
+    with pytest.raises(ConfigError, match="not idempotent"):
+        plane(0.5 * np.eye(2), 1)
+    with pytest.raises(ConfigError, match="wrong rank"):
+        plane(np.eye(2), 1)
 
 
 def test_varifold_validation():
@@ -118,17 +106,6 @@ def test_varifold_validation():
         DiscreteVarifold.from_arrays([[0.0, 0.0]], P, [0.0], d=2)
     with pytest.raises(ConfigError):
         DiscreteVarifold.from_arrays([[0.0, 0.0]], 0.5 * P, [1.0], d=1)
-
-
-def test_atoms_round_trip():
-    S = grassmann_from_basis([[1.0, 0.0]])
-    V = DiscreteVarifold.from_atoms([Atom(np.array([1.0, 2.0]), S, 0.5),
-                                     Atom(np.array([0.0, -1.0]), S, 1.5)])
-    assert total_mass(V) == 2.0
-    back = V.atom(1)
-    assert np.allclose(back.position, [0.0, -1.0])
-    assert back.mass == 1.5
-    assert [a.mass for a in V] == [0.5, 1.5]
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +166,20 @@ def test_first_variation_rotation_invariant():
 
 
 def test_tangential_divergence_axis_plane():
-    S = grassmann_from_basis([[1.0, 0.0]])
+    # one unit atom: delta V (X) is div_S X = S : DX at the atom
     A = np.array([[2.0, 3.0], [4.0, 5.0]])
-    assert tangential_divergence(S, A) == 2.0
-    full = GrassmannElement.from_projection(np.eye(2), d=2)
-    assert tangential_divergence(full, A) == 7.0
+    X = VectorField.linear(A)
+    line = DiscreteVarifold.from_arrays([[0.3, -0.2]], np.diag([1.0, 0.0]),
+                                        [1.0], d=1)
+    assert first_variation(line, X) == 2.0
+    full = DiscreteVarifold.from_arrays([[0.3, -0.2]], np.eye(2), [1.0], d=2)
+    assert first_variation(full, X) == 7.0
+
+
+def weighted_first_variation(V, phi, X, t=0.0):
+    """delta(V, phi)(X) through the flow's path, with X's arrays at the atoms."""
+    return _weighted_fv_arrays(V, phi, t, X.value(V.positions),
+                               X.jacobian(V.positions))
 
 
 def test_weighted_first_variation_constant_weight_reduces():
@@ -205,6 +191,11 @@ def test_weighted_first_variation_constant_weight_reduces():
         2.5 * first_variation(V, X), rel=1e-12)
 
 
+def weighted_mass(V, phi):
+    """integral of phi(., 0) against ||V||."""
+    return float(np.dot(V.masses, phi.value(V.positions, 0.0)))
+
+
 def test_weighted_first_variation_is_weighted_mass_derivative():
     # oracle: delta(V, phi)(X) = d/ds integral phi d|| (id + sX)_# V || at 0
     rng = np.random.default_rng(14)
@@ -212,18 +203,10 @@ def test_weighted_first_variation_is_weighted_mass_derivative():
     phi = ScalarField.bump(np.array([0.2, -0.1]), 2.5, 1.3)
     X = VectorField.linear(rng.normal(size=(2, 2)), rng.normal(size=2))
     s = 1e-5
-    fd = (mass_integral(push_along(V, X, s), phi)
-          - mass_integral(push_along(V, X, -s), phi)) / (2.0 * s)
+    fd = (weighted_mass(push_along(V, X, s), phi)
+          - weighted_mass(push_along(V, X, -s), phi)) / (2.0 * s)
     exact = weighted_first_variation(V, phi, X)
     assert exact == pytest.approx(fd, abs=1e-5 * (1.0 + abs(exact)))
-
-
-def test_mass_integral_is_weighted_atom_sum():
-    rng = np.random.default_rng(15)
-    V = random_varifold(rng, 6, n=2, d=1)
-    phi = ScalarField.bump(np.zeros(2), 3.0, 2.0)
-    manual = float(np.sum(V.masses * phi.value(V.positions, 0.0)))
-    assert mass_integral(V, phi) == pytest.approx(manual, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
