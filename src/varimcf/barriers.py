@@ -210,37 +210,33 @@ class SphereMonitorSeries:
         return float(np.max(self.values)) if len(self.values) else 0.0
 
 
-def _shrinking_radii(trace: FlowTrace, R: float, d: int):
-    times = trace.times
-    r2 = R**2 - 2.0 * d * times
+def _sphere_series(trace: FlowTrace, center, R: float,
+                   reading) -> SphereMonitorSeries:
+    """reading(distances to center, masses, radius) at each snapshot while
+    the shrinking radius sqrt(R^2 - 2dt) is real."""
+    center = np.asarray(center, dtype=float)
+    d = trace.snapshots[0].varifold.d
+    r2 = R**2 - 2.0 * d * trace.times
     live = r2 > 0.0
-    return times[live], np.sqrt(r2[live]), live
+    radii = np.sqrt(r2[live])
+    vals = []
+    for snap, r in zip([s for s, ok in zip(trace.snapshots, live) if ok], radii):
+        V = snap.varifold
+        vals.append(reading(np.linalg.norm(V.positions - center, axis=1),
+                            V.masses, r))
+    return SphereMonitorSeries(trace.times[live], radii, np.array(vals))
 
 
 def external_sphere_monitor(trace: FlowTrace, center, R: float) -> SphereMonitorSeries:
     """Mass found inside the shrinking ball; zero for exact avoidance."""
-    center = np.asarray(center, dtype=float)
-    d = trace.snapshots[0].varifold.d
-    times, radii, live = _shrinking_radii(trace, R, d)
-    vals = []
-    for snap, r in zip([s for s, ok in zip(trace.snapshots, live) if ok], radii):
-        V = snap.varifold
-        dist = np.linalg.norm(V.positions - center, axis=1)
-        vals.append(float(V.masses[dist < r].sum()))
-    return SphereMonitorSeries(times, radii, np.array(vals))
+    return _sphere_series(trace, center, R,
+                          lambda dist, m, r: float(m[dist < r].sum()))
 
 
 def internal_sphere_monitor(trace: FlowTrace, center, R: float) -> SphereMonitorSeries:
     """How far the support protrudes beyond the shrinking ball (<= 0 is inside)."""
-    center = np.asarray(center, dtype=float)
-    d = trace.snapshots[0].varifold.d
-    times, radii, live = _shrinking_radii(trace, R, d)
-    vals = []
-    for snap, r in zip([s for s, ok in zip(trace.snapshots, live) if ok], radii):
-        V = snap.varifold
-        dist = np.linalg.norm(V.positions - center, axis=1)
-        vals.append(float(np.max(dist) - r))
-    return SphereMonitorSeries(times, radii, np.array(vals))
+    return _sphere_series(trace, center, R,
+                          lambda dist, m, r: float(np.max(dist) - r))
 
 
 def _degenerate_hull_distance(points: np.ndarray,
@@ -332,7 +328,6 @@ class EpsBarrierReport:
     mass_bound: float
     bound: float                # norm_constant * (10M + 9) * eps^(1/6)
     max_increase: float
-    passed: bool
     notes: tuple[str, ...] = ()
 
 
@@ -404,8 +399,7 @@ def epsilon_barrier_certificate(trace: FlowTrace, psi: BarrierFunction,
     for w in weighted:
         running_min = min(running_min, w)
         worst = max(worst, w - running_min)
-    return EpsBarrierReport(eps, step, c, M, bound, worst, worst <= bound,
-                            tuple(notes))
+    return EpsBarrierReport(eps, step, c, M, bound, worst, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -413,7 +407,6 @@ class LscReport:
     constant: float         # C = sup |hess psi| * initial mass
     slack: float            # allowed per-step uptick
     max_uptick: float
-    passed: bool
 
 
 def lsc_monitor(trace: FlowTrace, psi: ScalarField,
@@ -439,4 +432,4 @@ def lsc_monitor(trace: FlowTrace, psi: ScalarField,
                      - constant * s.time for s in trace.snapshots])
     upticks = np.diff(vals)
     worst = float(np.max(upticks)) if len(upticks) else 0.0
-    return LscReport(constant, slack, worst, worst <= slack)
+    return LscReport(constant, slack, worst)

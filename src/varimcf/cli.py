@@ -168,24 +168,11 @@ def load_settings(config_path: str | None, args: argparse.Namespace) -> Settings
                 except (ValueError, TypeError) as e:
                     raise ConfigError(f"[{section}] {key}: bad value {raw!r} "
                                       f"({e})") from None
-    for attr in ("preset", "out", "seed", "eps", "dt", "end_time",
-                 "support_cap", "samples", "radius", "center",
-                 "certificates"):
-        val = getattr(args, attr, None)
-        if val is None:
-            continue
-        if attr == "support_cap":
-            st.lp_support_cap = val
-        elif attr == "samples":
-            st.mc_samples = val
-        elif attr == "radius":
-            st.ball_radius = val
-        elif attr == "center":
-            st.ball_center = _parse_vector(val)
-        elif attr == "certificates":
-            st.certificates = _parse_cert_list(val)
-        else:
-            setattr(st, attr, val)
+    # each flag stores its value under the name of the field it sets
+    for field in dataclasses.fields(Settings):
+        val = getattr(args, field.name, None)
+        if val is not None:
+            setattr(st, field.name, val)
     # a sweep over no samples would grade nothing and report an infinite
     # or undefined value
     for attr in ("mc_samples", "technical_samples", "defect_samples"):
@@ -275,7 +262,6 @@ def _write_trace(outdir: Path, name: str, trace) -> dict:
         "mesh_frames": mesh_frames or None,
         "simplices": None,
         "times": [float(t) for t in trace.times],
-        "masses": [float(m) for m in trace.masses],
         "curvature_max": [s.curvature_max for s in trace.snapshots],
         "dissipation": [s.dissipation for s in trace.snapshots],
         "step_delta": [s.step_delta for s in trace.snapshots],
@@ -393,7 +379,10 @@ def load_manifest(path: str):
         raise ConfigError(f"{p}: 'seed' must be an integer")
     traces = {}
     for record in manifest["traces"]:
-        traces[record["name"]] = load_trace(manifest, p.parent, record)
+        trace = load_trace(manifest, p.parent, record)
+        if record["name"] in traces:
+            raise ConfigError(f"{p}: trace name {record['name']!r} is repeated")
+        traces[record["name"]] = trace
     return p, manifest, traces
 
 
@@ -414,16 +403,6 @@ class Verdict:
     passed: bool
     details: dict
 
-    def as_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["passed"] = bool(self.passed)
-        return out
-
-
-def _fail_verdict(name: str, trace: str, statement: str, exc: Exception) -> Verdict:
-    return Verdict(name, trace, statement, None, None, "<=", False,
-                   {"error": f"{type(exc).__name__}: {exc}"})
-
 
 # precondition errors that fail one verdict instead of the whole check
 _SOFT_ERRORS = (PreconditionViolated, BallNotInterior, ZeroBarrier,
@@ -431,62 +410,88 @@ _SOFT_ERRORS = (PreconditionViolated, BallNotInterior, ZeroBarrier,
                 SolverFailure, MassBoundExceeded, GateViolated)
 
 
-def _center(st_vec, n: int, what: str):
+def _verdict(name: str, trace: str, statement: str, grade, *args) -> Verdict:
+    """The verdict of grade(*args) -> (measured, relation, bound, details).
+
+    It passes when `measured relation bound` holds.  A precondition error
+    fails this verdict alone, with no measured value or bound.
+    """
+    try:
+        measured, relation, bound, details = grade(*args)
+    except _SOFT_ERRORS as e:
+        return Verdict(name, trace, statement, None, None, "<=", False,
+                       {"error": f"{type(e).__name__}: {e}"})
+    passed = measured <= bound if relation == "<=" else measured >= bound
+    return Verdict(name, trace, statement, measured, bound, relation,
+                   bool(passed), details)
+
+
+def _per_trace(name: str, statement: str, meshes: bool = False):
+    """Make grade(trace, st, manifest) a certificate with one verdict per
+    trace; with `meshes`, per trace that tracked a boundary mesh, of which
+    the run must have at least one."""
+    def wrap(grade):
+        def certificate(traces, st, manifest, rng):
+            if meshes:
+                traces = {k: tr for k, tr in traces.items()
+                          if tr.mesh_simplices is not None}
+                if not traces:
+                    raise ConfigError(f"{name} needs a run that tracked a mesh")
+            return [_verdict(name, k, statement, grade, tr, st, manifest)
+                    for k, tr in traces.items()]
+        return certificate
+    return wrap
+
+
+def _center(st, what: str, tr):
+    """The point the setting `what` names, which must lie in the run's R^n."""
     import numpy as np
-    c = np.asarray(st_vec, dtype=float)
+    c = np.asarray(getattr(st, what), dtype=float)
+    n = tr.snapshots[0].varifold.n
     if c.shape != (n,):
         raise ConfigError(f"{what} has dimension {len(c)}, run is in R^{n}")
     return c
 
 
-def _cert_mass_decay(traces, st, manifest, rng):
-    out = []
-    stmt = ("every recorded step raises total mass by at most the step "
-            "length, up to roundoff")
-    for name, tr in traces.items():
-        t, m = tr.times, tr.masses
-        if len(t) < 2:
-            out.append(Verdict("mass-decay", name, stmt, 0.0, 0.0, "<=",
-                               True, {"steps": 0}))
-            continue
-        excess = [float(m[i + 1] - m[i] - (t[i + 1] - t[i]))
-                  for i in range(len(t) - 1)]
-        worst = max(range(len(excess)), key=lambda i: excess[i])
-        tol = 1e-9 * (1.0 + float(m[0]))
-        out.append(Verdict("mass-decay", name, stmt, excess[worst], tol, "<=",
-                           excess[worst] <= tol,
-                           {"worst_step": worst, "steps": len(excess)}))
-    return out
+def _barrier(st, tr):
+    """The external comparison weight the settings describe, for the run."""
+    from .barriers import BarrierFunction
+    return BarrierFunction(center=_center(st, "barrier_center", tr),
+                           radius=st.barrier_radius, beta=st.barrier_exponent,
+                           d=tr.snapshots[0].varifold.d, orientation="external")
 
 
-def _cert_dissipation_budget(traces, st, manifest, rng):
+@_per_trace("mass-decay", "every recorded step raises total mass by at most "
+            "the step length, up to roundoff")
+def _cert_mass_decay(tr, st, manifest):
+    t, m = tr.times, tr.masses
+    if len(t) < 2:
+        return 0.0, "<=", 0.0, {"steps": 0}
+    excess = [float(m[i + 1] - m[i] - (t[i + 1] - t[i]))
+              for i in range(len(t) - 1)]
+    worst = max(range(len(excess)), key=lambda i: excess[i])
+    return (excess[worst], "<=", 1e-9 * (1.0 + float(m[0])),
+            {"worst_step": worst, "steps": len(excess)})
+
+
+@_per_trace("dissipation-budget", "the time-integrated dissipation accounts "
+            "for the recorded drop in total mass")
+def _cert_dissipation_budget(tr, st, manifest):
     from .flow import dissipation_budget
-    out = []
-    stmt = ("the time-integrated dissipation accounts for the recorded "
-            "drop in total mass")
-    for name, tr in traces.items():
-        if len(tr.times) < 2:
-            out.append(Verdict("dissipation-budget", name, stmt, 0.0, 0.0,
-                               "<=", True, {"steps": 0}))
-            continue
-        budget = dissipation_budget(tr)
-        drop = float(tr.masses[0] - tr.masses[-1])
-        measured = abs(budget - drop)
-        bound = st.budget_rtol * max(drop, 1e-9)
-        out.append(Verdict("dissipation-budget", name, stmt, measured, bound,
-                           "<=", measured <= bound,
-                           {"budget": budget, "mass_drop": drop}))
-    return out
+    if len(tr.times) < 2:
+        return 0.0, "<=", 0.0, {"steps": 0}
+    budget = dissipation_budget(tr)
+    drop = float(tr.masses[0] - tr.masses[-1])
+    return (abs(budget - drop), "<=", st.budget_rtol * max(drop, 1e-9),
+            {"budget": budget, "mass_drop": drop})
 
 
-def _cert_technical_lemma(traces, st, manifest, rng):
+def _technical_lemma(traces, st, rng):
     import numpy as np
 
     from .barriers import technical_gaps
     from .varifold import projections_from_bases
 
-    stmt = ("the completed-square inequality linking curvature, a positive "
-            "weight and its gradient holds on random samples")
     n = next(iter(traces.values())).snapshots[0].varifold.n
     m = st.technical_samples
     h, grad = np.empty((m, n)), np.empty((m, n))
@@ -502,24 +507,25 @@ def _cert_technical_lemma(traces, st, manifest, rng):
         bases.append(rng.normal(size=(dd, n)))
     worst = float(np.min(technical_gaps(h, phi, grad,
                                         projections_from_bases(bases))))
-    return [Verdict("technical-lemma", "-", stmt, worst, -1e-12, ">=",
-                    worst >= -1e-12, {"samples": m})]
+    return worst, ">=", -1e-12, {"samples": m}
 
 
-def _cert_barrier_defect(traces, st, manifest, rng):
+def _cert_technical_lemma(traces, st, manifest, rng):
+    return [_verdict("technical-lemma", "-", "the completed-square "
+                     "inequality linking curvature, a positive weight and its "
+                     "gradient holds on random samples",
+                     _technical_lemma, traces, st, rng)]
+
+
+def _barrier_defect(traces, st, rng):
     import numpy as np
 
-    from .barriers import BarrierFunction, barrier_defects
+    from .barriers import barrier_defects
     from .varifold import projections_from_bases
 
-    stmt = ("the radial comparison weight has nonpositive flow defect "
-            "throughout its support window")
     tr = next(iter(traces.values()))
-    n = tr.snapshots[0].varifold.n
-    d = tr.snapshots[0].varifold.d
-    psi = BarrierFunction(center=_center(st.barrier_center, n, "barrier_center"),
-                          radius=st.barrier_radius, beta=st.barrier_exponent,
-                          d=d, orientation="external")
+    psi = _barrier(st, tr)
+    n, d = psi.n, psi.d
     R2 = st.barrier_radius**2
     horizon = 0.8 * R2 / (2.0 * d)
     times = np.linspace(0.0, horizon, 5)
@@ -539,198 +545,120 @@ def _cert_barrier_defect(traces, st, manifest, rng):
     worst = float(np.max(barrier_defects(psi, np.array(x),
                                          projections_from_bases(bases),
                                          np.repeat(times, per_t))))
-    return [Verdict("barrier-defect", "-", stmt, worst, 1e-10, "<=",
-                    worst <= 1e-10, {"samples": st.defect_samples,
-                                     "exponent": st.barrier_exponent})]
+    return (worst, "<=", 1e-10, {"samples": st.defect_samples,
+                                 "exponent": st.barrier_exponent})
 
 
-def _cert_eps_sphere_barrier(traces, st, manifest, rng):
-    from .barriers import BarrierFunction, epsilon_barrier_certificate
-    out = []
-    stmt = ("mass weighted by the guarded-ball barrier increases by at most "
-            "the smoothing-scale allowance")
-    for name, tr in traces.items():
-        n = tr.snapshots[0].varifold.n
-        d = tr.snapshots[0].varifold.d
-        psi = BarrierFunction(
-            center=_center(st.barrier_center, n, "barrier_center"),
-            radius=st.barrier_radius, beta=st.barrier_exponent,
-            d=d, orientation="external")
-        try:
-            rep = epsilon_barrier_certificate(
-                tr, psi, c5_cfg=st.certificate_step_constant,
-                scale_ceiling=st.scale_ceiling)
-        except _SOFT_ERRORS as e:
-            out.append(_fail_verdict("eps-sphere-barrier", name, stmt, e))
-            continue
-        out.append(Verdict("eps-sphere-barrier", name, stmt,
-                           rep.max_increase, rep.bound, "<=", rep.passed,
-                           {"norm_constant": rep.norm_constant,
-                            "notes": list(rep.notes)}))
-    return out
+def _cert_barrier_defect(traces, st, manifest, rng):
+    return [_verdict("barrier-defect", "-", "the radial comparison weight has "
+                     "nonpositive flow defect throughout its support window",
+                     _barrier_defect, traces, st, rng)]
 
 
-def _cert_external_sphere(traces, st, manifest, rng):
+@_per_trace("eps-sphere-barrier", "mass weighted by the guarded-ball barrier "
+            "increases by at most the smoothing-scale allowance")
+def _cert_eps_sphere_barrier(tr, st, manifest):
+    from .barriers import epsilon_barrier_certificate
+    rep = epsilon_barrier_certificate(
+        tr, _barrier(st, tr), c5_cfg=st.certificate_step_constant,
+        scale_ceiling=st.scale_ceiling)
+    return (rep.max_increase, "<=", rep.bound,
+            {"norm_constant": rep.norm_constant, "notes": list(rep.notes)})
+
+
+@_per_trace("external-sphere", "no mass enters the shrinking comparison ball")
+def _cert_external_sphere(tr, st, manifest):
     from .barriers import external_sphere_monitor
-    out = []
-    stmt = "no mass enters the shrinking comparison ball"
-    for name, tr in traces.items():
-        n = tr.snapshots[0].varifold.n
-        c = _center(st.ball_center, n, "ball_center")
-        try:
-            series = external_sphere_monitor(tr, c, st.ball_radius)
-        except _SOFT_ERRORS as e:
-            out.append(_fail_verdict("external-sphere", name, stmt, e))
-            continue
-        tol = 1e-9 * (1.0 + tr.masses[0])
-        out.append(Verdict("external-sphere", name, stmt, series.peak(), tol,
-                           "<=", series.peak() <= tol,
-                           {"window_end": float(series.times[-1])}))
-    return out
+    c = _center(st, "ball_center", tr)
+    series = external_sphere_monitor(tr, c, st.ball_radius)
+    return (series.peak(), "<=", 1e-9 * (1.0 + tr.masses[0]),
+            {"window_end": float(series.times[-1])})
 
 
-def _cert_internal_sphere(traces, st, manifest, rng):
+@_per_trace("internal-sphere", "the support stays inside the shrinking "
+            "comparison ball, up to a smoothing-scale slack")
+def _cert_internal_sphere(tr, st, manifest):
     from .barriers import internal_sphere_monitor
-    out = []
-    stmt = ("the support stays inside the shrinking comparison ball, up to "
-            "a smoothing-scale slack")
-    for name, tr in traces.items():
-        n = tr.snapshots[0].varifold.n
-        c = _center(st.ball_center, n, "ball_center")
-        try:
-            series = internal_sphere_monitor(tr, c, st.enclosing_radius)
-        except _SOFT_ERRORS as e:
-            out.append(_fail_verdict("internal-sphere", name, stmt, e))
-            continue
-        slack = st.slack_factor * tr.config.eps
-        out.append(Verdict("internal-sphere", name, stmt, series.peak(),
-                           slack, "<=", series.peak() <= slack,
-                           {"window_end": float(series.times[-1])}))
-    return out
+    c = _center(st, "ball_center", tr)
+    series = internal_sphere_monitor(tr, c, st.enclosing_radius)
+    return (series.peak(), "<=", st.slack_factor * tr.config.eps,
+            {"window_end": float(series.times[-1])})
 
 
-def _cert_convex_hull(traces, st, manifest, rng):
+@_per_trace("convex-hull", "the support never leaves the convex hull of the "
+            "initial support")
+def _cert_convex_hull(tr, st, manifest):
     from .barriers import convex_hull_monitor
-    out = []
-    stmt = "the support never leaves the convex hull of the initial support"
-    for name, tr in traces.items():
-        try:
-            series = convex_hull_monitor(tr)
-        except _SOFT_ERRORS as e:
-            out.append(_fail_verdict("convex-hull", name, stmt, e))
-            continue
-        peak = float(max(series))
-        out.append(Verdict("convex-hull", name, stmt, peak, 1e-8, "<=",
-                           peak <= 1e-8, {"snapshots": len(series)}))
-    return out
+    series = convex_hull_monitor(tr)
+    return float(max(series)), "<=", 1e-8, {"snapshots": len(series)}
 
 
-def _cert_avoidance(traces, st, manifest, rng):
+def _avoidance(ta, tb, st):
     import numpy as np
 
     from .barriers import avoidance_distance
-    stmt = ("the gap between the two flows never drops below its running "
-            "peak by more than the smoothing slack")
+    gaps = avoidance_distance(ta, tb)
+    running = np.maximum.accumulate(gaps)
+    return (float(np.max(running - gaps)), "<=", st.slack_factor * ta.config.eps,
+            {"initial_gap": float(gaps[0]), "final_gap": float(gaps[-1])})
+
+
+def _cert_avoidance(traces, st, manifest, rng):
     if len(traces) != 2:
         raise ConfigError("avoidance needs a run with exactly two flows "
                           f"(manifest has {len(traces)})")
     (na, ta), (nb, tb) = traces.items()
-    try:
-        gaps = avoidance_distance(ta, tb)
-    except _SOFT_ERRORS as e:
-        return [_fail_verdict("avoidance", f"{na}+{nb}", stmt, e)]
-    running = np.maximum.accumulate(gaps)
-    measured = float(np.max(running - gaps))
-    slack = st.slack_factor * ta.config.eps
-    return [Verdict("avoidance", f"{na}+{nb}", stmt, measured, slack, "<=",
-                    measured <= slack,
-                    {"initial_gap": float(gaps[0]),
-                     "final_gap": float(gaps[-1])})]
+    return [_verdict("avoidance", f"{na}+{nb}", "the gap between the two flows "
+                     "never drops below its running peak by more than the "
+                     "smoothing slack", _avoidance, ta, tb, st)]
 
 
-def _cert_lsc(traces, st, manifest, rng):
+@_per_trace("lsc", "weighted mass, after subtracting the hessian-rate ramp, "
+            "is nonincreasing up to per-step slack")
+def _cert_lsc(tr, st, manifest):
     from .barriers import lsc_monitor
     from .varifold import ScalarField
-    out = []
-    stmt = ("weighted mass, after subtracting the hessian-rate ramp, is "
-            "nonincreasing up to per-step slack")
-    for name, tr in traces.items():
-        n = tr.snapshots[0].varifold.n
-        bump = ScalarField.bump(_center(st.weight_center, n, "weight_center"),
-                                st.weight_width, 1.0)
-        try:
-            rep = lsc_monitor(tr, bump)
-        except _SOFT_ERRORS as e:
-            out.append(_fail_verdict("lsc", name, stmt, e))
-            continue
-        out.append(Verdict("lsc", name, stmt, rep.max_uptick, rep.slack, "<=",
-                           rep.passed, {"ramp_constant": rep.constant}))
-    return out
+    bump = ScalarField.bump(_center(st, "weight_center", tr),
+                            st.weight_width, 1.0)
+    rep = lsc_monitor(tr, bump)
+    return rep.max_uptick, "<=", rep.slack, {"ramp_constant": rep.constant}
 
 
-def _cert_volume_change(traces, st, manifest, rng):
+@_per_trace("volume-change", "per-step change of enclosed volume inside the "
+            "window stays within the perturbation bound (plus Monte Carlo "
+            "error in 3-D; the 2-D area is exact)", meshes=True)
+def _cert_volume_change(tr, st, manifest):
     from .geometry import volume_change_series
-    out = []
-    stmt = ("per-step change of enclosed volume inside the window stays "
-            "within the perturbation bound (plus Monte Carlo error in 3-D; "
-            "the 2-D area is exact)")
-    seed = int(manifest.get("seed", 0))
-    any_mesh = False
-    for name, tr in traces.items():
-        if tr.mesh_simplices is None:
-            continue
-        any_mesh = True
-        n = tr.snapshots[0].varifold.n
-        c = _center(st.ball_center, n, "ball_center")
-        try:
-            reports = volume_change_series(tr, c, st.ball_radius,
-                                           samples=st.mc_samples, seed=seed)
-        except _SOFT_ERRORS as e:
-            out.append(_fail_verdict("volume-change", name, stmt, e))
-            continue
-        margins = [r.measured - (r.bound + 3.0 * r.standard_error)
-                   for r in reports]
-        worst = max(range(len(margins)), key=lambda i: margins[i])
-        r = reports[worst]
-        details = {"steps": len(reports), "worst_step": worst,
-                   "method": r.method}
-        if r.method == "monte-carlo":
-            details["samples"] = r.samples
-        out.append(Verdict("volume-change", name, stmt, r.measured,
-                           r.bound + 3.0 * r.standard_error, "<=",
-                           all(rep.passed for rep in reports), details))
-    if not any_mesh:
-        raise ConfigError("volume-change needs a run that tracked a mesh")
-    return out
+    c = _center(st, "ball_center", tr)
+    reports = volume_change_series(tr, c, st.ball_radius, samples=st.mc_samples,
+                                   seed=int(manifest.get("seed", 0)))
+    if not reports:
+        return 0.0, "<=", 0.0, {"steps": 0}
+    # a Monte Carlo estimate is allowed three standard errors
+    bounds = [r.bound + 3.0 * r.standard_error for r in reports]
+    worst = max(range(len(reports)),
+                key=lambda i: reports[i].measured - bounds[i])
+    r = reports[worst]
+    details = {"steps": len(reports), "worst_step": worst, "method": r.method}
+    if r.method == "monte-carlo":
+        details["samples"] = r.samples
+    return r.measured, "<=", bounds[worst], details
 
 
-def _cert_nontriviality(traces, st, manifest, rng):
+@_per_trace("nontriviality", "total mass stays above the isoperimetric floor "
+            "of the enclosed ball throughout the guaranteed horizon",
+            meshes=True)
+def _cert_nontriviality(tr, st, manifest):
     from .geometry import nontriviality_certificate
-    out = []
-    stmt = ("total mass stays above the isoperimetric floor of the enclosed "
-            "ball throughout the guaranteed horizon")
-    any_mesh = False
-    for name, tr in traces.items():
-        if tr.mesh_simplices is None:
-            continue
-        any_mesh = True
-        n = tr.snapshots[0].varifold.n
-        c = _center(st.ball_center, n, "ball_center")
-        try:
-            rep = nontriviality_certificate(tr, c, st.ball_radius,
-                                            constant=st.isoperimetric_constant)
-        except _SOFT_ERRORS as e:
-            out.append(_fail_verdict("nontriviality", name, stmt, e))
-            continue
-        out.append(Verdict("nontriviality", name, stmt, rep.min_mass,
-                           rep.mass_floor, ">=", rep.passed,
-                           {"horizon": rep.horizon,
-                            "isoperimetric_constant": rep.constant}))
-    if not any_mesh:
-        raise ConfigError("nontriviality needs a run that tracked a mesh")
-    return out
+    c = _center(st, "ball_center", tr)
+    rep = nontriviality_certificate(tr, c, st.ball_radius,
+                                    constant=st.isoperimetric_constant)
+    return (rep.min_mass, ">=", rep.mass_floor,
+            {"horizon": rep.horizon, "isoperimetric_constant": rep.constant})
 
 
+# name -> certificate(traces, st, manifest, rng) -> list[Verdict]; `all`
+# grades them in this order, drawing from one stream
 CERTIFICATES = {
     "mass-decay": _cert_mass_decay,
     "dissipation-budget": _cert_dissipation_budget,
@@ -745,6 +673,18 @@ CERTIFICATES = {
     "volume-change": _cert_volume_change,
     "nontriviality": _cert_nontriviality,
 }
+
+
+def _grade(names, traces, st, manifest) -> dict:
+    """The verdicts of the named certificates, which draw their samples from
+    one stream seeded by the manifest, and whether all of them passed."""
+    import numpy as np
+    rng = np.random.default_rng(int(manifest.get("seed", 0)))
+    # looked up here, at the call, so that a wrapped entry is the one called
+    verdicts = [v for name in names
+                for v in CERTIFICATES[name](traces, st, manifest, rng)]
+    return {"all_passed": all(v.passed for v in verdicts),
+            "verdicts": [dataclasses.asdict(v) for v in verdicts]}
 
 
 # ---------------------------------------------------------------------------
@@ -768,21 +708,19 @@ def _cmd_simulate(args) -> int:
     outdir = Path(st.out)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    records = []
     if scenario.pair is not None:
-        names = ("first", "second")
-        meshes = scenario.pair_meshes or (None, None)
-        for nm, V, mesh in zip(names, scenario.pair, meshes):
-            tr = run(V, cfg,
-                     mesh_vertices=None if mesh is None else mesh.vertices,
-                     mesh_simplices=None if mesh is None else mesh.simplices)
-            records.append(_write_trace(outdir, nm, tr))
+        flows = zip(("first", "second"), scenario.pair,
+                    scenario.pair_meshes or (None, None))
     else:
-        mesh = scenario.mesh
-        tr = run(scenario.varifold, cfg,
+        flows = [("main", scenario.varifold, scenario.mesh)]
+    records, summary = [], []
+    for nm, V, mesh in flows:
+        tr = run(V, cfg,
                  mesh_vertices=None if mesh is None else mesh.vertices,
                  mesh_simplices=None if mesh is None else mesh.simplices)
-        records.append(_write_trace(outdir, "main", tr))
+        records.append(_write_trace(outdir, nm, tr))
+        summary.append(f"{nm}: {len(tr.snapshots)} frames, "
+                       f"mass {tr.masses[0]:.6f} -> {tr.masses[-1]:.6f}")
     wall = time.perf_counter() - t0
     from . import __version__
     manifest = {
@@ -804,32 +742,21 @@ def _cmd_simulate(args) -> int:
     }
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    for rec in records:
-        print(f"{rec['name']}: {len(rec['frames'])} frames, "
-              f"mass {rec['masses'][0]:.6f} -> {rec['masses'][-1]:.6f}")
+    print("\n".join(summary))
     print(f"manifest: {outdir / 'manifest.json'}")
     return 0
 
 
 def _cmd_check(args) -> int:
     st = load_settings(args.config, args)
-    import numpy as np
     mpath, manifest, traces = load_manifest(args.manifest)
-    rng = np.random.default_rng(int(manifest.get("seed", 0)))
-    verdicts = []
-    for cert in st.certificates:
-        verdicts.extend(CERTIFICATES[cert](traces, st, manifest, rng))
-    all_passed = all(v.passed for v in verdicts)
-    payload = {
-        "manifest": str(mpath),
-        "all_passed": all_passed,
-        "verdicts": [v.as_dict() for v in verdicts],
-    }
+    payload = {"manifest": str(mpath),
+               **_grade(st.certificates, traces, st, manifest)}
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if args.json is not None:
         Path(args.json).write_text(text + "\n")
-    return 0 if all_passed else 1
+    return 0 if payload["all_passed"] else 1
 
 
 def _cmd_distance(args) -> int:
@@ -850,17 +777,10 @@ def _cmd_distance(args) -> int:
 
 def _cmd_volume(args) -> int:
     st = load_settings(args.config, args)
-    import numpy as np
     _, manifest, traces = load_manifest(args.manifest)
     if args.seed is not None:
-        manifest = dict(manifest)
-        manifest["seed"] = args.seed
-    rng = np.random.default_rng(int(manifest.get("seed", 0)))
-    verdicts = _cert_volume_change(traces, st, manifest, rng)
-    payload = {
-        "all_passed": all(v.passed for v in verdicts),
-        "verdicts": [v.as_dict() for v in verdicts],
-    }
+        manifest = {**manifest, "seed": args.seed}
+    payload = _grade(("volume-change",), traces, st, manifest)
     print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     return 0 if payload["all_passed"] else 1
 
@@ -888,7 +808,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="evaluate certificates on a run")
     chk.add_argument("manifest", help="manifest.json or its directory")
     chk.add_argument("--config", help="INI settings file")
-    chk.add_argument("--certificates",
+    chk.add_argument("--certificates", type=_parse_cert_list,
                      help="comma-separated certificate names, or 'all'")
     chk.add_argument("--json", help="also write the verdicts to this file")
     chk.set_defaults(func=_cmd_check)
@@ -898,16 +818,18 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.add_argument("first", help="measure CSV")
     dist.add_argument("second", help="measure CSV")
     dist.add_argument("--config", help="INI settings file")
-    dist.add_argument("--support-cap", dest="support_cap", type=int,
+    dist.add_argument("--support-cap", dest="lp_support_cap", type=int,
                       help="largest joint support the LP accepts")
     dist.set_defaults(func=_cmd_distance)
 
     vol = sub.add_parser("volume", help="per-step clipped volume reports")
     vol.add_argument("manifest", help="manifest.json or its directory")
     vol.add_argument("--config", help="INI settings file")
-    vol.add_argument("--center", help="window center, e.g. '0,0'")
-    vol.add_argument("--radius", type=float, help="window radius")
-    vol.add_argument("--samples", type=int,
+    vol.add_argument("--center", dest="ball_center", type=_parse_vector,
+                     help="window center, e.g. '0,0'")
+    vol.add_argument("--radius", dest="ball_radius", type=float,
+                     help="window radius")
+    vol.add_argument("--samples", dest="mc_samples", type=int,
                      help="Monte Carlo sample count (3-D runs)")
     vol.add_argument("--seed", type=int, help="override the manifest seed")
     vol.set_defaults(func=_cmd_volume)

@@ -379,7 +379,6 @@ class VolumeChangeReport:
     delta: float
     standard_error: float   # 0 for the exact planar area
     samples: int            # 0 for the exact planar area
-    passed: bool
     method: str             # "exact" (n = 2) or "monte-carlo" (n = 3)
 
 
@@ -392,7 +391,7 @@ def clipped_volume_change(mesh_before: SurfaceMesh, mesh_after: SurfaceMesh,
     delta is the recorded step perturbation max{sup|f - id|, sup|Jf - 1|}.
     In the plane both areas are exact (`_disk_area`) and the report carries
     no sampling error.  In space the same sample points probe both regions
-    (paired estimator) and the verdict allows three standard errors.
+    (paired estimator), whose standard error the report carries.
     """
     if delta >= 1.0:
         raise DeltaTooLarge(f"step perturbation {delta} must be below 1")
@@ -403,8 +402,7 @@ def clipped_volume_change(mesh_before: SurfaceMesh, mesh_after: SurfaceMesh,
     if n == 2:
         measured = abs(_disk_area(mesh_after, center, radius)
                        - _disk_area(mesh_before, center, radius))
-        return VolumeChangeReport(measured, bound, delta, 0.0, 0,
-                                  measured <= bound, "exact")
+        return VolumeChangeReport(measured, bound, delta, 0.0, 0, "exact")
     pts = _ball_samples(center, radius, samples, n, seed)
     ball_vol = ball_volume(n, radius)
     diff = contains(mesh_after, pts).astype(float) - contains(mesh_before, pts)
@@ -412,7 +410,7 @@ def clipped_volume_change(mesh_before: SurfaceMesh, mesh_after: SurfaceMesh,
     se = float(np.std(diff) / math.sqrt(samples)) * ball_vol
     measured = abs(mean) * ball_vol
     return VolumeChangeReport(measured, bound, delta, se, samples,
-                              measured <= bound + 3.0 * se, "monte-carlo")
+                              "monte-carlo")
 
 
 def volume_change_series(trace: FlowTrace, center, radius: float,
@@ -443,7 +441,6 @@ class NontrivialityReport:
     mass_floor: float     # isoperimetric floor from the quarter-ball volume
     constant: float       # isoperimetric constant used
     min_mass: float
-    passed: bool
 
 
 def nontriviality_certificate(trace: FlowTrace, center, radius: float,
@@ -481,5 +478,4 @@ def nontriviality_certificate(trace: FlowTrace, center, radius: float,
     if not window:
         raise ConfigError("trace has no snapshots inside the protected window")
     min_mass = min(s.mass for s in window)
-    return NontrivialityReport(horizon, floor, constant, min_mass,
-                               min_mass >= floor)
+    return NontrivialityReport(horizon, floor, constant, min_mass)

@@ -228,18 +228,14 @@ def _field_sums(V: DiscreteVarifold, kernel: Mollifier,
     if len(V) == 0:
         return mass, fvar
     R2 = kernel.support_radius**2
-    hash_ = SpatialHash(V.positions, kernel.support_radius) if n <= 3 else None
+    hash_ = SpatialHash(V.positions, kernel.support_radius)
     # orthonormal bases of the atom planes, shape (N, d, n)
     bases = np.ascontiguousarray(np.transpose(
         np.linalg.eigh(V.planes)[1][:, :, -V.d:], (0, 2, 1)))
     for lo in range(0, Q, _QUERY_CHUNK):
         hi = min(lo + _QUERY_CHUNK, Q)
         chunk = pts[lo:hi]
-        if hash_ is not None:
-            rows, cols = hash_.neighbor_pairs(chunk)
-        else:
-            rows = np.repeat(np.arange(hi - lo), len(V))
-            cols = np.tile(np.arange(len(V)), hi - lo)
+        rows, cols = hash_.neighbor_pairs(chunk)
         if rows.size == 0:
             continue
         rows, cols, diff, rho = _within(chunk, rows, V.positions, cols, R2)
@@ -270,6 +266,8 @@ class _Lattice:
     """
 
     def __init__(self, V: DiscreteVarifold, kernel: Mollifier, grid: QuadratureGrid):
+        if V.n not in (2, 3):
+            raise ConfigError("the curvature lattice supports dimensions 2 and 3")
         if grid.spacing > kernel.eps / 2.0 + 1e-12:
             raise GridTooCoarse(
                 f"grid spacing {grid.spacing:.3g} exceeds eps/2 = {kernel.eps / 2.0:.3g}")

@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from varimcf import cli
 from varimcf.cli import (Settings, _cert_barrier_defect, _cert_technical_lemma,
-                         _cert_volume_change, _load_table, _measure_header,
-                         _save_table, _write_trace, load_manifest, main)
+                         _cert_volume_change, _frame_header, _load_table,
+                         _measure_header, _save_table, _write_trace,
+                         load_manifest, main)
 from varimcf.errors import ConfigError
 from varimcf.flow import FlowConfig, FlowTrace, Snapshot, brakke_residual, sample
 from varimcf.geometry import icosphere_mesh, mesh_to_varifold
@@ -41,6 +43,16 @@ def still_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def pair_dir(tmp_path_factory):
+    """A short recorded two-flow run (inner and outer circle)."""
+    out = tmp_path_factory.mktemp("cli-pair") / "pair"
+    rc = main(["simulate", "--preset", "two-concentric-circles",
+               "--out", str(out), "--end-time", "0.008"])
+    assert rc == 0
+    return out
+
+
 def manifest_of(path: Path) -> dict:
     return json.loads((path / "manifest.json").read_text())
 
@@ -49,6 +61,13 @@ def save_measure(path: Path, points, weights) -> None:
     points = np.asarray(points, dtype=float)
     _save_table(path, _measure_header(points.shape[1] + 1),
                 np.column_stack([points, weights]))
+
+
+def frame_masses(run_dir: Path, record: dict) -> list[float]:
+    """Total mass of each frame a trace record lists, read from its m column."""
+    n = record["ambient_dimension"]
+    return [float(_load_table(run_dir / f, _frame_header(n))[:, n + n * n].sum())
+            for f in record["frames"]]
 
 
 def rewrite_rows(path: Path, edit) -> None:
@@ -73,7 +92,8 @@ def test_simulate_writes_manifest_and_frames(run_dir):
     assert man["config"]["dt"] == 0.002
     rec = man["traces"][0]
     assert rec["name"] == "main"
-    assert len(rec["frames"]) == 11 == len(rec["times"]) == len(rec["masses"])
+    assert len(rec["frames"]) == 11 == len(rec["times"])
+    assert "masses" not in rec
     assert rec["frames"][0] == "frame_main_0000.csv"
     for fname in rec["frames"]:
         assert (run_dir / fname).exists()
@@ -81,7 +101,7 @@ def test_simulate_writes_manifest_and_frames(run_dir):
         assert (run_dir / fname).exists()
     assert (run_dir / rec["simplices"]).exists()
     assert np.allclose(np.diff(rec["times"]), 0.002)
-    masses = np.array(rec["masses"])
+    masses = np.array(frame_masses(run_dir, rec))
     assert np.all(np.diff(masses) < 0.0)        # the circle loses length
     assert masses[0] == pytest.approx(2 * np.pi, rel=1e-3)
 
@@ -94,7 +114,8 @@ def test_frames_round_trip_through_the_loader(run_dir):
     assert first.n == 2 and first.d == 1 and len(first) == 200
     assert tr.snapshots[0].curvature is not None     # recorded along the run
     assert tr.snapshots[-1].curvature is None        # nothing after the end
-    assert [s.mass for s in tr.snapshots] == pytest.approx(man["traces"][0]["masses"])
+    assert [s.mass for s in tr.snapshots] == pytest.approx(
+        frame_masses(run_dir, man["traces"][0]))
     # accepting the manifest.json path itself is equivalent
     _, man2, _ = load_manifest(str(run_dir / "manifest.json"))
     assert man2["traces"][0]["frames"] == man["traces"][0]["frames"]
@@ -228,9 +249,10 @@ def test_check_grades_the_masses_the_frames_hold(run_dir, tmp_path, capsys):
 
 def test_check_on_single_snapshot_is_trivially_green(still_dir, capsys):
     rc = main(["check", str(still_dir), "--certificates",
-               "mass-decay,dissipation-budget"])
+               "mass-decay,dissipation-budget,volume-change"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
+    assert len(payload["verdicts"]) == 3
     assert all(v["details"] == {"steps": 0} for v in payload["verdicts"])
 
 
@@ -276,10 +298,10 @@ def test_failed_precondition_reports_null_not_nan(tmp_path, capsys):
     assert stored["nontriviality[main]"]["bound"] is None
 
 
-def test_avoidance_on_mismatched_grids_is_a_failed_verdict(tmp_path, capsys):
+def test_avoidance_on_mismatched_grids_is_a_failed_verdict(pair_dir, tmp_path,
+                                                          capsys):
     out = tmp_path / "pair"
-    assert main(["simulate", "--preset", "two-concentric-circles",
-                 "--out", str(out), "--end-time", "0.008"]) == 0
+    shutil.copytree(pair_dir, out)
     man = manifest_of(out)
     man["traces"][1]["times"][3] += 1e-4
     (out / "manifest.json").write_text(json.dumps(man))
@@ -293,6 +315,87 @@ def test_avoidance_on_mismatched_grids_is_a_failed_verdict(tmp_path, capsys):
     assert "GridMismatch" in avoidance["details"]["error"]
     assert [(v["name"], v["trace"]) for v in decay] == [
         ("mass-decay", "first"), ("mass-decay", "second")]
+
+
+def test_barrier_defect_precondition_is_a_failed_verdict(run_dir, tmp_path,
+                                                        capsys):
+    # so small a barrier that the sampled weights fall below the barrier floor
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[certificates]\nbarrier_radius = 0.01\n")
+    rc = main(["check", str(run_dir), "--certificates",
+               "barrier-defect,mass-decay", "--config", str(ini)])
+    payload = strict_json(capsys.readouterr().out)
+    assert rc == 1
+    defect, decay = payload["verdicts"]
+    assert defect["name"] == "barrier-defect" and defect["passed"] is False
+    assert defect["measured"] is None and defect["bound"] is None
+    assert "ZeroBarrier" in defect["details"]["error"]
+    assert (decay["name"], decay["passed"]) == ("mass-decay", True)
+
+
+@pytest.mark.parametrize("body", [
+    # every one of the 21 verdicts is evaluated, and passes
+    "[constants]\ncertificate_step_constant = 1e-10\nmc_samples = 2000\n"
+    "[certificates]\nball_radius = 0.3\n",
+    # the outer flow leaves this enclosing ball, and no budget is this tight
+    "[constants]\ncertificate_step_constant = 1e-10\nmc_samples = 2000\n"
+    "budget_rtol = 1e-20\n[certificates]\nball_radius = 0.3\n"
+    "enclosing_radius = 0.8\n",
+], ids=["passing", "failing"])
+def test_every_verdict_passes_by_its_stated_relation(pair_dir, tmp_path,
+                                                     capsys, body):
+    ini = tmp_path / "grade.ini"
+    ini.write_text(body)
+    rc = main(["check", str(pair_dir), "--certificates", "all",
+               "--config", str(ini)])
+    payload = strict_json(capsys.readouterr().out)
+    verdicts = payload["verdicts"]
+    assert len(verdicts) == 21
+    for v in verdicts:
+        assert v["measured"] is not None and v["bound"] is not None
+        holds = (v["measured"] <= v["bound"] if v["relation"] == "<="
+                 else v["measured"] >= v["bound"])
+        assert v["passed"] is holds, v
+    assert payload["all_passed"] is all(v["passed"] for v in verdicts)
+    assert rc == (0 if payload["all_passed"] else 1)
+
+
+def test_nontriviality_fails_one_trace_and_grades_the_other(pair_dir,
+                                                           tmp_path, capsys):
+    # the ball fits inside the outer circle but not the inner one
+    ini = tmp_path / "ball.ini"
+    ini.write_text("[certificates]\nball_radius = 0.7\n")
+    rc = main(["check", str(pair_dir), "--certificates", "nontriviality",
+               "--config", str(ini)])
+    inner, outer = strict_json(capsys.readouterr().out)["verdicts"]
+    assert rc == 1
+    assert inner["trace"] == "first" and inner["passed"] is False
+    assert "BallNotInterior" in inner["details"]["error"]
+    assert outer["trace"] == "second" and outer["passed"] is True
+    assert outer["relation"] == ">=" and outer["measured"] >= outer["bound"]
+
+
+def test_each_certificate_entry_runs_once_per_command(run_dir, monkeypatch,
+                                                      capsys):
+    # the benchmark times each certificate by wrapping its entry
+    calls = {"mass-decay": 0, "volume-change": 0}
+
+    def counting(name):
+        inner = cli.CERTIFICATES[name]
+
+        def entry(*args):
+            calls[name] += 1
+            return inner(*args)
+        return entry
+
+    for name in calls:
+        monkeypatch.setitem(cli.CERTIFICATES, name, counting(name))
+    assert main(["check", str(run_dir), "--certificates",
+                 "mass-decay,convex-hull,volume-change"]) == 0
+    assert calls == {"mass-decay": 1, "volume-change": 1}
+    assert main(["volume", str(run_dir), "--radius", "0.6"]) == 0
+    assert calls == {"mass-decay": 1, "volume-change": 2}
+    capsys.readouterr()
 
 
 def test_empty_certificate_list_is_a_usage_error(still_dir, tmp_path, capsys):
@@ -399,9 +502,11 @@ def without(mapping: dict, key: str) -> dict:
      "'ambient_dimension'"),
     (lambda man: {**man, "seed": "x"}, "'seed'"),
     (lambda man: [man], "JSON object"),
+    (lambda man: {**man, "traces": 2 * man["traces"]}, "'main' is repeated"),
 ], ids=["missing-traces", "traces-not-a-list", "no-traces", "missing-config",
         "unknown-config-key", "eps-not-a-number", "missing-dt",
-        "missing-ambient_dimension", "seed-not-an-integer", "top-level-list"])
+        "missing-ambient_dimension", "seed-not-an-integer", "top-level-list",
+        "repeated-trace-name"])
 def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
                                               fragment):
     broken = tmp_path / "malformed"
@@ -456,7 +561,8 @@ def test_frame_text_is_fixed(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
     for name, text in expected.items():
         assert (tmp_path / name).read_bytes() == text.encode(), name
-    assert record["masses"] == [0.75, 0.7]
+    assert "masses" not in record
+    assert frame_masses(tmp_path, record) == [0.75, 0.7]
 
 
 @pytest.mark.parametrize("edit", [
@@ -576,6 +682,13 @@ def test_volume_verdict_in_space_names_its_samples():
     assert verdict.details["method"] == "monte-carlo"
     assert verdict.details["samples"] == 2000
     assert verdict.measured > 0.0
+
+
+def test_malformed_volume_center_is_a_usage_error(run_dir, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["volume", str(run_dir), "--center", "a,b"])
+    assert stop.value.code == 2
+    assert "--center" in capsys.readouterr().err
 
 
 def test_volume_needs_recorded_meshes(run_dir, tmp_path, capsys):

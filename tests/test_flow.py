@@ -276,6 +276,14 @@ def test_mass_bound_checked_up_front():
         run(V, cfg)
 
 
+def test_run_refuses_an_ambient_dimension_other_than_2_or_3():
+    V = random_varifold(np.random.default_rng(4), 4, 1, 6)
+    cfg = FlowConfig(eps=0.1, dt=1e-3, end_time=1e-3, refinement=2,
+                     enforce_gate=False)
+    with pytest.raises(ConfigError, match="dimensions 2 and 3"):
+        run(V, cfg)
+
+
 def test_sampling_piecewise_constant(circle_trace):
     tr = circle_trace
     t = tr.times[3]
