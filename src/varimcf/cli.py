@@ -94,8 +94,12 @@ class Settings:
 
 
 def _parse_vector(raw: str) -> tuple[float, ...]:
-    parts = [p for p in raw.replace(",", " ").split() if p]
-    return tuple(float(p) for p in parts)
+    try:
+        return tuple(float(p) for p in raw.replace(",", " ").split())
+    except ValueError:
+        # argparse prints this message after the flag's name
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {raw!r}") from None
 
 
 def _parse_cert_list(raw: str) -> tuple[str, ...]:
@@ -165,7 +169,7 @@ def load_settings(config_path: str | None, args: argparse.Namespace) -> Settings
                 attr, conv = _INI_PARSERS[section][key]
                 try:
                     setattr(st, attr, conv(raw))
-                except (ValueError, TypeError) as e:
+                except (ValueError, TypeError, argparse.ArgumentTypeError) as e:
                     raise ConfigError(f"[{section}] {key}: bad value {raw!r} "
                                       f"({e})") from None
     # each flag stores its value under the name of the field it sets
@@ -410,26 +414,28 @@ _SOFT_ERRORS = (PreconditionViolated, BallNotInterior, ZeroBarrier,
                 SolverFailure, MassBoundExceeded, GateViolated)
 
 
-def _verdict(name: str, trace: str, statement: str, grade, *args) -> Verdict:
-    """The verdict of grade(*args) -> (measured, relation, bound, details).
+def _verdict(name: str, trace: str, statement: str, relation: str, grade,
+             *args) -> Verdict:
+    """The verdict of grade(*args) -> (measured, bound, details).
 
     It passes when `measured relation bound` holds.  A precondition error
     fails this verdict alone, with no measured value or bound.
     """
     try:
-        measured, relation, bound, details = grade(*args)
+        measured, bound, details = grade(*args)
     except _SOFT_ERRORS as e:
-        return Verdict(name, trace, statement, None, None, "<=", False,
+        return Verdict(name, trace, statement, None, None, relation, False,
                        {"error": f"{type(e).__name__}: {e}"})
     passed = measured <= bound if relation == "<=" else measured >= bound
     return Verdict(name, trace, statement, measured, bound, relation,
                    bool(passed), details)
 
 
-def _per_trace(name: str, statement: str, meshes: bool = False):
-    """Make grade(trace, st, manifest) a certificate with one verdict per
-    trace; with `meshes`, per trace that tracked a boundary mesh, of which
-    the run must have at least one."""
+def _per_trace(name: str, relation: str, statement: str,
+               meshes: bool = False):
+    """Make grade(trace, st, manifest) a certificate, graded by `relation`,
+    with one verdict per trace; with `meshes`, per trace that tracked a
+    boundary mesh, of which the run must have at least one."""
     def wrap(grade):
         def certificate(traces, st, manifest, rng):
             if meshes:
@@ -437,7 +443,8 @@ def _per_trace(name: str, statement: str, meshes: bool = False):
                           if tr.mesh_simplices is not None}
                 if not traces:
                     raise ConfigError(f"{name} needs a run that tracked a mesh")
-            return [_verdict(name, k, statement, grade, tr, st, manifest)
+            return [_verdict(name, k, statement, relation, grade, tr, st,
+                             manifest)
                     for k, tr in traces.items()]
         return certificate
     return wrap
@@ -461,28 +468,28 @@ def _barrier(st, tr):
                            d=tr.snapshots[0].varifold.d, orientation="external")
 
 
-@_per_trace("mass-decay", "every recorded step raises total mass by at most "
-            "the step length, up to roundoff")
+@_per_trace("mass-decay", "<=", "every recorded step raises total mass by at "
+            "most the step length, up to roundoff")
 def _cert_mass_decay(tr, st, manifest):
     t, m = tr.times, tr.masses
     if len(t) < 2:
-        return 0.0, "<=", 0.0, {"steps": 0}
+        return 0.0, 0.0, {"steps": 0}
     excess = [float(m[i + 1] - m[i] - (t[i + 1] - t[i]))
               for i in range(len(t) - 1)]
     worst = max(range(len(excess)), key=lambda i: excess[i])
-    return (excess[worst], "<=", 1e-9 * (1.0 + float(m[0])),
+    return (excess[worst], 1e-9 * (1.0 + float(m[0])),
             {"worst_step": worst, "steps": len(excess)})
 
 
-@_per_trace("dissipation-budget", "the time-integrated dissipation accounts "
-            "for the recorded drop in total mass")
+@_per_trace("dissipation-budget", "<=", "the time-integrated dissipation "
+            "accounts for the recorded drop in total mass")
 def _cert_dissipation_budget(tr, st, manifest):
     from .flow import dissipation_budget
     if len(tr.times) < 2:
-        return 0.0, "<=", 0.0, {"steps": 0}
+        return 0.0, 0.0, {"steps": 0}
     budget = dissipation_budget(tr)
     drop = float(tr.masses[0] - tr.masses[-1])
-    return (abs(budget - drop), "<=", st.budget_rtol * max(drop, 1e-9),
+    return (abs(budget - drop), st.budget_rtol * max(drop, 1e-9),
             {"budget": budget, "mass_drop": drop})
 
 
@@ -507,13 +514,13 @@ def _technical_lemma(traces, st, rng):
         bases.append(rng.normal(size=(dd, n)))
     worst = float(np.min(technical_gaps(h, phi, grad,
                                         projections_from_bases(bases))))
-    return worst, ">=", -1e-12, {"samples": m}
+    return worst, -1e-12, {"samples": m}
 
 
 def _cert_technical_lemma(traces, st, manifest, rng):
     return [_verdict("technical-lemma", "-", "the completed-square "
                      "inequality linking curvature, a positive weight and its "
-                     "gradient holds on random samples",
+                     "gradient holds on random samples", ">=",
                      _technical_lemma, traces, st, rng)]
 
 
@@ -545,52 +552,53 @@ def _barrier_defect(traces, st, rng):
     worst = float(np.max(barrier_defects(psi, np.array(x),
                                          projections_from_bases(bases),
                                          np.repeat(times, per_t))))
-    return (worst, "<=", 1e-10, {"samples": st.defect_samples,
-                                 "exponent": st.barrier_exponent})
+    return (worst, 1e-10, {"samples": st.defect_samples,
+                           "exponent": st.barrier_exponent})
 
 
 def _cert_barrier_defect(traces, st, manifest, rng):
     return [_verdict("barrier-defect", "-", "the radial comparison weight has "
                      "nonpositive flow defect throughout its support window",
-                     _barrier_defect, traces, st, rng)]
+                     "<=", _barrier_defect, traces, st, rng)]
 
 
-@_per_trace("eps-sphere-barrier", "mass weighted by the guarded-ball barrier "
-            "increases by at most the smoothing-scale allowance")
+@_per_trace("eps-sphere-barrier", "<=", "mass weighted by the guarded-ball "
+            "barrier increases by at most the smoothing-scale allowance")
 def _cert_eps_sphere_barrier(tr, st, manifest):
     from .barriers import epsilon_barrier_certificate
     rep = epsilon_barrier_certificate(
         tr, _barrier(st, tr), c5_cfg=st.certificate_step_constant,
         scale_ceiling=st.scale_ceiling)
-    return (rep.max_increase, "<=", rep.bound,
+    return (rep.max_increase, rep.bound,
             {"norm_constant": rep.norm_constant, "notes": list(rep.notes)})
 
 
-@_per_trace("external-sphere", "no mass enters the shrinking comparison ball")
+@_per_trace("external-sphere", "<=",
+            "no mass enters the shrinking comparison ball")
 def _cert_external_sphere(tr, st, manifest):
     from .barriers import external_sphere_monitor
     c = _center(st, "ball_center", tr)
     series = external_sphere_monitor(tr, c, st.ball_radius)
-    return (series.peak(), "<=", 1e-9 * (1.0 + tr.masses[0]),
+    return (series.peak(), 1e-9 * (1.0 + tr.masses[0]),
             {"window_end": float(series.times[-1])})
 
 
-@_per_trace("internal-sphere", "the support stays inside the shrinking "
+@_per_trace("internal-sphere", "<=", "the support stays inside the shrinking "
             "comparison ball, up to a smoothing-scale slack")
 def _cert_internal_sphere(tr, st, manifest):
     from .barriers import internal_sphere_monitor
     c = _center(st, "ball_center", tr)
     series = internal_sphere_monitor(tr, c, st.enclosing_radius)
-    return (series.peak(), "<=", st.slack_factor * tr.config.eps,
+    return (series.peak(), st.slack_factor * tr.config.eps,
             {"window_end": float(series.times[-1])})
 
 
-@_per_trace("convex-hull", "the support never leaves the convex hull of the "
-            "initial support")
+@_per_trace("convex-hull", "<=", "the support never leaves the convex hull of "
+            "the initial support")
 def _cert_convex_hull(tr, st, manifest):
     from .barriers import convex_hull_monitor
     series = convex_hull_monitor(tr)
-    return float(max(series)), "<=", 1e-8, {"snapshots": len(series)}
+    return float(max(series)), 1e-8, {"snapshots": len(series)}
 
 
 def _avoidance(ta, tb, st):
@@ -599,7 +607,7 @@ def _avoidance(ta, tb, st):
     from .barriers import avoidance_distance
     gaps = avoidance_distance(ta, tb)
     running = np.maximum.accumulate(gaps)
-    return (float(np.max(running - gaps)), "<=", st.slack_factor * ta.config.eps,
+    return (float(np.max(running - gaps)), st.slack_factor * ta.config.eps,
             {"initial_gap": float(gaps[0]), "final_gap": float(gaps[-1])})
 
 
@@ -610,22 +618,22 @@ def _cert_avoidance(traces, st, manifest, rng):
     (na, ta), (nb, tb) = traces.items()
     return [_verdict("avoidance", f"{na}+{nb}", "the gap between the two flows "
                      "never drops below its running peak by more than the "
-                     "smoothing slack", _avoidance, ta, tb, st)]
+                     "smoothing slack", "<=", _avoidance, ta, tb, st)]
 
 
-@_per_trace("lsc", "weighted mass, after subtracting the hessian-rate ramp, "
-            "is nonincreasing up to per-step slack")
+@_per_trace("lsc", "<=", "weighted mass, after subtracting the hessian-rate "
+            "ramp, is nonincreasing up to per-step slack")
 def _cert_lsc(tr, st, manifest):
     from .barriers import lsc_monitor
     from .varifold import ScalarField
     bump = ScalarField.bump(_center(st, "weight_center", tr),
                             st.weight_width, 1.0)
     rep = lsc_monitor(tr, bump)
-    return rep.max_uptick, "<=", rep.slack, {"ramp_constant": rep.constant}
+    return rep.max_uptick, rep.slack, {"ramp_constant": rep.constant}
 
 
-@_per_trace("volume-change", "per-step change of enclosed volume inside the "
-            "window stays within the perturbation bound (plus Monte Carlo "
+@_per_trace("volume-change", "<=", "per-step change of enclosed volume inside "
+            "the window stays within the perturbation bound (plus Monte Carlo "
             "error in 3-D; the 2-D area is exact)", meshes=True)
 def _cert_volume_change(tr, st, manifest):
     from .geometry import volume_change_series
@@ -633,7 +641,7 @@ def _cert_volume_change(tr, st, manifest):
     reports = volume_change_series(tr, c, st.ball_radius, samples=st.mc_samples,
                                    seed=int(manifest.get("seed", 0)))
     if not reports:
-        return 0.0, "<=", 0.0, {"steps": 0}
+        return 0.0, 0.0, {"steps": 0}
     # a Monte Carlo estimate is allowed three standard errors
     bounds = [r.bound + 3.0 * r.standard_error for r in reports]
     worst = max(range(len(reports)),
@@ -642,18 +650,18 @@ def _cert_volume_change(tr, st, manifest):
     details = {"steps": len(reports), "worst_step": worst, "method": r.method}
     if r.method == "monte-carlo":
         details["samples"] = r.samples
-    return r.measured, "<=", bounds[worst], details
+    return r.measured, bounds[worst], details
 
 
-@_per_trace("nontriviality", "total mass stays above the isoperimetric floor "
-            "of the enclosed ball throughout the guaranteed horizon",
+@_per_trace("nontriviality", ">=", "total mass stays above the isoperimetric "
+            "floor of the enclosed ball throughout the guaranteed horizon",
             meshes=True)
 def _cert_nontriviality(tr, st, manifest):
     from .geometry import nontriviality_certificate
     c = _center(st, "ball_center", tr)
     rep = nontriviality_certificate(tr, c, st.ball_radius,
                                     constant=st.isoperimetric_constant)
-    return (rep.min_mass, ">=", rep.mass_floor,
+    return (rep.min_mass, rep.mass_floor,
             {"horizon": rep.horizon, "isoperimetric_constant": rep.constant})
 
 
@@ -768,6 +776,8 @@ def _cmd_distance(args) -> int:
     res = bounded_lipschitz(mu, nu, support_cap=st.lp_support_cap)
     print(json.dumps({
         "distance": res.distance,
+        "rounds": res.rounds,
+        "rows": res.rows,
         "status": res.status,
         "support_first": len(mu),
         "support_second": len(nu),

@@ -9,8 +9,21 @@ distance is the optimum of the finite linear program
     max  sum_k (nu_k - mu_k) phi_k
     s.t. -1 <= phi_k <= 1,   |phi_k - phi_l| <= |z_k - z_l|  for k < l.
 
-The returned certificate is re-verified feasible independently of the
-solver.  Two unit point masses at distance r give min(r, 2).
+The program has a Lipschitz row pair for each of the K(K-1)/2 pairs of
+support points, but few of them bind, so it is solved by row generation
+(Kelley's cutting planes): start from the pairs that join each point to its
+8 nearest neighbours, solve, scan every pair for a Lipschitz constraint the
+solution breaks, add the broken pairs that are not yet rows, and repeat
+until a scan finds none.  Each round adds at least one pair, so the loop
+ends.  The final phi is optimal for a relaxation of the full program (it
+has a subset of the rows) and feasible for the full program (the scan found
+no broken pair), so it is optimal for the full program.  The scans run in
+blocks of 256 rows, so no pair-distance array ever holds more than
+256 * K * k entries.
+
+The returned certificate is re-verified feasible over all pairs,
+independently of the solver.  Two unit point masses at distance r give
+min(r, 2).
 """
 
 from __future__ import annotations
@@ -67,18 +80,80 @@ class BLResult:
     phi: np.ndarray      # optimal test values on the union support
     points: np.ndarray   # union support (K, k)
     status: str
+    rounds: int          # linear programs solved
+    rows: int            # Lipschitz pairs in the final linear program
 
     def verify_feasible(self, slack: float = 1e-9) -> None:
         """Independent check of the certificate against the constraint system."""
         if np.any(np.abs(self.phi) > 1.0 + slack):
             raise SolverFailure("certificate violates the box constraint")
-        K = len(self.phi)
-        if K > 1:
-            diff = np.abs(self.phi[:, None] - self.phi[None, :])
-            dist = np.linalg.norm(self.points[:, None, :] - self.points[None, :, :],
-                                  axis=2)
-            if np.any(diff > dist + slack):
-                raise SolverFailure("certificate violates a Lipschitz constraint")
+        if _broken_pairs(self.points, self.phi, slack).size:
+            raise SolverFailure("certificate violates a Lipschitz constraint")
+
+
+_BLOCK = 256            # rows of the pair-distance matrix held at once
+_SEED_NEIGHBOURS = 8    # nearest neighbours per point in the first program
+
+
+def _gaps(diff: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of difference vectors along the last axis."""
+    return np.sqrt(np.einsum("...i,...i->...", diff, diff))
+
+
+def _block_gaps(points: np.ndarray, start: int) -> np.ndarray:
+    """Distances from the points of one row block to every point."""
+    return _gaps(points[start:start + _BLOCK, None, :] - points[None, :, :])
+
+
+def _broken_pairs(points: np.ndarray, phi: np.ndarray,
+                  slack: float = 0.0) -> np.ndarray:
+    """Sorted codes k * K + l of the pairs k < l with
+    |phi_k - phi_l| > |z_k - z_l| + slack."""
+    K = len(phi)
+    codes = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, K, _BLOCK):
+        rows = np.arange(start, min(start + _BLOCK, K))
+        broken = (np.abs(phi[rows, None] - phi[None, :])
+                  > _block_gaps(points, start) + slack)
+        broken &= rows[:, None] < np.arange(K)
+        k, l = np.nonzero(broken)
+        codes.append(rows[k] * K + l)
+    return np.concatenate(codes)
+
+
+def _seed_pairs(points: np.ndarray, neighbours: int) -> np.ndarray:
+    """Sorted codes k * K + l, k < l, of the pairs that join each point to
+    its nearest neighbours."""
+    K = len(points)
+    codes = []
+    for start in range(0, K, _BLOCK):
+        gaps = _block_gaps(points, start)
+        rows = np.arange(start, start + len(gaps))
+        gaps[rows - start, rows] = np.inf    # not its own neighbour
+        near = np.argpartition(gaps, neighbours - 1, axis=1)[:, :neighbours]
+        k = np.repeat(rows, neighbours)
+        l = near.ravel()
+        codes.append(np.minimum(k, l) * K + np.maximum(k, l))
+    return np.unique(np.concatenate(codes).astype(np.int64))
+
+
+def _solve(points: np.ndarray, coef: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Optimal phi of the program restricted to the Lipschitz pairs `codes`."""
+    K = len(points)
+    rows_i, rows_j = np.divmod(codes, K)
+    gaps = _gaps(points[rows_i] - points[rows_j])
+    P = len(codes)
+    # two rows per pair: phi_i - phi_j <= d_ij and phi_j - phi_i <= d_ij
+    data = np.concatenate([np.ones(P), -np.ones(P), -np.ones(P), np.ones(P)])
+    rr = np.concatenate([np.arange(P), np.arange(P),
+                         np.arange(P, 2 * P), np.arange(P, 2 * P)])
+    cc = np.concatenate([rows_i, rows_j, rows_i, rows_j])
+    A = sparse.coo_matrix((data, (rr, cc)), shape=(2 * P, K)).tocsr()
+    b = np.concatenate([gaps, gaps])
+    res = linprog(-coef, A_ub=A, b_ub=b, bounds=[(-1.0, 1.0)] * K, method="highs")
+    if not res.success:
+        raise SolverFailure(f"linear program failed: {res.message}")
+    return np.asarray(res.x, dtype=float)
 
 
 def _union_support(mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -102,26 +177,20 @@ def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure,
     if K > support_cap:
         raise SupportTooLarge(f"union support has {K} points, cap is {support_cap}")
     if K == 0:
-        return BLResult(0.0, np.zeros(0), pts, "empty")
+        return BLResult(0.0, np.zeros(0), pts, "empty", 0, 0)
     if K == 1:
         phi = np.array([math.copysign(1.0, coef[0]) if coef[0] != 0.0 else 0.0])
-        return BLResult(abs(float(coef[0])), phi, pts, "closed-form")
-    rows_i, rows_j = np.triu_indices(K, 1)
-    gaps = np.linalg.norm(pts[rows_i] - pts[rows_j], axis=1)
-    P = len(rows_i)
-    # two rows per pair: phi_i - phi_j <= d_ij and phi_j - phi_i <= d_ij
-    data = np.concatenate([np.ones(P), -np.ones(P), -np.ones(P), np.ones(P)])
-    rr = np.concatenate([np.arange(P), np.arange(P),
-                         np.arange(P, 2 * P), np.arange(P, 2 * P)])
-    cc = np.concatenate([rows_i, rows_j, rows_i, rows_j])
-    A = sparse.coo_matrix((data, (rr, cc)), shape=(2 * P, K)).tocsr()
-    b = np.concatenate([gaps, gaps])
-    res = linprog(-coef, A_ub=A, b_ub=b, bounds=[(-1.0, 1.0)] * K, method="highs")
-    if not res.success:
-        raise SolverFailure(f"linear program failed: {res.message}")
-    phi = np.asarray(res.x, dtype=float)
+        return BLResult(abs(float(coef[0])), phi, pts, "closed-form", 0, 0)
+    codes = _seed_pairs(pts, min(_SEED_NEIGHBOURS, K - 1))
+    rounds = 0
+    while True:
+        phi = _solve(pts, coef, codes)
+        rounds += 1
+        fresh = np.setdiff1d(_broken_pairs(pts, phi), codes, assume_unique=True)
+        if not fresh.size:
+            break
+        codes = np.union1d(codes, fresh)
     value = float(np.dot(coef, phi))
-    out = BLResult(max(value, 0.0), phi, pts, "optimal")
+    out = BLResult(max(value, 0.0), phi, pts, "optimal", rounds, len(codes))
     out.verify_feasible(tol.lp_lipschitz)
     return out
-

@@ -174,6 +174,7 @@ def test_config_file_drives_the_run(tmp_path):
     ("[desserts]\ncake = yes\n", "desserts"),
     ("[run]\nseed = soon\n", "seed"),
     ("[constants]\ntechnical_samples = 0\n", "technical_samples"),
+    ("[certificates]\nball_center = a,b\n", "ball_center"),
 ])
 def test_bad_config_files_are_usage_errors(tmp_path, capsys, body, fragment):
     ini = tmp_path / "bad.ini"
@@ -373,6 +374,22 @@ def test_nontriviality_fails_one_trace_and_grades_the_other(pair_dir,
     assert "BallNotInterior" in inner["details"]["error"]
     assert outer["trace"] == "second" and outer["passed"] is True
     assert outer["relation"] == ">=" and outer["measured"] >= outer["bound"]
+
+
+def test_a_stopped_verdict_keeps_its_certificates_relation(pair_dir,
+                                                           tmp_path, capsys):
+    # BallNotInterior stops the inner trace's verdict; the outer is graded
+    ini = tmp_path / "ball.ini"
+    ini.write_text("[certificates]\nball_radius = 0.7\n")
+    main(["check", str(pair_dir), "--certificates", "nontriviality,convex-hull",
+          "--config", str(ini)])
+    verdicts = strict_json(capsys.readouterr().out)["verdicts"]
+    relations = {(v["name"], v["trace"]): v["relation"] for v in verdicts}
+    assert relations == {("nontriviality", "first"): ">=",
+                         ("nontriviality", "second"): ">=",
+                         ("convex-hull", "first"): "<=",
+                         ("convex-hull", "second"): "<="}
+    assert verdicts[0]["measured"] is None
 
 
 def test_each_certificate_entry_runs_once_per_command(run_dir, monkeypatch,
@@ -640,6 +657,24 @@ def test_distance_reads_measures_copied_out_of_frames(run_dir, tmp_path,
     assert payload["support_first"] == 200 == payload["support_second"]
 
 
+def test_distance_reports_the_size_of_the_final_program(pair_dir, tmp_path,
+                                                       capsys):
+    # the outer flow's first and final frames: 400 distinct support points
+    record = manifest_of(pair_dir)["traces"][1]
+    paths = []
+    for i in (0, -1):
+        frame = _load_table(pair_dir / record["frames"][i], _frame_header(2))
+        paths.append(tmp_path / f"outer_{i}.csv")
+        save_measure(paths[-1], frame[:, :2], frame[:, 6])
+    rc = main(["distance", *map(str, paths)])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert payload["status"] == "optimal"
+    assert payload["support_first"] == 200 == payload["support_second"]
+    assert payload["rounds"] >= 1
+    assert 0 < payload["rows"] < 400 * 399 // 2
+
+
 def test_distance_respects_the_support_cap(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -688,7 +723,9 @@ def test_malformed_volume_center_is_a_usage_error(run_dir, capsys):
     with pytest.raises(SystemExit) as stop:
         main(["volume", str(run_dir), "--center", "a,b"])
     assert stop.value.code == 2
-    assert "--center" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--center: expected comma-separated numbers, got 'a,b'" in err
+    assert "_parse_vector" not in err
 
 
 def test_volume_needs_recorded_meshes(run_dir, tmp_path, capsys):

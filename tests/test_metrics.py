@@ -1,15 +1,22 @@
-"""Distance tests: closed forms, a brute-force oracle, and metric axioms."""
+"""Distance tests: closed forms, brute-force and all-pairs oracles, the
+feasibility re-check, and metric axioms."""
 
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
-from varimcf.cli import _load_table, _measure_header, _save_table
+from varimcf.cli import (_frame_header, _load_table, _measure_header,
+                         _save_table, main)
 from varimcf.errors import ConfigError, SolverFailure, SupportTooLarge
 from varimcf.flow import FlowConfig, run, sample
-from varimcf.metrics import BLResult, DiscreteMeasure, bounded_lipschitz
+from varimcf.metrics import (BLResult, DiscreteMeasure, _union_support,
+                             bounded_lipschitz)
 from varimcf.varifold import DiscreteVarifold
 
 
@@ -142,12 +149,44 @@ def test_measure_validation():
 
 def test_certificate_feasibility_check_rejects_corrupt_phi():
     pts = np.array([[0.0, 0.0], [0.1, 0.0]])
-    bad_box = BLResult(1.0, np.array([1.5, 0.0]), pts, "corrupt")
+    bad_box = BLResult(1.0, np.array([1.5, 0.0]), pts, "corrupt", 0, 0)
     with pytest.raises(SolverFailure):
         bad_box.verify_feasible()
-    bad_lip = BLResult(1.0, np.array([1.0, -1.0]), pts, "corrupt")
+    bad_lip = BLResult(1.0, np.array([1.0, -1.0]), pts, "corrupt", 0, 0)
     with pytest.raises(SolverFailure):
         bad_lip.verify_feasible()
+
+
+@pytest.mark.parametrize("k,l", [(255, 256), (298, 299), (0, 299)],
+                         ids=["across-blocks", "last-rows", "first-and-last"])
+def test_feasibility_check_finds_one_broken_pair(k, l):
+    # 300 points span two blocks of the chunked scan; 3 apart, no test
+    # value in the box breaks their Lipschitz constraints but the moved one's
+    rng = np.random.default_rng(10)
+    pts = np.column_stack([3.0 * np.arange(300), np.zeros(300)])
+    pts[l] = pts[k] + [0.0, 0.1]
+    phi = rng.uniform(-1.0, 1.0, 300)
+    phi[k] = 1.0
+    phi[l] = 0.95
+    BLResult(0.0, phi, pts, "probe", 0, 0).verify_feasible()
+    phi[l] = -1.0
+    with pytest.raises(SolverFailure, match="Lipschitz"):
+        BLResult(0.0, phi, pts, "probe", 0, 0).verify_feasible()
+
+
+def test_feasibility_check_at_the_support_cap_stays_small():
+    # the full K x K x n difference array would be 96 MB
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-2.0, 2.0, (2000, 3))
+    phi = 0.5 * np.clip(pts[:, 0], -1.0, 1.0)
+    res = BLResult(0.0, phi, pts, "probe", 0, 0)
+    tracemalloc.start()
+    try:
+        res.verify_feasible()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_measure_csv_round_trip(tmp_path):
@@ -160,6 +199,90 @@ def test_measure_csv_round_trip(tmp_path):
     back = DiscreteMeasure(rows[:, :-1], rows[:, -1])
     assert np.array_equal(back.points, mu.points)
     assert np.array_equal(back.weights, mu.weights)
+
+
+# ---------------------------------------------------------------------------
+# the all-pairs program as an oracle
+
+
+def all_pairs_lp(mu, nu):
+    """Optimum of the full program: a Lipschitz row pair for every pair of
+    support points, solved at once."""
+    pts, coef = _union_support(mu, nu)
+    K = len(pts)
+    rows_i, rows_j = np.triu_indices(K, 1)
+    P = len(rows_i)
+    A = b = None
+    if P:
+        gaps = np.linalg.norm(pts[rows_i] - pts[rows_j], axis=1)
+        data = np.concatenate([np.ones(P), -np.ones(P), -np.ones(P), np.ones(P)])
+        rr = np.concatenate([np.arange(P), np.arange(P),
+                             np.arange(P, 2 * P), np.arange(P, 2 * P)])
+        cc = np.concatenate([rows_i, rows_j, rows_i, rows_j])
+        A = sparse.coo_matrix((data, (rr, cc)), shape=(2 * P, K)).tocsr()
+        b = np.concatenate([gaps, gaps])
+    res = linprog(-coef, A_ub=A, b_ub=b, bounds=[(-1.0, 1.0)] * K,
+                  method="highs")
+    assert res.success, res.message
+    return max(float(np.dot(coef, res.x)), 0.0)
+
+
+def assert_matches_oracle(mu, nu):
+    res = bounded_lipschitz(mu, nu)
+    assert res.distance == pytest.approx(all_pairs_lp(mu, nu), rel=1e-12,
+                                         abs=0.0)
+    K = len(res.points)
+    assert res.rows <= K * (K - 1) // 2
+    return res
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_matches_the_all_pairs_program(n, seed):
+    rng = np.random.default_rng(100 * n + seed)
+    a = rng.normal(size=(60, n))
+    b = rng.normal(size=(50, n))
+    b[:10] = a[:10]                  # shared points merge across measures
+    a[20:25] = a[15:20]              # and within one
+    b[40:] += 5.0                    # a cluster more than 2 away
+    mu = DiscreteMeasure(a, rng.uniform(0.1, 1.0, 60))
+    nu = DiscreteMeasure(b, rng.uniform(0.1, 1.0, 50))
+    res = assert_matches_oracle(mu, nu)
+    assert res.status == "optimal"
+    assert len(res.points) == 60 + 50 - 15
+    assert res.rounds >= 1
+
+
+@pytest.mark.parametrize("mu,nu", [
+    (dirac([0.2, 0.4], 0.3), dirac([0.2, 0.4], 1.1)),
+    (dirac([0.2, 0.4], 0.3), dirac([0.2, 0.9], 1.1)),
+    (dirac([0.2, 0.4], 0.7), dirac([3.0, 0.4], 0.7)),
+], ids=["one-point", "two-points", "two-far-points"])
+def test_smallest_supports_match_the_all_pairs_program(mu, nu):
+    assert_matches_oracle(mu, nu)
+
+
+@pytest.fixture(scope="module")
+def concentric_measures(tmp_path_factory):
+    """First and final mass measures of each flow of a recorded
+    two-concentric-circles run."""
+    out = tmp_path_factory.mktemp("metrics") / "concentric"
+    assert main(["simulate", "--preset", "two-concentric-circles",
+                 "--out", str(out), "--end-time", "0.06"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    pairs = []
+    for record in manifest["traces"]:
+        ends = [_load_table(out / record["frames"][i], _frame_header(2))
+                for i in (0, -1)]
+        pairs.append([DiscreteMeasure(t[:, :2], t[:, 6]) for t in ends])
+    return pairs
+
+
+def test_recorded_concentric_measures_match_the_all_pairs_program(
+        concentric_measures):
+    results = [assert_matches_oracle(mu, nu) for mu, nu in concentric_measures]
+    # the nearest-neighbour seed misses pairs that bind
+    assert max(r.rounds for r in results) > 1
 
 
 # ---------------------------------------------------------------------------
