@@ -239,27 +239,24 @@ def internal_sphere_monitor(trace: FlowTrace, center, R: float) -> SphereMonitor
                           lambda dist, m, r: float(np.max(dist) - r))
 
 
-def _degenerate_hull_distance(points: np.ndarray,
-                              hull_points: np.ndarray) -> np.ndarray:
-    """Distance to the hull of an affinely dependent set (point, segment, patch)."""
-    from .geometry import point_segment_distance, point_triangle_distance
-    out = np.empty(len(points))
-    m = len(hull_points)
-    for i, p in enumerate(points):
-        if m == 1:
-            out[i] = float(np.linalg.norm(p - hull_points[0]))
-            continue
-        best = math.inf
-        for a in range(m):
-            for b in range(a + 1, m):
-                best = min(best, point_segment_distance(p, hull_points[a],
-                                                        hull_points[b]))
-                if hull_points.shape[1] == 3:
-                    for c in range(b + 1, m):
-                        best = min(best, point_triangle_distance(
-                            p, hull_points[a], hull_points[b], hull_points[c]))
-        out[i] = best
-    return out
+def _flat_hull_distance(points: np.ndarray,
+                        hull_points: np.ndarray) -> np.ndarray:
+    """Distance to the hull of a flat set (a point, a segment or a planar
+    patch): the distance within its affine hull, of rank r < n, combined
+    with the offset from that hull."""
+    rel, hull_rel = points - hull_points[0], hull_points - hull_points[0]
+    _, s, vt = np.linalg.svd(hull_rel)
+    # Qhull found no full-dimensional hull, so the set is flat to its precision
+    r = min(int(np.count_nonzero(s > 1e-9 * s[0])), points.shape[1] - 1)
+    along, hull_along = rel @ vt[:r].T, hull_rel @ vt[:r].T
+    off = rel - along @ vt[:r]
+    if r >= 2:
+        within = _hull_exterior_distance(along, hull_along)
+    else:       # a point or an interval: the distance to its coordinate range
+        within = np.sum(np.maximum(hull_along.min(axis=0) - along, 0.0)
+                        + np.maximum(along - hull_along.max(axis=0), 0.0),
+                        axis=1)
+    return np.sqrt(within**2 + np.einsum("ki,ki->k", off, off))
 
 
 def _hull_exterior_distance(points: np.ndarray, hull_points: np.ndarray) -> np.ndarray:
@@ -268,7 +265,7 @@ def _hull_exterior_distance(points: np.ndarray, hull_points: np.ndarray) -> np.n
         hull = ConvexHull(hull_points)
     except QhullError:
         # fewer points than a full-dimensional hull needs, or a flat set
-        return _degenerate_hull_distance(points, hull_points)
+        return _flat_hull_distance(points, hull_points)
     A = hull.equations[:, :-1]
     b = hull.equations[:, -1]
     slack = points @ A.T + b          # <= 0 componentwise means inside

@@ -6,9 +6,11 @@ manifest), `check` (evaluate named certificates against a recorded run),
 reports).  Exit codes: 0 all requested checks pass, 1 any check fails or a
 run aborts, 2 usage or configuration error.
 
-All numerical work is deterministic for a fixed configuration and seed; the
-only environment knob is VARIMCF_THREADS, which caps the linear-algebra
-thread pools and never changes results.
+All numerical work is deterministic for a fixed configuration and seed; each
+random sweep draws from its own stream, keyed by the seed and the
+certificate's name, so its samples do not depend on which other
+certificates are graded.  The only environment knob is VARIMCF_THREADS,
+which caps the linear-algebra thread pools and never changes results.
 """
 
 from __future__ import annotations
@@ -437,7 +439,7 @@ def _per_trace(name: str, relation: str, statement: str,
     with one verdict per trace; with `meshes`, per trace that tracked a
     boundary mesh, of which the run must have at least one."""
     def wrap(grade):
-        def certificate(traces, st, manifest, rng):
+        def certificate(traces, st, manifest):
             if meshes:
                 traces = {k: tr for k, tr in traces.items()
                           if tr.mesh_simplices is not None}
@@ -493,73 +495,78 @@ def _cert_dissipation_budget(tr, st, manifest):
             {"budget": budget, "mass_drop": drop})
 
 
-def _technical_lemma(traces, st, rng):
+def _stream(manifest, name: str):
+    """The generator of one random sweep, keyed by the run's seed and the
+    certificate's name, so that its samples do not depend on what else is
+    graded."""
+    import numpy as np
+    return np.random.default_rng([int(manifest.get("seed", 0)), *name.encode()])
+
+
+def _random_planes(rng, k: int, n: int):
+    """Projections (k, n, n) onto random planes of random dimension 1..n-1:
+    the dimensions first, then one stack of bases per dimension."""
+    import numpy as np
+
+    from .varifold import projections_from_bases
+    dims = rng.integers(1, n, size=k)
+    planes = np.empty((k, n, n))
+    for d in range(1, n):
+        rows = dims == d
+        planes[rows] = projections_from_bases(
+            rng.normal(size=(np.count_nonzero(rows), d, n)))
+    return planes
+
+
+def _technical_lemma(traces, st, manifest):
     import numpy as np
 
     from .barriers import technical_gaps
-    from .varifold import projections_from_bases
 
     n = next(iter(traces.values())).snapshots[0].varifold.n
     m = st.technical_samples
-    h, grad = np.empty((m, n)), np.empty((m, n))
-    phi = np.empty(m)
-    bases = []
-    # one sample at a time, so the shared stream is consumed as the later
-    # certificates expect; the algebra then runs on all samples at once
-    for k in range(m):
-        h[k] = rng.normal(size=n)
-        grad[k] = rng.normal(size=n)
-        phi[k] = rng.uniform(0.05, 3.0)
-        dd = int(rng.integers(1, n))
-        bases.append(rng.normal(size=(dd, n)))
+    rng = _stream(manifest, "technical-lemma")
+    h, grad = rng.normal(size=(2, m, n))
+    phi = rng.uniform(0.05, 3.0, size=m)
     worst = float(np.min(technical_gaps(h, phi, grad,
-                                        projections_from_bases(bases))))
+                                        _random_planes(rng, m, n))))
     return worst, -1e-12, {"samples": m}
 
 
-def _cert_technical_lemma(traces, st, manifest, rng):
+def _cert_technical_lemma(traces, st, manifest):
     return [_verdict("technical-lemma", "-", "the completed-square "
                      "inequality linking curvature, a positive weight and its "
                      "gradient holds on random samples", ">=",
-                     _technical_lemma, traces, st, rng)]
+                     _technical_lemma, traces, st, manifest)]
 
 
-def _barrier_defect(traces, st, rng):
+def _barrier_defect(traces, st, manifest):
     import numpy as np
 
     from .barriers import barrier_defects
-    from .varifold import projections_from_bases
 
     tr = next(iter(traces.values()))
     psi = _barrier(st, tr)
     n, d = psi.n, psi.d
     R2 = st.barrier_radius**2
-    horizon = 0.8 * R2 / (2.0 * d)
-    times = np.linspace(0.0, horizon, 5)
-    per_t = max(1, st.defect_samples // len(times))
-    x, bases = [], []
-    # one sample at a time, so the shared stream is consumed as the later
-    # certificates expect; the defects then run on all samples at once
-    for t in times:
-        live = (R2 - 2.0 * d * t) * 0.95      # t <= horizon keeps it positive
-        for _ in range(per_t):
-            direction = rng.normal(size=n)
-            direction /= np.linalg.norm(direction)
-            r = np.sqrt(float(rng.uniform(0.0, live)))
-            x.append(psi.center + r * direction)
-            dd = int(rng.integers(1, n))
-            bases.append(rng.normal(size=(dd, n)))
-    worst = float(np.max(barrier_defects(psi, np.array(x),
-                                         projections_from_bases(bases),
-                                         np.repeat(times, per_t))))
+    window = np.linspace(0.0, 0.8 * R2 / (2.0 * d), 5)
+    times = np.repeat(window, max(1, st.defect_samples // len(window)))
+    k = len(times)
+    rng = _stream(manifest, "barrier-defect")
+    direction = rng.normal(size=(k, n))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    live = (R2 - 2.0 * d * times) * 0.95      # the window keeps it positive
+    x = psi.center + np.sqrt(rng.uniform(0.0, live))[:, None] * direction
+    worst = float(np.max(barrier_defects(psi, x, _random_planes(rng, k, n),
+                                         times)))
     return (worst, 1e-10, {"samples": st.defect_samples,
                            "exponent": st.barrier_exponent})
 
 
-def _cert_barrier_defect(traces, st, manifest, rng):
+def _cert_barrier_defect(traces, st, manifest):
     return [_verdict("barrier-defect", "-", "the radial comparison weight has "
                      "nonpositive flow defect throughout its support window",
-                     "<=", _barrier_defect, traces, st, rng)]
+                     "<=", _barrier_defect, traces, st, manifest)]
 
 
 @_per_trace("eps-sphere-barrier", "<=", "mass weighted by the guarded-ball "
@@ -611,7 +618,7 @@ def _avoidance(ta, tb, st):
             {"initial_gap": float(gaps[0]), "final_gap": float(gaps[-1])})
 
 
-def _cert_avoidance(traces, st, manifest, rng):
+def _cert_avoidance(traces, st, manifest):
     if len(traces) != 2:
         raise ConfigError("avoidance needs a run with exactly two flows "
                           f"(manifest has {len(traces)})")
@@ -665,8 +672,8 @@ def _cert_nontriviality(tr, st, manifest):
             {"horizon": rep.horizon, "isoperimetric_constant": rep.constant})
 
 
-# name -> certificate(traces, st, manifest, rng) -> list[Verdict]; `all`
-# grades them in this order, drawing from one stream
+# name -> certificate(traces, st, manifest) -> list[Verdict]; `all` grades
+# them in this order
 CERTIFICATES = {
     "mass-decay": _cert_mass_decay,
     "dissipation-budget": _cert_dissipation_budget,
@@ -684,13 +691,11 @@ CERTIFICATES = {
 
 
 def _grade(names, traces, st, manifest) -> dict:
-    """The verdicts of the named certificates, which draw their samples from
-    one stream seeded by the manifest, and whether all of them passed."""
-    import numpy as np
-    rng = np.random.default_rng(int(manifest.get("seed", 0)))
+    """The verdicts of the named certificates and whether all of them
+    passed."""
     # looked up here, at the call, so that a wrapped entry is the one called
     verdicts = [v for name in names
-                for v in CERTIFICATES[name](traces, st, manifest, rng)]
+                for v in CERTIFICATES[name](traces, st, manifest)]
     return {"all_passed": all(v.passed for v in verdicts),
             "verdicts": [dataclasses.asdict(v) for v in verdicts]}
 
@@ -738,14 +743,7 @@ def _cmd_simulate(args) -> int:
         "preset": scenario.name,
         "description": scenario.description,
         "wall_clock_seconds": wall,
-        "config": {
-            "eps": cfg.eps, "dt": cfg.dt, "end_time": cfg.end_time,
-            "mass_bound": cfg.mass_bound, "cutoff": cfg.cutoff,
-            "refinement": cfg.refinement, "mode": cfg.mode,
-            "gate_constant": cfg.gate_constant,
-            "enforce_gate": cfg.enforce_gate,
-            "record_dissipation": cfg.record_dissipation,
-        },
+        "config": dataclasses.asdict(cfg),
         "traces": records,
     }
     (outdir / "manifest.json").write_text(

@@ -137,7 +137,8 @@ def _seed_pairs(points: np.ndarray, neighbours: int) -> np.ndarray:
     return np.unique(np.concatenate(codes).astype(np.int64))
 
 
-def _solve(points: np.ndarray, coef: np.ndarray, codes: np.ndarray) -> np.ndarray:
+def _solve(points: np.ndarray, coef: np.ndarray, codes: np.ndarray,
+           tol: Tolerances) -> np.ndarray:
     """Optimal phi of the program restricted to the Lipschitz pairs `codes`."""
     K = len(points)
     rows_i, rows_j = np.divmod(codes, K)
@@ -150,7 +151,10 @@ def _solve(points: np.ndarray, coef: np.ndarray, codes: np.ndarray) -> np.ndarra
     cc = np.concatenate([rows_i, rows_j, rows_i, rows_j])
     A = sparse.coo_matrix((data, (rr, cc)), shape=(2 * P, K)).tocsr()
     b = np.concatenate([gaps, gaps])
-    res = linprog(-coef, A_ub=A, b_ub=b, bounds=[(-1.0, 1.0)] * K, method="highs")
+    # HiGHS accepts rows broken by up to its primal feasibility tolerance
+    # (1e-7 by default): hold it below the slack of BLResult.verify_feasible
+    res = linprog(-coef, A_ub=A, b_ub=b, bounds=[(-1.0, 1.0)] * K, method="highs",
+                  options={"primal_feasibility_tolerance": 0.1 * tol.lp_lipschitz})
     if not res.success:
         raise SolverFailure(f"linear program failed: {res.message}")
     return np.asarray(res.x, dtype=float)
@@ -184,7 +188,7 @@ def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure,
     codes = _seed_pairs(pts, min(_SEED_NEIGHBOURS, K - 1))
     rounds = 0
     while True:
-        phi = _solve(pts, coef, codes)
+        phi = _solve(pts, coef, codes, tol)
         rounds += 1
         fresh = np.setdiff1d(_broken_pairs(pts, phi), codes, assume_unique=True)
         if not fresh.size:

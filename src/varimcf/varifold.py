@@ -20,7 +20,7 @@ to the weighted mass balance it enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -40,34 +40,24 @@ def _as_points(x: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     return a, False
 
 
-def projections_from_bases(bases: Sequence[np.ndarray],
+def projections_from_bases(bases: np.ndarray,
                            tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Projections (K, n, n) onto the planes spanned by K bases at once.
 
-    Basis k is a (d_k, n) array of rows spanning the plane; they need not be
-    orthonormal, and d_k may vary.  Each projection is B^T (B B^T)^-1 B,
-    computed with one batched solve per plane dimension.  Raises
-    DegenerateBasis for the first basis whose Gram determinant is at or
-    below tolerance.
+    `bases` is a (K, d, n) stack: the d rows of basis k span plane k and
+    need not be orthonormal.  Each projection is B^T (B B^T)^-1 B, computed
+    with one batched solve.  Raises DegenerateBasis for the first basis
+    whose Gram determinant is at or below tolerance.
     """
-    dims = np.array([len(b) for b in bases])
-    groups, det = [], np.empty(len(bases))
-    for d in np.unique(dims):
-        idx = np.flatnonzero(dims == d)
-        B = np.stack([np.asarray(bases[k], dtype=float) for k in idx])
-        gram = B @ B.transpose(0, 2, 1)
-        det[idx] = np.linalg.det(gram)
-        groups.append((idx, B, gram))
+    B = np.asarray(bases, dtype=float)
+    gram = B @ B.transpose(0, 2, 1)
+    det = np.linalg.det(gram)
     bad = np.flatnonzero(det <= tol.gram_determinant)
     if len(bad):
         raise DegenerateBasis(f"basis {bad[0]}: Gram determinant "
                               f"{det[bad[0]]:.3e} <= {tol.gram_determinant:.0e}")
-    n = groups[0][1].shape[2]
-    out = np.empty((len(bases), n, n))
-    for idx, B, gram in groups:
-        P = B.transpose(0, 2, 1) @ np.linalg.solve(gram, B)
-        out[idx] = 0.5 * (P + P.transpose(0, 2, 1))
-    return out
+    P = B.transpose(0, 2, 1) @ np.linalg.solve(gram, B)
+    return 0.5 * (P + P.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)

@@ -136,15 +136,15 @@ def test_03_completed_square_inequality_holds_on_random_samples():
     worst = np.inf
     for n in (2, 3):
         m = 50_000
-        h, grad = np.empty((m, n)), np.empty((m, n))
-        phi = np.empty(m)
-        bases = []
-        for k in range(m):
-            h[k] = rng.normal(size=n)
-            grad[k] = rng.normal(size=n)
-            phi[k] = rng.uniform(0.05, 3.0)
-            bases.append(rng.normal(size=(int(rng.integers(1, n)), n)))
-        gaps = technical_gaps(h, phi, grad, projections_from_bases(bases))
+        h, grad = rng.normal(size=(2, m, n))
+        phi = rng.uniform(0.05, 3.0, m)
+        # planes of every dimension 1..n-1, one stack of bases per dimension
+        dims = rng.integers(1, n, size=m)
+        P = np.empty((m, n, n))
+        for d in range(1, n):
+            P[dims == d] = projections_from_bases(
+                rng.normal(size=(np.count_nonzero(dims == d), d, n)))
+        gaps = technical_gaps(h, phi, grad, P)
         worst = min(worst, float(np.min(gaps)))
     assert worst >= -1e-12
 
@@ -175,8 +175,10 @@ def test_04_comparison_weight_defect_is_nonpositive():
     ax = np.linspace(-0.29, 0.29, 64)
     X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
     grid_pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-    planes = projections_from_bases(
-        [rng.normal(size=(int(rng.integers(1, 3)), 3)) for _ in range(50)])
+    lines = int(np.count_nonzero(rng.integers(1, 3, size=50) == 1))
+    planes = np.concatenate([
+        projections_from_bases(rng.normal(size=(lines, 1, 3))),
+        projections_from_bases(rng.normal(size=(50 - lines, 2, 3)))])
     psi = BarrierFunction(center=np.zeros(3), radius=0.3, beta=4.0, d=2,
                           orientation="external")
     worst, pts, val, g, H, dt_psi = sweep_defect(psi, grid_pts, planes)

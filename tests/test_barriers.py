@@ -11,15 +11,16 @@ import math
 import numpy as np
 import pytest
 
-from varimcf.barriers import (BarrierFunction, avoidance_distance,
-                              barrier_defects, convex_hull_monitor,
-                              epsilon_barrier_certificate,
+from varimcf.barriers import (BarrierFunction, _hull_exterior_distance,
+                              avoidance_distance, barrier_defects,
+                              convex_hull_monitor, epsilon_barrier_certificate,
                               external_sphere_monitor, internal_sphere_monitor,
                               lsc_monitor, technical_gaps)
 from varimcf.errors import (ConfigError, GridMismatch, NonpositiveWeight,
                             PreconditionViolated, ZeroBarrier)
 from varimcf.flow import FlowConfig, run
-from varimcf.geometry import mesh_to_varifold, regular_polygon_mesh
+from varimcf.geometry import (mesh_to_varifold, point_segment_distance,
+                              regular_polygon_mesh)
 from varimcf.varifold import (DiscreteVarifold, ScalarField,
                               projections_from_bases)
 
@@ -137,21 +138,17 @@ def test_technical_gap_special_cases():
 
 def test_technical_gap_nonnegative_and_tight():
     rng = np.random.default_rng(4)
-    by_n = {}
-    for _ in range(20_000):
-        n = rng.integers(2, 5)
-        d = rng.integers(1, n)
-        B = rng.normal(size=(d, n))
-        h = rng.normal(size=n) * rng.uniform(0.1, 3.0)
-        g = rng.normal(size=n)
-        phi = rng.uniform(1e-3, 2.0)
-        by_n.setdefault(int(n), []).append((h, g, phi, B))
+    ns = rng.integers(2, 5, size=20_000)
+    ds = rng.integers(1, ns)
     worst = math.inf
-    for rows in by_n.values():
-        h, g, phi, bases = zip(*rows)
-        worst = min(worst, float(np.min(technical_gaps(
-            np.array(h), np.array(phi), np.array(g),
-            projections_from_bases(bases)))))
+    for n in (2, 3, 4):
+        for d in range(1, n):
+            K = int(np.count_nonzero((ns == n) & (ds == d)))
+            P = projections_from_bases(rng.normal(size=(K, d, n)))
+            h = rng.normal(size=(K, n)) * rng.uniform(0.1, 3.0, (K, 1))
+            g = rng.normal(size=(K, n))
+            phi = rng.uniform(1e-3, 2.0, K)
+            worst = min(worst, float(np.min(technical_gaps(h, phi, g, P))))
     assert worst >= -1e-12
     # equality at h = -(1/2) S grad / phi
     P = projections_from_bases([rng.normal(size=(2, 3))])[0]
@@ -172,8 +169,10 @@ def test_batched_gaps_match_the_scalar_formula():
     K, n = 500, 3
     h, g = rng.normal(size=(2, K, n))
     phi = rng.uniform(1e-3, 2.0, K)
-    P = projections_from_bases([rng.normal(size=(int(rng.integers(1, n)), n))
-                                for _ in range(K)])
+    lines = int(np.count_nonzero(rng.integers(1, n, size=K) == 1))
+    P = np.concatenate([
+        projections_from_bases(rng.normal(size=(lines, 1, n))),
+        projections_from_bases(rng.normal(size=(K - lines, 2, n)))])
     gaps = technical_gaps(h, phi, g, P)
     for k in range(K):
         Sg = P[k] @ g[k]
@@ -286,6 +285,29 @@ def test_hull_monitor_lone_atom():
     cfg = FlowConfig(eps=0.2, dt=5e-3, end_time=0.02, enforce_gate=False)
     excess = convex_hull_monitor(run(V, cfg))
     assert np.max(excess) == 0.0
+
+
+def test_planar_hull_in_space_matches_the_edge_oracle():
+    # a regular 12-gon in a tilted plane of R^3 has no full-dimensional hull
+    rng = np.random.default_rng(9)
+    e1, e2, normal = np.linalg.qr(rng.normal(size=(3, 3)))[0].T
+    c = np.array([0.3, -0.2, 0.5])
+    th = np.arange(12) / 12 * 2.0 * math.pi
+    ring = c + np.cos(th)[:, None] * e1 + np.sin(th)[:, None] * e2
+    # in-plane radii inside the polygon (its inradius is cos(pi/12) > 0.9)
+    # and outside it, each in the plane and off it
+    radius = np.concatenate([rng.uniform(0.0, 0.9, 40),
+                             rng.uniform(1.1, 2.0, 40)])
+    angle = rng.uniform(0.0, 2.0 * math.pi, 80)
+    height = np.tile(np.repeat([0.0, 1.0], 20), 2) * rng.normal(size=80)
+    pts = (c + (radius * np.cos(angle))[:, None] * e1
+           + (radius * np.sin(angle))[:, None] * e2 + height[:, None] * normal)
+    dist = _hull_exterior_distance(pts, ring)
+    for p, r, z, got in zip(pts, radius, height, dist):
+        want = abs(z) if r < 1.0 else min(
+            point_segment_distance(p, ring[i], ring[(i + 1) % 12])
+            for i in range(12))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 def test_avoidance_identical_traces(circle_trace):

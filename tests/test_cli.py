@@ -441,65 +441,79 @@ def test_per_frame_lists_must_match_the_frames(run_dir, tmp_path, capsys,
     assert f"'{key}'" in capsys.readouterr().err
 
 
-def test_technical_lemma_consumes_the_stream_one_sample_at_a_time(run_dir):
+def line_projection(b):
+    """Projection onto the line through the origin along b."""
+    return np.outer(b, b) / float(b @ b)
+
+
+def test_technical_lemma_matches_the_scalar_formula_on_its_own_stream(run_dir):
     _, manifest, traces = load_manifest(str(run_dir))
     st = dataclasses.replace(Settings(), technical_samples=3000)
-    rng = np.random.default_rng(7)
-    (verdict,) = _cert_technical_lemma(traces, st, manifest, rng)
-    # reference: the scalar formula, one sample at a time
-    ref = np.random.default_rng(7)
+    (verdict,) = _cert_technical_lemma(traces, st, manifest)
+    # reference: the sweep's draws from its own stream, then the scalar
+    # formula one sample at a time
+    rng = np.random.default_rng([manifest["seed"], *b"technical-lemma"])
+    m, n = 3000, 2
+    h, grad = rng.normal(size=(2, m, n))
+    phi = rng.uniform(0.05, 3.0, m)
+    assert np.all(rng.integers(1, n, size=m) == 1)    # planes in R^2 are lines
+    bases = rng.normal(size=(m, 1, n))
     worst = np.inf
-    for _ in range(3000):
-        h = ref.normal(size=2)
-        grad = ref.normal(size=2)
-        phi = float(ref.uniform(0.05, 3.0))
-        (P,) = projections_from_bases(
-            [ref.normal(size=(int(ref.integers(1, 2)), 2))])
-        Sg = P @ grad
-        gap = (0.25 * float(Sg @ Sg) / phi + float(grad @ h)
-               + float(h @ h) * phi - float((grad - Sg) @ h))
+    for k in range(m):
+        Sg = line_projection(bases[k, 0]) @ grad[k]
+        gap = (0.25 * float(Sg @ Sg) / phi[k] + float(grad[k] @ h[k])
+               + float(h[k] @ h[k]) * phi[k] - float((grad[k] - Sg) @ h[k]))
         worst = min(worst, gap)
     assert verdict.measured == pytest.approx(worst, rel=1e-12)
     assert verdict.passed
-    # the certificates after this one draw from where the loop left off
-    assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_barrier_defect_consumes_the_stream_one_sample_at_a_time(run_dir):
+def test_barrier_defect_matches_the_defect_formula_on_its_own_stream(run_dir):
     _, manifest, traces = load_manifest(str(run_dir))
     st = Settings()
-    rng = np.random.default_rng(5)
-    (verdict,) = _cert_barrier_defect(traces, st, manifest, rng)
-    # reference: the defect formula, one sample at a time
-    ref = np.random.default_rng(5)
+    (verdict,) = _cert_barrier_defect(traces, st, manifest)
+    # reference: the sweep's draws from its own stream, then the defect
+    # formula one sample at a time
+    rng = np.random.default_rng([manifest["seed"], *b"barrier-defect"])
     d, n = 1, 2
     c = np.asarray(st.barrier_center, dtype=float)
     R2, beta = st.barrier_radius**2, st.barrier_exponent
+    times = np.repeat(np.linspace(0.0, 0.8 * R2 / (2.0 * d), 5),
+                      st.defect_samples // 5)
+    direction = rng.normal(size=(len(times), n))
+    r2 = rng.uniform(0.0, (R2 - 2.0 * d * times) * 0.95)
+    assert np.all(rng.integers(1, n, size=len(times)) == 1)
+    bases = rng.normal(size=(len(times), 1, n))
     worst = -np.inf
-    for t in np.linspace(0.0, 0.8 * R2 / (2.0 * d), 5):
-        live = (R2 - 2.0 * d * t) * 0.95
-        for _ in range(st.defect_samples // 5):
-            direction = ref.normal(size=n)
-            direction /= np.linalg.norm(direction)
-            x = c + np.sqrt(float(ref.uniform(0.0, live))) * direction
-            (P,) = projections_from_bases(
-                [ref.normal(size=(int(ref.integers(1, n)), n))])
-            # psi = u^beta with u = R^2 - |x - c|^2 - 2 d t
-            w = x - c
-            u = R2 - float(w @ w) - 2.0 * d * t
-            psi = u**beta
-            grad = -2.0 * beta * u ** (beta - 1.0) * w
-            hess = (4.0 * beta * (beta - 1.0) * u ** (beta - 2.0) * np.outer(w, w)
-                    - 2.0 * beta * u ** (beta - 1.0) * np.eye(n))
-            dpsi_dt = -2.0 * d * beta * u ** (beta - 1.0)
-            Sg = P @ grad
-            defect = (0.25 * float(Sg @ Sg) / psi
-                      - float(np.sum(P * hess)) + dpsi_dt)
-            worst = max(worst, defect)
+    for k, t in enumerate(times):
+        x = c + np.sqrt(r2[k]) * direction[k] / np.linalg.norm(direction[k])
+        # psi = u^beta with u = R^2 - |x - c|^2 - 2 d t
+        w = x - c
+        u = R2 - float(w @ w) - 2.0 * d * t
+        psi = u**beta
+        grad = -2.0 * beta * u ** (beta - 1.0) * w
+        hess = (4.0 * beta * (beta - 1.0) * u ** (beta - 2.0) * np.outer(w, w)
+                - 2.0 * beta * u ** (beta - 1.0) * np.eye(n))
+        dpsi_dt = -2.0 * d * beta * u ** (beta - 1.0)
+        P = line_projection(bases[k, 0])
+        Sg = P @ grad
+        defect = 0.25 * float(Sg @ Sg) / psi - float(np.sum(P * hess)) + dpsi_dt
+        worst = max(worst, defect)
     assert verdict.measured == pytest.approx(worst, rel=1e-12)
     assert verdict.passed
-    # the certificates after this one draw from where the loop left off
-    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_random_sweeps_do_not_depend_on_the_other_certificates(pair_dir):
+    _, manifest, traces = load_manifest(str(pair_dir))
+    sweeps = ("technical-lemma", "barrier-defect")
+
+    def measured(names):
+        graded = cli._grade(names, traces, Settings(), manifest)["verdicts"]
+        return {v["name"]: v["measured"] for v in graded if v["name"] in sweeps}
+
+    alone = {name: measured((name,))[name] for name in sweeps}
+    assert measured(sweeps[::-1]) == alone
+    assert measured(tuple(cli.CERTIFICATES)) == alone
 
 
 def without(mapping: dict, key: str) -> dict:
@@ -712,11 +726,23 @@ def test_volume_verdict_in_space_names_its_samples():
     ), sphere.simplices)
     st = dataclasses.replace(Settings(), mc_samples=2000,
                              ball_center=(0.0, 0.0, 0.0), ball_radius=1.2)
-    (verdict,) = _cert_volume_change({"main": trace}, st, {"seed": 1}, None)
+    (verdict,) = _cert_volume_change({"main": trace}, st, {"seed": 1})
     assert verdict.passed
     assert verdict.details["method"] == "monte-carlo"
     assert verdict.details["samples"] == 2000
     assert verdict.measured > 0.0
+
+
+def test_convex_hull_grades_flat_initial_supports(tmp_path, capsys):
+    # each linked ring lies in a plane, so its initial hull is flat in R^3
+    out = tmp_path / "enlaced"
+    assert main(["simulate", "--preset", "enlaced-circles", "--out", str(out),
+                 "--end-time", "0.012"]) == 0
+    capsys.readouterr()
+    assert main(["check", str(out), "--certificates", "convex-hull"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [v["trace"] for v in verdicts] == ["first", "second"]
+    assert all(v["details"]["snapshots"] == 3 for v in verdicts)
 
 
 def test_malformed_volume_center_is_a_usage_error(run_dir, capsys):

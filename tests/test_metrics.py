@@ -262,6 +262,19 @@ def test_smallest_supports_match_the_all_pairs_program(mu, nu):
     assert_matches_oracle(mu, nu)
 
 
+def test_solution_passes_the_feasibility_recheck():
+    # the 52nd pair of this sweep: at HiGHS's default primal feasibility
+    # tolerance (1e-7) its optimum broke a Lipschitz row by more than the
+    # 1e-9 slack of the re-check, and the call raised SolverFailure
+    rng = np.random.default_rng(42)
+    for _ in range(52):
+        dim, k = int(rng.integers(1, 4)), int(rng.integers(50, 301))
+        mu = DiscreteMeasure(rng.normal(size=(k, dim)), rng.uniform(size=k))
+        nu = DiscreteMeasure(rng.normal(size=(k, dim)), rng.uniform(size=k))
+    assert (dim, k) == (2, 64)
+    assert_matches_oracle(mu, nu)
+
+
 @pytest.fixture(scope="module")
 def concentric_measures(tmp_path_factory):
     """First and final mass measures of each flow of a recorded

@@ -72,21 +72,22 @@ def test_degenerate_basis_rejected():
 
 def test_batched_planes_match_one_at_a_time():
     rng = np.random.default_rng(12)
-    bases = [rng.normal(size=(int(rng.integers(1, 3)), 3)) for _ in range(200)]
-    P = projections_from_bases(bases)
-    assert P.shape == (200, 3, 3)
-    for k, rows in enumerate(bases):
-        assert np.allclose(P[k], projections_from_bases([rows])[0],
-                           rtol=0.0, atol=1e-14)
+    for d in (1, 2):
+        bases = rng.normal(size=(100, d, 3))
+        P = projections_from_bases(bases)
+        assert P.shape == (100, 3, 3)
+        for k, rows in enumerate(bases):
+            assert np.allclose(P[k], projections_from_bases([rows])[0],
+                               rtol=0.0, atol=1e-14)
 
 
 def test_batched_planes_name_the_first_degenerate_basis():
-    line = np.array([[1.0, 2.0, 0.0]])
+    plane = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
     collinear = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     with pytest.raises(DegenerateBasis, match="basis 1:"):
-        projections_from_bases([line, collinear, line, np.zeros((1, 3))])
+        projections_from_bases([plane, collinear, plane, np.zeros((2, 3))])
     with pytest.raises(DegenerateBasis, match="basis 1:"):
-        projections_from_bases([line, np.zeros((1, 3)), collinear])
+        projections_from_bases([plane, np.zeros((2, 3)), collinear])
 
 
 def test_projection_validation_rejects_junk():
