@@ -10,11 +10,10 @@ into equal pieces sampled at midpoints; a triangle is cut into strips of
 equal area between similar copies of itself scaled about a vertex, sampled
 at the strip centroids.  Total mass equals total mesh measure exactly.
 
-In the plane the area of a region inside a disk is exact: Green's theorem
-over the boundary segments, each cut where it crosses the circle.  In space
-Monte Carlo volume queries draw from a counter-based generator seeded
-explicitly, and the same sample points serve both regions of a comparison,
-so results never depend on thread count and differences carry low variance.
+The volume of a region inside a ball is exact in both dimensions: the
+divergence theorem over the boundary facets, each edge cut where it crosses
+the sphere.  Containment is the parity of the winding number, a sum of
+signed (solid) angles.
 """
 
 from __future__ import annotations
@@ -30,19 +29,6 @@ from .errors import (BallNotInterior, ConfigError, DegenerateSimplex,
                      DeltaTooLarge, OpenMesh)
 from .flow import FlowTrace
 from .varifold import DiscreteVarifold
-
-MC_DEFAULT_SAMPLES = 100_000
-
-# spare ray directions for the parity test, tried in order until none of the
-# intersections is borderline
-_RAY_DIRECTIONS = np.array([
-    [0.0, 0.0, 1.0],
-    [0.123456789, 0.987654321, 1.0],
-    [-0.7071, 0.3, 1.0],
-    [0.25, -0.8, 1.0],
-    [-0.33, -0.57, 1.0],
-])
-
 
 def point_segment_distance(p, a, b) -> float:
     p, a, b = (np.asarray(v, dtype=float) for v in (p, a, b))
@@ -241,114 +227,88 @@ def enclosed_volume(mesh: SurfaceMesh) -> float:
 
 
 # ---------------------------------------------------------------------------
-# point-in-region
+# winding numbers and clipped volumes, both exact
 
 
-def _contains_2d(mesh: SurfaceMesh, pts: np.ndarray) -> np.ndarray:
-    A = mesh.vertices[mesh.simplices[:, 0]]
-    B = mesh.vertices[mesh.simplices[:, 1]]
-    ay, by = A[:, 1][None, :], B[:, 1][None, :]
-    px, py = pts[:, 0][:, None], pts[:, 1][:, None]
-    straddle = (ay > py) != (by > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (py - ay) / (by - ay)
-        xs = A[:, 0][None, :] + t * (B[:, 0] - A[:, 0])[None, :]
-    hits = straddle & (px < xs)
-    return (hits.sum(axis=1) % 2).astype(bool)
-
-
-def _ray_hits_3d(A, E1, E2, pts, direction):
-    """Parity hits and a borderline flag, Moller-Trumbore style."""
-    d = direction / np.linalg.norm(direction)
-    pvec = np.cross(d[None, :], E2)             # (F, 3)
-    det = np.einsum("fi,fi->f", E1, pvec)       # (F,)
-    near_parallel = np.abs(det) < 1e-12
-    safe_det = np.where(near_parallel, 1.0, det)
-    tvec = pts[:, None, :] - A[None, :, :]       # (P, F, 3)
-    u = np.einsum("pfi,fi->pf", tvec, pvec) / safe_det[None, :]
-    qvec = np.cross(tvec, E1[None, :, :])
-    v = np.einsum("pfi,i->pf", qvec, d) / safe_det[None, :]
-    t = np.einsum("pfi,fi->pf", qvec, E2) / safe_det[None, :]
-    inside = (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > 0.0)
-    inside &= ~near_parallel[None, :]
-    margin = 1e-9
-    border = ((np.abs(u) < margin) | (np.abs(v) < margin)
-              | (np.abs(u + v - 1.0) < margin) | (np.abs(t) < margin))
-    border &= (u > -margin) & (v > -margin) & (u + v < 1.0 + margin) & (t > -margin)
-    border |= near_parallel[None, :]
-    suspect = np.any(border, axis=1)
-    return (inside.sum(axis=1) % 2).astype(bool), suspect
-
-
-def _contains_3d(mesh: SurfaceMesh, pts: np.ndarray, chunk: int = 2048) -> np.ndarray:
-    V, S = mesh.vertices, mesh.simplices
-    A = V[S[:, 0]]
-    E1 = V[S[:, 1]] - A
-    E2 = V[S[:, 2]] - A
-    out = np.zeros(len(pts), dtype=bool)
-    for lo in range(0, len(pts), chunk):
-        block = pts[lo:lo + chunk]
-        pending = np.arange(len(block))
-        for direction in _RAY_DIRECTIONS:
-            flags, suspect = _ray_hits_3d(A, E1, E2, block[pending], direction)
-            sure = ~suspect
-            out[lo + pending[sure]] = flags[sure]
-            pending = pending[suspect]
-            if len(pending) == 0:
-                break
-        else:
-            raise ConfigError("ray parity test stayed borderline for a point; "
-                              "geometry is adversarially degenerate")
-    return out
+def _solid_angle(a, b, c) -> np.ndarray:
+    """Signed solid angle of the triangles (a, b, c) seen from the origin,
+    positive when the normal (b - a) x (c - a) points away from it (Van
+    Oosterom and Strackee, IEEE Trans. Biomed. Eng. 30, 1983).  The last
+    axis holds the coordinates."""
+    la, lb, lc = (np.linalg.norm(x, axis=-1) for x in (a, b, c))
+    det = np.einsum("...i,...i->...", a, np.cross(b, c))
+    den = (la * lb * lc + np.einsum("...i,...i->...", a, b) * lc
+           + np.einsum("...i,...i->...", a, c) * lb
+           + np.einsum("...i,...i->...", b, c) * la)
+    return 2.0 * np.arctan2(det, den)
 
 
 def contains(mesh: SurfaceMesh, points) -> np.ndarray:
-    """Parity test: True for points enclosed by the mesh."""
+    """True for points the mesh winds around an odd number of times.
+
+    The signed angles (n = 2) or solid angles (n = 3) that the facets
+    subtend at a point sum to 2 pi or 4 pi times its winding number, so
+    either orientation gives the same answer.  Undefined on the mesh itself.
+    """
     mesh.check_closed()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != mesh.n:
         raise ConfigError("query points have the wrong ambient dimension")
-    if mesh.n == 2:
-        return _contains_2d(mesh, pts)
-    return _contains_3d(mesh, pts)
+    corners = mesh.vertices[mesh.simplices]            # (F, n, n)
+    full_turn = 2.0 * math.pi * (mesh.n - 1)
+    winding = np.empty(len(pts))
+    # blocks of points so that no (point, facet) array holds more than
+    # about 2^16 pairs
+    step = max(1, 65536 // len(corners))
+    for lo in range(0, len(pts), step):
+        rel = corners[None] - pts[lo:lo + step, None, None, :]
+        if mesh.n == 2:
+            a, b = rel[:, :, 0], rel[:, :, 1]
+            angles = np.arctan2(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
+                                np.einsum("pfi,pfi->pf", a, b))
+        else:
+            angles = _solid_angle(rel[:, :, 0], rel[:, :, 1], rel[:, :, 2])
+        winding[lo:lo + step] = angles.sum(axis=1) / full_turn
+    return np.rint(winding).astype(np.int64) % 2 == 1
 
 
-# ---------------------------------------------------------------------------
-# clipped volumes: exact in the plane, Monte Carlo in space
+def _cut_at_sphere(A: np.ndarray, D: np.ndarray, r: float) -> np.ndarray:
+    """End points (E, 4, n) of the three pieces of each segment A + t D,
+    0 <= t <= 1, cut where it crosses the sphere |x| = r.  The middle piece
+    lies inside the ball, the outer two outside it; any may be empty."""
+    # |A + t D|^2 = r^2  <=>  a t^2 + b t + c = 0; the piece between the
+    # two roots lies inside the ball, the pieces before and after outside
+    a = np.einsum("ei,ei->e", D, D)
+    b = 2.0 * np.einsum("ei,ei->e", A, D)
+    c = np.einsum("ei,ei->e", A, A) - r * r
+    # (a segment missing or touching the sphere has one double root, and a
+    # zero-length one a = b = 0: the middle piece is empty either way)
+    root = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+    two_a = np.where(a > 0.0, 2.0 * a, 1.0)
+    t = np.stack([np.zeros_like(a), (-b - root) / two_a, (-b + root) / two_a,
+                  np.ones_like(a)], axis=1)
+    return A[:, None, :] + np.clip(t, 0.0, 1.0)[:, :, None] * D[:, None, :]
 
 
 def _disk_area(mesh: SurfaceMesh, center, r: float) -> float:
     """Area inside the disk B(center, r) enclosed by a closed segment mesh.
 
     Green's theorem over the oriented segments, exact up to roundoff.  Each
-    segment is cut at its crossings with the circle (at most two) into three
-    pieces, some possibly empty.  The middle one lies inside the disk and adds
-    (1/2) u x v; the outer two add the sector area (1/2) r^2 angle(u, v), u
-    and v being a piece's end points relative to the centre.
+    segment is cut at the circle (`_cut_at_sphere`).  The middle piece lies
+    inside the disk and adds (1/2) u x v; the outer two add the sector area
+    (1/2) r^2 angle(u, v), u and v being a piece's end points relative to
+    the centre.
 
     The result is the integral over the disk of the winding number of the
-    loops.  It equals the parity area that `contains` counts wherever that
-    number is 0 or 1, as for one simple counter-clockwise loop, and its
-    negative where it is 0 or -1, as for a clockwise one.  Every planar
-    preset mesh is one simple loop, and an orientation-preserving step keeps
-    it one.
+    loops.  It equals the area that `contains` counts wherever that number
+    is 0 or 1, as for one simple counter-clockwise loop, and its negative
+    where it is 0 or -1, as for a clockwise one.  Every planar preset mesh
+    is one simple loop, and an orientation-preserving step keeps it one.
     """
     mesh.check_closed()
     V = mesh.vertices - np.asarray(center, dtype=float)
     A = V[mesh.simplices[:, 0]]
-    D = V[mesh.simplices[:, 1]] - A
-    # |A + t D|^2 = r^2  <=>  a t^2 + b t + c = 0; the piece between the
-    # two roots lies inside the disk, the pieces before and after outside
-    a = np.einsum("ei,ei->e", D, D)
-    b = 2.0 * np.einsum("ei,ei->e", A, D)
-    c = np.einsum("ei,ei->e", A, A) - r * r
-    # (a segment missing or touching the circle has one double root, and a
-    # zero-length one a = b = 0: the middle piece is empty either way)
-    root = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
-    two_a = np.where(a > 0.0, 2.0 * a, 1.0)
-    t = np.stack([np.zeros_like(a), (-b - root) / two_a, (-b + root) / two_a,
-                  np.ones_like(a)], axis=1)
-    P = A[:, None, :] + np.clip(t, 0.0, 1.0)[:, :, None] * D[:, None, :]
+    P = _cut_at_sphere(A, V[mesh.simplices[:, 1]] - A, r)
     u, v = P[:, :-1], P[:, 1:]                          # (E, 3, 2) pieces
     cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
     dot = np.einsum("epi,epi->ep", u, v)
@@ -357,12 +317,49 @@ def _disk_area(mesh: SurfaceMesh, center, r: float) -> float:
     return 0.5 * float(inside + r * r * outside)
 
 
-def _ball_samples(center, radius, count, n, seed):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    z = rng.normal(size=(count, n))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    r = radius * rng.uniform(size=(count, 1)) ** (1.0 / n)
-    return np.asarray(center, float) + z * r
+def _ball_volume(mesh: SurfaceMesh, center, r: float) -> float:
+    """Volume inside the ball B(center, r) enclosed by a closed triangle mesh.
+
+    With the centre as origin, F(x) = x/3 for |x| <= r and r^3 x / (3|x|^3)
+    outside is continuous and its divergence is the indicator of the ball,
+    so the volume is the flux of F through the mesh.  On a facet with unit
+    normal nu and plane offset s, Green's theorem in polar coordinates about
+    the foot p = s nu turns that flux into a sum over the facet's edges,
+    each cut at the sphere (`_cut_at_sphere`).  A piece (u, v) inside the
+    ball adds det(p, u, v)/6.  A piece outside adds K(s) dtheta + (r^3/3)
+    Omega(p, u, v), where dtheta is the angle it subtends at p, Omega the
+    solid angle of the triangle (p, u, v), and K(s) = s r^2/2 - s^3/6 -
+    r^3 sign(s)/3 for |s| < r, 0 otherwise.
+
+    Like `_disk_area`, the result is the integral over the ball of the
+    winding number of the mesh: the enclosed volume for an outward mesh,
+    its negative for an inward one.
+    """
+    mesh.check_closed()
+    V = mesh.vertices - np.asarray(center, dtype=float)
+    corners = V[mesh.simplices]                        # (F, 3, 3)
+    normal = np.cross(corners[:, 1] - corners[:, 0],
+                      corners[:, 2] - corners[:, 0])
+    norm = np.linalg.norm(normal, axis=1, keepdims=True)
+    # a zero-area facet gets nu = 0, hence s = 0 and p = 0, and every term
+    # below vanishes on it
+    nu = normal / np.where(norm > 0.0, norm, 1.0)
+    s = np.einsum("fi,fi->f", corners[:, 0], nu)
+    p = s[:, None] * nu
+    A = corners.reshape(-1, 3)
+    D = np.roll(corners, -1, axis=1).reshape(-1, 3) - A
+    P = _cut_at_sphere(A, D, r).reshape(len(corners), 3, 4, 3)
+    inside = np.einsum("fi,fei->", p, np.cross(P[:, :, 1], P[:, :, 2])) / 6.0
+    # the outside pieces, (F, edge, piece, 3), and the foot, (F, 1, 1, 3)
+    u, v, foot = P[:, :, [0, 2]], P[:, :, [1, 3]], p[:, None, None, :]
+    du, dv = u - foot, v - foot
+    dtheta = np.arctan2(np.einsum("fepi,fi->fep", np.cross(du, dv), nu),
+                        np.einsum("fepi,fepi->fep", du, dv))
+    K = np.where(np.abs(s) < r, s * r * r / 2.0 - s**3 / 6.0
+                 - r**3 * np.sign(s) / 3.0, 0.0)
+    outside = (np.einsum("f,fep->", K, dtheta)
+               + r**3 / 3.0 * _solid_angle(foot, u, v).sum())
+    return float(inside + outside)
 
 
 def volume_change_constant(n: int, radius: float) -> float:
@@ -377,45 +374,31 @@ class VolumeChangeReport:
     measured: float
     bound: float
     delta: float
-    standard_error: float   # 0 for the exact planar area
-    samples: int            # 0 for the exact planar area
-    method: str             # "exact" (n = 2) or "monte-carlo" (n = 3)
 
 
 def clipped_volume_change(mesh_before: SurfaceMesh, mesh_after: SurfaceMesh,
-                          center, radius: float, delta: float,
-                          samples: int = MC_DEFAULT_SAMPLES,
-                          seed: int = 0) -> VolumeChangeReport:
+                          center, radius: float, delta: float
+                          ) -> VolumeChangeReport:
     """|vol(B cap after) - vol(B cap before)| against the linear-in-delta bound.
 
     delta is the recorded step perturbation max{sup|f - id|, sup|Jf - 1|}.
-    In the plane both areas are exact (`_disk_area`) and the report carries
-    no sampling error.  In space the same sample points probe both regions
-    (paired estimator), whose standard error the report carries.
+    Both volumes are exact: `_disk_area` in the plane, `_ball_volume` in
+    space.
     """
     if delta >= 1.0:
         raise DeltaTooLarge(f"step perturbation {delta} must be below 1")
     if delta < 0.0:
         raise ConfigError("delta must be nonnegative")
     n = mesh_before.n
-    bound = volume_change_constant(n, radius) * delta
-    if n == 2:
-        measured = abs(_disk_area(mesh_after, center, radius)
-                       - _disk_area(mesh_before, center, radius))
-        return VolumeChangeReport(measured, bound, delta, 0.0, 0, "exact")
-    pts = _ball_samples(center, radius, samples, n, seed)
-    ball_vol = ball_volume(n, radius)
-    diff = contains(mesh_after, pts).astype(float) - contains(mesh_before, pts)
-    mean = float(np.mean(diff))
-    se = float(np.std(diff) / math.sqrt(samples)) * ball_vol
-    measured = abs(mean) * ball_vol
-    return VolumeChangeReport(measured, bound, delta, se, samples,
-                              "monte-carlo")
+    clipped = _disk_area if n == 2 else _ball_volume
+    measured = abs(clipped(mesh_after, center, radius)
+                   - clipped(mesh_before, center, radius))
+    return VolumeChangeReport(measured, volume_change_constant(n, radius) * delta,
+                              delta)
 
 
-def volume_change_series(trace: FlowTrace, center, radius: float,
-                         samples: int = MC_DEFAULT_SAMPLES,
-                         seed: int = 0) -> list[VolumeChangeReport]:
+def volume_change_series(trace: FlowTrace, center, radius: float
+                         ) -> list[VolumeChangeReport]:
     """One clipped-volume report per recorded step of a mesh-carrying trace."""
     if trace.mesh_simplices is None:
         raise ConfigError("trace carries no boundary mesh")
@@ -427,7 +410,7 @@ def volume_change_series(trace: FlowTrace, center, radius: float,
         before = SurfaceMesh(a.mesh_vertices, trace.mesh_simplices)
         after = SurfaceMesh(b.mesh_vertices, trace.mesh_simplices)
         reports.append(clipped_volume_change(before, after, center, radius,
-                                             a.step_delta, samples, seed + i))
+                                             a.step_delta))
     return reports
 
 
@@ -458,8 +441,6 @@ def nontriviality_certificate(trace: FlowTrace, center, radius: float,
     V0 = trace.snapshots[0].varifold
     n, d = V0.n, V0.d
     mesh0 = SurfaceMesh(trace.snapshots[0].mesh_vertices, trace.mesh_simplices)
-    if not bool(contains(mesh0, center[None])[0]):
-        raise BallNotInterior("ball center lies outside the initial region")
     clearance = min(
         point_segment_distance(center, mesh0.vertices[s[0]], mesh0.vertices[s[1]])
         if n == 2 else
@@ -470,6 +451,10 @@ def nontriviality_certificate(trace: FlowTrace, center, radius: float,
         raise BallNotInterior(
             f"ball of radius {radius} pokes through the boundary "
             f"(clearance {clearance:.6g})")
+    # after the clearance test, so the centre is off the mesh and its
+    # winding number is defined
+    if not bool(contains(mesh0, center[None])[0]):
+        raise BallNotInterior("ball center lies outside the initial region")
     if constant is None:
         constant = isoperimetric_constant(n)
     horizon = radius**2 / (8.0 * d)

@@ -256,12 +256,10 @@ def test_06_mass_never_gains_more_than_the_step(circle_traces,
 
 
 def test_07_windowed_volume_change_stays_within_bound(circle_traces):
-    reports = volume_change_series(circle_traces[0.05], (0.0, 0.0), 0.8,
-                                   samples=100_000, seed=5)
+    reports = volume_change_series(circle_traces[0.05], (0.0, 0.0), 0.8)
     assert len(reports) == 150
-    assert all(r.measured <= r.bound + 3.0 * r.standard_error
-               for r in reports)
-    # the moving curve really crosses the window: the estimate is not all zero
+    assert all(r.measured <= r.bound for r in reports)
+    # the moving curve really crosses the window: the change is not all zero
     assert max(r.measured for r in reports) > 1e-3
 
 

@@ -17,7 +17,8 @@ from varimcf.cli import (Settings, _cert_barrier_defect, _cert_technical_lemma,
                          load_manifest, main)
 from varimcf.errors import ConfigError
 from varimcf.flow import FlowConfig, FlowTrace, Snapshot, brakke_residual, sample
-from varimcf.geometry import icosphere_mesh, mesh_to_varifold
+from varimcf.geometry import (SurfaceMesh, mesh_to_varifold,
+                              volume_change_constant)
 from varimcf.varifold import (DiscreteVarifold, ScalarField,
                               projections_from_bases)
 
@@ -174,6 +175,8 @@ def test_config_file_drives_the_run(tmp_path):
     ("[desserts]\ncake = yes\n", "desserts"),
     ("[run]\nseed = soon\n", "seed"),
     ("[constants]\ntechnical_samples = 0\n", "technical_samples"),
+    ("[run]\nseed = -1\n", "seed"),
+    ("[certificates]\nmc_samples = 5000\n", "mc_samples"),
     ("[certificates]\nball_center = a,b\n", "ball_center"),
 ])
 def test_bad_config_files_are_usage_errors(tmp_path, capsys, body, fragment):
@@ -181,6 +184,57 @@ def test_bad_config_files_are_usage_errors(tmp_path, capsys, body, fragment):
     ini.write_text(body)
     assert main(["simulate", "--config", str(ini)]) == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, certificates", [
+    ("ball_radius", "0", "external-sphere"),
+    ("enclosing_radius", "0", "internal-sphere"),
+    ("weight_width", "0", "lsc"),
+    ("ball_radius", "-0.5", "nontriviality,external-sphere,volume-change"),
+    ("weight_width", "-2", "lsc"),
+    ("ball_radius", "0", None),
+], ids=["ball-zero", "enclosing-zero", "weight-zero", "ball-negative",
+        "weight-negative", "volume-radius-flag"])
+def test_nonpositive_radii_are_usage_errors(run_dir, tmp_path, capsys, key,
+                                            value, certificates):
+    ini = tmp_path / "radii.ini"
+    ini.write_text(f"[certificates]\n{key} = {value}\n")
+    argv = (["volume", str(run_dir), "--radius", value] if certificates is None
+            else ["check", str(run_dir), "--config", str(ini),
+                  "--certificates", certificates])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{key} must be positive" in captured.err
+    assert captured.out == ""
+
+
+def test_negative_seeds_are_usage_errors(run_dir, tmp_path, capsys):
+    out = tmp_path / "negative"
+    assert main(["simulate", "--seed", "-1", "--end-time", "0",
+                 "--out", str(out)]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+    # a recorded negative seed is refused before a random sweep draws from it
+    broken = tmp_path / "recorded-negative"
+    shutil.copytree(run_dir, broken)
+    (broken / "manifest.json").write_text(
+        json.dumps({**manifest_of(broken), "seed": -1}))
+    assert main(["check", str(broken), "--certificates", "technical-lemma"]) == 2
+    assert "'seed' must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_retired_volume_sample_count_is_ignored(pair_dir, tmp_path, capsys):
+    grade = ("[constants]\ncertificate_step_constant = 1e-10\n{}"
+             "[certificates]\nball_radius = 0.3\n")
+    outputs = []
+    for extra in ("", "mc_samples = 5000\n"):
+        ini = tmp_path / "grade.ini"
+        ini.write_text(grade.format(extra))
+        main(["check", str(pair_dir), "--certificates", "all",
+              "--config", str(ini)])
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["all_passed"] is True
 
 
 def test_missing_config_file_is_a_usage_error(tmp_path):
@@ -336,10 +390,10 @@ def test_barrier_defect_precondition_is_a_failed_verdict(run_dir, tmp_path,
 
 @pytest.mark.parametrize("body", [
     # every one of the 21 verdicts is evaluated, and passes
-    "[constants]\ncertificate_step_constant = 1e-10\nmc_samples = 2000\n"
+    "[constants]\ncertificate_step_constant = 1e-10\n"
     "[certificates]\nball_radius = 0.3\n",
     # the outer flow leaves this enclosing ball, and no budget is this tight
-    "[constants]\ncertificate_step_constant = 1e-10\nmc_samples = 2000\n"
+    "[constants]\ncertificate_step_constant = 1e-10\n"
     "budget_rtol = 1e-20\n[certificates]\nball_radius = 0.3\n"
     "enclosing_radius = 0.8\n",
 ], ids=["passing", "failing"])
@@ -532,12 +586,13 @@ def without(mapping: dict, key: str) -> dict:
                                             "ambient_dimension")]},
      "'ambient_dimension'"),
     (lambda man: {**man, "seed": "x"}, "'seed'"),
+    (lambda man: {**man, "seed": -1}, "'seed'"),
     (lambda man: [man], "JSON object"),
     (lambda man: {**man, "traces": 2 * man["traces"]}, "'main' is repeated"),
 ], ids=["missing-traces", "traces-not-a-list", "no-traces", "missing-config",
         "unknown-config-key", "eps-not-a-number", "missing-dt",
-        "missing-ambient_dimension", "seed-not-an-integer", "top-level-list",
-        "repeated-trace-name"])
+        "missing-ambient_dimension", "seed-not-an-integer", "negative-seed",
+        "top-level-list", "repeated-trace-name"])
 def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
                                               fragment):
     broken = tmp_path / "malformed"
@@ -704,33 +759,41 @@ def test_distance_respects_the_support_cap(tmp_path, capsys):
 
 
 def test_volume_subcommand_on_an_interior_window(run_dir, capsys):
-    rc = main(["volume", str(run_dir), "--center", "0,0", "--radius", "0.6",
-               "--samples", "20000", "--seed", "11"])
+    rc = main(["volume", str(run_dir), "--center", "0,0", "--radius", "0.6"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert payload["all_passed"] is True
     assert payload["verdicts"]
     for v in payload["verdicts"]:
         assert v["measured"] <= v["bound"]
-        assert v["details"]["method"] == "exact"
-        assert "samples" not in v["details"]
+        assert sorted(v["details"]) == ["steps", "worst_step"]
 
 
-def test_volume_verdict_in_space_names_its_samples():
-    sphere = icosphere_mesh(1)
-    V = mesh_to_varifold(sphere)
+def test_volume_verdict_in_space_is_exact():
+    # the unit cube moves by 0.1 along x away from the ball B(0, 1/2) at its
+    # corner: the clipped volume goes from an eighth of the ball, pi r^3 / 6,
+    # to a quarter of the cap {x >= 0.1} of height h = 0.4,
+    # pi h^2 (3 r - h) / 12
+    v = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+                 dtype=float)
+    quads = [[0, 1, 3, 2], [4, 6, 7, 5], [0, 4, 5, 1], [2, 3, 7, 6],
+             [0, 2, 6, 4], [1, 5, 7, 3]]
+    cube = SurfaceMesh(v, [[a, b, c] for a, b, c, _ in quads]
+                       + [[a, c, d] for a, _, c, d in quads])
+    V = mesh_to_varifold(cube)
     cfg = FlowConfig(eps=0.1, dt=0.01, end_time=0.01, enforce_gate=False)
     trace = FlowTrace(cfg, 1.0, (
-        Snapshot(0.0, V, mesh_vertices=sphere.vertices, step_delta=0.05),
-        Snapshot(0.01, V, mesh_vertices=sphere.vertices + [0.05, 0.0, 0.0]),
-    ), sphere.simplices)
-    st = dataclasses.replace(Settings(), mc_samples=2000,
-                             ball_center=(0.0, 0.0, 0.0), ball_radius=1.2)
+        Snapshot(0.0, V, mesh_vertices=cube.vertices, step_delta=0.1),
+        Snapshot(0.01, V, mesh_vertices=cube.vertices + [0.1, 0.0, 0.0]),
+    ), cube.simplices)
+    st = dataclasses.replace(Settings(), ball_center=(0.0, 0.0, 0.0),
+                             ball_radius=0.5)
     (verdict,) = _cert_volume_change({"main": trace}, st, {"seed": 1})
     assert verdict.passed
-    assert verdict.details["method"] == "monte-carlo"
-    assert verdict.details["samples"] == 2000
-    assert verdict.measured > 0.0
+    assert verdict.measured == pytest.approx(
+        np.pi * 0.5**3 / 6.0 - np.pi * 0.4**2 * (1.5 - 0.4) / 12.0, abs=1e-12)
+    assert verdict.bound == volume_change_constant(3, 0.5) * 0.1
+    assert verdict.details == {"steps": 1, "worst_step": 0}
 
 
 def test_convex_hull_grades_flat_initial_supports(tmp_path, capsys):

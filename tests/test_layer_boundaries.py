@@ -5,7 +5,9 @@ run.  A boundary that moved, was renamed or was bound to a local name would
 silently drop out of the per-layer metrics, so this pins each one down.
 """
 
+import argparse
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 
@@ -49,6 +51,15 @@ def test_attributes_the_benchmark_reads_exist():
     kernel = mollifier.Mollifier(0.1, 2)
     grid = mollifier.QuadratureGrid.for_kernel(kernel, 2)
     assert grid.offsets.shape[1] == 2
+
+
+def test_the_benchmark_grade_file_still_loads():
+    # an INI key deleted from the settings while perfbench/grade.ini still
+    # sets it would make every benchmark check a usage error
+    grade = Path(__file__).resolve().parents[1] / "perfbench" / "grade.ini"
+    st = cli.load_settings(str(grade), argparse.Namespace())
+    assert st.ball_radius == 0.3
+    assert st.certificate_step_constant == 1e-10
 
 
 def test_run_calls_each_field_layer_once_per_step(monkeypatch):
