@@ -25,6 +25,7 @@ import time
 import warnings
 from pathlib import Path
 
+from .config import DEFAULT_SUPPORT_CAP
 from .errors import (BallNotInterior, ConfigError, DeltaTooLarge,
                      GateViolated, GridMismatch, MassBoundExceeded,
                      MissingFrames, NonpositiveWeight, OutOfSpan,
@@ -79,7 +80,7 @@ class Settings:
     isoperimetric_constant: float | None = None  # None -> sharp value
     technical_samples: int = 20_000     # random tuples in the inequality sweep
     defect_samples: int = 2_000         # sample points in the defect sweep
-    lp_support_cap: int = 2_000         # max LP support for distances
+    lp_support_cap: int = DEFAULT_SUPPORT_CAP  # max LP support for distances
     budget_rtol: float = 0.02           # dissipation-vs-mass-drop tolerance
     slack_factor: float = 2.0           # support-monitor slack, in units of eps
     # [certificates]

@@ -32,6 +32,9 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
+# largest union support the bounded-Lipschitz program is built for
+DEFAULT_SUPPORT_CAP = 2000
+
 
 def ball_volume(n: int, radius: float = 1.0) -> float:
     """Lebesgue measure of an n-ball."""

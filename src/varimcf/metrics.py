@@ -11,15 +11,21 @@ distance is the optimum of the finite linear program
 
 The program has a Lipschitz row pair for each of the K(K-1)/2 pairs of
 support points, but few of them bind, so it is solved by row generation
-(Kelley's cutting planes): start from the pairs that join each point to its
-8 nearest neighbours, solve, scan every pair for a Lipschitz constraint the
-solution breaks, add the broken pairs that are not yet rows, and repeat
-until a scan finds none.  Each round adds at least one pair, so the loop
-ends.  The final phi is optimal for a relaxation of the full program (it
-has a subset of the rows) and feasible for the full program (the scan found
-no broken pair), so it is optimal for the full program.  The scans run in
-blocks of 256 rows, so no pair-distance array ever holds more than
-256 * K * k entries.
+(Kelley's cutting planes).  The first program holds the pairs that join each
+point to its 8 nearest neighbours.  After each solve one scan finds, for
+every point k, its largest Lipschitz excess |phi_k - phi_l| - |z_k - z_l|
+and the partner l that gives it; the next program adds those per-point
+pairs whose excess is above the solver's own feasibility tolerance
+tau = 0.1 * lp_lipschitz and that are not rows yet.  The loop stops when no
+such pair is left.  Then every point's largest excess is either at most tau
+or belongs to a row, and HiGHS holds its rows to tau, so every pair is
+broken by at most tau: phi is feasible for the full program to the same
+tolerance as for its own rows.  The relaxation's optimum is at least the
+full optimum, so phi is optimal.  Each round adds at least one pair, so the
+loop ends.  Scanning at tau rather than at 0 keeps the loop from chasing
+pairs broken only by the solver's tolerance.  The scans run in blocks of
+256 rows, so no pair-distance array ever holds more than 256 * K * k
+entries.
 
 The returned certificate is re-verified feasible over all pairs,
 independently of the solver.  Two unit point masses at distance r give
@@ -35,11 +41,9 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_SUPPORT_CAP, DEFAULT_TOLERANCES, Tolerances
 from .errors import ConfigError, SolverFailure, SupportTooLarge
 from .varifold import DiscreteVarifold
-
-DEFAULT_SUPPORT_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ class BLResult:
         """Independent check of the certificate against the constraint system."""
         if np.any(np.abs(self.phi) > 1.0 + slack):
             raise SolverFailure("certificate violates the box constraint")
-        if _broken_pairs(self.points, self.phi, slack).size:
+        if np.any(_worst_partners(self.points, self.phi)[0] > slack):
             raise SolverFailure("certificate violates a Lipschitz constraint")
 
 
@@ -105,20 +109,18 @@ def _block_gaps(points: np.ndarray, start: int) -> np.ndarray:
     return _gaps(points[start:start + _BLOCK, None, :] - points[None, :, :])
 
 
-def _broken_pairs(points: np.ndarray, phi: np.ndarray,
-                  slack: float = 0.0) -> np.ndarray:
-    """Sorted codes k * K + l of the pairs k < l with
-    |phi_k - phi_l| > |z_k - z_l| + slack."""
-    K = len(phi)
-    codes = [np.zeros(0, dtype=np.int64)]
-    for start in range(0, K, _BLOCK):
-        rows = np.arange(start, min(start + _BLOCK, K))
-        broken = (np.abs(phi[rows, None] - phi[None, :])
-                  > _block_gaps(points, start) + slack)
-        broken &= rows[:, None] < np.arange(K)
-        k, l = np.nonzero(broken)
-        codes.append(rows[k] * K + l)
-    return np.concatenate(codes)
+def _worst_partners(points: np.ndarray, phi: np.ndarray):
+    """Each point's largest Lipschitz excess |phi_k - phi_l| - |z_k - z_l|
+    over all points l, and the l that gives it (a point's own excess is 0)."""
+    excess = np.empty(len(phi))
+    partner = np.empty(len(phi), dtype=np.int64)
+    for start in range(0, len(phi), _BLOCK):
+        block = (np.abs(phi[start:start + _BLOCK, None] - phi[None, :])
+                 - _block_gaps(points, start))
+        rows = slice(start, start + len(block))
+        partner[rows] = block.argmax(axis=1)
+        excess[rows] = block.max(axis=1)
+    return excess, partner
 
 
 def _seed_pairs(points: np.ndarray, neighbours: int) -> np.ndarray:
@@ -138,7 +140,7 @@ def _seed_pairs(points: np.ndarray, neighbours: int) -> np.ndarray:
 
 
 def _solve(points: np.ndarray, coef: np.ndarray, codes: np.ndarray,
-           tol: Tolerances) -> np.ndarray:
+           feasibility: float) -> np.ndarray:
     """Optimal phi of the program restricted to the Lipschitz pairs `codes`."""
     K = len(points)
     rows_i, rows_j = np.divmod(codes, K)
@@ -151,10 +153,8 @@ def _solve(points: np.ndarray, coef: np.ndarray, codes: np.ndarray,
     cc = np.concatenate([rows_i, rows_j, rows_i, rows_j])
     A = sparse.coo_matrix((data, (rr, cc)), shape=(2 * P, K)).tocsr()
     b = np.concatenate([gaps, gaps])
-    # HiGHS accepts rows broken by up to its primal feasibility tolerance
-    # (1e-7 by default): hold it below the slack of BLResult.verify_feasible
     res = linprog(-coef, A_ub=A, b_ub=b, bounds=[(-1.0, 1.0)] * K, method="highs",
-                  options={"primal_feasibility_tolerance": 0.1 * tol.lp_lipschitz})
+                  options={"primal_feasibility_tolerance": feasibility})
     if not res.success:
         raise SolverFailure(f"linear program failed: {res.message}")
     return np.asarray(res.x, dtype=float)
@@ -185,12 +185,19 @@ def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure,
     if K == 1:
         phi = np.array([math.copysign(1.0, coef[0]) if coef[0] != 0.0 else 0.0])
         return BLResult(abs(float(coef[0])), phi, pts, "closed-form", 0, 0)
+    # HiGHS accepts rows broken by up to its primal feasibility tolerance
+    # (1e-7 by default): hold it below the slack of BLResult.verify_feasible
+    feasibility = 0.1 * tol.lp_lipschitz
     codes = _seed_pairs(pts, min(_SEED_NEIGHBOURS, K - 1))
     rounds = 0
     while True:
-        phi = _solve(pts, coef, codes, tol)
+        phi = _solve(pts, coef, codes, feasibility)
         rounds += 1
-        fresh = np.setdiff1d(_broken_pairs(pts, phi), codes, assume_unique=True)
+        excess, partner = _worst_partners(pts, phi)
+        k = np.flatnonzero(excess > feasibility)
+        l = partner[k]
+        worst = np.unique(np.minimum(k, l) * K + np.maximum(k, l))
+        fresh = np.setdiff1d(worst, codes, assume_unique=True)
         if not fresh.size:
             break
         codes = np.union1d(codes, fresh)

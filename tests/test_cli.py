@@ -19,6 +19,7 @@ from varimcf.errors import ConfigError
 from varimcf.flow import FlowConfig, FlowTrace, Snapshot, brakke_residual, sample
 from varimcf.geometry import (SurfaceMesh, mesh_to_varifold,
                               volume_change_constant)
+from varimcf.metrics import _SEED_NEIGHBOURS, _seed_pairs
 from varimcf.varifold import (DiscreteVarifold, ScalarField,
                               projections_from_bases)
 
@@ -731,17 +732,23 @@ def test_distance_reports_the_size_of_the_final_program(pair_dir, tmp_path,
     # the outer flow's first and final frames: 400 distinct support points
     record = manifest_of(pair_dir)["traces"][1]
     paths = []
+    frames = []
     for i in (0, -1):
-        frame = _load_table(pair_dir / record["frames"][i], _frame_header(2))
+        frames.append(_load_table(pair_dir / record["frames"][i],
+                                  _frame_header(2)))
         paths.append(tmp_path / f"outer_{i}.csv")
-        save_measure(paths[-1], frame[:, :2], frame[:, 6])
+        save_measure(paths[-1], frames[-1][:, :2], frames[-1][:, 6])
     rc = main(["distance", *map(str, paths)])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert payload["status"] == "optimal"
     assert payload["support_first"] == 200 == payload["support_second"]
     assert payload["rounds"] >= 1
-    assert 0 < payload["rows"] < 400 * 399 // 2
+    # each round after the first adds at most one pair per support point
+    support = np.unique(np.vstack([f[:, :2] for f in frames]), axis=0)
+    assert len(support) == 400
+    seed = len(_seed_pairs(support, _SEED_NEIGHBOURS))
+    assert 0 < payload["rows"] <= seed + 400 * (payload["rounds"] - 1)
 
 
 def test_distance_respects_the_support_cap(tmp_path, capsys):

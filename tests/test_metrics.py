@@ -15,8 +15,8 @@ from varimcf.cli import (_frame_header, _load_table, _measure_header,
                          _save_table, main)
 from varimcf.errors import ConfigError, SolverFailure, SupportTooLarge
 from varimcf.flow import FlowConfig, run, sample
-from varimcf.metrics import (BLResult, DiscreteMeasure, _union_support,
-                             bounded_lipschitz)
+from varimcf.metrics import (_SEED_NEIGHBOURS, BLResult, DiscreteMeasure,
+                             _seed_pairs, _union_support, bounded_lipschitz)
 from varimcf.varifold import DiscreteVarifold
 
 
@@ -227,12 +227,21 @@ def all_pairs_lp(mu, nu):
     return max(float(np.dot(coef, res.x)), 0.0)
 
 
+def assert_one_pair_per_point_per_round(res):
+    """Each round after the first adds at most one pair per support point."""
+    K = len(res.points)
+    if res.rounds:
+        seed = len(_seed_pairs(res.points, min(_SEED_NEIGHBOURS, K - 1)))
+        assert res.rows <= seed + K * (res.rounds - 1)
+
+
 def assert_matches_oracle(mu, nu):
     res = bounded_lipschitz(mu, nu)
     assert res.distance == pytest.approx(all_pairs_lp(mu, nu), rel=1e-12,
                                          abs=0.0)
     K = len(res.points)
     assert res.rows <= K * (K - 1) // 2
+    assert_one_pair_per_point_per_round(res)
     return res
 
 
@@ -262,17 +271,35 @@ def test_smallest_supports_match_the_all_pairs_program(mu, nu):
     assert_matches_oracle(mu, nu)
 
 
+def random_sweep(count):
+    """The first `count` random measure pairs of one seeded sweep, each with
+    50-300 normal points in 1-3 dimensions."""
+    rng = np.random.default_rng(42)
+    for _ in range(count):
+        dim, k = int(rng.integers(1, 4)), int(rng.integers(50, 301))
+        mu = DiscreteMeasure(rng.normal(size=(k, dim)), rng.uniform(size=k))
+        nu = DiscreteMeasure(rng.normal(size=(k, dim)), rng.uniform(size=k))
+        yield dim, mu, nu
+
+
 def test_solution_passes_the_feasibility_recheck():
     # the 52nd pair of this sweep: at HiGHS's default primal feasibility
     # tolerance (1e-7) its optimum broke a Lipschitz row by more than the
     # 1e-9 slack of the re-check, and the call raised SolverFailure
-    rng = np.random.default_rng(42)
-    for _ in range(52):
-        dim, k = int(rng.integers(1, 4)), int(rng.integers(50, 301))
-        mu = DiscreteMeasure(rng.normal(size=(k, dim)), rng.uniform(size=k))
-        nu = DiscreteMeasure(rng.normal(size=(k, dim)), rng.uniform(size=k))
-    assert (dim, k) == (2, 64)
+    *_, (dim, mu, nu) = random_sweep(52)
+    assert (dim, len(mu)) == (2, 64)
     assert_matches_oracle(mu, nu)
+
+
+def test_one_dimensional_pairs_end_in_two_rounds():
+    # a scan for excess above 0 rather than above the solver's tolerance
+    # chased pairs broken by less than 1e-10 and took up to 20 rounds here
+    results = [bounded_lipschitz(mu, nu)
+               for dim, mu, nu in random_sweep(40) if dim == 1]
+    assert len(results) == 7
+    for res in results:
+        assert res.rounds <= 2
+        assert_one_pair_per_point_per_round(res)
 
 
 @pytest.fixture(scope="module")
