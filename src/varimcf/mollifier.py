@@ -31,10 +31,11 @@ atom and q vanishes exactly at every other node, so q is evaluated once, and
 
 the dissipation, are sums over the same nodes; as grad Phi is odd,
 delta V(h) = -D to roundoff.  Anchored at an atom, the nodes move with V under
-translations and quarter turns.  Neighbor sums use an exact uniform spatial
-hash with cell size equal to the kernel support radius; all reductions are
-fixed-order (bincount / einsum), so results are bitwise reproducible
-regardless of thread configuration.
+translations and quarter turns.  One pair search serves both sums of a step:
+the lattice finds the nodes within R of a point a column at a time, so the
+field sums scatter each atom onto its nodes and the outer sum gathers each
+point's nodes.  All reductions are fixed-order (bincount / einsum), so results
+are bitwise reproducible regardless of thread configuration.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .config import sphere_area
 from .errors import ConfigError, GridTooCoarse
 from .varifold import DiscreteVarifold, _as_points
 
-_QUERY_CHUNK = 4096        # field-sum query points per chunk
 _PAIR_CHUNK = 1 << 17     # candidate (point, lattice node) pairs per chunk
 _HASH_HALF_RANGE = 1 << 19  # per-axis cell index limit for int64 packing
 _ROUNDOFF = 1e-6          # slack, in cells, of the lattice's range tests
@@ -157,6 +157,8 @@ class SpatialHash:
     Cell size equals the query radius, so all neighbors of a query point lie
     in its cell or the 3^dim surrounding cells.  Atom indices are kept in a
     cell-sorted order; pair generation is fully vectorized and deterministic.
+    Nothing in the package calls it; perfbench/tracing.py still wraps
+    neighbor_pairs until that span moves to _Lattice._near.
     """
 
     def __init__(self, points: np.ndarray, cell_size: float):
@@ -219,39 +221,37 @@ def _within(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarray,
     return tuple(np.take(x, inside, axis=0) for x in (rows, cols, diff, rho))
 
 
-def _field_sums(V: DiscreteVarifold, kernel: Mollifier,
-                points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smoothed mass and smoothed first variation at the given points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    Q, n = pts.shape
-    mass, fvar = np.zeros(Q), np.zeros((Q, n))
-    if len(V) == 0:
-        return mass, fvar
-    R2 = kernel.support_radius**2
-    hash_ = SpatialHash(V.positions, kernel.support_radius)
+def _field_sums(lattice: _Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """Smoothed mass and smoothed first variation at the lattice nodes.
+
+    Each atom is scattered onto the nodes within R of it, which the
+    lattice's own lookup finds; bincount over the node index adds the terms
+    in a fixed order.
+    """
+    V, kernel = lattice.V, lattice.kernel
+    nodes = lattice.nodes[1]
+    K, n = nodes.shape
+    mass, fvar = np.zeros(K), np.zeros((K, n))
     # orthonormal bases of the atom planes, shape (N, d, n)
     bases = np.ascontiguousarray(np.transpose(
         np.linalg.eigh(V.planes)[1][:, :, -V.d:], (0, 2, 1)))
-    for lo in range(0, Q, _QUERY_CHUNK):
-        hi = min(lo + _QUERY_CHUNK, Q)
-        chunk = pts[lo:hi]
-        rows, cols = hash_.neighbor_pairs(chunk)
-        if rows.size == 0:
-            continue
-        rows, cols, diff, rho = _within(chunk, rows, V.positions, cols, R2)
-        if rows.size == 0:
-            continue
+    for part in lattice._chunks(len(V)):
+        atoms = V.positions[part]
+        rows, idx = lattice._near(atoms)
+        rows, idx, diff, rho = _within(atoms, rows, nodes, idx,
+                                       kernel.support_radius**2)
         g, gp = kernel._profile01(rho)
-        m = np.take(V.masses, cols)
-        mass[lo:hi] += np.bincount(rows, weights=m * g, minlength=hi - lo)
-        # S_j diff through the orthonormal basis: S v = B^T (B v)
-        B = np.take(bases, cols, axis=0)
+        m = np.take(V.masses[part], rows)
+        mass += np.bincount(idx, weights=m * g, minlength=K)
+        # S_i diff through the orthonormal basis: S v = B^T (B v)
+        B = np.take(bases[part], rows, axis=0)
         coeff = np.einsum("pkj,pj->pk", B, diff)
         sd = np.einsum("pk,pkj->pj", coeff, B)
-        coef = -2.0 * m * gp
+        # diff = x_i - y_k, so -grad Phi(y_k - x_i) = 2 g' diff
+        coef = 2.0 * m * gp
         for axis in range(n):
-            fvar[lo:hi, axis] += np.bincount(rows, weights=coef * sd[:, axis],
-                                             minlength=hi - lo)
+            fvar[:, axis] += np.bincount(idx, weights=coef * sd[:, axis],
+                                         minlength=K)
     return mass, fvar
 
 
@@ -262,7 +262,9 @@ class _Lattice:
     lattice, so one lattice serves all curvature evaluations and the
     dissipation of a step.  Node codes are linear in the cell, and the cells
     along the last axis of a column have consecutive codes, so the nodes near
-    a point are found a column at a time: one code range per column.
+    a point are found a column at a time: one code range per column.  That
+    one lookup gives the pairs of both kernel sums: the atoms scattered onto
+    the nodes for the fields, the nodes gathered at each point by mollify.
     """
 
     def __init__(self, V: DiscreteVarifold, kernel: Mollifier, grid: QuadratureGrid):
@@ -314,7 +316,7 @@ class _Lattice:
     @functools.cached_property
     def fields(self) -> tuple[np.ndarray, np.ndarray]:
         """||V|| * Phi and delta V * Phi at the nodes."""
-        return _field_sums(self.V, self.kernel, self.nodes[1])
+        return _field_sums(self)
 
     def quotient(self) -> np.ndarray:
         mass, fvar = self.fields
@@ -346,15 +348,20 @@ class _Lattice:
         rows = np.repeat(np.arange(len(points)), counts.sum(axis=1))
         return rows, _ranges(first.ravel(), first.ravel() + counts.ravel())
 
+    def _chunks(self, count: int) -> list[slice]:
+        """Consecutive slices of `count` points, sized so that `_near` gives
+        about _PAIR_CHUNK candidate pairs per slice."""
+        step = max(1, _PAIR_CHUNK // int(np.sum(2 * self.half + 1)))
+        return [slice(lo, lo + step) for lo in range(0, count, step)]
+
     def mollify(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Phi * q and its Jacobian at the points, as sums over the nodes."""
         Q, n = points.shape
         h, J = np.zeros((Q, n)), np.zeros((Q, n, n))
         nodes = self.nodes[1]
         quot = self.quotient()
-        step = max(1, _PAIR_CHUNK // int(np.sum(2 * self.half + 1)))
-        for lo in range(0, Q, step):
-            chunk = points[lo:lo + step]
+        for part in self._chunks(Q):
+            chunk = points[part]
             rows, idx = self._near(chunk)
             rows, idx, diff, rho = _within(chunk, rows, nodes, idx,
                                            self.kernel.support_radius**2)
@@ -364,10 +371,10 @@ class _Lattice:
             # grad Phi(x - y) = 2 g' (x - y)
             wgrad = ((2.0 * self.weight) * gp)[:, None] * diff
             for a in range(n):
-                h[lo:lo + step, a] = np.bincount(rows, weights=wphi * wq[:, a],
-                                                 minlength=len(chunk))
+                h[part, a] = np.bincount(rows, weights=wphi * wq[:, a],
+                                         minlength=len(chunk))
                 for b in range(n):
-                    J[lo:lo + step, a, b] = np.bincount(
+                    J[part, a, b] = np.bincount(
                         rows, weights=wq[:, a] * wgrad[:, b], minlength=len(chunk))
         return h, J
 

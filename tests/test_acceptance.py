@@ -367,14 +367,18 @@ def test_11_halving_the_step_halves_the_discretization_errors(
 
 
 def test_12_frames_are_byte_identical_across_thread_counts(tmp_path):
-    def run_and_digest(tag, threads):
-        out = tmp_path / tag
+    # the 2-D circle over five steps and one 3-D sphere step, so that the
+    # scatter onto the lattice is pinned in both dimensions
+    runs = {"circle": ["--eps", "0.1", "--dt", "0.002", "--end-time", "0.01"],
+            "sphere": ["--end-time", "0.0025"]}
+
+    def run_and_digest(preset, tag, threads):
+        out = tmp_path / preset / tag
         env = os.environ.copy()
         env["VARIMCF_THREADS"] = str(threads)
         subprocess.run(
-            [sys.executable, "-m", "varimcf", "simulate",
-             "--preset", "circle", "--eps", "0.1", "--dt", "0.002",
-             "--end-time", "0.01", "--seed", "3", "--out", str(out)],
+            [sys.executable, "-m", "varimcf", "simulate", "--preset", preset,
+             *runs[preset], "--seed", "3", "--out", str(out)],
             check=True, env=env, capture_output=True)
         digest = hashlib.sha256()
         names = sorted(p.name for p in out.glob("*.csv"))
@@ -385,7 +389,8 @@ def test_12_frames_are_byte_identical_across_thread_counts(tmp_path):
         return digest.hexdigest()
 
     most = max(1, os.cpu_count() or 1)
-    reference = run_and_digest("t1", 1)
-    assert run_and_digest("t1-again", 1) == reference
-    assert run_and_digest("t2", 2) == reference
-    assert run_and_digest("tmax", most) == reference
+    for preset in runs:
+        reference = run_and_digest(preset, "t1", 1)
+        assert run_and_digest(preset, "t1-again", 1) == reference, preset
+        assert run_and_digest(preset, "t2", 2) == reference, preset
+        assert run_and_digest(preset, "tmax", most) == reference, preset

@@ -8,7 +8,7 @@ import pytest
 
 from varimcf.errors import ConfigError, GridTooCoarse
 from varimcf.mollifier import (Mollifier, QuadratureGrid, SpatialHash,
-                               _field_sums, _integer_ball, _Lattice, _pack,
+                               _integer_ball, _Lattice, _pack,
                                _within, curvature_with_jacobian, dissipation)
 from varimcf.varifold import (DiscreteVarifold, VectorField, first_variation,
                               projections_from_bases)
@@ -181,47 +181,58 @@ def brute_mass(V, kern, pts):
 def brute_fvar(V, kern, pts):
     out = np.zeros((len(pts), V.n))
     for i in range(len(V)):
-        for q, p in enumerate(pts):
-            out[q] -= V.masses[i] * V.planes[i] @ kernel_grad(
-                kern, p - V.positions[i])[0]
+        out -= V.masses[i] * kernel_grad(kern, pts - V.positions[i]) @ V.planes[i]
     return out
+
+
+def field_lattice(seed, N, n, d, eps):
+    rng = np.random.default_rng(seed)
+    V = random_varifold(rng, N, n=n, d=d)
+    kern = Mollifier(eps, n)
+    return rng, _Lattice(V, kern, QuadratureGrid.for_kernel(kern, 2))
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (3, 2)])
 def test_smoothed_fields_match_brute_force(n, d):
-    rng = np.random.default_rng(20 + n)
-    V = random_varifold(rng, 25, n=n, d=d)
-    kern = Mollifier(0.3, n)
-    pts = np.vstack([rng.uniform(-1.2, 1.2, (15, n)),
-                     np.full((1, n), 50.0)])   # one point far off support
-    mass, fvar = _field_sums(V, kern, pts)
-    assert np.allclose(mass, brute_mass(V, kern, pts), atol=1e-12)
-    assert np.allclose(fvar, brute_fvar(V, kern, pts), atol=1e-12)
-    assert mass[-1] == 0.0 and np.all(fvar[-1] == 0.0)
+    # every lattice node against the all-pairs sums; a node farther than R
+    # from every atom gets no term at all
+    _, lattice = field_lattice(20 + n, 25, n, d, 0.3)
+    V, kern = lattice.V, lattice.kernel
+    nodes = lattice.nodes[1]
+    mass, fvar = lattice.fields
+    np.testing.assert_allclose(mass, brute_mass(V, kern, nodes),
+                               rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(fvar, brute_fvar(V, kern, nodes),
+                               rtol=0.0, atol=1e-12)
+    gap = np.min(np.linalg.norm(nodes[:, None, :] - V.positions[None], axis=2),
+                 axis=1)
+    far = gap >= kern.support_radius
+    assert 0 < np.count_nonzero(far) < len(nodes)
+    assert np.all(mass[far] == 0.0) and np.all(fvar[far] == 0.0)
 
 
 def test_smoothed_first_variation_equals_exact_pairing():
-    # component j at y equals the exact first variation along the vector
-    # field x -> Phi(y - x) e_j
-    rng = np.random.default_rng(23)
-    V = random_varifold(rng, 12, n=2, d=1)
-    kern = Mollifier(0.4, 2)
-    y = np.array([0.1, -0.2])
-    fv = _field_sums(V, kern, y)[1][0]
-    for j in range(2):
-        ej = np.zeros(2)
-        ej[j] = 1.0
+    # component j at a node y equals the exact first variation along the
+    # vector field x -> Phi(y - x) e_j
+    for n, d in [(2, 1), (3, 2)]:
+        rng, lattice = field_lattice(23 + n, 12, n, d, 0.4)
+        V, kern = lattice.V, lattice.kernel
+        mass, fvar = lattice.fields
+        for k in rng.choice(np.flatnonzero(mass > 0.0), 4, replace=False):
+            y = lattice.nodes[1][k]
+            for j, ej in enumerate(np.eye(n)):
 
-        def value(x, ej=ej):
-            x = np.atleast_2d(x)
-            return kernel_value(kern, y[None, :] - x)[:, None] * ej[None, :]
+                def value(x, y=y, ej=ej):
+                    x = np.atleast_2d(x)
+                    return kernel_value(kern, y[None, :] - x)[:, None] * ej[None, :]
 
-        def jac(x, ej=ej):
-            x = np.atleast_2d(x)
-            return -np.einsum("i,qj->qij", ej, kernel_grad(kern, y[None, :] - x))
+                def jac(x, y=y, ej=ej):
+                    x = np.atleast_2d(x)
+                    return -np.einsum("i,qj->qij", ej,
+                                      kernel_grad(kern, y[None, :] - x))
 
-        assert first_variation(V, VectorField(value, jac)) == pytest.approx(
-            fv[j], abs=1e-12)
+                assert first_variation(V, VectorField(value, jac)) == \
+                    pytest.approx(fvar[k, j], abs=1e-12)
 
 
 def test_raw_curvature_quotient_definition():
