@@ -31,13 +31,12 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import ConvexHull, QhullError
 
-from .config import DEFAULT_TOLERANCES, Tolerances, sphere_area
+from .config import BARRIER_FLOOR, CHAIN_SLACK, NORM_SAFETY, sphere_area
 from .errors import (ConfigError, GridMismatch, NonpositiveWeight,
                      PreconditionViolated, ZeroBarrier)
 from .flow import FlowTrace
 from .varifold import ScalarField
 
-DEFAULT_SCALE_CEILING = 1.0   # admissible smoothing scales are below this
 NORM_GRID_STEPS = 256
 
 
@@ -115,7 +114,7 @@ class BarrierFunction:
 
     # -- certified norm overestimates (radial sweeps at t = 0) --------------
 
-    def c3_norm(self, safety: float = 1.05) -> float:
+    def c3_norm(self) -> float:
         """sup over orders 0..3 of the derivative tensors' Frobenius norms."""
         rho = np.linspace(0.0, self.radius, NORM_GRID_STEPS + 1)
         if self.orientation == "internal":
@@ -129,9 +128,9 @@ class BarrierFunction:
         worst = max(worst, float(np.max(np.sqrt(np.einsum("aij,aij->a", H, H)))))
         T = self.third(pts, 0.0)
         worst = max(worst, float(np.max(np.sqrt(np.einsum("aijk,aijk->a", T, T)))))
-        return safety * worst
+        return NORM_SAFETY * worst
 
-    def grad_l2_norm(self, safety: float = 1.05) -> float:
+    def grad_l2_norm(self) -> float:
         """L^2 norm of grad psi(., 0) by radial quadrature."""
         b = self.beta
         R2 = self.radius**2
@@ -148,7 +147,7 @@ class BarrierFunction:
             hi = 2.0 * self.radius  # truncated: certificate use is external-only
         val, _ = quad(integrand, 0.0 if self.orientation == "external" else self.radius,
                       hi, limit=200)
-        return safety * math.sqrt(sphere_area(self.n) * val)
+        return NORM_SAFETY * math.sqrt(sphere_area(self.n) * val)
 
 
 def technical_gaps(h, phi, grad_phi, P) -> np.ndarray:
@@ -173,8 +172,7 @@ def technical_gaps(h, phi, grad_phi, P) -> np.ndarray:
     return rhs - lhs
 
 
-def barrier_defects(psi: BarrierFunction, x, P, t,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def barrier_defects(psi: BarrierFunction, x, P, t) -> np.ndarray:
     """(1/4)|S grad psi|^2/psi - S : hess psi + d psi/dt at K points.
 
     x : (K, n) points; P : (K, n, n) plane projections; t : (K,) times or
@@ -185,7 +183,7 @@ def barrier_defects(psi: BarrierFunction, x, P, t,
     """
     x = np.asarray(x, dtype=float)
     val = psi.value(x, t)
-    bad = np.flatnonzero(val <= tol.barrier_floor)
+    bad = np.flatnonzero(val <= BARRIER_FLOOR)
     if len(bad):
         raise ZeroBarrier(f"psi = {val[bad[0]]:.3e} at row {bad[0]}")
     Sg = np.einsum("kij,kj->ki", P, psi.grad(x, t))
@@ -203,7 +201,6 @@ class SphereMonitorSeries:
     """Per-snapshot readings against the shrinking sphere sqrt(R^2 - 2dt)."""
 
     times: np.ndarray
-    radii: np.ndarray
     values: np.ndarray   # invaded mass (external) or protrusion (internal)
 
     def peak(self) -> float:
@@ -224,7 +221,7 @@ def _sphere_series(trace: FlowTrace, center, R: float,
         V = snap.varifold
         vals.append(reading(np.linalg.norm(V.positions - center, axis=1),
                             V.masses, r))
-    return SphereMonitorSeries(trace.times[live], radii, np.array(vals))
+    return SphereMonitorSeries(trace.times[live], np.array(vals))
 
 
 def external_sphere_monitor(trace: FlowTrace, center, R: float) -> SphereMonitorSeries:
@@ -319,8 +316,6 @@ def avoidance_distance(trace_a: FlowTrace, trace_b: FlowTrace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EpsBarrierReport:
-    eps: float
-    step: float
     norm_constant: float        # 2 max{ C3 norm, grad L2 norm, 1 }
     mass_bound: float
     bound: float                # norm_constant * (10M + 9) * eps^(1/6)
@@ -328,7 +323,7 @@ class EpsBarrierReport:
     notes: tuple[str, ...] = ()
 
 
-def _trace_consistency(trace: FlowTrace, tol: Tolerances) -> None:
+def _trace_consistency(trace: FlowTrace) -> None:
     """Reject traces whose snapshots cannot come from the recorded steps."""
     snaps = trace.snapshots
     for i in range(len(snaps) - 1):
@@ -344,16 +339,14 @@ def _trace_consistency(trace: FlowTrace, tol: Tolerances) -> None:
             raise PreconditionViolated(
                 f"atom displacement {float(np.max(moved)):.3e} exceeds "
                 f"step * recorded curvature bound {allowed:.3e} at t = {s.time:.6g}")
-        if nxt.mass > s.mass + dt + tol.chain_slack:
+        if nxt.mass > s.mass + dt + CHAIN_SLACK:
             raise PreconditionViolated(
                 f"mass gained more than the step length at t = {s.time:.6g}")
 
 
 def epsilon_barrier_certificate(trace: FlowTrace, psi: BarrierFunction,
-                                c5_cfg: float = 1.0,
-                                scale_ceiling: float = DEFAULT_SCALE_CEILING,
-                                tol: Tolerances = DEFAULT_TOLERANCES
-                                ) -> EpsBarrierReport:
+                                c5_cfg: float,
+                                scale_ceiling: float) -> EpsBarrierReport:
     """Certify the almost-nonincrease of the barrier-weighted mass.
 
     For a piecewise flow that stays admissible (fine subdivision relative to
@@ -369,11 +362,8 @@ def epsilon_barrier_certificate(trace: FlowTrace, psi: BarrierFunction,
         raise ConfigError("certificate applies to the compactly supported profile")
     if psi.beta <= 3.0:
         raise ConfigError("profile must be three times differentiable (beta > 3)")
-    cfg = trace.config
-    if cfg.mode != "piecewise":
-        raise PreconditionViolated("certificate applies to the piecewise reading")
-    eps = cfg.eps
-    step = cfg.delta()
+    eps = trace.config.eps
+    step = trace.config.delta()
     if c5_cfg * step * eps**-8 > eps * (1.0 + 1e-12):
         raise PreconditionViolated(
             f"subdivision too coarse: {c5_cfg:.3g} * {step:.3g} * eps^-8 "
@@ -384,8 +374,8 @@ def epsilon_barrier_certificate(trace: FlowTrace, psi: BarrierFunction,
     if scale_ceiling > 4.0**-6:
         notes.append("scale ceiling above 4^-6: admissibility is configured, "
                      "not derived")
-    _trace_consistency(trace, tol)
-    c = 2.0 * max(psi.c3_norm(tol.norm_safety), psi.grad_l2_norm(tol.norm_safety), 1.0)
+    _trace_consistency(trace)
+    c = 2.0 * max(psi.c3_norm(), psi.grad_l2_norm(), 1.0)
     M = trace.mass_bound
     bound = c * (10.0 * M + 9.0) * eps ** (1.0 / 6.0)
     worst = -math.inf
@@ -396,7 +386,7 @@ def epsilon_barrier_certificate(trace: FlowTrace, psi: BarrierFunction,
     for w in weighted:
         running_min = min(running_min, w)
         worst = max(worst, w - running_min)
-    return EpsBarrierReport(eps, step, c, M, bound, worst, tuple(notes))
+    return EpsBarrierReport(c, M, bound, worst, tuple(notes))
 
 
 @dataclass(frozen=True)
@@ -407,23 +397,15 @@ class LscReport:
 
 
 def lsc_monitor(trace: FlowTrace, psi: ScalarField,
-                constant: float | None = None,
-                slack_tol: float | None = None) -> LscReport:
+                constant: float | None = None) -> LscReport:
     """Check that t -> ||V(t)||(psi) - C t is nonincreasing up to step slack.
 
     C defaults to sup |hess psi| times the initial mass; `constant` overrides
     it (a forced C = 0 under a moving support is the negative control).
     """
     if constant is None:
-        if psi.hess_bound is None:
-            raise ConfigError("weight carries no hessian bound; pass constant=")
         constant = float(psi.hess_bound) * trace.snapshots[0].mass
-    if slack_tol is None:
-        if psi.c2_bound is None:
-            raise ConfigError("weight carries no C2 bound; pass slack_tol=")
-        slack_tol = float(psi.c2_bound)
-    step = trace.config.delta()
-    slack = slack_tol * step
+    slack = float(psi.c2_bound) * trace.config.delta()
     vals = np.array([float(np.dot(s.varifold.masses,
                                   psi.value(s.varifold.positions, s.time)))
                      - constant * s.time for s in trace.snapshots])

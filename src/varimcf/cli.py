@@ -104,6 +104,14 @@ def _parse_vector(raw: str) -> tuple[float, ...]:
             f"expected comma-separated numbers, got {raw!r}") from None
 
 
+def _parse_bool(raw: str) -> bool:
+    """One of configparser's boolean words, in any case."""
+    states, word = configparser.ConfigParser.BOOLEAN_STATES, raw.strip().lower()
+    if word not in states:
+        raise ValueError(f"expected one of {', '.join(states)}")
+    return states[word]
+
+
 def _parse_cert_list(raw: str) -> tuple[str, ...]:
     names = [p.strip() for p in raw.replace(",", " ").split() if p.strip()]
     if not names:
@@ -129,8 +137,7 @@ _INI_PARSERS = {
     },
     "constants": {
         "gate_constant": ("gate_constant", float),
-        "enforce_gate": ("enforce_gate", lambda s: s.strip().lower() in
-                         ("1", "true", "yes", "on")),
+        "enforce_gate": ("enforce_gate", _parse_bool),
         "certificate_step_constant": ("certificate_step_constant", float),
         "scale_ceiling": ("scale_ceiling", float),
         "isoperimetric_constant": ("isoperimetric_constant", float),

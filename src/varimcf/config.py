@@ -1,36 +1,29 @@
 """Central numeric tolerances and named constants.
 
-Every comparison tolerance used by validation code lives here so that tests
-and library code agree on one set of numbers.
+Every validation tolerance is a module constant here, so that tests and
+library code agree on one set of numbers; no function takes one as an argument.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    # plane projection validation
-    projector_symmetry: float = 1e-12
-    projector_idempotency: float = 1e-10
-    projector_trace: float = 1e-10
-    # linear algebra guards
-    gram_determinant: float = 1e-12
-    map_determinant: float = 1e-12
-    # bounded-Lipschitz LP feasibility re-check (box and Lipschitz rows)
-    lp_lipschitz: float = 1e-9
-    # barriers
-    barrier_floor: float = 1e-14
-    norm_safety: float = 1.05
-    # meshes
-    degenerate_simplex: float = 1e-12
-    # generic slack for exact chain inequalities evaluated in floats
-    chain_slack: float = 1e-9
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# plane projection validation
+PROJECTOR_SYMMETRY = 1e-12
+PROJECTOR_IDEMPOTENCY = 1e-10
+PROJECTOR_TRACE = 1e-10
+# linear algebra guards
+GRAM_DETERMINANT = 1e-12
+MAP_DETERMINANT = 1e-12
+# bounded-Lipschitz LP feasibility re-check (box and Lipschitz rows)
+LP_LIPSCHITZ = 1e-9
+# barriers
+BARRIER_FLOOR = 1e-14
+NORM_SAFETY = 1.05
+# meshes
+DEGENERATE_SIMPLEX = 1e-12
+# generic slack for exact chain inequalities evaluated in floats
+CHAIN_SLACK = 1e-9
 
 # largest union support the bounded-Lipschitz program is built for
 DEFAULT_SUPPORT_CAP = 2000
@@ -49,4 +42,3 @@ def sphere_area(n: int) -> float:
 def isoperimetric_constant(n: int) -> float:
     """Sharp constant in perimeter >= c_n * volume^((n-1)/n)."""
     return n * ball_volume(n) ** (1.0 / n)
-

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import CHAIN_SLACK, MAP_DETERMINANT
 from .errors import (ConfigError, GateViolated, MassBoundExceeded, OutOfSpan,
                      SingularMap)
 from .mollifier import (Mollifier, QuadratureGrid, _Lattice,
@@ -34,8 +34,7 @@ from .mollifier import (Mollifier, QuadratureGrid, _Lattice,
 from .varifold import DiscreteVarifold, ScalarField
 
 
-def pushforward(V: DiscreteVarifold, positions: np.ndarray, Df: np.ndarray,
-                tol: Tolerances = DEFAULT_TOLERANCES
+def pushforward(V: DiscreteVarifold, positions: np.ndarray, Df: np.ndarray
                 ) -> tuple[DiscreteVarifold, np.ndarray]:
     """f_# V for atomic V, given f and Df at every atom.
 
@@ -44,7 +43,7 @@ def pushforward(V: DiscreteVarifold, positions: np.ndarray, Df: np.ndarray,
     if len(V) == 0:
         return V, np.zeros(0)
     dets = np.linalg.det(Df)
-    if np.any(np.abs(dets) <= tol.map_determinant):
+    if np.any(np.abs(dets) <= MAP_DETERMINANT):
         raise SingularMap("step map not invertible at an atom")
     _, vecs = np.linalg.eigh(V.planes)
     basis = vecs[:, :, -V.d:]                       # (N, n, d)
@@ -60,10 +59,10 @@ def pushforward(V: DiscreteVarifold, positions: np.ndarray, Df: np.ndarray,
     return W, dets
 
 
-def _step(V: DiscreteVarifold, tau: float, h: np.ndarray, J: np.ndarray,
-          tol: Tolerances) -> tuple[DiscreteVarifold, np.ndarray]:
+def _step(V: DiscreteVarifold, tau: float, h: np.ndarray,
+          J: np.ndarray) -> tuple[DiscreteVarifold, np.ndarray]:
     """Push V through x -> x + tau h(x), whose Jacobian is I + tau Dh."""
-    return pushforward(V, V.positions + tau * h, np.eye(V.n) + tau * J, tol)
+    return pushforward(V, V.positions + tau * h, np.eye(V.n) + tau * J)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +76,8 @@ class FlowConfig:
     when `enforce_gate` is set; it is far smaller than any affordable step at
     practical scales, so preset runs disable it and rely on the structural
     per-step checks (positive tangential Jacobians, invertible step maps),
-    which `run` applies unconditionally.
+    which `run` applies unconditionally.  Every run records the dissipation;
+    `sample` takes the reading between steps (piecewise or interpolated).
     """
 
     eps: float
@@ -86,10 +86,8 @@ class FlowConfig:
     mass_bound: float | None = None
     cutoff: float = 4.0
     refinement: int = 4
-    mode: str = "piecewise"
     gate_constant: float = 1.0
     enforce_gate: bool = True
-    record_dissipation: bool = True
 
     def __post_init__(self):
         if self.eps <= 0.0:
@@ -98,8 +96,6 @@ class FlowConfig:
             raise ConfigError("dt must be positive and end_time nonnegative")
         if self.end_time > 1.0 + 1e-12:
             raise ConfigError("end_time must be <= 1")
-        if self.mode not in ("piecewise", "interpolated"):
-            raise ConfigError(f"unknown sampling mode {self.mode!r}")
 
     def times(self) -> np.ndarray:
         if self.end_time == 0.0:
@@ -162,8 +158,7 @@ class FlowTrace:
 
 def run(V0: DiscreteVarifold, config: FlowConfig,
         mesh_vertices: np.ndarray | None = None,
-        mesh_simplices: np.ndarray | None = None,
-        tol: Tolerances = DEFAULT_TOLERANCES) -> FlowTrace:
+        mesh_simplices: np.ndarray | None = None) -> FlowTrace:
     """Run the flow over the configured subdivision, recording diagnostics.
 
     When mesh vertex/simplex arrays are given, the vertices are advected by
@@ -171,7 +166,7 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
     per-step perturbation sizes are recorded for the volume certificates.
     """
     M = config.mass_bound or max(1.0, V0.total_mass())
-    if V0.total_mass() > M + tol.chain_slack:
+    if V0.total_mass() > M + CHAIN_SLACK:
         raise MassBoundExceeded(f"initial mass {V0.total_mass():.6g} exceeds bound {M:.6g}")
     times = config.times()
     if config.enforce_gate and len(times) > 1:
@@ -192,11 +187,11 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
         lat = _Lattice(V, kernel, grid)
         pts = V.positions if verts is None else np.vstack([V.positions, verts])
         h, J = curvature_with_jacobian(V, kernel, grid, pts, lat)
-        diss = dissipation(V, kernel, grid, lat) if config.record_dissipation else None
+        diss = dissipation(V, kernel, grid, lat)
         # structural step checks (the gate's content): the step map must stay
         # a diffeomorphism near the support, so pushforward refuses singular
         # maps and step_delta records the distance from the identity
-        W, dets = _step(V, dt, h[:N], J[:N], tol)
+        W, dets = _step(V, dt, h[:N], J[:N])
         hmax = float(np.max(np.linalg.norm(h, axis=1), initial=0.0))
         dets_v = np.linalg.det(np.eye(V.n) + dt * J[N:])
         excess = np.abs(np.concatenate([dets, dets_v]) - 1.0)
@@ -204,9 +199,9 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
         snaps.append(Snapshot(float(times[i]), V, h[:N], J[:N],
                               hmax, diss, None if verts is None else verts.copy(),
                               step_delta))
-        if W.total_mass() > V.total_mass() + dt + tol.chain_slack:
+        if W.total_mass() > V.total_mass() + dt + CHAIN_SLACK:
             raise MassBoundExceeded("per-step mass growth exceeded dt")
-        if W.total_mass() > M + 1.0 + tol.chain_slack:
+        if W.total_mass() > M + 1.0 + CHAIN_SLACK:
             raise MassBoundExceeded("total mass exceeded M + 1 along the run")
         V = W
         if verts is not None:
@@ -216,14 +211,15 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
     return FlowTrace(config, M, tuple(snaps), mesh_simplices)
 
 
-def sample(trace: FlowTrace, t: float, mode: str | None = None,
-           tol: Tolerances = DEFAULT_TOLERANCES) -> DiscreteVarifold:
+def sample(trace: FlowTrace, t: float,
+           mode: str = "piecewise") -> DiscreteVarifold:
     """The flow at time t, in piecewise or interpolated reading.
 
     Piecewise: V(t) = V(t_i) on [t_i, t_{i+1}).  Interpolated: the partial
     pushforward under x + (t - t_i) h(., V(t_i)), using the stored fields.
     """
-    mode = mode or trace.config.mode
+    if mode not in ("piecewise", "interpolated"):
+        raise ConfigError(f"unknown sampling mode {mode!r}")
     i = trace.locate(t)
     snap = trace.snapshots[i]
     if mode == "piecewise" or i == len(trace.snapshots) - 1:
@@ -231,12 +227,9 @@ def sample(trace: FlowTrace, t: float, mode: str | None = None,
     tau = t - snap.time
     if tau <= 1e-15:
         return snap.varifold
-    if mode != "interpolated":
-        raise ConfigError(f"unknown sampling mode {mode!r}")
     if snap.curvature is None or snap.curvature_jacobian is None:
         raise ConfigError("trace lacks stored curvature fields; cannot interpolate")
-    return _step(snap.varifold, tau, snap.curvature, snap.curvature_jacobian,
-                 tol)[0]
+    return _step(snap.varifold, tau, snap.curvature, snap.curvature_jacobian)[0]
 
 
 def _weighted_fv_arrays(V: DiscreteVarifold, phi: ScalarField, t: float,
@@ -291,6 +284,6 @@ def dissipation_budget(trace: FlowTrace) -> float:
     for i in range(len(times) - 1):
         d = trace.snapshots[i].dissipation
         if d is None:
-            raise ConfigError("trace was run without dissipation recording")
+            raise ConfigError(f"trace lacks the dissipation of step {i}")
         total += float(times[i + 1] - times[i]) * d
     return total

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (DEFAULT_TOLERANCES, Tolerances, ball_volume,
-                     isoperimetric_constant)
+from .config import DEGENERATE_SIMPLEX, ball_volume, isoperimetric_constant
 from .errors import (BallNotInterior, ConfigError, DegenerateSimplex,
                      DeltaTooLarge, OpenMesh)
 from .flow import FlowTrace
@@ -174,13 +173,13 @@ def icosphere_mesh(level: int = 2, radius: float = 1.0,
     return SurfaceMesh(verts * radius + np.asarray(center, float), faces)
 
 
-def mesh_to_varifold(mesh: SurfaceMesh, samples_per_simplex: int = 1,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> DiscreteVarifold:
+def mesh_to_varifold(mesh: SurfaceMesh,
+                     samples_per_simplex: int = 1) -> DiscreteVarifold:
     """Atoms at facet quadrature points; total mass = total measure exactly."""
     if samples_per_simplex < 1:
         raise ConfigError("need at least one sample per facet")
     meas = mesh.measures()
-    if np.any(meas <= tol.degenerate_simplex):
+    if np.any(meas <= DEGENERATE_SIMPLEX):
         raise DegenerateSimplex("a facet has vanishing measure")
     V, S = mesh.vertices, mesh.simplices
     s = samples_per_simplex
@@ -373,7 +372,6 @@ def volume_change_constant(n: int, radius: float) -> float:
 class VolumeChangeReport:
     measured: float
     bound: float
-    delta: float
 
 
 def clipped_volume_change(mesh_before: SurfaceMesh, mesh_after: SurfaceMesh,
@@ -393,8 +391,7 @@ def clipped_volume_change(mesh_before: SurfaceMesh, mesh_after: SurfaceMesh,
     clipped = _disk_area if n == 2 else _ball_volume
     measured = abs(clipped(mesh_after, center, radius)
                    - clipped(mesh_before, center, radius))
-    return VolumeChangeReport(measured, volume_change_constant(n, radius) * delta,
-                              delta)
+    return VolumeChangeReport(measured, volume_change_constant(n, radius) * delta)
 
 
 def volume_change_series(trace: FlowTrace, center, radius: float

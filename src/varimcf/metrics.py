@@ -16,7 +16,7 @@ point to its 8 nearest neighbours.  After each solve one scan finds, for
 every point k, its largest Lipschitz excess |phi_k - phi_l| - |z_k - z_l|
 and the partner l that gives it; the next program adds those per-point
 pairs whose excess is above the solver's own feasibility tolerance
-tau = 0.1 * lp_lipschitz and that are not rows yet.  The loop stops when no
+tau = 0.1 * LP_LIPSCHITZ and that are not rows yet.  The loop stops when no
 such pair is left.  Then every point's largest excess is either at most tau
 or belongs to a row, and HiGHS holds its rows to tau, so every pair is
 broken by at most tau: phi is feasible for the full program to the same
@@ -41,7 +41,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .config import DEFAULT_SUPPORT_CAP, DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_SUPPORT_CAP, LP_LIPSCHITZ
 from .errors import ConfigError, SolverFailure, SupportTooLarge
 from .varifold import DiscreteVarifold
 
@@ -87,7 +87,7 @@ class BLResult:
     rounds: int          # linear programs solved
     rows: int            # Lipschitz pairs in the final linear program
 
-    def verify_feasible(self, slack: float = 1e-9) -> None:
+    def verify_feasible(self, slack: float = LP_LIPSCHITZ) -> None:
         """Independent check of the certificate against the constraint system."""
         if np.any(np.abs(self.phi) > 1.0 + slack):
             raise SolverFailure("certificate violates the box constraint")
@@ -173,8 +173,7 @@ def _union_support(mu: DiscreteMeasure, nu: DiscreteMeasure):
 
 
 def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                      support_cap: int = DEFAULT_SUPPORT_CAP,
-                      tol: Tolerances = DEFAULT_TOLERANCES) -> BLResult:
+                      support_cap: int = DEFAULT_SUPPORT_CAP) -> BLResult:
     """Exact bounded-Lipschitz distance of two finitely supported measures."""
     pts, coef = _union_support(mu, nu)
     K = len(pts)
@@ -187,7 +186,7 @@ def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure,
         return BLResult(abs(float(coef[0])), phi, pts, "closed-form", 0, 0)
     # HiGHS accepts rows broken by up to its primal feasibility tolerance
     # (1e-7 by default): hold it below the slack of BLResult.verify_feasible
-    feasibility = 0.1 * tol.lp_lipschitz
+    feasibility = 0.1 * LP_LIPSCHITZ
     codes = _seed_pairs(pts, min(_SEED_NEIGHBOURS, K - 1))
     rounds = 0
     while True:
@@ -203,5 +202,5 @@ def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure,
         codes = np.union1d(codes, fresh)
     value = float(np.dot(coef, phi))
     out = BLResult(max(value, 0.0), phi, pts, "optimal", rounds, len(codes))
-    out.verify_feasible(tol.lp_lipschitz)
+    out.verify_feasible()
     return out

@@ -24,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import (GRAM_DETERMINANT, PROJECTOR_IDEMPOTENCY,
+                     PROJECTOR_SYMMETRY, PROJECTOR_TRACE)
 from .errors import ConfigError, DegenerateBasis, NonpositiveWeight
 
 
@@ -40,8 +41,7 @@ def _as_points(x: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     return a, False
 
 
-def projections_from_bases(bases: np.ndarray,
-                           tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def projections_from_bases(bases: np.ndarray) -> np.ndarray:
     """Projections (K, n, n) onto the planes spanned by K bases at once.
 
     `bases` is a (K, d, n) stack: the d rows of basis k span plane k and
@@ -52,10 +52,10 @@ def projections_from_bases(bases: np.ndarray,
     B = np.asarray(bases, dtype=float)
     gram = B @ B.transpose(0, 2, 1)
     det = np.linalg.det(gram)
-    bad = np.flatnonzero(det <= tol.gram_determinant)
+    bad = np.flatnonzero(det <= GRAM_DETERMINANT)
     if len(bad):
         raise DegenerateBasis(f"basis {bad[0]}: Gram determinant "
-                              f"{det[bad[0]]:.3e} <= {tol.gram_determinant:.0e}")
+                              f"{det[bad[0]]:.3e} <= {GRAM_DETERMINANT:.0e}")
     P = B.transpose(0, 2, 1) @ np.linalg.solve(gram, B)
     return 0.5 * (P + P.transpose(0, 2, 1))
 
@@ -86,9 +86,7 @@ class DiscreteVarifold:
         object.__setattr__(self, "masses", m)
 
     @classmethod
-    def from_arrays(cls, positions, planes, masses, d: int,
-                    validate: bool = True,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> "DiscreteVarifold":
+    def from_arrays(cls, positions, planes, masses, d: int) -> "DiscreteVarifold":
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
         planes = np.asarray(planes, dtype=float)
         masses = np.atleast_1d(np.asarray(masses, dtype=float))
@@ -96,11 +94,10 @@ class DiscreteVarifold:
         if planes.ndim == 2:
             planes = planes[None, :, :]
         V = cls(n, d, positions, planes, masses)
-        if validate:
-            V.validate(tol)
+        V.validate()
         return V
 
-    def validate(self, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+    def validate(self) -> None:
         N = len(self)
         if self.positions.shape != (N, self.n):
             raise ConfigError(f"positions shape {self.positions.shape}, want {(N, self.n)}")
@@ -111,13 +108,13 @@ class DiscreteVarifold:
         if N == 0:
             return
         P = self.planes
-        if float(np.max(np.abs(P - np.transpose(P, (0, 2, 1))))) > tol.projector_symmetry:
+        if float(np.max(np.abs(P - np.transpose(P, (0, 2, 1))))) > PROJECTOR_SYMMETRY:
             raise ConfigError("a plane projection is not symmetric")
         idem = np.einsum("aij,ajk->aik", P, P) - P
-        if float(np.max(np.abs(idem))) > tol.projector_idempotency:
+        if float(np.max(np.abs(idem))) > PROJECTOR_IDEMPOTENCY:
             raise ConfigError("a plane projection is not idempotent")
         tr = np.einsum("aii->a", P)
-        if float(np.max(np.abs(tr - self.d))) > tol.projector_trace:
+        if float(np.max(np.abs(tr - self.d))) > PROJECTOR_TRACE:
             raise ConfigError("a plane projection has the wrong rank")
 
     def __len__(self) -> int:

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 import pytest
 
+import varimcf
 from varimcf.barriers import (BarrierFunction, avoidance_distance,
                               barrier_defects, epsilon_barrier_certificate,
                               technical_gaps)
@@ -376,6 +377,10 @@ def test_12_frames_are_byte_identical_across_thread_counts(tmp_path):
         out = tmp_path / preset / tag
         env = os.environ.copy()
         env["VARIMCF_THREADS"] = str(threads)
+        # the child imports the same varimcf as this process
+        home = os.path.dirname(os.path.dirname(varimcf.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [home, env.get("PYTHONPATH")]))
         subprocess.run(
             [sys.executable, "-m", "varimcf", "simulate", "--preset", preset,
              *runs[preset], "--seed", "3", "--out", str(out)],

@@ -389,7 +389,7 @@ def inner_barrier():
 
 def test_certificate_passes_on_honest_run(admissible_trace):
     rep = epsilon_barrier_certificate(admissible_trace, inner_barrier(),
-                                      c5_cfg=1e-9)
+                                      c5_cfg=1e-9, scale_ceiling=1.0)
     assert rep.max_increase <= rep.bound
     assert rep.max_increase == pytest.approx(0.0, abs=1e-15)
     # norm constant: the profile's norms stay below one at this radius, so
@@ -402,7 +402,8 @@ def test_certificate_passes_on_honest_run(admissible_trace):
 
 def test_certificate_rejects_coarse_subdivision(admissible_trace):
     with pytest.raises(PreconditionViolated, match="subdivision"):
-        epsilon_barrier_certificate(admissible_trace, inner_barrier(), c5_cfg=1.0)
+        epsilon_barrier_certificate(admissible_trace, inner_barrier(),
+                                    c5_cfg=1.0, scale_ceiling=1.0)
 
 
 def test_certificate_rejects_large_scale(admissible_trace):
@@ -411,22 +412,15 @@ def test_certificate_rejects_large_scale(admissible_trace):
                                     c5_cfg=1e-9, scale_ceiling=0.01)
 
 
-def test_certificate_rejects_interpolated_reading():
-    V0 = mesh_to_varifold(regular_polygon_mesh(50))
-    cfg = FlowConfig(eps=0.05, dt=1e-3, end_time=0.01, refinement=2,
-                     enforce_gate=False, mode="interpolated")
-    tr = run(V0, cfg)
-    with pytest.raises(PreconditionViolated, match="piecewise"):
-        epsilon_barrier_certificate(tr, inner_barrier(), c5_cfg=1e-9)
-
-
 def test_certificate_rejects_wrong_profile(admissible_trace):
     internal = BarrierFunction(np.zeros(2), 0.3, 4.0, 1, orientation="internal")
     with pytest.raises(ConfigError):
-        epsilon_barrier_certificate(admissible_trace, internal, c5_cfg=1e-9)
+        epsilon_barrier_certificate(admissible_trace, internal, c5_cfg=1e-9,
+                                    scale_ceiling=1.0)
     rough = BarrierFunction(np.zeros(2), 0.3, 3.0, 1)
     with pytest.raises(ConfigError):
-        epsilon_barrier_certificate(admissible_trace, rough, c5_cfg=1e-9)
+        epsilon_barrier_certificate(admissible_trace, rough, c5_cfg=1e-9,
+                                    scale_ceiling=1.0)
 
 
 def _tampered(trace, index, new_varifold):
@@ -443,7 +437,8 @@ def test_certificate_catches_teleported_atoms(admissible_trace):
     bad = DiscreteVarifold(V.n, V.d, pos, V.planes.copy(), V.masses.copy())
     doctored = _tampered(admissible_trace, mid, bad)
     with pytest.raises(PreconditionViolated, match="displacement"):
-        epsilon_barrier_certificate(doctored, inner_barrier(), c5_cfg=1e-9)
+        epsilon_barrier_certificate(doctored, inner_barrier(), c5_cfg=1e-9,
+                                    scale_ceiling=1.0)
 
 
 def test_certificate_catches_mass_injection(admissible_trace):
@@ -453,4 +448,5 @@ def test_certificate_catches_mass_injection(admissible_trace):
                            V.masses * 3.0)
     doctored = _tampered(admissible_trace, mid, bad)
     with pytest.raises(PreconditionViolated, match="mass"):
-        epsilon_barrier_certificate(doctored, inner_barrier(), c5_cfg=1e-9)
+        epsilon_barrier_certificate(doctored, inner_barrier(), c5_cfg=1e-9,
+                                    scale_ceiling=1.0)

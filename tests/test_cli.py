@@ -179,6 +179,7 @@ def test_config_file_drives_the_run(tmp_path):
     ("[run]\nseed = -1\n", "seed"),
     ("[certificates]\nmc_samples = 5000\n", "mc_samples"),
     ("[certificates]\nball_center = a,b\n", "ball_center"),
+    ("[constants]\nenforce_gate = ture\n", "enforce_gate"),
 ])
 def test_bad_config_files_are_usage_errors(tmp_path, capsys, body, fragment):
     ini = tmp_path / "bad.ini"
@@ -590,10 +591,17 @@ def without(mapping: dict, key: str) -> dict:
     (lambda man: {**man, "seed": -1}, "'seed'"),
     (lambda man: [man], "JSON object"),
     (lambda man: {**man, "traces": 2 * man["traces"]}, "'main' is repeated"),
+    # keys of FlowConfig fields that no longer exist
+    (lambda man: {**man, "config": {**man["config"], "mode": "piecewise"}},
+     "'mode'"),
+    (lambda man: {**man, "config": {**man["config"],
+                                    "record_dissipation": True}},
+     "'record_dissipation'"),
 ], ids=["missing-traces", "traces-not-a-list", "no-traces", "missing-config",
         "unknown-config-key", "eps-not-a-number", "missing-dt",
         "missing-ambient_dimension", "seed-not-an-integer", "negative-seed",
-        "top-level-list", "repeated-trace-name"])
+        "top-level-list", "repeated-trace-name", "retired-mode",
+        "retired-record_dissipation"])
 def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
                                               fragment):
     broken = tmp_path / "malformed"
@@ -604,6 +612,17 @@ def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
     for command in ("check", "volume"):
         assert main([command, str(broken)]) == 2
         assert fragment in capsys.readouterr().err
+
+
+def test_missing_step_dissipation_is_a_usage_error(run_dir, tmp_path, capsys):
+    broken = tmp_path / "no-dissipation"
+    shutil.copytree(run_dir, broken)
+    manifest = manifest_of(broken)
+    manifest["traces"][0]["dissipation"][0] = None
+    (broken / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["check", str(broken), "--certificates",
+                 "dissipation-budget"]) == 2
+    assert "dissipation of step 0" in capsys.readouterr().err
 
 
 def test_missing_frame_file_is_reported(run_dir, tmp_path):

@@ -350,13 +350,15 @@ def test_brakke_residual_halves_with_dt():
     assert 1.5 <= res[0] / res[1] <= 3.0
 
 
-def test_config_rejections():
+def test_config_rejections(circle_trace):
     with pytest.raises(ConfigError):
         FlowConfig(eps=0.0, dt=1e-3, end_time=0.1)
     with pytest.raises(ConfigError):
         FlowConfig(eps=0.1, dt=1e-3, end_time=1.5)
-    with pytest.raises(ConfigError):
-        FlowConfig(eps=0.1, dt=1e-3, end_time=0.1, mode="spline")
+    # an unknown reading is refused at a snapshot time and between two
+    for t in (0.0, 0.002, 0.001):
+        with pytest.raises(ConfigError, match="spline"):
+            sample(circle_trace, t, "spline")
 
 
 def test_mesh_vertices_advected_alongside():

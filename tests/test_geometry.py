@@ -405,8 +405,7 @@ def test_volume_reports_carry_no_sampling_fields():
     solid = clipped_volume_change(
         ICO, moved(ICO, lambda p: p + np.array([0.05, 0.0, 0.0])),
         [0.0, 0.0, 0.0], 0.9, 0.05)
-    assert sorted(vars(flat)) == sorted(vars(solid)) == [
-        "bound", "delta", "measured"]
+    assert sorted(vars(flat)) == sorted(vars(solid)) == ["bound", "measured"]
 
 
 def test_clipped_change_rejects_large_delta():

@@ -130,9 +130,8 @@ def test_kernel_config_rejections():
 
 def test_grid_covers_the_ball_and_centers_a_node():
     grid = QuadratureGrid(2, 1.0, 0.125)
-    assert grid.covered_volume >= math.pi - 1e-12
+    assert len(grid.offsets) * grid.weight >= math.pi - 1e-12
     assert np.any(np.all(grid.offsets == 0.0, axis=1))
-    assert grid.node_count == len(grid.offsets)
 
 
 def test_grid_refinement_guard():
@@ -471,5 +470,5 @@ def test_dissipation_guards():
     with pytest.raises(ConfigError):  # the grid must cover the support
         dissipation(V, kern, QuadratureGrid(2, 0.5 * kern.support_radius, 0.05))
     assert dissipation(DiscreteVarifold.from_arrays(
-        np.zeros((0, 2)), np.zeros((0, 2, 2)), np.zeros(0), d=1,
-        validate=False), kern) == 0.0
+        np.zeros((0, 2)), np.zeros((0, 2, 2)), np.zeros(0), d=1),
+        kern) == 0.0
