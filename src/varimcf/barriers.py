@@ -1,11 +1,11 @@
 """Sphere barriers and the monitors that certify avoidance behavior on traces.
 
 A barrier is a nonnegative comparison weight psi(x, t) = gamma(|x - a|^2 +
-2 d t) built from a radial profile gamma.  Two profiles are provided, both
-vanishing at the sphere |x - a| = R and growing away from it on one side:
+2 d t) built from the compactly supported radial profile
 
-    external:  gamma(r) = (R^2 - r)^beta   for r <= R^2,   0 beyond
-    internal:  gamma(r) = (r - R^2)^beta   for r >= R^2,   0 inside
+    gamma(r) = (R^2 - r)^beta   for r <= R^2,   0 beyond,
+
+which vanishes at the sphere |x - a| = R and grows towards its center.
 
 The tangential defect
 
@@ -48,7 +48,6 @@ class BarrierFunction:
     radius: float
     beta: float
     d: int
-    orientation: str = "external"
 
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
@@ -58,21 +57,16 @@ class BarrierFunction:
             raise ConfigError("radius must be positive")
         if self.beta <= 0.0:
             raise ConfigError("beta must be positive")
-        if self.orientation not in ("external", "internal"):
-            raise ConfigError(f"unknown orientation {self.orientation!r}")
 
     @property
     def n(self) -> int:
         return self.center.shape[0]
 
-    def _sign(self) -> float:
-        return 1.0 if self.orientation == "external" else -1.0
-
     def _uvals(self, x, t):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         w = x - self.center
         r = np.einsum("ai,ai->a", w, w) + 2.0 * self.d * t
-        u = self._sign() * (self.radius**2 - r)
+        u = self.radius**2 - r
         return w, np.maximum(u, 0.0), u > 0.0
 
     def value(self, x, t: float) -> np.ndarray:
@@ -81,13 +75,13 @@ class BarrierFunction:
 
     def grad(self, x, t: float) -> np.ndarray:
         w, u, live = self._uvals(x, t)
-        gp = np.where(live, -self._sign() * self.beta * u ** (self.beta - 1.0), 0.0)
+        gp = np.where(live, -self.beta * u ** (self.beta - 1.0), 0.0)
         return 2.0 * gp[:, None] * w
 
     def hess(self, x, t: float) -> np.ndarray:
         w, u, live = self._uvals(x, t)
         b = self.beta
-        gp = np.where(live, -self._sign() * b * u ** (b - 1.0), 0.0)
+        gp = np.where(live, -b * u ** (b - 1.0), 0.0)
         gpp = np.where(live, b * (b - 1.0) * u ** (b - 2.0), 0.0)
         eye = np.eye(self.n)
         return (4.0 * gpp[:, None, None] * np.einsum("ai,aj->aij", w, w)
@@ -97,9 +91,7 @@ class BarrierFunction:
         w, u, live = self._uvals(x, t)
         b = self.beta
         gpp = np.where(live, b * (b - 1.0) * u ** (b - 2.0), 0.0)
-        gppp = np.where(live,
-                        -self._sign() * b * (b - 1.0) * (b - 2.0) * u ** (b - 3.0),
-                        0.0)
+        gppp = np.where(live, -b * (b - 1.0) * (b - 2.0) * u ** (b - 3.0), 0.0)
         eye = np.eye(self.n)
         www = np.einsum("ai,aj,ak->aijk", w, w, w)
         sym = (np.einsum("ij,ak->aijk", eye, w)
@@ -109,7 +101,7 @@ class BarrierFunction:
 
     def time_derivative(self, x, t: float) -> np.ndarray:
         _, u, live = self._uvals(x, t)
-        gp = np.where(live, -self._sign() * self.beta * u ** (self.beta - 1.0), 0.0)
+        gp = np.where(live, -self.beta * u ** (self.beta - 1.0), 0.0)
         return 2.0 * self.d * gp
 
     # -- certified norm overestimates (radial sweeps at t = 0) --------------
@@ -117,8 +109,6 @@ class BarrierFunction:
     def c3_norm(self) -> float:
         """sup over orders 0..3 of the derivative tensors' Frobenius norms."""
         rho = np.linspace(0.0, self.radius, NORM_GRID_STEPS + 1)
-        if self.orientation == "internal":
-            rho = np.linspace(self.radius, 2.0 * self.radius, NORM_GRID_STEPS + 1)
         pts = np.zeros((len(rho), self.n))
         pts[:, 0] = rho
         pts = pts + self.center
@@ -135,18 +125,10 @@ class BarrierFunction:
         b = self.beta
         R2 = self.radius**2
 
-        if self.orientation == "external":
-            def integrand(rho):
-                gp = -b * (R2 - rho**2) ** (b - 1.0)
-                return (2.0 * abs(gp) * rho) ** 2 * rho ** (self.n - 1)
-            hi = self.radius
-        else:
-            def integrand(rho):
-                gp = b * (rho**2 - R2) ** (b - 1.0)
-                return (2.0 * gp * rho) ** 2 * rho ** (self.n - 1)
-            hi = 2.0 * self.radius  # truncated: certificate use is external-only
-        val, _ = quad(integrand, 0.0 if self.orientation == "external" else self.radius,
-                      hi, limit=200)
+        def integrand(rho):
+            gp = -b * (R2 - rho**2) ** (b - 1.0)
+            return (2.0 * abs(gp) * rho) ** 2 * rho ** (self.n - 1)
+        val, _ = quad(integrand, 0.0, self.radius, limit=200)
         return NORM_SAFETY * math.sqrt(sphere_area(self.n) * val)
 
 
@@ -358,8 +340,6 @@ def epsilon_barrier_certificate(trace: FlowTrace, psi: BarrierFunction,
     rejected rather than graded.
     """
     notes = []
-    if psi.orientation != "external":
-        raise ConfigError("certificate applies to the compactly supported profile")
     if psi.beta <= 3.0:
         raise ConfigError("profile must be three times differentiable (beta > 3)")
     eps = trace.config.eps

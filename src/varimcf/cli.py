@@ -73,7 +73,7 @@ class Settings:
     end_time: float | None = None
     # [constants]
     gate_constant: float = 1.0          # proportionality inside the step gate
-    enforce_gate: bool | None = None    # None -> keep the preset's choice
+    enforce_gate: bool = False          # every preset's choice
     certificate_step_constant: float = 1e-9  # admissibility constant in the
     #                                    smoothing-scale certificate
     scale_ceiling: float = 1.0          # largest admissible smoothing scale
@@ -194,9 +194,14 @@ def load_settings(config_path: str | None, args: argparse.Namespace) -> Settings
     for attr in ("technical_samples", "defect_samples"):
         if getattr(st, attr) < 1:
             raise ConfigError(f"{attr} must be at least 1")
-    # a ball or weight of no width has no interior to grade against
-    for attr in ("ball_radius", "enclosing_radius", "weight_width"):
-        if not getattr(st, attr) > 0.0:
+    # a ball or weight of no width has no interior to grade against, and a
+    # constant at or below zero flips or voids the bound it scales
+    for attr in ("ball_radius", "enclosing_radius", "weight_width",
+                 "isoperimetric_constant", "certificate_step_constant",
+                 "scale_ceiling", "gate_constant", "budget_rtol",
+                 "slack_factor"):
+        value = getattr(st, attr)
+        if value is not None and not value > 0.0:
             raise ConfigError(f"{attr} must be positive")
     # the random sweeps key their streams by the seed, which must be >= 0
     if st.seed < 0:
@@ -384,6 +389,10 @@ def load_trace(manifest: dict, base: Path, record: dict):
     return FlowTrace(cfg, float(record["mass_bound"]), tuple(snaps), simp)
 
 
+def _refuse_constant(name: str):
+    raise ConfigError(f"manifest: {name} is not a number a run records")
+
+
 def load_manifest(path: str):
     p = Path(path)
     if p.is_dir():
@@ -391,7 +400,7 @@ def load_manifest(path: str):
     if not p.exists():
         raise MissingFrames(f"no manifest at {p}")
     try:
-        manifest = json.loads(p.read_text())
+        manifest = json.loads(p.read_text(), parse_constant=_refuse_constant)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{p}: not valid JSON ({e})") from None
     if not isinstance(manifest, dict):
@@ -481,11 +490,11 @@ def _center(st, what: str, tr):
 
 
 def _barrier(st, tr):
-    """The external comparison weight the settings describe, for the run."""
+    """The comparison weight the settings describe, for the run."""
     from .barriers import BarrierFunction
     return BarrierFunction(center=_center(st, "barrier_center", tr),
                            radius=st.barrier_radius, beta=st.barrier_exponent,
-                           d=tr.snapshots[0].varifold.d, orientation="external")
+                           d=tr.snapshots[0].varifold.d)
 
 
 @_per_trace("mass-decay", "<=", "every recorded step raises total mass by at "
@@ -722,13 +731,8 @@ def _cmd_simulate(args) -> int:
 
     scenario = make_preset(st.preset, eps=st.eps, dt=st.dt,
                            end_time=st.end_time)
-    cfg = scenario.config
-    if st.enforce_gate is not None or st.gate_constant != 1.0:
-        cfg = dataclasses.replace(
-            cfg,
-            enforce_gate=cfg.enforce_gate if st.enforce_gate is None
-            else st.enforce_gate,
-            gate_constant=st.gate_constant)
+    cfg = dataclasses.replace(scenario.config, enforce_gate=st.enforce_gate,
+                              gate_constant=st.gate_constant)
     outdir = Path(st.out)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()

@@ -90,12 +90,13 @@ class FlowConfig:
     enforce_gate: bool = True
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ConfigError("eps must be positive")
-        if self.dt <= 0.0 or self.end_time < 0.0:
-            raise ConfigError("dt must be positive and end_time nonnegative")
-        if self.end_time > 1.0 + 1e-12:
-            raise ConfigError("end_time must be <= 1")
+        # the chained comparisons are false for NaN as well
+        if not 0.0 < self.eps < np.inf:
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
+        if not 0.0 < self.dt < np.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 <= self.end_time <= 1.0 + 1e-12:
+            raise ConfigError(f"end_time must lie in [0, 1], got {self.end_time}")
 
     def times(self) -> np.ndarray:
         if self.end_time == 0.0:

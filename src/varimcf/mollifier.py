@@ -142,14 +142,6 @@ class QuadratureGrid:
             raise GridTooCoarse(f"refinement {refinement} < 2: spacing would exceed eps/2")
         return cls(kernel.dim, kernel.support_radius, kernel.eps / float(refinement))
 
-    @property
-    def node_count(self) -> int:
-        return self.offsets.shape[0]
-
-    @property
-    def covered_volume(self) -> float:
-        return self.node_count * self.weight
-
 
 class SpatialHash:
     """Exact fixed-radius neighbor lookup on a uniform grid of cells.

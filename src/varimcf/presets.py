@@ -19,7 +19,7 @@ from .geometry import (SurfaceMesh, icosphere_mesh, loop_mesh,
                        mesh_to_varifold, regular_polygon_mesh)
 from .varifold import DiscreteVarifold
 
-__all__ = ["Scenario", "PRESET_NAMES", "make_preset", "space_curve_loop"]
+__all__ = ["Scenario", "PRESET_NAMES", "make_preset"]
 
 
 @dataclass(frozen=True)
@@ -41,148 +41,93 @@ class Scenario:
     pair_meshes: tuple[SurfaceMesh, SurfaceMesh] | None = None
 
 
-def space_curve_loop(points) -> DiscreteVarifold:
-    """Closed polyline in R^3 as a 1-dimensional varifold.
-
-    One atom per chord, sitting at the chord midpoint with the chord length
-    as its mass and the chord direction as its tangent line.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 3:
-        raise ConfigError("need at least three points in R^3")
-    nxt = np.roll(pts, -1, axis=0)
-    chord = nxt - pts
-    lengths = np.linalg.norm(chord, axis=1)
-    if np.any(lengths <= 0.0):
-        raise ConfigError("repeated consecutive points")
-    mid = 0.5 * (pts + nxt)
-    t = chord / lengths[:, None]
-    planes = np.einsum("ai,aj->aij", t, t)
-    return DiscreteVarifold.from_arrays(mid, planes, lengths, d=1)
+def _sampled(*meshes: SurfaceMesh, per_simplex: int = 1) -> list:
+    """One flow per boundary mesh, each sampled at its facets."""
+    return [(mesh_to_varifold(m, per_simplex), m) for m in meshes]
 
 
 def _ring3d(center, radius: float, axes, count: int) -> DiscreteVarifold:
-    """Regular `count`-gon of radius `radius` in the plane spanned by `axes`."""
+    """Regular `count`-gon of radius `radius` in the plane spanned by `axes`,
+    as a 1-dimensional varifold: one atom per chord, at the chord midpoint,
+    with the chord length as its mass and the chord direction as its line."""
     c = np.asarray(center, dtype=float)
     e1, e2 = (np.asarray(a, dtype=float) for a in axes)
     th = (np.arange(count) + 0.5) / count * 2.0 * math.pi
     pts = (c[None, :] + radius * np.cos(th)[:, None] * e1[None, :]
            + radius * np.sin(th)[:, None] * e2[None, :])
-    return space_curve_loop(pts)
+    nxt = np.roll(pts, -1, axis=0)
+    chord = nxt - pts
+    lengths = np.linalg.norm(chord, axis=1)
+    t = chord / lengths[:, None]
+    planes = np.einsum("ai,aj->aij", t, t)
+    return DiscreteVarifold.from_arrays(0.5 * (pts + nxt), planes, lengths, d=1)
 
 
-def _circle(eps: float, dt: float, end_time: float) -> Scenario:
-    mesh = regular_polygon_mesh(200)
-    cfg = FlowConfig(eps=eps, dt=dt, end_time=end_time, refinement=2,
-                     enforce_gate=False)
-    return Scenario(
-        name="circle",
-        description="unit circle shrinking under its regularized curvature",
-        varifold=mesh_to_varifold(mesh),
-        config=cfg,
-        mesh=mesh,
-    )
-
-
-def _sphere(eps: float, dt: float, end_time: float) -> Scenario:
-    mesh = icosphere_mesh(2)
-    cfg = FlowConfig(eps=eps, dt=dt, end_time=end_time, refinement=2,
-                     enforce_gate=False)
-    return Scenario(
-        name="sphere",
-        description="unit sphere (subdivided icosahedron) shrinking in R^3",
-        varifold=mesh_to_varifold(mesh),
-        config=cfg,
-        mesh=mesh,
-    )
-
-
-def _two_concentric(eps: float, dt: float, end_time: float) -> Scenario:
-    inner = regular_polygon_mesh(100, 0.5)
-    outer = regular_polygon_mesh(200, 1.0)
-    cfg = FlowConfig(eps=eps, dt=dt, end_time=end_time, refinement=2,
-                     enforce_gate=False)
-    return Scenario(
-        name="two-concentric-circles",
-        description="circles of radius 0.5 and 1.0 about the origin, "
-                    "evolved as two separate flows to watch their gap",
-        config=cfg,
-        pair=(mesh_to_varifold(inner), mesh_to_varifold(outer)),
-        pair_meshes=(inner, outer),
-    )
-
-
-def _square_partition(eps: float, dt: float, end_time: float) -> Scenario:
-    mesh = loop_mesh([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    cfg = FlowConfig(eps=eps, dt=dt, end_time=end_time, refinement=2,
-                     enforce_gate=False)
-    return Scenario(
-        name="square-partition",
-        description="side-2 square splitting the plane into inside/outside; "
-                    "corners round off immediately under the smoothed field",
-        varifold=mesh_to_varifold(mesh, 3),
-        config=cfg,
-        mesh=mesh,
-    )
-
-
-def _two_region(eps: float, dt: float, end_time: float) -> Scenario:
-    inner = regular_polygon_mesh(64, 0.5)
-    outer = regular_polygon_mesh(128, 1.0)
-    cfg = FlowConfig(eps=eps, dt=dt, end_time=end_time, refinement=2,
-                     enforce_gate=False)
-    return Scenario(
-        name="two-region",
-        description="nested circles bounding a disk, an annulus and the "
-                    "unbounded exterior",
-        config=cfg,
-        pair=(mesh_to_varifold(inner), mesh_to_varifold(outer)),
-        pair_meshes=(inner, outer),
-    )
-
-
-def _enlaced(eps: float, dt: float, end_time: float) -> Scenario:
+def _enlaced() -> list:
     # two linked unit circles: one in the xy-plane about the origin, one in
     # the xz-plane through the origin about (1, 0, 0).  Every point of either
     # circle starts at distance exactly 1 from the other circle; two shrinking
     # linked loops must eventually touch, so their gap collapses.
-    a = _ring3d([0.0, 0.0, 0.0], 1.0,
-                ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), 80)
-    b = _ring3d([1.0, 0.0, 0.0], 1.0,
-                ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]), 80)
-    cfg = FlowConfig(eps=eps, dt=dt, end_time=end_time, refinement=2,
-                     enforce_gate=False)
-    return Scenario(
-        name="enlaced-circles",
-        description="two linked unit circles in R^3; separately evolved "
-                    "curves of codimension two can collide, and their gap "
-                    "heads to zero",
-        config=cfg,
-        pair=(a, b),
-    )
+    return [(_ring3d([0.0, 0.0, 0.0], 1.0,
+                     ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), 80), None),
+            (_ring3d([1.0, 0.0, 0.0], 1.0,
+                     ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]), 80), None)]
 
 
-_FACTORIES = {
-    "circle": (_circle, 0.1, 2e-3, 0.3),
-    "sphere": (_sphere, 0.2, 2.5e-3, 0.05),
-    "two-concentric-circles": (_two_concentric, 0.05, 2e-3, 0.12),
-    "square-partition": (_square_partition, 0.1, 2e-3, 0.1),
-    "two-region": (_two_region, 0.1, 2e-3, 0.1),
-    "enlaced-circles": (_enlaced, 0.1, 6e-3, 0.36),
+# name -> (description, default eps, dt and end time, builder of the flows
+# as (varifold, mesh or None) pairs: one for a single flow, two for a pair)
+_PRESETS = {
+    "circle": (
+        "unit circle shrinking under its regularized curvature",
+        0.1, 2e-3, 0.3, lambda: _sampled(regular_polygon_mesh(200))),
+    "sphere": (
+        "unit sphere (subdivided icosahedron) shrinking in R^3",
+        0.2, 2.5e-3, 0.05, lambda: _sampled(icosphere_mesh(2))),
+    "two-concentric-circles": (
+        "circles of radius 0.5 and 1.0 about the origin, "
+        "evolved as two separate flows to watch their gap",
+        0.05, 2e-3, 0.12,
+        lambda: _sampled(regular_polygon_mesh(100, 0.5),
+                         regular_polygon_mesh(200, 1.0))),
+    "square-partition": (
+        "side-2 square splitting the plane into inside/outside; "
+        "corners round off immediately under the smoothed field",
+        0.1, 2e-3, 0.1,
+        lambda: _sampled(loop_mesh([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0],
+                                    [-1.0, 1.0]]), per_simplex=3)),
+    "two-region": (
+        "nested circles bounding a disk, an annulus and the "
+        "unbounded exterior",
+        0.1, 2e-3, 0.1,
+        lambda: _sampled(regular_polygon_mesh(64, 0.5),
+                         regular_polygon_mesh(128, 1.0))),
+    "enlaced-circles": (
+        "two linked unit circles in R^3; separately evolved "
+        "curves of codimension two can collide, and their gap "
+        "heads to zero",
+        0.1, 6e-3, 0.36, _enlaced),
 }
 
-PRESET_NAMES = tuple(_FACTORIES)
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def make_preset(name: str, eps: float | None = None, dt: float | None = None,
                 end_time: float | None = None) -> Scenario:
     """Build a preset scenario, optionally overriding its scale parameters."""
     try:
-        factory, d_eps, d_dt, d_end = _FACTORIES[name]
+        description, d_eps, d_dt, d_end, build = _PRESETS[name]
     except KeyError:
         raise ConfigError(
             f"unknown preset {name!r}; choose one of {', '.join(PRESET_NAMES)}"
         ) from None
-    return factory(eps if eps is not None else d_eps,
-                   dt if dt is not None else d_dt,
-                   end_time if end_time is not None else d_end)
+    config = FlowConfig(eps=d_eps if eps is None else eps,
+                        dt=d_dt if dt is None else dt,
+                        end_time=d_end if end_time is None else end_time,
+                        refinement=2, enforce_gate=False)
+    flows = build()
+    if len(flows) == 1:
+        [(V, mesh)] = flows
+        return Scenario(name, description, config, varifold=V, mesh=mesh)
+    (a, mesh_a), (b, mesh_b) = flows
+    return Scenario(name, description, config, pair=(a, b),
+                    pair_meshes=None if mesh_a is None else (mesh_a, mesh_b))

@@ -180,8 +180,7 @@ def test_04_comparison_weight_defect_is_nonpositive():
     planes = np.concatenate([
         projections_from_bases(rng.normal(size=(lines, 1, 3))),
         projections_from_bases(rng.normal(size=(50 - lines, 2, 3)))])
-    psi = BarrierFunction(center=np.zeros(3), radius=0.3, beta=4.0, d=2,
-                          orientation="external")
+    psi = BarrierFunction(center=np.zeros(3), radius=0.3, beta=4.0, d=2)
     worst, pts, val, g, H, dt_psi = sweep_defect(psi, grid_pts, planes)
     assert worst <= 1e-10
     # the sweep agrees with the library's batched evaluator
@@ -195,8 +194,7 @@ def test_04_comparison_weight_defect_is_nonpositive():
                   + dt_psi[i])
         assert direct[k] == pytest.approx(manual, abs=1e-12)
     # a profile too shallow for the inequality is caught by the same sweep
-    flat = BarrierFunction(center=np.zeros(3), radius=0.3, beta=1.0, d=2,
-                           orientation="external")
+    flat = BarrierFunction(center=np.zeros(3), radius=0.3, beta=1.0, d=2)
     positive, *_ = sweep_defect(flat, grid_pts, planes)
     assert positive > 1.0
 
@@ -210,8 +208,7 @@ def test_05_guarded_ball_certificate_and_tamper_control(guarded_ball_trace):
     c5, ceiling = 1e-9, 1.0
     # the subdivision really is admissible for this scale
     assert c5 * tr.config.delta() * tr.config.eps**-8 <= tr.config.eps
-    psi = BarrierFunction(center=np.zeros(2), radius=0.3, beta=4.0, d=1,
-                          orientation="external")
+    psi = BarrierFunction(center=np.zeros(2), radius=0.3, beta=4.0, d=1)
     rep = epsilon_barrier_certificate(tr, psi, c5_cfg=c5,
                                       scale_ceiling=ceiling)
     assert 0.0 < rep.bound == rep.norm_constant * (10.0 * rep.mass_bound

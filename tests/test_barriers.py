@@ -60,18 +60,11 @@ def test_axiom_margin_by_exponent():
             assert np.max(got) >= 0.5
 
 
-@pytest.mark.parametrize("orientation", ["external", "internal"])
-def test_barrier_derivatives_match_finite_differences(orientation):
-    psi = BarrierFunction(np.array([0.2, -0.1, 0.4]), 0.9, 4.0, 2,
-                          orientation=orientation)
+def test_barrier_derivatives_match_finite_differences():
+    psi = BarrierFunction(np.array([0.2, -0.1, 0.4]), 0.9, 4.0, 2)
     rng = np.random.default_rng(12)
-    # probe strictly inside the support of the respective profile
-    if orientation == "external":
-        pts = psi.center + 0.4 * rng.normal(size=(6, 3))
-    else:
-        dirs = rng.normal(size=(6, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pts = psi.center + dirs * rng.uniform(1.2, 1.6, size=(6, 1))
+    # probe strictly inside the support of the profile
+    pts = psi.center + 0.4 * rng.normal(size=(6, 3))
     t = 0.01
     step = 1e-6
     grads = psi.grad(pts, t)
@@ -109,8 +102,6 @@ def test_barrier_config_rejections():
         BarrierFunction(np.zeros(2), -1.0, 4.0, 1)
     with pytest.raises(ConfigError):
         BarrierFunction(np.zeros(2), 1.0, 0.0, 1)
-    with pytest.raises(ConfigError):
-        BarrierFunction(np.zeros(2), 1.0, 4.0, 1, orientation="sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -221,19 +212,6 @@ def test_defect_positive_for_broken_profile():
     best = np.max(barrier_defects(psi, np.array(pts),
                                   projections_from_bases(bases), 0.0))
     assert best > 0.0
-
-
-def test_defect_nonpositive_internal_profile():
-    rng = np.random.default_rng(8)
-    psi = BarrierFunction(np.zeros(2), 0.5, 4.0, 1, orientation="internal")
-    pts, bases = [], []
-    for _ in range(300):
-        d = rng.normal(size=2)
-        pts.append(d / np.linalg.norm(d) * rng.uniform(0.6, 1.5))
-        bases.append(rng.normal(size=(1, 2)))
-    worst = np.max(barrier_defects(psi, np.array(pts),
-                                   projections_from_bases(bases), 0.0))
-    assert worst <= 1e-10
 
 
 def test_defect_refuses_zero_weight():
@@ -413,10 +391,6 @@ def test_certificate_rejects_large_scale(admissible_trace):
 
 
 def test_certificate_rejects_wrong_profile(admissible_trace):
-    internal = BarrierFunction(np.zeros(2), 0.3, 4.0, 1, orientation="internal")
-    with pytest.raises(ConfigError):
-        epsilon_barrier_certificate(admissible_trace, internal, c5_cfg=1e-9,
-                                    scale_ceiling=1.0)
     rough = BarrierFunction(np.zeros(2), 0.3, 3.0, 1)
     with pytest.raises(ConfigError):
         epsilon_barrier_certificate(admissible_trace, rough, c5_cfg=1e-9,

@@ -149,6 +149,27 @@ def test_unknown_preset_is_a_usage_error(tmp_path, capsys):
     assert "klein-bottle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "nan"), ("--dt", "nan"), ("--end-time", "nan"),
+    ("--eps", "inf"), ("--dt", "inf"), ("--end-time", "inf")])
+def test_nonfinite_scales_are_usage_errors(tmp_path, capsys, flag, value):
+    out = tmp_path / "nonfinite"
+    assert main(["simulate", "--preset", "circle", flag, value,
+                 "--out", str(out)]) == 2
+    assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_enforce_gate_turns_the_gate_on_for_a_preset(tmp_path, capsys):
+    ini = tmp_path / "gate.ini"
+    ini.write_text("[constants]\nenforce_gate = yes\n")
+    out = tmp_path / "gated"
+    assert main(["simulate", "--config", str(ini), "--preset", "circle",
+                 "--end-time", "0.004", "--out", str(out)]) == 1
+    assert "exceeds gate bound" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_bad_thread_count_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("VARIMCF_THREADS", "many")
     assert main(["simulate", "--preset", "circle"]) == 2
@@ -180,6 +201,14 @@ def test_config_file_drives_the_run(tmp_path):
     ("[certificates]\nmc_samples = 5000\n", "mc_samples"),
     ("[certificates]\nball_center = a,b\n", "ball_center"),
     ("[constants]\nenforce_gate = ture\n", "enforce_gate"),
+    # constants whose sign decides a bound, and NaN, which compares false
+    ("[constants]\nisoperimetric_constant = -1\n", "isoperimetric_constant"),
+    ("[constants]\ncertificate_step_constant = 0\n",
+     "certificate_step_constant"),
+    ("[constants]\nscale_ceiling = -1\n", "scale_ceiling"),
+    ("[constants]\ngate_constant = 0\nenforce_gate = yes\n", "gate_constant"),
+    ("[constants]\nbudget_rtol = 0\n", "budget_rtol"),
+    ("[constants]\nslack_factor = nan\n", "slack_factor"),
 ])
 def test_bad_config_files_are_usage_errors(tmp_path, capsys, body, fragment):
     ini = tmp_path / "bad.ini"
@@ -612,6 +641,24 @@ def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
     for command in ("check", "volume"):
         assert main([command, str(broken)]) == 2
         assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda man: man["config"].update(eps=float("nan")),
+    lambda man: man["traces"][0].update(mass_bound=float("inf")),
+], ids=["nan-eps", "infinite-mass-bound"])
+def test_nonfinite_manifest_constants_are_usage_errors(run_dir, tmp_path,
+                                                       capsys, edit):
+    broken = tmp_path / "nonfinite"
+    shutil.copytree(run_dir, broken)
+    manifest = manifest_of(broken)
+    edit(manifest)
+    (broken / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["check", str(broken), "--certificates",
+                 "internal-sphere"]) == 2
+    captured = capsys.readouterr()
+    assert "is not a number a run records" in captured.err
+    assert captured.out == ""
 
 
 def test_missing_step_dissipation_is_a_usage_error(run_dir, tmp_path, capsys):
