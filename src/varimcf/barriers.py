@@ -31,7 +31,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import ConvexHull, QhullError
 
-from .config import BARRIER_FLOOR, CHAIN_SLACK, NORM_SAFETY, sphere_area
+from .config import (BARRIER_FLOOR, CHAIN_SLACK, NORM_SAFETY, SCALE_CEILING,
+                     sphere_area)
 from .errors import (ConfigError, GridMismatch, NonpositiveWeight,
                      PreconditionViolated, ZeroBarrier)
 from .flow import FlowTrace
@@ -302,7 +303,8 @@ class EpsBarrierReport:
     mass_bound: float
     bound: float                # norm_constant * (10M + 9) * eps^(1/6)
     max_increase: float
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...] = ("scale ceiling above 4^-6: admissibility is "
+                              "configured, not derived",)
 
 
 def _trace_consistency(trace: FlowTrace) -> None:
@@ -327,8 +329,7 @@ def _trace_consistency(trace: FlowTrace) -> None:
 
 
 def epsilon_barrier_certificate(trace: FlowTrace, psi: BarrierFunction,
-                                c5_cfg: float,
-                                scale_ceiling: float) -> EpsBarrierReport:
+                                c5_cfg: float) -> EpsBarrierReport:
     """Certify the almost-nonincrease of the barrier-weighted mass.
 
     For a piecewise flow that stays admissible (fine subdivision relative to
@@ -339,7 +340,6 @@ def epsilon_barrier_certificate(trace: FlowTrace, psi: BarrierFunction,
     trace whose atoms moved farther than the recorded fields allow is
     rejected rather than graded.
     """
-    notes = []
     if psi.beta <= 3.0:
         raise ConfigError("profile must be three times differentiable (beta > 3)")
     eps = trace.config.eps
@@ -348,12 +348,9 @@ def epsilon_barrier_certificate(trace: FlowTrace, psi: BarrierFunction,
         raise PreconditionViolated(
             f"subdivision too coarse: {c5_cfg:.3g} * {step:.3g} * eps^-8 "
             f"= {c5_cfg * step * eps**-8:.3e} > eps = {eps:.3e}")
-    if eps >= scale_ceiling:
+    if eps >= SCALE_CEILING:
         raise PreconditionViolated(
-            f"smoothing scale {eps} not below the ceiling {scale_ceiling}")
-    if scale_ceiling > 4.0**-6:
-        notes.append("scale ceiling above 4^-6: admissibility is configured, "
-                     "not derived")
+            f"smoothing scale {eps} not below the ceiling {SCALE_CEILING}")
     _trace_consistency(trace)
     c = 2.0 * max(psi.c3_norm(), psi.grad_l2_norm(), 1.0)
     M = trace.mass_bound
@@ -366,7 +363,7 @@ def epsilon_barrier_certificate(trace: FlowTrace, psi: BarrierFunction,
     for w in weighted:
         running_min = min(running_min, w)
         worst = max(worst, w - running_min)
-    return EpsBarrierReport(c, M, bound, worst, tuple(notes))
+    return EpsBarrierReport(c, M, bound, worst)
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,15 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
 import warnings
 from pathlib import Path
 
-from .config import DEFAULT_SUPPORT_CAP
+from .config import (BUDGET_RTOL, DEFAULT_SUPPORT_CAP, DEFECT_SAMPLES,
+                     SUPPORT_SLACK, TECHNICAL_SAMPLES)
 from .errors import (BallNotInterior, ConfigError, DeltaTooLarge,
                      GateViolated, GridMismatch, MassBoundExceeded,
                      MissingFrames, NonpositiveWeight, OutOfSpan,
@@ -76,13 +78,7 @@ class Settings:
     enforce_gate: bool = False          # every preset's choice
     certificate_step_constant: float = 1e-9  # admissibility constant in the
     #                                    smoothing-scale certificate
-    scale_ceiling: float = 1.0          # largest admissible smoothing scale
-    isoperimetric_constant: float | None = None  # None -> sharp value
-    technical_samples: int = 20_000     # random tuples in the inequality sweep
-    defect_samples: int = 2_000         # sample points in the defect sweep
     lp_support_cap: int = DEFAULT_SUPPORT_CAP  # max LP support for distances
-    budget_rtol: float = 0.02           # dissipation-vs-mass-drop tolerance
-    slack_factor: float = 2.0           # support-monitor slack, in units of eps
     # [certificates]
     certificates: tuple[str, ...] = ("mass-decay",)
     ball_center: tuple[float, ...] = (0.0, 0.0)
@@ -139,13 +135,7 @@ _INI_PARSERS = {
         "gate_constant": ("gate_constant", float),
         "enforce_gate": ("enforce_gate", _parse_bool),
         "certificate_step_constant": ("certificate_step_constant", float),
-        "scale_ceiling": ("scale_ceiling", float),
-        "isoperimetric_constant": ("isoperimetric_constant", float),
-        "technical_samples": ("technical_samples", int),
-        "defect_samples": ("defect_samples", int),
         "lp_support_cap": ("lp_support_cap", int),
-        "budget_rtol": ("budget_rtol", float),
-        "slack_factor": ("slack_factor", float),
     },
     "certificates": {
         "list": ("certificates", _parse_cert_list),
@@ -189,21 +179,24 @@ def load_settings(config_path: str | None, args: argparse.Namespace) -> Settings
         val = getattr(args, field.name, None)
         if val is not None:
             setattr(st, field.name, val)
-    # a sweep over no samples would grade nothing and report an infinite
-    # or undefined value
-    for attr in ("technical_samples", "defect_samples"):
-        if getattr(st, attr) < 1:
-            raise ConfigError(f"{attr} must be at least 1")
-    # a ball or weight of no width has no interior to grade against, and a
-    # constant at or below zero flips or voids the bound it scales
-    for attr in ("ball_radius", "enclosing_radius", "weight_width",
-                 "isoperimetric_constant", "certificate_step_constant",
-                 "scale_ceiling", "gate_constant", "budget_rtol",
-                 "slack_factor"):
-        value = getattr(st, attr)
-        if value is not None and not value > 0.0:
+    # a ball, barrier or weight of no width has nothing to grade against,
+    # and a constant at or below zero flips or voids the bound it scales
+    for attr in ("ball_radius", "enclosing_radius", "barrier_radius",
+                 "barrier_exponent", "weight_width",
+                 "certificate_step_constant", "gate_constant"):
+        if not getattr(st, attr) > 0.0:
             raise ConfigError(f"{attr} must be positive")
-    # the random sweeps key their streams by the seed, which must be >= 0
+    # an infinite radius or centre, or a NaN one, gives a verdict a measured
+    # value no comparison can grade
+    for field in dataclasses.fields(Settings):
+        value = getattr(st, field.name)
+        if "float" in field.type and value is not None and not all(
+                map(math.isfinite, value if "tuple" in field.type else [value])):
+            raise ConfigError(f"{field.name} must be finite")
+    # the distance LP needs room for one support point, and the random
+    # sweeps key their streams by the seed, which must be >= 0
+    if st.lp_support_cap < 1:
+        raise ConfigError("lp_support_cap must be at least 1")
     if st.seed < 0:
         raise ConfigError("seed must be nonnegative")
     return st
@@ -369,6 +362,10 @@ def load_trace(manifest: dict, base: Path, record: dict):
     for i, fname in enumerate(frames):
         arr = _load_table(base / fname, _frame_header(n))
         h = arr[:, n + n * n + 1:]
+        curvature = None if np.all(np.isnan(h)) else h
+        # an h that is NaN throughout is the recorded "no field" marker
+        if not np.all(np.isfinite(arr if curvature is not None else arr[:, :-n])):
+            raise ConfigError(f"{base / fname}: holds a non-finite value")
         V = DiscreteVarifold.from_arrays(arr[:, :n],
                                          arr[:, n:n + n * n].reshape(-1, n, n),
                                          arr[:, n + n * n], d=d)
@@ -376,10 +373,12 @@ def load_trace(manifest: dict, base: Path, record: dict):
         if mesh_frames[i] is not None:
             verts = _load_table(base / mesh_frames[i],
                                 [f"v{i + 1}" for i in range(n)])
+            if not np.all(np.isfinite(verts)):
+                raise ConfigError(f"{base / mesh_frames[i]}: holds a non-finite value")
         snaps.append(Snapshot(
             time=float(record["times"][i]),
             varifold=V,
-            curvature=None if np.all(np.isnan(h)) else h,
+            curvature=curvature,
             curvature_jacobian=None,
             curvature_max=record["curvature_max"][i],
             dissipation=record["dissipation"][i],
@@ -518,7 +517,7 @@ def _cert_dissipation_budget(tr, st, manifest):
         return 0.0, 0.0, {"steps": 0}
     budget = dissipation_budget(tr)
     drop = float(tr.masses[0] - tr.masses[-1])
-    return (abs(budget - drop), st.budget_rtol * max(drop, 1e-9),
+    return (abs(budget - drop), BUDGET_RTOL * max(drop, 1e-9),
             {"budget": budget, "mass_drop": drop})
 
 
@@ -551,7 +550,7 @@ def _technical_lemma(traces, st, manifest):
     from .barriers import technical_gaps
 
     n = next(iter(traces.values())).snapshots[0].varifold.n
-    m = st.technical_samples
+    m = TECHNICAL_SAMPLES
     rng = _stream(manifest, "technical-lemma")
     h, grad = rng.normal(size=(2, m, n))
     phi = rng.uniform(0.05, 3.0, size=m)
@@ -577,7 +576,7 @@ def _barrier_defect(traces, st, manifest):
     n, d = psi.n, psi.d
     R2 = st.barrier_radius**2
     window = np.linspace(0.0, 0.8 * R2 / (2.0 * d), 5)
-    times = np.repeat(window, max(1, st.defect_samples // len(window)))
+    times = np.repeat(window, DEFECT_SAMPLES // len(window))
     k = len(times)
     rng = _stream(manifest, "barrier-defect")
     direction = rng.normal(size=(k, n))
@@ -586,7 +585,7 @@ def _barrier_defect(traces, st, manifest):
     x = psi.center + np.sqrt(rng.uniform(0.0, live))[:, None] * direction
     worst = float(np.max(barrier_defects(psi, x, _random_planes(rng, k, n),
                                          times)))
-    return (worst, 1e-10, {"samples": st.defect_samples,
+    return (worst, 1e-10, {"samples": DEFECT_SAMPLES,
                            "exponent": st.barrier_exponent})
 
 
@@ -601,8 +600,7 @@ def _cert_barrier_defect(traces, st, manifest):
 def _cert_eps_sphere_barrier(tr, st, manifest):
     from .barriers import epsilon_barrier_certificate
     rep = epsilon_barrier_certificate(
-        tr, _barrier(st, tr), c5_cfg=st.certificate_step_constant,
-        scale_ceiling=st.scale_ceiling)
+        tr, _barrier(st, tr), c5_cfg=st.certificate_step_constant)
     return (rep.max_increase, rep.bound,
             {"norm_constant": rep.norm_constant, "notes": list(rep.notes)})
 
@@ -623,7 +621,7 @@ def _cert_internal_sphere(tr, st, manifest):
     from .barriers import internal_sphere_monitor
     c = _center(st, "ball_center", tr)
     series = internal_sphere_monitor(tr, c, st.enclosing_radius)
-    return (series.peak(), st.slack_factor * tr.config.eps,
+    return (series.peak(), SUPPORT_SLACK * tr.config.eps,
             {"window_end": float(series.times[-1])})
 
 
@@ -641,7 +639,7 @@ def _avoidance(ta, tb, st):
     from .barriers import avoidance_distance
     gaps = avoidance_distance(ta, tb)
     running = np.maximum.accumulate(gaps)
-    return (float(np.max(running - gaps)), st.slack_factor * ta.config.eps,
+    return (float(np.max(running - gaps)), SUPPORT_SLACK * ta.config.eps,
             {"initial_gap": float(gaps[0]), "final_gap": float(gaps[-1])})
 
 
@@ -686,8 +684,7 @@ def _cert_volume_change(tr, st, manifest):
 def _cert_nontriviality(tr, st, manifest):
     from .geometry import nontriviality_certificate
     c = _center(st, "ball_center", tr)
-    rep = nontriviality_certificate(tr, c, st.ball_radius,
-                                    constant=st.isoperimetric_constant)
+    rep = nontriviality_certificate(tr, c, st.ball_radius)
     return (rep.min_mass, rep.mass_floor,
             {"horizon": rep.horizon, "isoperimetric_constant": rep.constant})
 

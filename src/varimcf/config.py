@@ -1,7 +1,8 @@
 """Central numeric tolerances and named constants.
 
-Every validation tolerance is a module constant here, so that tests and
-library code agree on one set of numbers; no function takes one as an argument.
+Every validation tolerance and certificate bound is a module constant here,
+so that tests and library code agree on one set of numbers; no function or
+settings file takes one as an argument.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ CHAIN_SLACK = 1e-9
 
 # largest union support the bounded-Lipschitz program is built for
 DEFAULT_SUPPORT_CAP = 2000
+
+# certificate bounds and sweep sizes, fixed so no settings file loosens a verdict
+BUDGET_RTOL = 0.02          # dissipation-vs-mass-drop tolerance
+SUPPORT_SLACK = 2.0         # support-monitor slack, in units of eps
+SCALE_CEILING = 1.0         # largest admissible smoothing scale
+TECHNICAL_SAMPLES = 20_000  # random tuples in the inequality sweep
+DEFECT_SAMPLES = 2_000      # sample points in the defect sweep
 
 
 def ball_volume(n: int, radius: float = 1.0) -> float:

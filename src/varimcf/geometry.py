@@ -419,12 +419,11 @@ def volume_change_series(trace: FlowTrace, center, radius: float
 class NontrivialityReport:
     horizon: float        # R^2 / (8 d)
     mass_floor: float     # isoperimetric floor from the quarter-ball volume
-    constant: float       # isoperimetric constant used
+    constant: float       # sharp isoperimetric constant of R^n
     min_mass: float
 
 
-def nontriviality_certificate(trace: FlowTrace, center, radius: float,
-                              constant: float | None = None
+def nontriviality_certificate(trace: FlowTrace, center, radius: float
                               ) -> NontrivialityReport:
     """Mass stays above the isoperimetric floor up to the protected horizon.
 
@@ -452,8 +451,7 @@ def nontriviality_certificate(trace: FlowTrace, center, radius: float,
     # winding number is defined
     if not bool(contains(mesh0, center[None])[0]):
         raise BallNotInterior("ball center lies outside the initial region")
-    if constant is None:
-        constant = isoperimetric_constant(n)
+    constant = isoperimetric_constant(n)
     horizon = radius**2 / (8.0 * d)
     floor = constant * (0.25 * ball_volume(n, radius / 2.0)) ** ((n - 1.0) / n)
     window = [s for s in trace.snapshots if s.time <= horizon + 1e-12]

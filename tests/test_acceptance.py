@@ -205,12 +205,11 @@ def test_04_comparison_weight_defect_is_nonpositive():
 
 def test_05_guarded_ball_certificate_and_tamper_control(guarded_ball_trace):
     tr = guarded_ball_trace
-    c5, ceiling = 1e-9, 1.0
+    c5 = 1e-9
     # the subdivision really is admissible for this scale
     assert c5 * tr.config.delta() * tr.config.eps**-8 <= tr.config.eps
     psi = BarrierFunction(center=np.zeros(2), radius=0.3, beta=4.0, d=1)
-    rep = epsilon_barrier_certificate(tr, psi, c5_cfg=c5,
-                                      scale_ceiling=ceiling)
+    rep = epsilon_barrier_certificate(tr, psi, c5_cfg=c5)
     assert 0.0 < rep.bound == rep.norm_constant * (10.0 * rep.mass_bound
                                                    + 9.0) * 0.05 ** (1 / 6)
     assert rep.max_increase <= rep.bound
@@ -225,8 +224,7 @@ def test_05_guarded_ball_certificate_and_tamper_control(guarded_ball_trace):
     snaps[25] = dataclasses.replace(mid, varifold=tampered)
     bad = dataclasses.replace(tr, snapshots=tuple(snaps))
     with pytest.raises(PreconditionViolated, match="displacement"):
-        epsilon_barrier_certificate(bad, psi, c5_cfg=c5,
-                                    scale_ceiling=ceiling)
+        epsilon_barrier_certificate(bad, psi, c5_cfg=c5)
 
 
 # ---------------------------------------------------------------------------

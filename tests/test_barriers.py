@@ -367,7 +367,7 @@ def inner_barrier():
 
 def test_certificate_passes_on_honest_run(admissible_trace):
     rep = epsilon_barrier_certificate(admissible_trace, inner_barrier(),
-                                      c5_cfg=1e-9, scale_ceiling=1.0)
+                                      c5_cfg=1e-9)
     assert rep.max_increase <= rep.bound
     assert rep.max_increase == pytest.approx(0.0, abs=1e-15)
     # norm constant: the profile's norms stay below one at this radius, so
@@ -381,20 +381,23 @@ def test_certificate_passes_on_honest_run(admissible_trace):
 def test_certificate_rejects_coarse_subdivision(admissible_trace):
     with pytest.raises(PreconditionViolated, match="subdivision"):
         epsilon_barrier_certificate(admissible_trace, inner_barrier(),
-                                    c5_cfg=1.0, scale_ceiling=1.0)
+                                    c5_cfg=1.0)
 
 
-def test_certificate_rejects_large_scale(admissible_trace):
+def test_certificate_rejects_large_scale():
+    # one short step at the ceiling itself, config.SCALE_CEILING = 1
+    V0 = mesh_to_varifold(regular_polygon_mesh(100))
+    cfg = FlowConfig(eps=1.0, dt=1e-3, end_time=1e-3, refinement=2,
+                     enforce_gate=False)
     with pytest.raises(PreconditionViolated, match="ceiling"):
-        epsilon_barrier_certificate(admissible_trace, inner_barrier(),
-                                    c5_cfg=1e-9, scale_ceiling=0.01)
+        epsilon_barrier_certificate(run(V0, cfg), inner_barrier(),
+                                    c5_cfg=1e-9)
 
 
 def test_certificate_rejects_wrong_profile(admissible_trace):
     rough = BarrierFunction(np.zeros(2), 0.3, 3.0, 1)
     with pytest.raises(ConfigError):
-        epsilon_barrier_certificate(admissible_trace, rough, c5_cfg=1e-9,
-                                    scale_ceiling=1.0)
+        epsilon_barrier_certificate(admissible_trace, rough, c5_cfg=1e-9)
 
 
 def _tampered(trace, index, new_varifold):
@@ -411,8 +414,7 @@ def test_certificate_catches_teleported_atoms(admissible_trace):
     bad = DiscreteVarifold(V.n, V.d, pos, V.planes.copy(), V.masses.copy())
     doctored = _tampered(admissible_trace, mid, bad)
     with pytest.raises(PreconditionViolated, match="displacement"):
-        epsilon_barrier_certificate(doctored, inner_barrier(), c5_cfg=1e-9,
-                                    scale_ceiling=1.0)
+        epsilon_barrier_certificate(doctored, inner_barrier(), c5_cfg=1e-9)
 
 
 def test_certificate_catches_mass_injection(admissible_trace):
@@ -422,5 +424,4 @@ def test_certificate_catches_mass_injection(admissible_trace):
                            V.masses * 3.0)
     doctored = _tampered(admissible_trace, mid, bad)
     with pytest.raises(PreconditionViolated, match="mass"):
-        epsilon_barrier_certificate(doctored, inner_barrier(), c5_cfg=1e-9,
-                                    scale_ceiling=1.0)
+        epsilon_barrier_certificate(doctored, inner_barrier(), c5_cfg=1e-9)

@@ -15,6 +15,7 @@ from varimcf.cli import (Settings, _cert_barrier_defect, _cert_technical_lemma,
                          _cert_volume_change, _frame_header, _load_table,
                          _measure_header, _save_table, _write_trace,
                          load_manifest, main)
+from varimcf.config import DEFECT_SAMPLES, TECHNICAL_SAMPLES
 from varimcf.errors import ConfigError
 from varimcf.flow import FlowConfig, FlowTrace, Snapshot, brakke_residual, sample
 from varimcf.geometry import (SurfaceMesh, mesh_to_varifold,
@@ -201,7 +202,9 @@ def test_config_file_drives_the_run(tmp_path):
     ("[certificates]\nmc_samples = 5000\n", "mc_samples"),
     ("[certificates]\nball_center = a,b\n", "ball_center"),
     ("[constants]\nenforce_gate = ture\n", "enforce_gate"),
-    # constants whose sign decides a bound, and NaN, which compares false
+    # constants whose sign decides a bound, and NaN, which compares false;
+    # the retired certificate knobs among them (and technical_samples above)
+    # are refused as unknown keys, which the error names
     ("[constants]\nisoperimetric_constant = -1\n", "isoperimetric_constant"),
     ("[constants]\ncertificate_step_constant = 0\n",
      "certificate_step_constant"),
@@ -209,6 +212,15 @@ def test_config_file_drives_the_run(tmp_path):
     ("[constants]\ngate_constant = 0\nenforce_gate = yes\n", "gate_constant"),
     ("[constants]\nbudget_rtol = 0\n", "budget_rtol"),
     ("[constants]\nslack_factor = nan\n", "slack_factor"),
+    # numbers that are not finite, and a support cap with no room
+    ("[constants]\ngate_constant = inf\n", "gate_constant"),
+    ("[constants]\ncertificate_step_constant = inf\n",
+     "certificate_step_constant"),
+    ("[certificates]\nball_radius = inf\n", "ball_radius"),
+    ("[certificates]\nweight_width = inf\n", "weight_width"),
+    ("[certificates]\nbarrier_center = 0,inf\n", "barrier_center"),
+    ("[certificates]\nweight_center = nan,0\n", "weight_center"),
+    ("[constants]\nlp_support_cap = 0\n", "lp_support_cap"),
 ])
 def test_bad_config_files_are_usage_errors(tmp_path, capsys, body, fragment):
     ini = tmp_path / "bad.ini"
@@ -218,14 +230,54 @@ def test_bad_config_files_are_usage_errors(tmp_path, capsys, body, fragment):
 
 
 @pytest.mark.parametrize("key, value, certificates", [
+    ("ball_center", "nan,0", "external-sphere"),
+    ("enclosing_radius", "inf", "internal-sphere"),
+    ("barrier_radius", "inf", "barrier-defect"),
+], ids=["nan-ball-center", "infinite-enclosing-radius",
+        "infinite-barrier-radius"])
+def test_nonfinite_certificate_settings_are_usage_errors(
+        run_dir, tmp_path, capsys, key, value, certificates):
+    ini = tmp_path / "nonfinite.ini"
+    ini.write_text(f"[certificates]\n{key} = {value}\n")
+    assert main(["check", str(run_dir), "--config", str(ini),
+                 "--certificates", certificates]) == 2
+    captured = capsys.readouterr()
+    assert f"{key} must be finite" in captured.err
+    assert captured.out == ""
+
+
+def readme_ini() -> str:
+    """The ```ini block under README's "Configuration file" heading."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("### Configuration file", 1)[1]
+    return section.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_example_config_loads(tmp_path):
+    ini = tmp_path / "readme.ini"
+    ini.write_text(readme_ini())
+    st = cli.load_settings(str(ini), cli._build_parser().parse_args(
+        ["check", "unused"]))
+    assert st.preset == "circle" and st.barrier_radius == 0.3
+    assert st.certificates == ("mass-decay", "eps-sphere-barrier",
+                               "volume-change")
+
+
+@pytest.mark.parametrize("key, value, certificates", [
     ("ball_radius", "0", "external-sphere"),
     ("enclosing_radius", "0", "internal-sphere"),
     ("weight_width", "0", "lsc"),
     ("ball_radius", "-0.5", "nontriviality,external-sphere,volume-change"),
     ("weight_width", "-2", "lsc"),
     ("ball_radius", "0", None),
+    ("barrier_radius", "-0.3", "barrier-defect"),
+    ("barrier_exponent", "0", "barrier-defect"),
+    # NaN compares false, so it is not positive either
+    ("barrier_radius", "nan", "barrier-defect"),
+    ("barrier_exponent", "nan", "barrier-defect"),
 ], ids=["ball-zero", "enclosing-zero", "weight-zero", "ball-negative",
-        "weight-negative", "volume-radius-flag"])
+        "weight-negative", "volume-radius-flag", "barrier-negative",
+        "exponent-zero", "barrier-nan", "exponent-nan"])
 def test_nonpositive_radii_are_usage_errors(run_dir, tmp_path, capsys, key,
                                             value, certificates):
     ini = tmp_path / "radii.ini"
@@ -419,24 +471,33 @@ def test_barrier_defect_precondition_is_a_failed_verdict(run_dir, tmp_path,
     assert (decay["name"], decay["passed"]) == ("mass-decay", True)
 
 
-@pytest.mark.parametrize("body", [
+@pytest.mark.parametrize("body, scale", [
     # every one of the 21 verdicts is evaluated, and passes
-    "[constants]\ncertificate_step_constant = 1e-10\n"
-    "[certificates]\nball_radius = 0.3\n",
-    # the outer flow leaves this enclosing ball, and no budget is this tight
-    "[constants]\ncertificate_step_constant = 1e-10\n"
-    "budget_rtol = 1e-20\n[certificates]\nball_radius = 0.3\n"
-    "enclosing_radius = 0.8\n",
+    ("[constants]\ncertificate_step_constant = 1e-10\n"
+     "[certificates]\nball_radius = 0.3\n", 1.0),
+    # the outer flow leaves this enclosing ball, and twice the recorded
+    # dissipation overshoots the mass drop
+    ("[constants]\ncertificate_step_constant = 1e-10\n"
+     "[certificates]\nball_radius = 0.3\nenclosing_radius = 0.8\n", 2.0),
 ], ids=["passing", "failing"])
 def test_every_verdict_passes_by_its_stated_relation(pair_dir, tmp_path,
-                                                     capsys, body):
+                                                     capsys, body, scale):
     ini = tmp_path / "grade.ini"
     ini.write_text(body)
-    rc = main(["check", str(pair_dir), "--certificates", "all",
+    graded = tmp_path / "graded"
+    shutil.copytree(pair_dir, graded)
+    man = manifest_of(graded)
+    for rec in man["traces"]:
+        rec["dissipation"] = [None if x is None else scale * x
+                              for x in rec["dissipation"]]
+    (graded / "manifest.json").write_text(json.dumps(man))
+    rc = main(["check", str(graded), "--certificates", "all",
                "--config", str(ini)])
     payload = strict_json(capsys.readouterr().out)
     verdicts = payload["verdicts"]
     assert len(verdicts) == 21
+    budget = [v["passed"] for v in verdicts if v["name"] == "dissipation-budget"]
+    assert budget == [scale == 1.0] * 2
     for v in verdicts:
         assert v["measured"] is not None and v["bound"] is not None
         holds = (v["measured"] <= v["bound"] if v["relation"] == "<="
@@ -533,12 +594,11 @@ def line_projection(b):
 
 def test_technical_lemma_matches_the_scalar_formula_on_its_own_stream(run_dir):
     _, manifest, traces = load_manifest(str(run_dir))
-    st = dataclasses.replace(Settings(), technical_samples=3000)
-    (verdict,) = _cert_technical_lemma(traces, st, manifest)
+    (verdict,) = _cert_technical_lemma(traces, Settings(), manifest)
     # reference: the sweep's draws from its own stream, then the scalar
     # formula one sample at a time
     rng = np.random.default_rng([manifest["seed"], *b"technical-lemma"])
-    m, n = 3000, 2
+    m, n = TECHNICAL_SAMPLES, 2
     h, grad = rng.normal(size=(2, m, n))
     phi = rng.uniform(0.05, 3.0, m)
     assert np.all(rng.integers(1, n, size=m) == 1)    # planes in R^2 are lines
@@ -564,7 +624,7 @@ def test_barrier_defect_matches_the_defect_formula_on_its_own_stream(run_dir):
     c = np.asarray(st.barrier_center, dtype=float)
     R2, beta = st.barrier_radius**2, st.barrier_exponent
     times = np.repeat(np.linspace(0.0, 0.8 * R2 / (2.0 * d), 5),
-                      st.defect_samples // 5)
+                      DEFECT_SAMPLES // 5)
     direction = rng.normal(size=(len(times), n))
     r2 = rng.uniform(0.0, (R2 - 2.0 * d * times) * 0.95)
     assert np.all(rng.integers(1, n, size=len(times)) == 1)
@@ -732,6 +792,31 @@ def test_malformed_frames_are_usage_errors(run_dir, tmp_path, capsys, edit):
     assert "frame_main_0003.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fname, column, row, value", [
+    ("frame_main_0003.csv", "m", 1, "nan"),
+    ("frame_main_0003.csv", "x1", 2, "nan"),
+    ("frame_main_0003.csv", "p11", 1, "inf"),
+    ("frame_main_0003.csv", "h2", 1, "nan"),     # the rest of h is finite
+    ("frame_main_0010.csv", "m", 1, "-inf"),     # h is NaN throughout
+    ("mesh_main_0003.csv", "v1", 1, "nan"),
+], ids=["nan-mass", "nan-position", "infinite-plane", "partly-nan-h",
+        "last-frame-mass", "nan-mesh-vertex"])
+def test_nonfinite_frame_values_are_usage_errors(run_dir, tmp_path, capsys,
+                                                 fname, column, row, value):
+    broken = tmp_path / "nonfinite"
+    shutil.copytree(run_dir, broken)
+
+    def edit(rows):
+        rows[row][rows[0].index(column)] = value
+    rewrite_rows(broken / fname, edit)
+    with pytest.raises(ConfigError, match=fname):
+        load_manifest(str(broken))
+    assert main(["check", str(broken), "--certificates", "mass-decay"]) == 2
+    captured = capsys.readouterr()
+    assert f"{fname}: holds a non-finite value" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # distance
 
@@ -825,6 +910,17 @@ def test_distance_respects_the_support_cap(tmp_path, capsys):
     save_measure(b, pts + 0.001, np.ones(12))
     assert main(["distance", str(a), str(b), "--support-cap", "10"]) == 1
     assert "support" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_a_support_cap_below_one_is_a_usage_error(tmp_path, capsys, cap):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_measure(a, [[0.0], [1.0]], [1.0, 1.0])
+    save_measure(b, [[0.5]], [1.0])
+    assert main(["distance", str(a), str(b), "--support-cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert "lp_support_cap must be at least 1" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
