@@ -36,6 +36,7 @@ from .config import (BARRIER_FLOOR, CHAIN_SLACK, NORM_SAFETY, SCALE_CEILING,
 from .errors import (ConfigError, GridMismatch, NonpositiveWeight,
                      PreconditionViolated, ZeroBarrier)
 from .flow import FlowTrace
+from .geometry import simplex_distances
 from .varifold import ScalarField
 
 NORM_GRID_STEPS = 256
@@ -249,24 +250,11 @@ def _hull_exterior_distance(points: np.ndarray, hull_points: np.ndarray) -> np.n
     A = hull.equations[:, :-1]
     b = hull.equations[:, -1]
     slack = points @ A.T + b          # <= 0 componentwise means inside
-    inside = np.all(slack <= 1e-12, axis=1)
+    outside = ~np.all(slack <= 1e-12, axis=1)
     out = np.zeros(len(points))
-    outside_idx = np.nonzero(~inside)[0]
-    if len(outside_idx) == 0:
-        return out
-    from .geometry import point_segment_distance, point_triangle_distance
-    verts = hull_points
-    for i in outside_idx:
-        p = points[i]
-        best = math.inf
-        for simplex in hull.simplices:
-            if hull_points.shape[1] == 2:
-                dist = point_segment_distance(p, verts[simplex[0]], verts[simplex[1]])
-            else:
-                dist = point_triangle_distance(p, verts[simplex[0]],
-                                               verts[simplex[1]], verts[simplex[2]])
-            best = min(best, dist)
-        out[i] = best
+    if np.any(outside):
+        out[outside] = np.min(simplex_distances(
+            points[outside], hull_points[hull.simplices]), axis=1)
     return out
 
 

@@ -29,10 +29,9 @@ from pathlib import Path
 from .config import (BUDGET_RTOL, DEFAULT_SUPPORT_CAP, DEFECT_SAMPLES,
                      SUPPORT_SLACK, TECHNICAL_SAMPLES)
 from .errors import (BallNotInterior, ConfigError, DeltaTooLarge,
-                     GateViolated, GridMismatch, MassBoundExceeded,
-                     MissingFrames, NonpositiveWeight, OutOfSpan,
-                     PreconditionViolated, SolverFailure, VarimcfError,
-                     ZeroBarrier)
+                     GridMismatch, MassBoundExceeded, MissingFrames,
+                     NonpositiveWeight, OutOfSpan, PreconditionViolated,
+                     SolverFailure, VarimcfError, ZeroBarrier)
 
 THREAD_ENV = "VARIMCF_THREADS"
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -74,8 +73,6 @@ class Settings:
     dt: float | None = None
     end_time: float | None = None
     # [constants]
-    gate_constant: float = 1.0          # proportionality inside the step gate
-    enforce_gate: bool = False          # every preset's choice
     certificate_step_constant: float = 1e-9  # admissibility constant in the
     #                                    smoothing-scale certificate
     lp_support_cap: int = DEFAULT_SUPPORT_CAP  # max LP support for distances
@@ -98,14 +95,6 @@ def _parse_vector(raw: str) -> tuple[float, ...]:
         # argparse prints this message after the flag's name
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {raw!r}") from None
-
-
-def _parse_bool(raw: str) -> bool:
-    """One of configparser's boolean words, in any case."""
-    states, word = configparser.ConfigParser.BOOLEAN_STATES, raw.strip().lower()
-    if word not in states:
-        raise ValueError(f"expected one of {', '.join(states)}")
-    return states[word]
 
 
 def _parse_cert_list(raw: str) -> tuple[str, ...]:
@@ -132,8 +121,6 @@ _INI_PARSERS = {
         "end_time": ("end_time", float),
     },
     "constants": {
-        "gate_constant": ("gate_constant", float),
-        "enforce_gate": ("enforce_gate", _parse_bool),
         "certificate_step_constant": ("certificate_step_constant", float),
         "lp_support_cap": ("lp_support_cap", int),
     },
@@ -183,7 +170,7 @@ def load_settings(config_path: str | None, args: argparse.Namespace) -> Settings
     # and a constant at or below zero flips or voids the bound it scales
     for attr in ("ball_radius", "enclosing_radius", "barrier_radius",
                  "barrier_exponent", "weight_width",
-                 "certificate_step_constant", "gate_constant"):
+                 "certificate_step_constant"):
         if not getattr(st, attr) > 0.0:
             raise ConfigError(f"{attr} must be positive")
     # an infinite radius or centre, or a NaN one, gives a verdict a measured
@@ -278,7 +265,6 @@ def _write_trace(outdir: Path, name: str, trace) -> dict:
         "name": name,
         "ambient_dimension": n,
         "surface_dimension": d,
-        "mass_bound": trace.mass_bound,
         "frames": frames,
         "mesh_frames": mesh_frames or None,
         "simplices": None,
@@ -296,10 +282,10 @@ def _write_trace(outdir: Path, name: str, trace) -> dict:
 
 
 def _is_kind(value, kind) -> bool:
-    """JSON type check: a float field also takes an int, and only a bool
-    field takes a bool."""
+    """JSON type check: a float field also takes an int, and no field takes
+    a bool."""
     return ((isinstance(value, kind) or kind is float and isinstance(value, int))
-            and isinstance(value, bool) == (kind is bool))
+            and not isinstance(value, bool))
 
 
 def _flow_config(manifest: dict):
@@ -313,9 +299,8 @@ def _flow_config(manifest: dict):
     defaults = {f.name: f.default for f in dataclasses.fields(FlowConfig)}
     for key, value in raw.items():
         default = defaults.get(key, dataclasses.MISSING)
-        kind = float if default in (None, dataclasses.MISSING) else type(default)
-        if key not in defaults or not (_is_kind(value, kind)
-                                       or value is default is None):
+        kind = float if default is dataclasses.MISSING else type(default)
+        if key not in defaults or not _is_kind(value, kind):
             raise ConfigError(f"manifest config: '{key}' = {value!r} is not "
                               "a FlowConfig field of that type")
     try:
@@ -335,7 +320,7 @@ def load_trace(manifest: dict, base: Path, record: dict):
     if not isinstance(record, dict):
         raise ConfigError("manifest: each entry of 'traces' must be an object")
     for key, kind in (("name", str), ("ambient_dimension", int),
-                      ("surface_dimension", int), ("mass_bound", float)):
+                      ("surface_dimension", int)):
         if not _is_kind(record.get(key), kind):
             raise ConfigError(f"trace {record.get('name')!r}: '{key}' must "
                               f"be of type {kind.__name__}")
@@ -385,7 +370,7 @@ def load_trace(manifest: dict, base: Path, record: dict):
             mesh_vertices=verts,
             step_delta=record["step_delta"][i],
         ))
-    return FlowTrace(cfg, float(record["mass_bound"]), tuple(snaps), simp)
+    return FlowTrace(cfg, tuple(snaps), simp)
 
 
 def _refuse_constant(name: str):
@@ -439,7 +424,7 @@ class Verdict:
 # precondition errors that fail one verdict instead of the whole check
 _SOFT_ERRORS = (PreconditionViolated, BallNotInterior, ZeroBarrier,
                 NonpositiveWeight, DeltaTooLarge, GridMismatch, OutOfSpan,
-                SolverFailure, MassBoundExceeded, GateViolated)
+                SolverFailure, MassBoundExceeded)
 
 
 def _verdict(name: str, trace: str, statement: str, relation: str, grade,
@@ -728,8 +713,6 @@ def _cmd_simulate(args) -> int:
 
     scenario = make_preset(st.preset, eps=st.eps, dt=st.dt,
                            end_time=st.end_time)
-    cfg = dataclasses.replace(scenario.config, enforce_gate=st.enforce_gate,
-                              gate_constant=st.gate_constant)
     outdir = Path(st.out)
     outdir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -740,7 +723,7 @@ def _cmd_simulate(args) -> int:
         flows = [("main", scenario.varifold, scenario.mesh)]
     records, summary = [], []
     for nm, V, mesh in flows:
-        tr = run(V, cfg,
+        tr = run(V, scenario.config,
                  mesh_vertices=None if mesh is None else mesh.vertices,
                  mesh_simplices=None if mesh is None else mesh.simplices)
         records.append(_write_trace(outdir, nm, tr))
@@ -755,7 +738,7 @@ def _cmd_simulate(args) -> int:
         "preset": scenario.name,
         "description": scenario.description,
         "wall_clock_seconds": wall,
-        "config": dataclasses.asdict(cfg),
+        "config": dataclasses.asdict(scenario.config),
         "traces": records,
     }
     (outdir / "manifest.json").write_text(

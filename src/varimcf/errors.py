@@ -25,12 +25,8 @@ class SingularMap(VarimcfError):
     """Step map is not invertible (or kills a tangent plane)."""
 
 
-class GateViolated(VarimcfError):
-    """Time step too large for the configured step-size gate."""
-
-
 class MassBoundExceeded(VarimcfError):
-    """Total mass exceeds the configured bound for this stage."""
+    """Total mass grows by more than a step allows, or past M + 1."""
 
 
 class OutOfSpan(VarimcfError):

@@ -10,9 +10,9 @@ the tangential Jacobian factor
 
     J_S f = det(Y^T Y)^(1/2),   Y = Df(x) B^T,
 
-with B an orthonormal row basis of S.  Since |h| <= 1/dt is enforced by the
-structural step checks below, f is injective on the support and the mass
-can grow by at most dt per step.
+with B an orthonormal row basis of S.  The structural step checks of `run`
+refuse a step map that is singular at an atom, and a step that grows the
+mass by more than dt or past M + 1, with M = max(1, initial mass).
 
 Two readings of the same step sequence are exposed by `sample`: piecewise
 (constant on [t_i, t_{i+1})) and interpolated (partial step with the frozen
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CHAIN_SLACK, MAP_DETERMINANT
-from .errors import (ConfigError, GateViolated, MassBoundExceeded, OutOfSpan,
-                     SingularMap)
+from .errors import ConfigError, MassBoundExceeded, OutOfSpan, SingularMap
 from .mollifier import (Mollifier, QuadratureGrid, _Lattice,
                         curvature_with_jacobian, dissipation)
 from .varifold import DiscreteVarifold, ScalarField
@@ -72,22 +71,17 @@ def _step(V: DiscreteVarifold, tau: float, h: np.ndarray,
 class FlowConfig:
     """Parameters of one flow run.
 
-    The step-size gate ``gate_constant * dt <= (M+1)^-3 * eps^8`` is enforced
-    when `enforce_gate` is set; it is far smaller than any affordable step at
-    practical scales, so preset runs disable it and rely on the structural
-    per-step checks (positive tangential Jacobians, invertible step maps),
-    which `run` applies unconditionally.  Every run records the dissipation;
-    `sample` takes the reading between steps (piecewise or interpolated).
+    `run` applies the structural per-step checks (positive tangential
+    Jacobians, invertible step maps) to every step.  Every run records the
+    dissipation; `sample` takes the reading between steps (piecewise or
+    interpolated).
     """
 
     eps: float
     dt: float
     end_time: float
-    mass_bound: float | None = None
     cutoff: float = 4.0
     refinement: int = 4
-    gate_constant: float = 1.0
-    enforce_gate: bool = True
 
     def __post_init__(self):
         # the chained comparisons are false for NaN as well
@@ -109,9 +103,6 @@ class FlowConfig:
         diffs = np.diff(self.times())
         return float(np.max(diffs)) if len(diffs) else 0.0
 
-    def gate_bound(self, mass_bound: float) -> float:
-        return (mass_bound + 1.0) ** -3 * self.eps**8 / self.gate_constant
-
 
 @dataclass(frozen=True)
 class Snapshot:
@@ -132,9 +123,13 @@ class Snapshot:
 @dataclass(frozen=True)
 class FlowTrace:
     config: FlowConfig
-    mass_bound: float
     snapshots: tuple[Snapshot, ...]
     mesh_simplices: np.ndarray | None = None
+
+    @property
+    def mass_bound(self) -> float:
+        """M = max(1, initial mass), the bound the run's checks use."""
+        return max(1.0, self.snapshots[0].mass)
 
     @property
     def times(self) -> np.ndarray:
@@ -166,16 +161,8 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
     the same step maps (the simplices are connectivity only and never change);
     per-step perturbation sizes are recorded for the volume certificates.
     """
-    M = config.mass_bound or max(1.0, V0.total_mass())
-    if V0.total_mass() > M + CHAIN_SLACK:
-        raise MassBoundExceeded(f"initial mass {V0.total_mass():.6g} exceeds bound {M:.6g}")
+    M = max(1.0, V0.total_mass())
     times = config.times()
-    if config.enforce_gate and len(times) > 1:
-        worst = float(np.max(np.diff(times)))
-        if worst > config.gate_bound(M) * (1.0 + 1e-12):
-            raise GateViolated(
-                f"step {worst:.3e} exceeds gate bound {config.gate_bound(M):.3e}; "
-                "shrink dt, lower gate_constant, or set enforce_gate=False")
     kernel = Mollifier(config.eps, V0.n, config.cutoff)
     grid = QuadratureGrid.for_kernel(kernel, config.refinement)
     N = len(V0)
@@ -189,9 +176,9 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
         pts = V.positions if verts is None else np.vstack([V.positions, verts])
         h, J = curvature_with_jacobian(V, kernel, grid, pts, lat)
         diss = dissipation(V, kernel, grid, lat)
-        # structural step checks (the gate's content): the step map must stay
-        # a diffeomorphism near the support, so pushforward refuses singular
-        # maps and step_delta records the distance from the identity
+        # structural step checks: the step map must stay a diffeomorphism
+        # near the support, so pushforward refuses singular maps and
+        # step_delta records the distance from the identity
         W, dets = _step(V, dt, h[:N], J[:N])
         hmax = float(np.max(np.linalg.norm(h, axis=1), initial=0.0))
         dets_v = np.linalg.det(np.eye(V.n) + dt * J[N:])
@@ -209,7 +196,7 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
             verts = verts + dt * h[N:]
     snaps.append(Snapshot(float(times[-1]), V, None, None,
                           None, None, None if verts is None else verts.copy(), None))
-    return FlowTrace(config, M, tuple(snaps), mesh_simplices)
+    return FlowTrace(config, tuple(snaps), mesh_simplices)
 
 
 def sample(trace: FlowTrace, t: float,

@@ -29,33 +29,36 @@ from .errors import (BallNotInterior, ConfigError, DegenerateSimplex,
 from .flow import FlowTrace
 from .varifold import DiscreteVarifold
 
-def point_segment_distance(p, a, b) -> float:
-    p, a, b = (np.asarray(v, dtype=float) for v in (p, a, b))
-    ab = b - a
-    denom = float(np.dot(ab, ab))
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = float(np.dot(p - a, ab)) / denom
-    t = min(max(t, 0.0), 1.0)
-    return float(np.linalg.norm(p - (a + t * ab)))
 
-
-def point_triangle_distance(p, a, b, c) -> float:
-    """Distance to a filled triangle; falls back to edges outside it."""
-    p, a, b, c = (np.asarray(v, dtype=float) for v in (p, a, b, c))
-    ab, ac, ap = b - a, c - a, p - a
-    G = np.array([[np.dot(ab, ab), np.dot(ab, ac)],
-                  [np.dot(ab, ac), np.dot(ac, ac)]])
-    rhs = np.array([np.dot(ap, ab), np.dot(ap, ac)])
-    det = np.linalg.det(G)
-    if abs(det) > 1e-18:
-        u, v = np.linalg.solve(G, rhs)
-        if u >= 0.0 and v >= 0.0 and u + v <= 1.0:
-            foot = a + u * ab + v * ac
-            return float(np.linalg.norm(p - foot))
-    return min(point_segment_distance(p, a, b),
-               point_segment_distance(p, b, c),
-               point_segment_distance(p, a, c))
+def simplex_distances(points, corners) -> np.ndarray:
+    """Distances (P, F) from points (P, n) to closed simplices: segments
+    `corners` (F, 2, n), or filled triangles (F, 3, 3)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    corners = np.asarray(corners, dtype=float)
+    p = points[:, None, :]
+    a = corners[:, 0]
+    ab, ap = corners[:, 1] - a, p - a                   # (F, n), (P, F, n)
+    if corners.shape[1] == 2:
+        denom = np.einsum("fi,fi->f", ab, ab)
+        t = np.einsum("pfi,fi->pf", ap, ab) / np.where(denom > 0.0, denom, 1.0)
+        return np.linalg.norm(p - (a + np.clip(t, 0.0, 1.0)[..., None] * ab),
+                              axis=2)
+    # the foot of the perpendicular where it falls in the triangle, and the
+    # nearest edge elsewhere
+    ac = corners[:, 2] - a
+    g00, g01, g11 = (np.einsum("fi,fi->f", x, y)
+                     for x, y in ((ab, ab), (ab, ac), (ac, ac)))
+    r0, r1 = (np.einsum("pfi,fi->pf", ap, x) for x in (ab, ac))
+    det = g00 * g11 - g01 * g01
+    solvable = np.abs(det) > 1e-18
+    det = np.where(solvable, det, 1.0)
+    u, v = (r0 * g11 - r1 * g01) / det, (g00 * r1 - g01 * r0) / det
+    inside = solvable & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
+    face = np.linalg.norm(p - (a + u[..., None] * ab + v[..., None] * ac),
+                          axis=2)
+    edges = simplex_distances(points, corners[:, [[0, 1], [1, 2], [0, 2]]]
+                              .reshape(-1, 2, corners.shape[2]))
+    return np.where(inside, face, edges.reshape(len(points), -1, 3).min(axis=2))
 
 
 @dataclass(frozen=True)
@@ -437,12 +440,8 @@ def nontriviality_certificate(trace: FlowTrace, center, radius: float
     V0 = trace.snapshots[0].varifold
     n, d = V0.n, V0.d
     mesh0 = SurfaceMesh(trace.snapshots[0].mesh_vertices, trace.mesh_simplices)
-    clearance = min(
-        point_segment_distance(center, mesh0.vertices[s[0]], mesh0.vertices[s[1]])
-        if n == 2 else
-        point_triangle_distance(center, mesh0.vertices[s[0]],
-                                mesh0.vertices[s[1]], mesh0.vertices[s[2]])
-        for s in mesh0.simplices)
+    clearance = float(np.min(simplex_distances(
+        center, mesh0.vertices[mesh0.simplices])))
     if clearance < radius:
         raise BallNotInterior(
             f"ball of radius {radius} pokes through the boundary "

@@ -60,6 +60,8 @@ class DiscreteMeasure:
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if pts.shape[0] != w.shape[0]:
             raise ConfigError(f"{pts.shape[0]} points but {w.shape[0]} weights")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(w))):
+            raise ConfigError("points and weights must be finite")
         if np.any(w < 0.0):
             raise ConfigError("weights must be nonnegative")
         pts = np.ascontiguousarray(pts)

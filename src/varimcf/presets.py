@@ -1,9 +1,7 @@
 """Ready-made initial conditions for runs, demos and the certificate harness.
 
 Every preset bundles an initial varifold with a flow configuration that runs
-it to a sensible horizon.  Step sizes are chosen for accuracy, not by the
-worst-case admissibility gate, so the gate is disabled here; the structural
-per-step checks in the stepper still apply.
+it to a sensible horizon.
 """
 
 from __future__ import annotations
@@ -123,7 +121,7 @@ def make_preset(name: str, eps: float | None = None, dt: float | None = None,
     config = FlowConfig(eps=d_eps if eps is None else eps,
                         dt=d_dt if dt is None else dt,
                         end_time=d_end if end_time is None else end_time,
-                        refinement=2, enforce_gate=False)
+                        refinement=2)
     flows = build()
     if len(flows) == 1:
         [(V, mesh)] = flows

@@ -19,8 +19,8 @@ from varimcf.barriers import (BarrierFunction, _hull_exterior_distance,
 from varimcf.errors import (ConfigError, GridMismatch, NonpositiveWeight,
                             PreconditionViolated, ZeroBarrier)
 from varimcf.flow import FlowConfig, run
-from varimcf.geometry import (mesh_to_varifold, point_segment_distance,
-                              regular_polygon_mesh)
+from varimcf.geometry import (mesh_to_varifold, regular_polygon_mesh,
+                              simplex_distances)
 from varimcf.varifold import (DiscreteVarifold, ScalarField,
                               projections_from_bases)
 
@@ -29,8 +29,7 @@ from varimcf.varifold import (DiscreteVarifold, ScalarField,
 def circle_trace():
     mesh = regular_polygon_mesh(100)
     V0 = mesh_to_varifold(mesh)
-    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2,
-                     enforce_gate=False)
+    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2)
     return run(V0, cfg, mesh_vertices=mesh.vertices, mesh_simplices=mesh.simplices)
 
 
@@ -246,7 +245,7 @@ def test_internal_monitor_circle_tracks_law(circle_trace):
 def test_interior_atom_stays_interior():
     V = DiscreteVarifold.from_arrays(np.array([[0.1, 0.0]]),
                                      np.diag([1.0, 0.0]), np.array([0.5]), d=1)
-    cfg = FlowConfig(eps=0.2, dt=5e-3, end_time=0.04, enforce_gate=False)
+    cfg = FlowConfig(eps=0.2, dt=5e-3, end_time=0.04)
     tr = run(V, cfg)
     series = internal_sphere_monitor(tr, [0.0, 0.0], 1.0)
     assert np.all(series.values < 0.0)
@@ -260,7 +259,7 @@ def test_hull_monitor_inward_flow(circle_trace):
 def test_hull_monitor_lone_atom():
     V = DiscreteVarifold.from_arrays(np.array([[0.3, 0.2]]),
                                      np.diag([1.0, 0.0]), np.array([1.0]), d=1)
-    cfg = FlowConfig(eps=0.2, dt=5e-3, end_time=0.02, enforce_gate=False)
+    cfg = FlowConfig(eps=0.2, dt=5e-3, end_time=0.02)
     excess = convex_hull_monitor(run(V, cfg))
     assert np.max(excess) == 0.0
 
@@ -281,10 +280,10 @@ def test_planar_hull_in_space_matches_the_edge_oracle():
     pts = (c + (radius * np.cos(angle))[:, None] * e1
            + (radius * np.sin(angle))[:, None] * e2 + height[:, None] * normal)
     dist = _hull_exterior_distance(pts, ring)
-    for p, r, z, got in zip(pts, radius, height, dist):
-        want = abs(z) if r < 1.0 else min(
-            point_segment_distance(p, ring[i], ring[(i + 1) % 12])
-            for i in range(12))
+    edges = np.stack([ring, np.roll(ring, -1, axis=0)], axis=1)
+    to_edges = simplex_distances(pts, edges).min(axis=1)
+    for r, z, got, edge in zip(radius, height, dist, to_edges):
+        want = abs(z) if r < 1.0 else edge
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
@@ -295,8 +294,7 @@ def test_avoidance_identical_traces(circle_trace):
 
 def test_avoidance_concentric_gap_grows(circle_trace):
     inner = mesh_to_varifold(regular_polygon_mesh(60, 0.5))
-    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2,
-                     enforce_gate=False)
+    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2)
     tr_inner = run(inner, cfg)
     gaps = avoidance_distance(tr_inner, circle_trace)
     assert gaps[0] == pytest.approx(0.5, abs=2e-3)
@@ -310,8 +308,7 @@ def test_avoidance_concentric_gap_grows(circle_trace):
 
 def test_avoidance_rejects_mismatched_grids(circle_trace):
     V = mesh_to_varifold(regular_polygon_mesh(30, 0.5))
-    other = run(V, FlowConfig(eps=0.1, dt=4e-3, end_time=0.1, refinement=2,
-                              enforce_gate=False))
+    other = run(V, FlowConfig(eps=0.1, dt=4e-3, end_time=0.1, refinement=2))
     with pytest.raises(GridMismatch):
         avoidance_distance(circle_trace, other)
 
@@ -339,8 +336,7 @@ def test_lsc_zero_constant_control_fails():
     # mass genuinely climbs, so dropping the compensating constant must fail
     V1 = mesh_to_varifold(regular_polygon_mesh(100))
     V4 = DiscreteVarifold(V1.n, V1.d, V1.positions, V1.planes, 4.0 * V1.masses)
-    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2,
-                     enforce_gate=False)
+    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2)
     tr = run(V4, cfg)
     bump = ScalarField.bump(np.array([0.0, 0.0]), 2.0, 1.0)
     rep = lsc_monitor(tr, bump)
@@ -356,8 +352,7 @@ def test_lsc_zero_constant_control_fails():
 @pytest.fixture(scope="module")
 def admissible_trace():
     V0 = mesh_to_varifold(regular_polygon_mesh(100))
-    cfg = FlowConfig(eps=0.05, dt=1e-3, end_time=0.05, refinement=2,
-                     enforce_gate=False)
+    cfg = FlowConfig(eps=0.05, dt=1e-3, end_time=0.05, refinement=2)
     return run(V0, cfg)
 
 
@@ -387,8 +382,7 @@ def test_certificate_rejects_coarse_subdivision(admissible_trace):
 def test_certificate_rejects_large_scale():
     # one short step at the ceiling itself, config.SCALE_CEILING = 1
     V0 = mesh_to_varifold(regular_polygon_mesh(100))
-    cfg = FlowConfig(eps=1.0, dt=1e-3, end_time=1e-3, refinement=2,
-                     enforce_gate=False)
+    cfg = FlowConfig(eps=1.0, dt=1e-3, end_time=1e-3, refinement=2)
     with pytest.raises(PreconditionViolated, match="ceiling"):
         epsilon_barrier_certificate(run(V0, cfg), inner_barrier(),
                                     c5_cfg=1e-9)

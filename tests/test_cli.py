@@ -161,16 +161,6 @@ def test_nonfinite_scales_are_usage_errors(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-def test_enforce_gate_turns_the_gate_on_for_a_preset(tmp_path, capsys):
-    ini = tmp_path / "gate.ini"
-    ini.write_text("[constants]\nenforce_gate = yes\n")
-    out = tmp_path / "gated"
-    assert main(["simulate", "--config", str(ini), "--preset", "circle",
-                 "--end-time", "0.004", "--out", str(out)]) == 1
-    assert "exceeds gate bound" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
-
-
 def test_bad_thread_count_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("VARIMCF_THREADS", "many")
     assert main(["simulate", "--preset", "circle"]) == 2
@@ -201,7 +191,6 @@ def test_config_file_drives_the_run(tmp_path):
     ("[run]\nseed = -1\n", "seed"),
     ("[certificates]\nmc_samples = 5000\n", "mc_samples"),
     ("[certificates]\nball_center = a,b\n", "ball_center"),
-    ("[constants]\nenforce_gate = ture\n", "enforce_gate"),
     # constants whose sign decides a bound, and NaN, which compares false;
     # the retired certificate knobs among them (and technical_samples above)
     # are refused as unknown keys, which the error names
@@ -209,11 +198,14 @@ def test_config_file_drives_the_run(tmp_path):
     ("[constants]\ncertificate_step_constant = 0\n",
      "certificate_step_constant"),
     ("[constants]\nscale_ceiling = -1\n", "scale_ceiling"),
-    ("[constants]\ngate_constant = 0\nenforce_gate = yes\n", "gate_constant"),
     ("[constants]\nbudget_rtol = 0\n", "budget_rtol"),
     ("[constants]\nslack_factor = nan\n", "slack_factor"),
-    # numbers that are not finite, and a support cap with no room
+    # the keys of the deleted step gate are refused as unknown keys, whatever
+    # their value
+    ("[constants]\nenforce_gate = ture\n", "enforce_gate"),
+    ("[constants]\ngate_constant = 0\nenforce_gate = yes\n", "gate_constant"),
     ("[constants]\ngate_constant = inf\n", "gate_constant"),
+    # numbers that are not finite, and a support cap with no room
     ("[constants]\ncertificate_step_constant = inf\n",
      "certificate_step_constant"),
     ("[certificates]\nball_radius = inf\n", "ball_radius"),
@@ -367,6 +359,30 @@ def test_check_detects_a_teleported_atom(run_dir, tmp_path, capsys):
     (verdict,) = payload["verdicts"]
     assert verdict["passed"] is False
     assert "displacement" in verdict["details"]["error"]
+
+
+def test_eps_barrier_bound_takes_m_from_frame_0(run_dir, tmp_path, capsys):
+    # a mass bound written into the trace records is not read: the bound
+    # uses M = max(1, frame-0 mass), as for the untouched recording
+    edited = tmp_path / "large-mass-bound"
+    shutil.copytree(run_dir, edited)
+    manifest = manifest_of(edited)
+    for record in manifest["traces"]:
+        record["mass_bound"] = 1e12
+    (edited / "manifest.json").write_text(json.dumps(manifest))
+    verdicts = []
+    for path in (run_dir, edited):
+        assert main(["check", str(path), "--certificates",
+                     "eps-sphere-barrier"]) == 0
+        (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+        verdicts.append(verdict)
+    plain, inflated = verdicts
+    assert inflated == plain
+    mass0 = frame_masses(run_dir, manifest["traces"][0])[0]
+    assert mass0 > 1.0
+    assert plain["bound"] == (plain["details"]["norm_constant"]
+                              * (10.0 * max(1.0, mass0) + 9.0)
+                              * manifest["config"]["eps"] ** (1.0 / 6.0))
 
 
 def test_check_grades_the_masses_the_frames_hold(run_dir, tmp_path, capsys):
@@ -686,11 +702,18 @@ def without(mapping: dict, key: str) -> dict:
     (lambda man: {**man, "config": {**man["config"],
                                     "record_dissipation": True}},
      "'record_dissipation'"),
+    (lambda man: {**man, "config": {**man["config"], "enforce_gate": False}},
+     "'enforce_gate'"),
+    (lambda man: {**man, "config": {**man["config"], "gate_constant": 1.0}},
+     "'gate_constant'"),
+    (lambda man: {**man, "config": {**man["config"], "mass_bound": None}},
+     "'mass_bound'"),
 ], ids=["missing-traces", "traces-not-a-list", "no-traces", "missing-config",
         "unknown-config-key", "eps-not-a-number", "missing-dt",
         "missing-ambient_dimension", "seed-not-an-integer", "negative-seed",
         "top-level-list", "repeated-trace-name", "retired-mode",
-        "retired-record_dissipation"])
+        "retired-record_dissipation", "retired-enforce_gate",
+        "retired-gate_constant", "retired-mass_bound"])
 def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
                                               fragment):
     broken = tmp_path / "malformed"
@@ -705,8 +728,8 @@ def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
 
 @pytest.mark.parametrize("edit", [
     lambda man: man["config"].update(eps=float("nan")),
-    lambda man: man["traces"][0].update(mass_bound=float("inf")),
-], ids=["nan-eps", "infinite-mass-bound"])
+    lambda man: man["traces"][0]["curvature_max"].__setitem__(0, float("inf")),
+], ids=["nan-eps", "infinite-curvature-max"])
 def test_nonfinite_manifest_constants_are_usage_errors(run_dir, tmp_path,
                                                        capsys, edit):
     broken = tmp_path / "nonfinite"
@@ -752,8 +775,8 @@ def test_frame_text_is_fixed(tmp_path):
                                       [0.5, 0.25], d=1)
     V1 = DiscreteVarifold.from_arrays(pos, np.stack([horizontal] * 2),
                                       [0.5, 0.2], d=1)
-    cfg = FlowConfig(eps=0.1, dt=0.1, end_time=0.1, enforce_gate=False)
-    trace = FlowTrace(cfg, 1.0, (
+    cfg = FlowConfig(eps=0.1, dt=0.1, end_time=0.1)
+    trace = FlowTrace(cfg, (
         Snapshot(0.0, V0, curvature=np.array([[-2.0, 0.1], [0.0, 3.0]]),
                  mesh_vertices=np.array([[0.0, 1.0], [0.5, -0.0]])),
         Snapshot(0.1, V1, mesh_vertices=np.array([[0.0, 1.0], [0.75, 0.0]])),
@@ -841,6 +864,20 @@ def test_measure_file_needs_a_trailing_weight_column(tmp_path, capsys):
     b.write_text("x1,x2\n0,0\n")
     assert main(["distance", str(a), str(b)]) == 2
     assert "b.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", ["0,1\n1,nan\n", "nan,1\n1,1\n",
+                                  "0,1\ninf,1\n"],
+                         ids=["nan-weight", "nan-coordinate", "inf-coordinate"])
+def test_nonfinite_measure_file_is_a_usage_error(tmp_path, capsys, rows):
+    a = tmp_path / "a.csv"
+    save_measure(a, [[0.0], [1.0]], [1.0, 1.0])
+    b = tmp_path / "b.csv"
+    b.write_text("x1,w\n" + rows)
+    assert main(["distance", str(a), str(b)]) == 2
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert captured.out == ""
 
 
 def test_measure_file_without_rows_is_an_empty_measure(tmp_path, capsys):
@@ -950,8 +987,8 @@ def test_volume_verdict_in_space_is_exact():
     cube = SurfaceMesh(v, [[a, b, c] for a, b, c, _ in quads]
                        + [[a, c, d] for a, _, c, d in quads])
     V = mesh_to_varifold(cube)
-    cfg = FlowConfig(eps=0.1, dt=0.01, end_time=0.01, enforce_gate=False)
-    trace = FlowTrace(cfg, 1.0, (
+    cfg = FlowConfig(eps=0.1, dt=0.01, end_time=0.01)
+    trace = FlowTrace(cfg, (
         Snapshot(0.0, V, mesh_vertices=cube.vertices, step_delta=0.1),
         Snapshot(0.01, V, mesh_vertices=cube.vertices + [0.1, 0.0, 0.0]),
     ), cube.simplices)

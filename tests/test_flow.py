@@ -11,8 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from varimcf.errors import (ConfigError, GateViolated, MassBoundExceeded,
-                            OutOfSpan, SingularMap)
+from varimcf.errors import ConfigError, OutOfSpan, SingularMap
 from varimcf.flow import (FlowConfig, brakke_residual, dissipation_budget,
                           pushforward, run, sample)
 from varimcf.varifold import (DiscreteVarifold, ScalarField, VectorField,
@@ -201,8 +200,7 @@ def test_identity_plus_linear_field_jacobian():
 
 @pytest.fixture(scope="module")
 def circle_trace():
-    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2,
-                     enforce_gate=False)
+    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2)
     return run(polygon_circle(100), cfg)
 
 
@@ -212,7 +210,7 @@ def test_lone_atom_holds_position_and_sheds_mass():
     # the tangential Jacobian eats mass (never grows it)
     V = DiscreteVarifold.from_arrays(np.array([[0.2, -0.4]]),
                                      np.diag([1.0, 0.0]), np.array([1.0]), d=1)
-    cfg = FlowConfig(eps=0.2, dt=1e-2, end_time=0.01, enforce_gate=False)
+    cfg = FlowConfig(eps=0.2, dt=1e-2, end_time=0.01)
     tr = run(V, cfg)
     assert len(tr.snapshots) == 2
     W = tr.snapshots[-1].varifold
@@ -249,37 +247,9 @@ def test_dissipation_budget_telescopes(circle_trace):
     assert budget == pytest.approx(drop, rel=2e-2)
 
 
-def test_gate_blocks_affordable_steps():
-    V = polygon_circle(32)
-    cfg = FlowConfig(eps=0.1, dt=1e-3, end_time=0.01)
-    assert cfg.enforce_gate
-    with pytest.raises(GateViolated):
-        run(V, cfg)
-
-
-def test_gate_admits_tiny_step():
-    V = polygon_circle(32)
-    bound = FlowConfig(eps=0.1, dt=1.0, end_time=1.0).gate_bound(V.total_mass())
-    cfg = FlowConfig(eps=0.1, dt=0.5 * bound, end_time=0.5 * bound,
-                     refinement=2)
-    tr = run(V, cfg)
-    assert len(tr.snapshots) == 2
-    moved = np.linalg.norm(tr.snapshots[1].varifold.positions - V.positions, axis=1)
-    assert np.max(moved) <= bound
-
-
-def test_mass_bound_checked_up_front():
-    V = polygon_circle(32)  # mass 2*pi
-    cfg = FlowConfig(eps=0.1, dt=1e-3, end_time=0.01, mass_bound=1.0,
-                     enforce_gate=False)
-    with pytest.raises(MassBoundExceeded):
-        run(V, cfg)
-
-
 def test_run_refuses_an_ambient_dimension_other_than_2_or_3():
     V = random_varifold(np.random.default_rng(4), 4, 1, 6)
-    cfg = FlowConfig(eps=0.1, dt=1e-3, end_time=1e-3, refinement=2,
-                     enforce_gate=False)
+    cfg = FlowConfig(eps=0.1, dt=1e-3, end_time=1e-3, refinement=2)
     with pytest.raises(ConfigError, match="dimensions 2 and 3"):
         run(V, cfg)
 
@@ -309,8 +279,7 @@ def test_sampling_gap_shrinks_with_dt():
     probes = np.arange(0.0105, 0.0196, 0.001)
     gaps = []
     for dt in (4e-3, 2e-3):
-        cfg = FlowConfig(eps=0.1, dt=dt, end_time=0.02, refinement=2,
-                         enforce_gate=False)
+        cfg = FlowConfig(eps=0.1, dt=dt, end_time=0.02, refinement=2)
         tr = run(polygon_circle(64), cfg)
         worst = 0.0
         for t in probes:
@@ -331,8 +300,7 @@ def test_sample_rejects_out_of_span(circle_trace):
 
 def test_brakke_residual_vanishes_off_support():
     # weight supported away from the flow: every term in the balance is zero
-    cfg = FlowConfig(eps=0.1, dt=5e-3, end_time=0.02, refinement=2,
-                     enforce_gate=False)
+    cfg = FlowConfig(eps=0.1, dt=5e-3, end_time=0.02, refinement=2)
     tr = run(polygon_circle(32), cfg)
     base = ScalarField.bump(np.array([10.0, 0.0]), 1.0, 3.0)
     phi = ScalarField.time_scaled(base, 0.7)
@@ -343,8 +311,7 @@ def test_brakke_residual_halves_with_dt():
     phi = ScalarField.bump(np.array([0.0, 0.0]), 2.0, 1.0)
     res = []
     for dt in (4e-3, 2e-3):
-        cfg = FlowConfig(eps=0.1, dt=dt, end_time=0.04, refinement=2,
-                         enforce_gate=False)
+        cfg = FlowConfig(eps=0.1, dt=dt, end_time=0.04, refinement=2)
         tr = run(polygon_circle(64), cfg)
         res.append(brakke_residual(tr, phi, 0.0, 0.04))
     assert 1.5 <= res[0] / res[1] <= 3.0
@@ -366,8 +333,7 @@ def test_mesh_vertices_advected_alongside():
     th = (np.arange(64) + 0.5) / 64 * 2.0 * math.pi
     verts = np.stack([np.cos(th), np.sin(th)], 1)
     simp = np.stack([np.arange(64), (np.arange(64) + 1) % 64], 1)
-    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.02, refinement=2,
-                     enforce_gate=False)
+    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.02, refinement=2)
     tr = run(V, cfg, mesh_vertices=verts, mesh_simplices=simp)
     first = tr.snapshots[0].mesh_vertices
     last = tr.snapshots[-1].mesh_vertices

@@ -14,9 +14,8 @@ from varimcf.geometry import (SurfaceMesh, _ball_volume, _disk_area,
                               clipped_volume_change, contains,
                               enclosed_volume, icosphere_mesh, loop_mesh,
                               mesh_to_varifold,
-                              nontriviality_certificate,
-                              point_segment_distance, point_triangle_distance,
-                              regular_polygon_mesh, volume_change_constant,
+                              nontriviality_certificate, regular_polygon_mesh,
+                              simplex_distances, volume_change_constant,
                               volume_change_series)
 from varimcf.varifold import DiscreteVarifold
 
@@ -32,17 +31,22 @@ def moved(mesh, f):
 
 
 # ---------------------------------------------------------------------------
-# distance helpers, against brute-force parameter sweeps
+# point-to-simplex distances, against brute-force parameter sweeps
 
 
 def test_point_segment_distance_brute_force():
     rng = np.random.default_rng(1)
     ts = np.linspace(0.0, 1.0, 20001)
-    for _ in range(20):
-        a, b, p = rng.normal(size=(3, 3))
+    segments, points = np.empty((20, 2, 3)), np.empty((20, 3))
+    for k in range(20):
+        draw = rng.normal(size=(3, 3))
+        segments[k], points[k] = draw[:2], draw[2]
+    got = simplex_distances(points, segments)
+    assert got.shape == (20, 20)
+    for k, ((a, b), p) in enumerate(zip(segments, points)):
         pts = a[None, :] + ts[:, None] * (b - a)[None, :]
         brute = float(np.min(np.linalg.norm(pts - p, axis=1)))
-        assert point_segment_distance(p, a, b) == pytest.approx(brute, abs=1e-6)
+        assert got[k, k] == pytest.approx(brute, abs=1e-6)
 
 
 def test_point_triangle_distance_brute_force():
@@ -51,13 +55,17 @@ def test_point_triangle_distance_brute_force():
     uu, vv = np.meshgrid(u, u)
     keep = uu + vv <= 1.0
     uu, vv = uu[keep], vv[keep]
-    for _ in range(10):
-        a, b, c, p = rng.normal(size=(4, 3))
+    triangles, points = np.empty((10, 3, 3)), np.empty((10, 3))
+    for k in range(10):
+        draw = rng.normal(size=(4, 3))
+        triangles[k], points[k] = draw[:3], draw[3]
+    got = simplex_distances(points, triangles)
+    assert got.shape == (10, 10)
+    for k, ((a, b, c), p) in enumerate(zip(triangles, points)):
         pts = a[None, :] + uu[:, None] * (b - a)[None, :] + vv[:, None] * (c - a)[None, :]
         brute = float(np.min(np.linalg.norm(pts - p, axis=1)))
-        got = point_triangle_distance(p, a, b, c)
-        assert got <= brute + 1e-12
-        assert got == pytest.approx(brute, abs=1e-4)
+        assert got[k, k] <= brute + 1e-12
+        assert got[k, k] == pytest.approx(brute, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +439,7 @@ def test_volume_change_constant_formula():
 def mesh_trace():
     mesh = regular_polygon_mesh(100)
     V0 = mesh_to_varifold(mesh)
-    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2,
-                     enforce_gate=False)
+    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2)
     return run(V0, cfg, mesh_vertices=mesh.vertices, mesh_simplices=mesh.simplices)
 
 
@@ -474,8 +481,7 @@ def test_nontriviality_rejects_bad_ball(mesh_trace):
 
 def test_refinement_consistency_tiny_flow():
     mesh = regular_polygon_mesh(32)
-    cfg = FlowConfig(eps=0.15, dt=2e-3, end_time=0.02, refinement=2,
-                     enforce_gate=False)
+    cfg = FlowConfig(eps=0.15, dt=2e-3, end_time=0.02, refinement=2)
     terminal = []
     for s in (1, 2, 4):
         tr = run(mesh_to_varifold(mesh, s), cfg)

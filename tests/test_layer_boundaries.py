@@ -48,6 +48,12 @@ def test_wrapped_names_are_their_owners_own_attributes():
 def test_attributes_the_benchmark_reads_exist():
     fields = {f.name for f in dataclasses.fields(presets.Scenario)}
     assert {"pair", "pair_meshes", "varifold", "mesh", "config"} <= fields
+    # workloads.prepare builds the kernel and the stencil from the preset's
+    # config and counts the steps of its subdivision
+    cfg = presets.make_preset("circle").config
+    assert isinstance(cfg.eps, float) and isinstance(cfg.cutoff, float)
+    assert isinstance(cfg.refinement, int)
+    assert len(cfg.times()) - 1 == 150
     kernel = mollifier.Mollifier(0.1, 2)
     grid = mollifier.QuadratureGrid.for_kernel(kernel, 2)
     assert grid.offsets.shape[1] == 2
@@ -78,8 +84,7 @@ def test_run_calls_each_field_layer_once_per_step(monkeypatch):
     for owner, name in layers:
         monkeypatch.setattr(owner, name, counting(owner, name))
     mesh = regular_polygon_mesh(32)
-    cfg = FlowConfig(eps=0.15, dt=2e-3, end_time=4e-3, refinement=2,
-                     enforce_gate=False)
+    cfg = FlowConfig(eps=0.15, dt=2e-3, end_time=4e-3, refinement=2)
     tr = flow.run(mesh_to_varifold(mesh), cfg, mesh_vertices=mesh.vertices,
                   mesh_simplices=mesh.simplices)
     assert len(tr.snapshots) == 3

@@ -27,7 +27,6 @@ def test_preset_defaults_and_flows(name):
     cfg = sc.config
     assert (cfg.eps, cfg.dt, cfg.end_time) == (eps, dt, end_time)
     assert cfg.refinement == 2
-    assert cfg.enforce_gate is False
     if len(atoms) == 1:
         assert sc.pair is None and sc.pair_meshes is None
         flows, meshes = (sc.varifold,), (sc.mesh,)

@@ -265,11 +265,11 @@ def test_time_scaled_field_derivative():
 
 def write_frames(tmp_path, V):
     """Record V as the single snapshot of a trace; return (manifest, record)."""
-    cfg = FlowConfig(eps=0.1, dt=1e-3, end_time=0.0, enforce_gate=False)
-    trace = FlowTrace(cfg, V.total_mass(), (Snapshot(0.0, V),))
+    cfg = FlowConfig(eps=0.1, dt=1e-3, end_time=0.0)
+    trace = FlowTrace(cfg, (Snapshot(0.0, V),))
     record = _write_trace(tmp_path, "main", trace)
     manifest = {"config": {"eps": cfg.eps, "dt": cfg.dt,
-                           "end_time": cfg.end_time, "enforce_gate": False},
+                           "end_time": cfg.end_time},
                 "traces": [record]}
     # the manifest goes through JSON, as simulate writes it
     return json.loads(json.dumps(manifest)), record
