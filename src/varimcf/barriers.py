@@ -19,7 +19,9 @@ which the certificate below needs.
 
 Monitors take a recorded flow and measure how much mass crosses a shrinking
 sphere, how far atoms stray outside the initial convex hull, and whether
-weighted masses obey their almost-monotonicity, each against a stated bound.
+weighted masses obey their almost-monotonicity.  Each returns the numbers of
+one verdict: (measured, bound, details), the bound computed next to the
+measurement.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from scipy.integrate import quad
 from scipy.spatial import ConvexHull, QhullError
 
 from .config import (BARRIER_FLOOR, CHAIN_SLACK, NORM_SAFETY, SCALE_CEILING,
-                     sphere_area)
+                     SUPPORT_SLACK, sphere_area)
 from .errors import (ConfigError, GridMismatch, NonpositiveWeight,
                      PreconditionViolated, ZeroBarrier)
 from .flow import FlowTrace
@@ -180,92 +182,96 @@ def barrier_defects(psi: BarrierFunction, x, P, t) -> np.ndarray:
 # trace monitors
 
 
-@dataclass(frozen=True)
-class SphereMonitorSeries:
-    """Per-snapshot readings against the shrinking sphere sqrt(R^2 - 2dt)."""
-
-    times: np.ndarray
-    values: np.ndarray   # invaded mass (external) or protrusion (internal)
-
-    def peak(self) -> float:
-        return float(np.max(self.values)) if len(self.values) else 0.0
-
-
-def _sphere_series(trace: FlowTrace, center, R: float,
-                   reading) -> SphereMonitorSeries:
-    """reading(distances to center, masses, radius) at each snapshot while
-    the shrinking radius sqrt(R^2 - 2dt) is real."""
+def _sphere_peak(trace: FlowTrace, center, R: float, reading):
+    """The largest reading(distances to center, masses, radius) over the
+    snapshots while the shrinking radius sqrt(R^2 - 2dt) is real, and the
+    last such time."""
     center = np.asarray(center, dtype=float)
     d = trace.snapshots[0].varifold.d
     r2 = R**2 - 2.0 * d * trace.times
-    live = r2 > 0.0
-    radii = np.sqrt(r2[live])
-    vals = []
-    for snap, r in zip([s for s, ok in zip(trace.snapshots, live) if ok], radii):
-        V = snap.varifold
-        vals.append(reading(np.linalg.norm(V.positions - center, axis=1),
-                            V.masses, r))
-    return SphereMonitorSeries(trace.times[live], np.array(vals))
+    live = np.flatnonzero(r2 > 0.0)
+    vals = [reading(np.linalg.norm(trace.snapshots[i].varifold.positions
+                                   - center, axis=1),
+                    trace.snapshots[i].varifold.masses, math.sqrt(r2[i]))
+            for i in live]
+    return max(vals, default=0.0), float(trace.times[live[-1]])
 
 
-def external_sphere_monitor(trace: FlowTrace, center, R: float) -> SphereMonitorSeries:
-    """Mass found inside the shrinking ball; zero for exact avoidance."""
-    return _sphere_series(trace, center, R,
-                          lambda dist, m, r: float(m[dist < r].sum()))
+def external_sphere_monitor(trace: FlowTrace, center, R: float):
+    """Mass found inside the shrinking ball, against roundoff: zero for exact
+    avoidance."""
+    peak, end = _sphere_peak(trace, center, R,
+                             lambda dist, m, r: float(m[dist < r].sum()))
+    return peak, 1e-9 * (1.0 + trace.snapshots[0].mass), {"window_end": end}
 
 
-def internal_sphere_monitor(trace: FlowTrace, center, R: float) -> SphereMonitorSeries:
-    """How far the support protrudes beyond the shrinking ball (<= 0 is inside)."""
-    return _sphere_series(trace, center, R,
-                          lambda dist, m, r: float(np.max(dist) - r))
+def internal_sphere_monitor(trace: FlowTrace, center, R: float):
+    """How far the support protrudes beyond the shrinking ball (<= 0 is
+    inside), against a smoothing-scale slack."""
+    peak, end = _sphere_peak(trace, center, R,
+                             lambda dist, m, r: float(np.max(dist) - r))
+    return peak, SUPPORT_SLACK * trace.config.eps, {"window_end": end}
 
 
-def _flat_hull_distance(points: np.ndarray,
-                        hull_points: np.ndarray) -> np.ndarray:
-    """Distance to the hull of a flat set (a point, a segment or a planar
-    patch): the distance within its affine hull, of rank r < n, combined
-    with the offset from that hull."""
-    rel, hull_rel = points - hull_points[0], hull_points - hull_points[0]
-    _, s, vt = np.linalg.svd(hull_rel)
-    # Qhull found no full-dimensional hull, so the set is flat to its precision
-    r = min(int(np.count_nonzero(s > 1e-9 * s[0])), points.shape[1] - 1)
-    along, hull_along = rel @ vt[:r].T, hull_rel @ vt[:r].T
-    off = rel - along @ vt[:r]
-    if r >= 2:
-        within = _hull_exterior_distance(along, hull_along)
-    else:       # a point or an interval: the distance to its coordinate range
-        within = np.sum(np.maximum(hull_along.min(axis=0) - along, 0.0)
-                        + np.maximum(along - hull_along.max(axis=0), 0.0),
-                        axis=1)
-    return np.sqrt(within**2 + np.einsum("ki,ki->k", off, off))
-
-
-def _hull_exterior_distance(points: np.ndarray, hull_points: np.ndarray) -> np.ndarray:
-    """Euclidean distance to a convex hull, zero inside (n = 2 or 3)."""
+def _hull_distance(hull_points: np.ndarray):
+    """The Euclidean distance (P,) of points (P, n) to the convex hull of
+    `hull_points`, zero inside (n = 2 or 3), as a function built once."""
     try:
         hull = ConvexHull(hull_points)
     except QhullError:
         # fewer points than a full-dimensional hull needs, or a flat set
-        return _flat_hull_distance(points, hull_points)
+        return _flat_hull_distance(hull_points)
     A = hull.equations[:, :-1]
     b = hull.equations[:, -1]
-    slack = points @ A.T + b          # <= 0 componentwise means inside
-    outside = ~np.all(slack <= 1e-12, axis=1)
-    out = np.zeros(len(points))
-    if np.any(outside):
-        out[outside] = np.min(simplex_distances(
-            points[outside], hull_points[hull.simplices]), axis=1)
-    return out
+    facets = hull_points[hull.simplices]
+
+    def distance(points):
+        slack = points @ A.T + b          # <= 0 componentwise means inside
+        outside = ~np.all(slack <= 1e-12, axis=1)
+        out = np.zeros(len(points))
+        if np.any(outside):
+            out[outside] = np.min(simplex_distances(points[outside], facets),
+                                  axis=1)
+        return out
+    return distance
 
 
-def convex_hull_monitor(trace: FlowTrace) -> np.ndarray:
-    """Max distance of any atom to the hull of the initial atoms, per snapshot."""
-    hull_pts = trace.snapshots[0].varifold.positions
-    out = []
+def _flat_hull_distance(hull_points: np.ndarray):
+    """The distance to the hull of a flat set (a point, a segment or a
+    planar patch): the distance within its affine hull, of rank r < n,
+    combined with the offset from that hull."""
+    origin = hull_points[0]
+    hull_rel = hull_points - origin
+    _, s, vt = np.linalg.svd(hull_rel)
+    # Qhull found no full-dimensional hull, so the set is flat to its precision
+    r = min(int(np.count_nonzero(s > 1e-9 * s[0])), hull_points.shape[1] - 1)
+    hull_along = hull_rel @ vt[:r].T
+    if r >= 2:
+        within = _hull_distance(hull_along)
+    else:       # a point or an interval: the distance to its coordinate range
+        lo, hi = hull_along.min(axis=0), hull_along.max(axis=0)
+
+        def within(along):
+            return np.sum(np.maximum(lo - along, 0.0)
+                          + np.maximum(along - hi, 0.0), axis=1)
+
+    def distance(points):
+        rel = points - origin
+        along = rel @ vt[:r].T
+        off = rel - along @ vt[:r]
+        return np.sqrt(within(along)**2 + np.einsum("ki,ki->k", off, off))
+    return distance
+
+
+def convex_hull_monitor(trace: FlowTrace):
+    """Largest distance of any atom to the hull of the initial atoms, over
+    the snapshots, against roundoff."""
+    distance = _hull_distance(trace.snapshots[0].varifold.positions)
+    worst = 0.0
     for snap in trace.snapshots:
-        d = _hull_exterior_distance(snap.varifold.positions, hull_pts)
-        out.append(float(np.max(d)) if len(d) else 0.0)
-    return np.array(out)
+        d = distance(snap.varifold.positions)
+        worst = max(worst, float(np.max(d)) if len(d) else 0.0)
+    return worst, 1e-8, {"snapshots": len(trace.snapshots)}
 
 
 def avoidance_distance(trace_a: FlowTrace, trace_b: FlowTrace) -> np.ndarray:
@@ -283,16 +289,6 @@ def avoidance_distance(trace_a: FlowTrace, trace_b: FlowTrace) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # certificates
-
-
-@dataclass(frozen=True)
-class EpsBarrierReport:
-    norm_constant: float        # 2 max{ C3 norm, grad L2 norm, 1 }
-    mass_bound: float
-    bound: float                # norm_constant * (10M + 9) * eps^(1/6)
-    max_increase: float
-    notes: tuple[str, ...] = ("scale ceiling above 4^-6: admissibility is "
-                              "configured, not derived",)
 
 
 def _trace_consistency(trace: FlowTrace) -> None:
@@ -317,13 +313,15 @@ def _trace_consistency(trace: FlowTrace) -> None:
 
 
 def epsilon_barrier_certificate(trace: FlowTrace, psi: BarrierFunction,
-                                c5_cfg: float) -> EpsBarrierReport:
+                                c5_cfg: float):
     """Certify the almost-nonincrease of the barrier-weighted mass.
 
     For a piecewise flow that stays admissible (fine subdivision relative to
     the smoothing scale) the weighted mass can increase between any two
     snapshot times by at most  c (10M + 9) eps^(1/6),  with c the certified
-    overestimate of max{ C3 norm of psi, L2 norm of grad psi, 1 } doubled.
+    overestimate of max{ C3 norm of psi, L2 norm of grad psi, 1 } doubled
+    and M the trace's mass bound.
+
     The preconditions also pin the trace to its own recorded step data, so a
     trace whose atoms moved farther than the recorded fields allow is
     rejected rather than graded.
@@ -341,8 +339,7 @@ def epsilon_barrier_certificate(trace: FlowTrace, psi: BarrierFunction,
             f"smoothing scale {eps} not below the ceiling {SCALE_CEILING}")
     _trace_consistency(trace)
     c = 2.0 * max(psi.c3_norm(), psi.grad_l2_norm(), 1.0)
-    M = trace.mass_bound
-    bound = c * (10.0 * M + 9.0) * eps ** (1.0 / 6.0)
+    bound = c * (10.0 * trace.mass_bound + 9.0) * eps ** (1.0 / 6.0)
     worst = -math.inf
     weighted = [float(np.dot(s.varifold.masses,
                              psi.value(s.varifold.positions, s.time)))
@@ -351,19 +348,15 @@ def epsilon_barrier_certificate(trace: FlowTrace, psi: BarrierFunction,
     for w in weighted:
         running_min = min(running_min, w)
         worst = max(worst, w - running_min)
-    return EpsBarrierReport(c, M, bound, worst)
-
-
-@dataclass(frozen=True)
-class LscReport:
-    constant: float         # C = sup |hess psi| * initial mass
-    slack: float            # allowed per-step uptick
-    max_uptick: float
+    return worst, bound, {"norm_constant": c, "notes": [
+        "scale ceiling above 4^-6: admissibility is configured, not derived"]}
 
 
 def lsc_monitor(trace: FlowTrace, psi: ScalarField,
-                constant: float | None = None) -> LscReport:
-    """Check that t -> ||V(t)||(psi) - C t is nonincreasing up to step slack.
+                constant: float | None = None):
+    """Check that t -> ||V(t)||(psi) - C t is nonincreasing up to step slack:
+    its largest uptick between snapshots, against the C^2 norm of psi times
+    the largest step.
 
     C defaults to sup |hess psi| times the initial mass; `constant` overrides
     it (a forced C = 0 under a moving support is the negative control).
@@ -376,4 +369,4 @@ def lsc_monitor(trace: FlowTrace, psi: ScalarField,
                      - constant * s.time for s in trace.snapshots])
     upticks = np.diff(vals)
     worst = float(np.max(upticks)) if len(upticks) else 0.0
-    return LscReport(constant, slack, worst)
+    return worst, slack, {"ramp_constant": constant}

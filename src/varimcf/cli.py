@@ -1,10 +1,10 @@
 """Command-line front end: reproducible runs, recorded frames, certificates.
 
-Subcommands: `simulate` (run a preset and write one CSV per snapshot plus a
-manifest), `check` (evaluate named certificates against a recorded run),
-`distance` (compare two measure files), `volume` (per-step clipped volume
-reports).  Exit codes: 0 all requested checks pass, 1 any check fails or a
-run aborts, 2 usage or configuration error.
+Three subcommands: `simulate` (run a preset and write one CSV per snapshot
+plus a manifest), `check` (grade named certificates against a recorded run)
+and `distance` (compare two measure files).  Exit codes: 0 all requested
+checks pass, 1 any check fails or a run aborts, 2 usage or configuration
+error.
 
 All numerical work is deterministic for a fixed configuration and seed; each
 random sweep draws from its own stream, keyed by the seed and the
@@ -28,10 +28,8 @@ from pathlib import Path
 
 from .config import (BUDGET_RTOL, DEFAULT_SUPPORT_CAP, DEFECT_SAMPLES,
                      SUPPORT_SLACK, TECHNICAL_SAMPLES)
-from .errors import (BallNotInterior, ConfigError, DeltaTooLarge,
-                     GridMismatch, MassBoundExceeded, MissingFrames,
-                     NonpositiveWeight, OutOfSpan, PreconditionViolated,
-                     SolverFailure, VarimcfError, ZeroBarrier)
+from .errors import (ConfigError, MissingFrames, OpenMesh,
+                     PreconditionViolated, VarimcfError)
 
 THREAD_ENV = "VARIMCF_THREADS"
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -89,12 +87,7 @@ class Settings:
 
 
 def _parse_vector(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in raw.replace(",", " ").split())
-    except ValueError:
-        # argparse prints this message after the flag's name
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {raw!r}") from None
+    return tuple(float(p) for p in raw.replace(",", " ").split())
 
 
 def _parse_cert_list(raw: str) -> tuple[str, ...]:
@@ -158,7 +151,7 @@ def load_settings(config_path: str | None, args: argparse.Namespace) -> Settings
                 attr, conv = _INI_PARSERS[section][key]
                 try:
                     setattr(st, attr, conv(raw))
-                except (ValueError, TypeError, argparse.ArgumentTypeError) as e:
+                except (ValueError, TypeError) as e:
                     raise ConfigError(f"[{section}] {key}: bad value {raw!r} "
                                       f"({e})") from None
     # each flag stores its value under the name of the field it sets
@@ -310,10 +303,15 @@ def _flow_config(manifest: dict):
 
 
 def load_trace(manifest: dict, base: Path, record: dict):
-    """Rebuild a FlowTrace from one manifest trace record."""
+    """Rebuild a FlowTrace from one manifest trace record.
+
+    A trace must hold at least one frame, every atom a positive mass, and a
+    recorded boundary mesh must be closed.
+    """
     import numpy as np
 
     from .flow import FlowTrace, Snapshot
+    from .geometry import SurfaceMesh
     from .varifold import DiscreteVarifold
 
     cfg = _flow_config(manifest)
@@ -327,9 +325,9 @@ def load_trace(manifest: dict, base: Path, record: dict):
     n = record["ambient_dimension"]
     d = record["surface_dimension"]
     frames = record.get("frames")
-    if not isinstance(frames, list):
-        raise ConfigError(f"trace {record.get('name')!r}: 'frames' is not "
-                          "a list")
+    if not isinstance(frames, list) or not frames:
+        raise ConfigError(f"trace {record['name']!r}: 'frames' must be a "
+                          "non-empty list")
     per_frame = ["times", "curvature_max", "dissipation", "step_delta"]
     if record.get("mesh_frames") is not None:
         per_frame.append("mesh_frames")
@@ -351,6 +349,9 @@ def load_trace(manifest: dict, base: Path, record: dict):
         # an h that is NaN throughout is the recorded "no field" marker
         if not np.all(np.isfinite(arr if curvature is not None else arr[:, :-n])):
             raise ConfigError(f"{base / fname}: holds a non-finite value")
+        if not np.all(arr[:, n + n * n] > 0.0):
+            raise ConfigError(f"{base / fname}: holds a mass that is not "
+                              "positive")
         V = DiscreteVarifold.from_arrays(arr[:, :n],
                                          arr[:, n:n + n * n].reshape(-1, n, n),
                                          arr[:, n + n * n], d=d)
@@ -370,6 +371,11 @@ def load_trace(manifest: dict, base: Path, record: dict):
             mesh_vertices=verts,
             step_delta=record["step_delta"][i],
         ))
+    if simp is not None:
+        try:
+            SurfaceMesh(snaps[0].mesh_vertices, simp).check_closed()
+        except (ConfigError, OpenMesh) as e:
+            raise ConfigError(f"{base / record['simplices']}: {e}") from None
     return FlowTrace(cfg, tuple(snaps), simp)
 
 
@@ -421,12 +427,6 @@ class Verdict:
     details: dict
 
 
-# precondition errors that fail one verdict instead of the whole check
-_SOFT_ERRORS = (PreconditionViolated, BallNotInterior, ZeroBarrier,
-                NonpositiveWeight, DeltaTooLarge, GridMismatch, OutOfSpan,
-                SolverFailure, MassBoundExceeded)
-
-
 def _verdict(name: str, trace: str, statement: str, relation: str, grade,
              *args) -> Verdict:
     """The verdict of grade(*args) -> (measured, bound, details).
@@ -436,7 +436,7 @@ def _verdict(name: str, trace: str, statement: str, relation: str, grade,
     """
     try:
         measured, bound, details = grade(*args)
-    except _SOFT_ERRORS as e:
+    except PreconditionViolated as e:
         return Verdict(name, trace, statement, None, None, relation, False,
                        {"error": f"{type(e).__name__}: {e}"})
     passed = measured <= bound if relation == "<=" else measured >= bound
@@ -444,23 +444,46 @@ def _verdict(name: str, trace: str, statement: str, relation: str, grade,
                    bool(passed), details)
 
 
-def _per_trace(name: str, relation: str, statement: str,
-               meshes: bool = False):
-    """Make grade(trace, st, manifest) a certificate, graded by `relation`,
-    with one verdict per trace; with `meshes`, per trace that tracked a
-    boundary mesh, of which the run must have at least one."""
-    def wrap(grade):
+def _subjects(name: str, over: str, traces: dict) -> list:
+    """(label, subject) of each verdict a certificate graded `over` gives."""
+    if over == "run":       # the random sweeps need only its dimensions
+        return [("-", next(iter(traces.values())))]
+    if over == "pair":
+        if len(traces) != 2:
+            raise ConfigError(f"{name} needs a run with exactly two flows "
+                              f"(manifest has {len(traces)})")
+        (na, ta), (nb, tb) = traces.items()
+        return [(f"{na}+{nb}", (ta, tb))]
+    if over == "mesh":
+        traces = {k: tr for k, tr in traces.items()
+                  if tr.mesh_simplices is not None}
+        if not traces:
+            raise ConfigError(f"{name} needs a run that tracked a mesh")
+    return list(traces.items())
+
+
+# name -> certificate(traces, st, manifest) -> list[Verdict], in the order
+# of definition below, which is the order `all` grades them in
+CERTIFICATES = {}
+
+
+def _certificate(name: str, relation: str, statement: str, over: str):
+    """Register grade(subject, st, manifest) -> (measured, bound, details) as
+    the certificate `name`, passing when `measured relation bound` holds.
+
+    `over` says what one verdict grades: each trace (`trace`), each trace
+    that tracked a boundary mesh, of which the run must have one (`mesh`),
+    the run's two flows as a pair (`pair`), or the run once, through its
+    first trace (`run`).
+    """
+    def register(grade):
         def certificate(traces, st, manifest):
-            if meshes:
-                traces = {k: tr for k, tr in traces.items()
-                          if tr.mesh_simplices is not None}
-                if not traces:
-                    raise ConfigError(f"{name} needs a run that tracked a mesh")
-            return [_verdict(name, k, statement, relation, grade, tr, st,
-                             manifest)
-                    for k, tr in traces.items()]
-        return certificate
-    return wrap
+            return [_verdict(name, label, statement, relation, grade,
+                             subject, st, manifest)
+                    for label, subject in _subjects(name, over, traces)]
+        CERTIFICATES[name] = certificate
+        return grade
+    return register
 
 
 def _center(st, what: str, tr):
@@ -479,31 +502,6 @@ def _barrier(st, tr):
     return BarrierFunction(center=_center(st, "barrier_center", tr),
                            radius=st.barrier_radius, beta=st.barrier_exponent,
                            d=tr.snapshots[0].varifold.d)
-
-
-@_per_trace("mass-decay", "<=", "every recorded step raises total mass by at "
-            "most the step length, up to roundoff")
-def _cert_mass_decay(tr, st, manifest):
-    t, m = tr.times, tr.masses
-    if len(t) < 2:
-        return 0.0, 0.0, {"steps": 0}
-    excess = [float(m[i + 1] - m[i] - (t[i + 1] - t[i]))
-              for i in range(len(t) - 1)]
-    worst = max(range(len(excess)), key=lambda i: excess[i])
-    return (excess[worst], 1e-9 * (1.0 + float(m[0])),
-            {"worst_step": worst, "steps": len(excess)})
-
-
-@_per_trace("dissipation-budget", "<=", "the time-integrated dissipation "
-            "accounts for the recorded drop in total mass")
-def _cert_dissipation_budget(tr, st, manifest):
-    from .flow import dissipation_budget
-    if len(tr.times) < 2:
-        return 0.0, 0.0, {"steps": 0}
-    budget = dissipation_budget(tr)
-    drop = float(tr.masses[0] - tr.masses[-1])
-    return (abs(budget - drop), BUDGET_RTOL * max(drop, 1e-9),
-            {"budget": budget, "mass_drop": drop})
 
 
 def _stream(manifest, name: str):
@@ -529,12 +527,40 @@ def _random_planes(rng, k: int, n: int):
     return planes
 
 
-def _technical_lemma(traces, st, manifest):
+@_certificate("mass-decay", "<=", "every recorded step raises total mass by "
+              "at most the step length, up to roundoff", over="trace")
+def _mass_decay(tr, st, manifest):
+    t, m = tr.times, tr.masses
+    if len(t) < 2:
+        return 0.0, 0.0, {"steps": 0}
+    excess = [float(m[i + 1] - m[i] - (t[i + 1] - t[i]))
+              for i in range(len(t) - 1)]
+    worst = max(range(len(excess)), key=lambda i: excess[i])
+    return (excess[worst], 1e-9 * (1.0 + float(m[0])),
+            {"worst_step": worst, "steps": len(excess)})
+
+
+@_certificate("dissipation-budget", "<=", "the time-integrated dissipation "
+              "accounts for the recorded drop in total mass", over="trace")
+def _dissipation_budget(tr, st, manifest):
+    from .flow import dissipation_budget
+    if len(tr.times) < 2:
+        return 0.0, 0.0, {"steps": 0}
+    budget = dissipation_budget(tr)
+    drop = float(tr.masses[0] - tr.masses[-1])
+    return (abs(budget - drop), BUDGET_RTOL * max(drop, 1e-9),
+            {"budget": budget, "mass_drop": drop})
+
+
+@_certificate("technical-lemma", ">=", "the completed-square inequality "
+              "linking curvature, a positive weight and its gradient holds "
+              "on random samples", over="run")
+def _technical_lemma(tr, st, manifest):
     import numpy as np
 
     from .barriers import technical_gaps
 
-    n = next(iter(traces.values())).snapshots[0].varifold.n
+    n = tr.snapshots[0].varifold.n
     m = TECHNICAL_SAMPLES
     rng = _stream(manifest, "technical-lemma")
     h, grad = rng.normal(size=(2, m, n))
@@ -544,19 +570,14 @@ def _technical_lemma(traces, st, manifest):
     return worst, -1e-12, {"samples": m}
 
 
-def _cert_technical_lemma(traces, st, manifest):
-    return [_verdict("technical-lemma", "-", "the completed-square "
-                     "inequality linking curvature, a positive weight and its "
-                     "gradient holds on random samples", ">=",
-                     _technical_lemma, traces, st, manifest)]
-
-
-def _barrier_defect(traces, st, manifest):
+@_certificate("barrier-defect", "<=", "the radial comparison weight has "
+              "nonpositive flow defect throughout its support window",
+              over="run")
+def _barrier_defect(tr, st, manifest):
     import numpy as np
 
     from .barriers import barrier_defects
 
-    tr = next(iter(traces.values()))
     psi = _barrier(st, tr)
     n, d = psi.n, psi.d
     R2 = st.barrier_radius**2
@@ -574,122 +595,79 @@ def _barrier_defect(traces, st, manifest):
                            "exponent": st.barrier_exponent})
 
 
-def _cert_barrier_defect(traces, st, manifest):
-    return [_verdict("barrier-defect", "-", "the radial comparison weight has "
-                     "nonpositive flow defect throughout its support window",
-                     "<=", _barrier_defect, traces, st, manifest)]
-
-
-@_per_trace("eps-sphere-barrier", "<=", "mass weighted by the guarded-ball "
-            "barrier increases by at most the smoothing-scale allowance")
-def _cert_eps_sphere_barrier(tr, st, manifest):
+@_certificate("eps-sphere-barrier", "<=", "mass weighted by the guarded-ball "
+              "barrier increases by at most the smoothing-scale allowance",
+              over="trace")
+def _eps_sphere_barrier(tr, st, manifest):
     from .barriers import epsilon_barrier_certificate
-    rep = epsilon_barrier_certificate(
-        tr, _barrier(st, tr), c5_cfg=st.certificate_step_constant)
-    return (rep.max_increase, rep.bound,
-            {"norm_constant": rep.norm_constant, "notes": list(rep.notes)})
+    return epsilon_barrier_certificate(tr, _barrier(st, tr),
+                                       c5_cfg=st.certificate_step_constant)
 
 
-@_per_trace("external-sphere", "<=",
-            "no mass enters the shrinking comparison ball")
-def _cert_external_sphere(tr, st, manifest):
+@_certificate("external-sphere", "<=", "no mass enters the shrinking "
+              "comparison ball", over="trace")
+def _external_sphere(tr, st, manifest):
     from .barriers import external_sphere_monitor
-    c = _center(st, "ball_center", tr)
-    series = external_sphere_monitor(tr, c, st.ball_radius)
-    return (series.peak(), 1e-9 * (1.0 + tr.masses[0]),
-            {"window_end": float(series.times[-1])})
+    return external_sphere_monitor(tr, _center(st, "ball_center", tr),
+                                   st.ball_radius)
 
 
-@_per_trace("internal-sphere", "<=", "the support stays inside the shrinking "
-            "comparison ball, up to a smoothing-scale slack")
-def _cert_internal_sphere(tr, st, manifest):
+@_certificate("internal-sphere", "<=", "the support stays inside the "
+              "shrinking comparison ball, up to a smoothing-scale slack",
+              over="trace")
+def _internal_sphere(tr, st, manifest):
     from .barriers import internal_sphere_monitor
-    c = _center(st, "ball_center", tr)
-    series = internal_sphere_monitor(tr, c, st.enclosing_radius)
-    return (series.peak(), SUPPORT_SLACK * tr.config.eps,
-            {"window_end": float(series.times[-1])})
+    return internal_sphere_monitor(tr, _center(st, "ball_center", tr),
+                                   st.enclosing_radius)
 
 
-@_per_trace("convex-hull", "<=", "the support never leaves the convex hull of "
-            "the initial support")
-def _cert_convex_hull(tr, st, manifest):
+@_certificate("convex-hull", "<=", "the support never leaves the convex hull "
+              "of the initial support", over="trace")
+def _convex_hull(tr, st, manifest):
     from .barriers import convex_hull_monitor
-    series = convex_hull_monitor(tr)
-    return float(max(series)), 1e-8, {"snapshots": len(series)}
+    return convex_hull_monitor(tr)
 
 
-def _avoidance(ta, tb, st):
+@_certificate("avoidance", "<=", "the gap between the two flows never drops "
+              "below its running peak by more than the smoothing slack",
+              over="pair")
+def _avoidance(pair, st, manifest):
     import numpy as np
 
     from .barriers import avoidance_distance
+    ta, tb = pair
     gaps = avoidance_distance(ta, tb)
     running = np.maximum.accumulate(gaps)
     return (float(np.max(running - gaps)), SUPPORT_SLACK * ta.config.eps,
             {"initial_gap": float(gaps[0]), "final_gap": float(gaps[-1])})
 
 
-def _cert_avoidance(traces, st, manifest):
-    if len(traces) != 2:
-        raise ConfigError("avoidance needs a run with exactly two flows "
-                          f"(manifest has {len(traces)})")
-    (na, ta), (nb, tb) = traces.items()
-    return [_verdict("avoidance", f"{na}+{nb}", "the gap between the two flows "
-                     "never drops below its running peak by more than the "
-                     "smoothing slack", "<=", _avoidance, ta, tb, st)]
-
-
-@_per_trace("lsc", "<=", "weighted mass, after subtracting the hessian-rate "
-            "ramp, is nonincreasing up to per-step slack")
-def _cert_lsc(tr, st, manifest):
+@_certificate("lsc", "<=", "weighted mass, after subtracting the "
+              "hessian-rate ramp, is nonincreasing up to per-step slack",
+              over="trace")
+def _lsc(tr, st, manifest):
     from .barriers import lsc_monitor
     from .varifold import ScalarField
-    bump = ScalarField.bump(_center(st, "weight_center", tr),
-                            st.weight_width, 1.0)
-    rep = lsc_monitor(tr, bump)
-    return rep.max_uptick, rep.slack, {"ramp_constant": rep.constant}
+    return lsc_monitor(tr, ScalarField.bump(_center(st, "weight_center", tr),
+                                            st.weight_width, 1.0))
 
 
-@_per_trace("volume-change", "<=", "per-step change of enclosed volume inside "
-            "the window stays within the perturbation bound", meshes=True)
-def _cert_volume_change(tr, st, manifest):
+@_certificate("volume-change", "<=", "per-step change of enclosed volume "
+              "inside the window stays within the perturbation bound",
+              over="mesh")
+def _volume_change(tr, st, manifest):
     from .geometry import volume_change_series
-    c = _center(st, "ball_center", tr)
-    reports = volume_change_series(tr, c, st.ball_radius)
-    if not reports:
-        return 0.0, 0.0, {"steps": 0}
-    worst = max(range(len(reports)),
-                key=lambda i: reports[i].measured - reports[i].bound)
-    r = reports[worst]
-    return r.measured, r.bound, {"steps": len(reports), "worst_step": worst}
+    return volume_change_series(tr, _center(st, "ball_center", tr),
+                                st.ball_radius)
 
 
-@_per_trace("nontriviality", ">=", "total mass stays above the isoperimetric "
-            "floor of the enclosed ball throughout the guaranteed horizon",
-            meshes=True)
-def _cert_nontriviality(tr, st, manifest):
+@_certificate("nontriviality", ">=", "total mass stays above the "
+              "isoperimetric floor of the enclosed ball throughout the "
+              "guaranteed horizon", over="mesh")
+def _nontriviality(tr, st, manifest):
     from .geometry import nontriviality_certificate
-    c = _center(st, "ball_center", tr)
-    rep = nontriviality_certificate(tr, c, st.ball_radius)
-    return (rep.min_mass, rep.mass_floor,
-            {"horizon": rep.horizon, "isoperimetric_constant": rep.constant})
-
-
-# name -> certificate(traces, st, manifest) -> list[Verdict]; `all` grades
-# them in this order
-CERTIFICATES = {
-    "mass-decay": _cert_mass_decay,
-    "dissipation-budget": _cert_dissipation_budget,
-    "technical-lemma": _cert_technical_lemma,
-    "barrier-defect": _cert_barrier_defect,
-    "eps-sphere-barrier": _cert_eps_sphere_barrier,
-    "external-sphere": _cert_external_sphere,
-    "internal-sphere": _cert_internal_sphere,
-    "convex-hull": _cert_convex_hull,
-    "avoidance": _cert_avoidance,
-    "lsc": _cert_lsc,
-    "volume-change": _cert_volume_change,
-    "nontriviality": _cert_nontriviality,
-}
+    return nontriviality_certificate(tr, _center(st, "ball_center", tr),
+                                     st.ball_radius)
 
 
 def _grade(names, traces, st, manifest) -> dict:
@@ -778,14 +756,6 @@ def _cmd_distance(args) -> int:
     return 0
 
 
-def _cmd_volume(args) -> int:
-    st = load_settings(args.config, args)
-    _, manifest, traces = load_manifest(args.manifest)
-    payload = _grade(("volume-change",), traces, st, manifest)
-    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
-    return 0 if payload["all_passed"] else 1
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -822,15 +792,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--support-cap", dest="lp_support_cap", type=int,
                       help="largest joint support the LP accepts")
     dist.set_defaults(func=_cmd_distance)
-
-    vol = sub.add_parser("volume", help="per-step clipped volume reports")
-    vol.add_argument("manifest", help="manifest.json or its directory")
-    vol.add_argument("--config", help="INI settings file")
-    vol.add_argument("--center", dest="ball_center", type=_parse_vector,
-                     help="window center, e.g. '0,0'")
-    vol.add_argument("--radius", dest="ball_radius", type=float,
-                     help="window radius")
-    vol.set_defaults(func=_cmd_volume)
     return p
 
 
@@ -839,7 +800,7 @@ def main(argv=None) -> int:
         _apply_thread_env()
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, MissingFrames) as e:
+    except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except VarimcfError as e:

@@ -13,7 +13,14 @@ class DegenerateBasis(VarimcfError):
     """Spanning vectors are linearly dependent (Gram determinant ~ 0)."""
 
 
-class NonpositiveWeight(VarimcfError):
+class PreconditionViolated(VarimcfError):
+    """A certificate precondition failed; the message names the inequality.
+
+    `check` fails the one verdict it stopped and grades the others.
+    """
+
+
+class NonpositiveWeight(PreconditionViolated):
     """A weight or test function value required to be positive is not."""
 
 
@@ -33,7 +40,7 @@ class OutOfSpan(VarimcfError):
     """Requested time lies outside the trace's time span."""
 
 
-class GridMismatch(VarimcfError):
+class GridMismatch(PreconditionViolated):
     """Two traces that must share a time grid do not."""
 
 
@@ -45,12 +52,8 @@ class SolverFailure(VarimcfError):
     """LP solver did not return an optimal, feasible solution."""
 
 
-class ZeroBarrier(VarimcfError):
+class ZeroBarrier(PreconditionViolated):
     """Barrier function vanishes where a positive value is required."""
-
-
-class PreconditionViolated(VarimcfError):
-    """A certificate precondition failed; the message names the inequality."""
 
 
 class DegenerateSimplex(VarimcfError):
@@ -61,13 +64,13 @@ class OpenMesh(VarimcfError):
     """Mesh is not closed / consistently oriented."""
 
 
-class DeltaTooLarge(VarimcfError):
+class DeltaTooLarge(PreconditionViolated):
     """Step perturbation size is >= 1; the volume bound does not apply."""
 
 
-class BallNotInterior(VarimcfError):
+class BallNotInterior(PreconditionViolated):
     """Ball is not contained in the designated partition region."""
 
 
-class MissingFrames(VarimcfError):
+class MissingFrames(ConfigError):
     """Run manifest references frame files that do not exist."""

@@ -371,16 +371,10 @@ def volume_change_constant(n: int, radius: float) -> float:
             + max(2.0**n * wn, 2.0 * n * wn * (radius + 1.0) ** (n - 1)))
 
 
-@dataclass(frozen=True)
-class VolumeChangeReport:
-    measured: float
-    bound: float
-
-
 def clipped_volume_change(mesh_before: SurfaceMesh, mesh_after: SurfaceMesh,
                           center, radius: float, delta: float
-                          ) -> VolumeChangeReport:
-    """|vol(B cap after) - vol(B cap before)| against the linear-in-delta bound.
+                          ) -> tuple[float, float]:
+    """|vol(B cap after) - vol(B cap before)| and the linear-in-delta bound.
 
     delta is the recorded step perturbation max{sup|f - id|, sup|Jf - 1|}.
     Both volumes are exact: `_disk_area` in the plane, `_ball_volume` in
@@ -394,45 +388,42 @@ def clipped_volume_change(mesh_before: SurfaceMesh, mesh_after: SurfaceMesh,
     clipped = _disk_area if n == 2 else _ball_volume
     measured = abs(clipped(mesh_after, center, radius)
                    - clipped(mesh_before, center, radius))
-    return VolumeChangeReport(measured, volume_change_constant(n, radius) * delta)
+    return measured, volume_change_constant(n, radius) * delta
 
 
-def volume_change_series(trace: FlowTrace, center, radius: float
-                         ) -> list[VolumeChangeReport]:
-    """One clipped-volume report per recorded step of a mesh-carrying trace."""
+def volume_change_series(trace: FlowTrace, center, radius: float):
+    """The clipped volume change of the recorded step of a mesh-carrying
+    trace that comes closest to its bound (or exceeds it most), that bound
+    and the step's index."""
     if trace.mesh_simplices is None:
         raise ConfigError("trace carries no boundary mesh")
-    reports = []
+    steps = []
     for i in range(len(trace.snapshots) - 1):
         a, b = trace.snapshots[i], trace.snapshots[i + 1]
         if a.step_delta is None:
             raise ConfigError("trace lacks recorded step perturbations")
         before = SurfaceMesh(a.mesh_vertices, trace.mesh_simplices)
         after = SurfaceMesh(b.mesh_vertices, trace.mesh_simplices)
-        reports.append(clipped_volume_change(before, after, center, radius,
-                                             a.step_delta))
-    return reports
+        steps.append(clipped_volume_change(before, after, center, radius,
+                                           a.step_delta))
+    if not steps:
+        return 0.0, 0.0, {"steps": 0}
+    worst = max(range(len(steps)), key=lambda i: steps[i][0] - steps[i][1])
+    return (*steps[worst], {"steps": len(steps), "worst_step": worst})
 
 
 # ---------------------------------------------------------------------------
 # nontriviality
 
 
-@dataclass(frozen=True)
-class NontrivialityReport:
-    horizon: float        # R^2 / (8 d)
-    mass_floor: float     # isoperimetric floor from the quarter-ball volume
-    constant: float       # sharp isoperimetric constant of R^n
-    min_mass: float
-
-
-def nontriviality_certificate(trace: FlowTrace, center, radius: float
-                              ) -> NontrivialityReport:
+def nontriviality_certificate(trace: FlowTrace, center, radius: float):
     """Mass stays above the isoperimetric floor up to the protected horizon.
 
     A ball interior to a bounded region of the initial partition survives
     (in volume) long enough that the enclosing boundary cannot have lost all
-    its measure before R^2/(8 d); the floor is c_n (vol(B(a, R/2)) / 4)^((n-1)/n).
+    its measure before R^2/(8 d); the floor is c_n (vol(B(a, R/2)) / 4)^((n-1)/n),
+    with c_n the sharp isoperimetric constant.  Returns the least mass up to
+    the horizon, the floor, and the horizon and c_n.
     """
     if trace.mesh_simplices is None:
         raise ConfigError("trace carries no boundary mesh")
@@ -456,5 +447,5 @@ def nontriviality_certificate(trace: FlowTrace, center, radius: float
     window = [s for s in trace.snapshots if s.time <= horizon + 1e-12]
     if not window:
         raise ConfigError("trace has no snapshots inside the protected window")
-    min_mass = min(s.mass for s in window)
-    return NontrivialityReport(horizon, floor, constant, min_mass)
+    return (min(s.mass for s in window), floor,
+            {"horizon": horizon, "isoperimetric_constant": constant})

@@ -11,11 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from varimcf.barriers import (BarrierFunction, _hull_exterior_distance,
+from varimcf.barriers import (BarrierFunction, _hull_distance,
                               avoidance_distance, barrier_defects,
                               convex_hull_monitor, epsilon_barrier_certificate,
                               external_sphere_monitor, internal_sphere_monitor,
                               lsc_monitor, technical_gaps)
+from varimcf.config import SUPPORT_SLACK
 from varimcf.errors import (ConfigError, GridMismatch, NonpositiveWeight,
                             PreconditionViolated, ZeroBarrier)
 from varimcf.flow import FlowConfig, run
@@ -226,20 +227,23 @@ def test_defect_refuses_zero_weight():
 
 
 def test_external_monitor_far_flow_is_silent(circle_trace):
-    series = external_sphere_monitor(circle_trace, [0.0, 0.0], 0.3)
-    assert series.peak() == 0.0
+    peak, bound, details = external_sphere_monitor(circle_trace, [0.0, 0.0],
+                                                   0.3)
+    assert peak == 0.0
+    assert bound == 1e-9 * (1.0 + circle_trace.masses[0])
     # the shrinking sphere vanishes at t = R^2/2d = 0.045 < 0.1
-    assert series.times[-1] < 0.046
-    assert len(series.times) < len(circle_trace.times)
+    assert details["window_end"] < 0.046
+    assert details["window_end"] < circle_trace.times[-1]
 
 
 def test_internal_monitor_circle_tracks_law(circle_trace):
-    series = internal_sphere_monitor(circle_trace, [0.0, 0.0], 1.0)
+    peak, bound, _ = internal_sphere_monitor(circle_trace, [0.0, 0.0], 1.0)
     # atoms lag the exact shrinkage only by the smoothing bias
-    assert series.peak() <= 0.05
+    assert peak <= 0.05
+    assert bound == SUPPORT_SLACK * circle_trace.config.eps
     # generous ball: support sits strictly inside throughout
-    wide = internal_sphere_monitor(circle_trace, [0.0, 0.0], 10.0)
-    assert np.all(wide.values <= 0.0)
+    wide, _, _ = internal_sphere_monitor(circle_trace, [0.0, 0.0], 10.0)
+    assert wide <= 0.0
 
 
 def test_interior_atom_stays_interior():
@@ -247,21 +251,22 @@ def test_interior_atom_stays_interior():
                                      np.diag([1.0, 0.0]), np.array([0.5]), d=1)
     cfg = FlowConfig(eps=0.2, dt=5e-3, end_time=0.04)
     tr = run(V, cfg)
-    series = internal_sphere_monitor(tr, [0.0, 0.0], 1.0)
-    assert np.all(series.values < 0.0)
+    peak, _, _ = internal_sphere_monitor(tr, [0.0, 0.0], 1.0)
+    assert peak < 0.0
 
 
 def test_hull_monitor_inward_flow(circle_trace):
-    excess = convex_hull_monitor(circle_trace)
-    assert np.max(excess) == 0.0
+    excess, bound, details = convex_hull_monitor(circle_trace)
+    assert excess == 0.0 <= bound
+    assert details == {"snapshots": len(circle_trace.snapshots)}
 
 
 def test_hull_monitor_lone_atom():
     V = DiscreteVarifold.from_arrays(np.array([[0.3, 0.2]]),
                                      np.diag([1.0, 0.0]), np.array([1.0]), d=1)
     cfg = FlowConfig(eps=0.2, dt=5e-3, end_time=0.02)
-    excess = convex_hull_monitor(run(V, cfg))
-    assert np.max(excess) == 0.0
+    excess, _, _ = convex_hull_monitor(run(V, cfg))
+    assert excess == 0.0
 
 
 def test_planar_hull_in_space_matches_the_edge_oracle():
@@ -279,7 +284,7 @@ def test_planar_hull_in_space_matches_the_edge_oracle():
     height = np.tile(np.repeat([0.0, 1.0], 20), 2) * rng.normal(size=80)
     pts = (c + (radius * np.cos(angle))[:, None] * e1
            + (radius * np.sin(angle))[:, None] * e2 + height[:, None] * normal)
-    dist = _hull_exterior_distance(pts, ring)
+    dist = _hull_distance(ring)(pts)
     edges = np.stack([ring, np.roll(ring, -1, axis=0)], axis=1)
     to_edges = simplex_distances(pts, edges).min(axis=1)
     for r, z, got, edge in zip(radius, height, dist, to_edges):
@@ -319,16 +324,16 @@ def test_avoidance_rejects_mismatched_grids(circle_trace):
 
 def test_lsc_passes_with_derived_constant(circle_trace):
     bump = ScalarField.bump(np.array([0.0, 0.0]), 2.0, 1.0)
-    rep = lsc_monitor(circle_trace, bump)
-    assert rep.max_uptick <= rep.slack
-    assert rep.constant == pytest.approx(
+    uptick, slack, details = lsc_monitor(circle_trace, bump)
+    assert uptick <= slack
+    assert details["ramp_constant"] == pytest.approx(
         bump.hess_bound * circle_trace.snapshots[0].mass)
 
 
 def test_lsc_trivial_off_support(circle_trace):
     far = ScalarField.bump(np.array([50.0, 0.0]), 1.0, 1.0)
-    rep = lsc_monitor(circle_trace, far, constant=0.0)
-    assert rep.max_uptick <= 0.0 < rep.slack
+    uptick, slack, _ = lsc_monitor(circle_trace, far, constant=0.0)
+    assert uptick <= 0.0 < slack
 
 
 def test_lsc_zero_constant_control_fails():
@@ -339,10 +344,10 @@ def test_lsc_zero_constant_control_fails():
     cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2)
     tr = run(V4, cfg)
     bump = ScalarField.bump(np.array([0.0, 0.0]), 2.0, 1.0)
-    rep = lsc_monitor(tr, bump)
-    assert rep.max_uptick <= rep.slack
-    forced = lsc_monitor(tr, bump, constant=0.0)
-    assert forced.max_uptick > forced.slack
+    uptick, slack, _ = lsc_monitor(tr, bump)
+    assert uptick <= slack
+    forced, forced_slack, _ = lsc_monitor(tr, bump, constant=0.0)
+    assert forced > forced_slack
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +366,16 @@ def inner_barrier():
 
 
 def test_certificate_passes_on_honest_run(admissible_trace):
-    rep = epsilon_barrier_certificate(admissible_trace, inner_barrier(),
-                                      c5_cfg=1e-9)
-    assert rep.max_increase <= rep.bound
-    assert rep.max_increase == pytest.approx(0.0, abs=1e-15)
+    increase, bound, details = epsilon_barrier_certificate(
+        admissible_trace, inner_barrier(), c5_cfg=1e-9)
+    assert increase <= bound
+    assert increase == pytest.approx(0.0, abs=1e-15)
     # norm constant: the profile's norms stay below one at this radius, so
     # the floor of the max kicks in and c = 2
-    assert rep.norm_constant == pytest.approx(2.0)
-    assert rep.bound == pytest.approx(2.0 * (10.0 * admissible_trace.mass_bound + 9.0)
-                                      * 0.05 ** (1.0 / 6.0))
-    assert any("ceiling" in note for note in rep.notes)
+    assert details["norm_constant"] == pytest.approx(2.0)
+    assert bound == pytest.approx(2.0 * (10.0 * admissible_trace.mass_bound + 9.0)
+                                  * 0.05 ** (1.0 / 6.0))
+    assert any("ceiling" in note for note in details["notes"])
 
 
 def test_certificate_rejects_coarse_subdivision(admissible_trace):

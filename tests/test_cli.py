@@ -1,5 +1,5 @@
 """Command-line interface: simulate/check round trips, exit codes, frame IO,
-tamper detection, standalone distance and volume reports."""
+tamper detection, the certificate registry and standalone distances."""
 
 import csv
 import dataclasses
@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from varimcf import cli
-from varimcf.cli import (Settings, _cert_barrier_defect, _cert_technical_lemma,
-                         _cert_volume_change, _frame_header, _load_table,
+from varimcf.cli import (Settings, _frame_header, _load_table,
                          _measure_header, _save_table, _write_trace,
                          load_manifest, main)
 from varimcf.config import DEFECT_SAMPLES, TECHNICAL_SAMPLES
@@ -71,6 +70,14 @@ def frame_masses(run_dir: Path, record: dict) -> list[float]:
     n = record["ambient_dimension"]
     return [float(_load_table(run_dir / f, _frame_header(n))[:, n + n * n].sum())
             for f in record["frames"]]
+
+
+def window_ini(directory: Path, radius, center="0,0") -> Path:
+    """An INI file that sets the window `volume-change` grades in."""
+    ini = directory / "window.ini"
+    ini.write_text(f"[certificates]\nball_center = {center}\n"
+                   f"ball_radius = {radius}\n")
+    return ini
 
 
 def rewrite_rows(path: Path, edit) -> None:
@@ -261,23 +268,21 @@ def test_readme_example_config_loads(tmp_path):
     ("weight_width", "0", "lsc"),
     ("ball_radius", "-0.5", "nontriviality,external-sphere,volume-change"),
     ("weight_width", "-2", "lsc"),
-    ("ball_radius", "0", None),
+    ("ball_radius", "0", "volume-change"),
     ("barrier_radius", "-0.3", "barrier-defect"),
     ("barrier_exponent", "0", "barrier-defect"),
     # NaN compares false, so it is not positive either
     ("barrier_radius", "nan", "barrier-defect"),
     ("barrier_exponent", "nan", "barrier-defect"),
 ], ids=["ball-zero", "enclosing-zero", "weight-zero", "ball-negative",
-        "weight-negative", "volume-radius-flag", "barrier-negative",
+        "weight-negative", "volume-radius", "barrier-negative",
         "exponent-zero", "barrier-nan", "exponent-nan"])
 def test_nonpositive_radii_are_usage_errors(run_dir, tmp_path, capsys, key,
                                             value, certificates):
     ini = tmp_path / "radii.ini"
     ini.write_text(f"[certificates]\n{key} = {value}\n")
-    argv = (["volume", str(run_dir), "--radius", value] if certificates is None
-            else ["check", str(run_dir), "--config", str(ini),
-                  "--certificates", certificates])
-    assert main(argv) == 2
+    assert main(["check", str(run_dir), "--config", str(ini),
+                 "--certificates", certificates]) == 2
     captured = capsys.readouterr()
     assert f"{key} must be positive" in captured.err
     assert captured.out == ""
@@ -554,8 +559,8 @@ def test_a_stopped_verdict_keeps_its_certificates_relation(pair_dir,
     assert verdicts[0]["measured"] is None
 
 
-def test_each_certificate_entry_runs_once_per_command(run_dir, monkeypatch,
-                                                      capsys):
+def test_each_certificate_entry_runs_once_per_command(run_dir, tmp_path,
+                                                      monkeypatch, capsys):
     # the benchmark times each certificate by wrapping its entry
     calls = {"mass-decay": 0, "volume-change": 0}
 
@@ -572,7 +577,8 @@ def test_each_certificate_entry_runs_once_per_command(run_dir, monkeypatch,
     assert main(["check", str(run_dir), "--certificates",
                  "mass-decay,convex-hull,volume-change"]) == 0
     assert calls == {"mass-decay": 1, "volume-change": 1}
-    assert main(["volume", str(run_dir), "--radius", "0.6"]) == 0
+    assert main(["check", str(run_dir), "--certificates", "volume-change",
+                 "--config", str(window_ini(tmp_path, radius=0.6))]) == 0
     assert calls == {"mass-decay": 1, "volume-change": 2}
     capsys.readouterr()
 
@@ -610,7 +616,8 @@ def line_projection(b):
 
 def test_technical_lemma_matches_the_scalar_formula_on_its_own_stream(run_dir):
     _, manifest, traces = load_manifest(str(run_dir))
-    (verdict,) = _cert_technical_lemma(traces, Settings(), manifest)
+    (verdict,) = cli.CERTIFICATES["technical-lemma"](traces, Settings(),
+                                                      manifest)
     # reference: the sweep's draws from its own stream, then the scalar
     # formula one sample at a time
     rng = np.random.default_rng([manifest["seed"], *b"technical-lemma"])
@@ -632,7 +639,7 @@ def test_technical_lemma_matches_the_scalar_formula_on_its_own_stream(run_dir):
 def test_barrier_defect_matches_the_defect_formula_on_its_own_stream(run_dir):
     _, manifest, traces = load_manifest(str(run_dir))
     st = Settings()
-    (verdict,) = _cert_barrier_defect(traces, st, manifest)
+    (verdict,) = cli.CERTIFICATES["barrier-defect"](traces, st, manifest)
     # reference: the sweep's draws from its own stream, then the defect
     # formula one sample at a time
     rng = np.random.default_rng([manifest["seed"], *b"barrier-defect"])
@@ -708,12 +715,17 @@ def without(mapping: dict, key: str) -> dict:
      "'gate_constant'"),
     (lambda man: {**man, "config": {**man["config"], "mass_bound": None}},
      "'mass_bound'"),
+    # a trace with no frames has nothing to grade
+    (lambda man: {**man, "traces": [{
+        **man["traces"][0], "frames": [], "mesh_frames": [], "times": [],
+        "curvature_max": [], "dissipation": [], "step_delta": []}]},
+     "trace 'main'"),
 ], ids=["missing-traces", "traces-not-a-list", "no-traces", "missing-config",
         "unknown-config-key", "eps-not-a-number", "missing-dt",
         "missing-ambient_dimension", "seed-not-an-integer", "negative-seed",
         "top-level-list", "repeated-trace-name", "retired-mode",
         "retired-record_dissipation", "retired-enforce_gate",
-        "retired-gate_constant", "retired-mass_bound"])
+        "retired-gate_constant", "retired-mass_bound", "empty-trace"])
 def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
                                               fragment):
     broken = tmp_path / "malformed"
@@ -721,9 +733,10 @@ def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
     (broken / "manifest.json").write_text(json.dumps(edit(manifest_of(broken))))
     with pytest.raises(ConfigError, match=fragment):
         load_manifest(str(broken))
-    for command in ("check", "volume"):
-        assert main([command, str(broken)]) == 2
-        assert fragment in capsys.readouterr().err
+    assert main(["check", str(broken)]) == 2
+    captured = capsys.readouterr()
+    assert fragment in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("edit", [
@@ -804,7 +817,10 @@ def test_frame_text_is_fixed(tmp_path):
 @pytest.mark.parametrize("edit", [
     lambda rows: rows[0].__setitem__(slice(0, 2), ["x2", "x1"]),
     lambda rows: rows[3].pop(),
-], ids=["swapped-header", "ragged-row"])
+    # an atom's mass must be positive; NaN is refused as non-finite
+    lambda rows: rows[1].__setitem__(rows[0].index("m"), "0"),
+    lambda rows: rows[2].__setitem__(rows[0].index("m"), "-0.01"),
+], ids=["swapped-header", "ragged-row", "zero-mass", "negative-mass"])
 def test_malformed_frames_are_usage_errors(run_dir, tmp_path, capsys, edit):
     broken = tmp_path / "malformed"
     shutil.copytree(run_dir, broken)
@@ -812,7 +828,30 @@ def test_malformed_frames_are_usage_errors(run_dir, tmp_path, capsys, edit):
     with pytest.raises(ConfigError):
         load_manifest(str(broken))
     assert main(["check", str(broken)]) == 2
-    assert "frame_main_0003.csv" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "frame_main_0003.csv" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda rows: rows.pop(), "tail of exactly one segment"),
+    (lambda rows: rows[5].__setitem__(0, "1000000"), "out of range"),
+], ids=["open-mesh", "index-past-the-vertices"])
+def test_a_broken_recorded_mesh_is_a_usage_error(run_dir, tmp_path, capsys,
+                                                 edit, fragment):
+    # refused at load, whichever certificates are graded, mesh-free or not
+    broken = tmp_path / "broken-mesh"
+    shutil.copytree(run_dir, broken)
+    rewrite_rows(broken / "simplices_main.csv", edit)
+    with pytest.raises(ConfigError, match=fragment):
+        load_manifest(str(broken))
+    for certificates in ("mass-decay", "volume-change", "nontriviality"):
+        assert main(["check", str(broken), "--certificates",
+                     certificates]) == 2
+        captured = capsys.readouterr()
+        assert "simplices_main.csv: " in captured.err
+        assert fragment in captured.err
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize("fname, column, row, value", [
@@ -961,11 +1000,12 @@ def test_a_support_cap_below_one_is_a_usage_error(tmp_path, capsys, cap):
 
 
 # ---------------------------------------------------------------------------
-# volume
+# the volume-change window
 
 
-def test_volume_subcommand_on_an_interior_window(run_dir, capsys):
-    rc = main(["volume", str(run_dir), "--center", "0,0", "--radius", "0.6"])
+def test_volume_change_on_an_interior_window(run_dir, tmp_path, capsys):
+    rc = main(["check", str(run_dir), "--certificates", "volume-change",
+               "--config", str(window_ini(tmp_path, radius=0.6))])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert payload["all_passed"] is True
@@ -994,7 +1034,8 @@ def test_volume_verdict_in_space_is_exact():
     ), cube.simplices)
     st = dataclasses.replace(Settings(), ball_center=(0.0, 0.0, 0.0),
                              ball_radius=0.5)
-    (verdict,) = _cert_volume_change({"main": trace}, st, {"seed": 1})
+    (verdict,) = cli.CERTIFICATES["volume-change"]({"main": trace}, st,
+                                                    {"seed": 1})
     assert verdict.passed
     assert verdict.measured == pytest.approx(
         np.pi * 0.5**3 / 6.0 - np.pi * 0.4**2 * (1.5 - 0.4) / 12.0, abs=1e-12)
@@ -1014,13 +1055,14 @@ def test_convex_hull_grades_flat_initial_supports(tmp_path, capsys):
     assert all(v["details"]["snapshots"] == 3 for v in verdicts)
 
 
-def test_malformed_volume_center_is_a_usage_error(run_dir, capsys):
-    with pytest.raises(SystemExit) as stop:
-        main(["volume", str(run_dir), "--center", "a,b"])
-    assert stop.value.code == 2
-    err = capsys.readouterr().err
-    assert "--center: expected comma-separated numbers, got 'a,b'" in err
-    assert "_parse_vector" not in err
+def test_malformed_volume_center_is_a_usage_error(run_dir, tmp_path, capsys):
+    ini = window_ini(tmp_path, radius=0.6, center="a,b")
+    assert main(["check", str(run_dir), "--certificates", "volume-change",
+                 "--config", str(ini)]) == 2
+    captured = capsys.readouterr()
+    assert "[certificates] ball_center: bad value 'a,b'" in captured.err
+    assert "_parse_vector" not in captured.err
+    assert captured.out == ""
 
 
 def test_volume_needs_recorded_meshes(run_dir, tmp_path, capsys):
@@ -1030,5 +1072,6 @@ def test_volume_needs_recorded_meshes(run_dir, tmp_path, capsys):
     man["traces"][0]["mesh_frames"] = None
     man["traces"][0]["simplices"] = None
     (bare / "manifest.json").write_text(json.dumps(man))
-    assert main(["volume", str(bare), "--radius", "0.6"]) == 2
+    assert main(["check", str(bare), "--certificates", "volume-change",
+                 "--config", str(window_ini(tmp_path, radius=0.6))]) == 2
     assert "mesh" in capsys.readouterr().err.lower()
