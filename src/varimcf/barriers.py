@@ -1,11 +1,15 @@
 """Sphere barriers and the monitors that certify avoidance behavior on traces.
 
-A barrier is a nonnegative comparison weight psi(x, t) = gamma(|x - a|^2 +
-2 d t) built from the compactly supported radial profile
+The package's one evaluable test function is the nonnegative radial weight
+psi(x, t) = gamma(|x - a|^2 + 2 d t) built from the compactly supported
+profile
 
     gamma(r) = (R^2 - r)^beta   for r <= R^2,   0 beyond,
 
-which vanishes at the sphere |x - a| = R and grows towards its center.
+which vanishes at the sphere |x - a| = R and grows towards its center.  With
+d the surface dimension it is a shrinking-sphere barrier; with d = 0 it is
+a static weight, which is what `lsc` grades and what `flow.brakke_residual`
+may take.
 
 The tangential defect
 
@@ -39,14 +43,15 @@ from .errors import (ConfigError, GridMismatch, NonpositiveWeight,
                      PreconditionViolated, ZeroBarrier)
 from .flow import FlowTrace
 from .geometry import simplex_distances
-from .varifold import ScalarField
 
 NORM_GRID_STEPS = 256
+BOUND_SWEEP_STEPS = 2048
 
 
 @dataclass(frozen=True)
 class BarrierFunction:
-    """Radial comparison weight psi(x, t) = gamma(|x - center|^2 + 2 d t)."""
+    """Radial comparison weight psi(x, t) = gamma(|x - center|^2 + 2 d t);
+    d = 0 makes it static."""
 
     center: np.ndarray
     radius: float
@@ -109,6 +114,32 @@ class BarrierFunction:
         return 2.0 * self.d * gp
 
     # -- certified norm overestimates (radial sweeps at t = 0) --------------
+
+    def _radial_sweep(self):
+        """|grad psi(., 0)| and the spectral norm of hess psi(., 0) along a
+        radial sweep of the support, the latter from the Hessian's radial
+        and tangential eigenvalues 2 gamma' + 4 gamma'' rho and 2 gamma',
+        rho = |x - center|^2."""
+        rr = np.linspace(0.0, self.radius, BOUND_SWEEP_STEPS + 1)
+        u = self.radius**2 - rr**2
+        live = u > 0.0
+        u = np.maximum(u, 0.0)
+        b = self.beta
+        gp = np.where(live, -b * u ** (b - 1.0), 0.0)
+        gpp = np.where(live, b * (b - 1.0) * u ** (b - 2.0), 0.0)
+        return (np.abs(2.0 * gp * rr),
+                np.maximum(np.abs(2.0 * gp + 4.0 * gpp * rr**2),
+                           np.abs(2.0 * gp)))
+
+    def hess_bound(self) -> float:
+        """sup over x of the spectral norm of hess psi(x, 0)."""
+        return float(np.max(self._radial_sweep()[1]))
+
+    def c2_bound(self) -> float:
+        """sup |psi| + sup |grad psi| + sup ||hess psi||, at t = 0."""
+        grad, hess = self._radial_sweep()
+        return (self.radius**2) ** self.beta + float(np.max(grad)) \
+            + float(np.max(hess))
 
     def c3_norm(self) -> float:
         """sup over orders 0..3 of the derivative tensors' Frobenius norms."""
@@ -190,11 +221,13 @@ def _sphere_peak(trace: FlowTrace, center, R: float, reading):
     d = trace.snapshots[0].varifold.d
     r2 = R**2 - 2.0 * d * trace.times
     live = np.flatnonzero(r2 > 0.0)
+    if not len(live):       # times start at 0, so only R^2 underflows here
+        raise PreconditionViolated(f"radius {R:g} squares to 0: no ball")
     vals = [reading(np.linalg.norm(trace.snapshots[i].varifold.positions
                                    - center, axis=1),
                     trace.snapshots[i].varifold.masses, math.sqrt(r2[i]))
             for i in live]
-    return max(vals, default=0.0), float(trace.times[live[-1]])
+    return max(vals), float(trace.times[live[-1]])
 
 
 def external_sphere_monitor(trace: FlowTrace, center, R: float):
@@ -352,18 +385,12 @@ def epsilon_barrier_certificate(trace: FlowTrace, psi: BarrierFunction,
         "scale ceiling above 4^-6: admissibility is configured, not derived"]}
 
 
-def lsc_monitor(trace: FlowTrace, psi: ScalarField,
-                constant: float | None = None):
+def lsc_monitor(trace: FlowTrace, psi: BarrierFunction):
     """Check that t -> ||V(t)||(psi) - C t is nonincreasing up to step slack:
     its largest uptick between snapshots, against the C^2 norm of psi times
-    the largest step.
-
-    C defaults to sup |hess psi| times the initial mass; `constant` overrides
-    it (a forced C = 0 under a moving support is the negative control).
-    """
-    if constant is None:
-        constant = float(psi.hess_bound) * trace.snapshots[0].mass
-    slack = float(psi.c2_bound) * trace.config.delta()
+    the largest step, with C = sup |hess psi| times the initial mass."""
+    constant = psi.hess_bound() * trace.snapshots[0].mass
+    slack = psi.c2_bound() * trace.config.delta()
     vals = np.array([float(np.dot(s.varifold.masses,
                                   psi.value(s.varifold.positions, s.time)))
                      - constant * s.time for s in trace.snapshots])

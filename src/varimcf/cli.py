@@ -305,8 +305,9 @@ def _flow_config(manifest: dict):
 def load_trace(manifest: dict, base: Path, record: dict):
     """Rebuild a FlowTrace from one manifest trace record.
 
-    A trace must hold at least one frame, every atom a positive mass, and a
-    recorded boundary mesh must be closed.
+    A trace must hold at least one frame, recorded at the times of its
+    config's subdivision, every atom a positive mass, and a recorded
+    boundary mesh must be closed.
     """
     import numpy as np
 
@@ -336,6 +337,11 @@ def load_trace(manifest: dict, base: Path, record: dict):
         if not isinstance(values, list) or len(values) != len(frames):
             raise ConfigError(f"trace {record.get('name')!r}: '{key}' must "
                               f"list one value per frame ({len(frames)})")
+    # simulate records float(t) of the subdivision's nodes, which JSON
+    # returns exactly
+    if record["times"] != cfg.times().tolist():
+        raise ConfigError(f"trace {record['name']!r}: 'times' is not the "
+                          "subdivision of the manifest's config")
     simp = None
     if record.get("simplices"):
         simp = _load_table(base / record["simplices"],
@@ -431,17 +437,23 @@ def _verdict(name: str, trace: str, statement: str, relation: str, grade,
              *args) -> Verdict:
     """The verdict of grade(*args) -> (measured, bound, details).
 
-    It passes when `measured relation bound` holds.  A precondition error
-    fails this verdict alone, with no measured value or bound.
+    It passes when `measured relation bound` holds.  A precondition error,
+    an overflow, or a measured value or bound that is not finite fails this
+    verdict alone, with no measured value or bound.
     """
     try:
         measured, bound, details = grade(*args)
-    except PreconditionViolated as e:
-        return Verdict(name, trace, statement, None, None, relation, False,
-                       {"error": f"{type(e).__name__}: {e}"})
-    passed = measured <= bound if relation == "<=" else measured >= bound
-    return Verdict(name, trace, statement, measured, bound, relation,
-                   bool(passed), details)
+    except (PreconditionViolated, OverflowError) as e:
+        error = f"{type(e).__name__}: {e}"
+    else:
+        if math.isfinite(measured) and math.isfinite(bound):
+            passed = (measured <= bound if relation == "<="
+                      else measured >= bound)
+            return Verdict(name, trace, statement, measured, bound, relation,
+                           bool(passed), details)
+        error = f"measured {measured} or bound {bound} is not finite"
+    return Verdict(name, trace, statement, None, None, relation, False,
+                   {"error": error})
 
 
 def _subjects(name: str, over: str, traces: dict) -> list:
@@ -646,10 +658,10 @@ def _avoidance(pair, st, manifest):
               "hessian-rate ramp, is nonincreasing up to per-step slack",
               over="trace")
 def _lsc(tr, st, manifest):
-    from .barriers import lsc_monitor
-    from .varifold import ScalarField
-    return lsc_monitor(tr, ScalarField.bump(_center(st, "weight_center", tr),
-                                            st.weight_width, 1.0))
+    from .barriers import BarrierFunction, lsc_monitor
+    # the static weight (w^2 - |x - c|^2)^3 on the ball B(c, w)
+    return lsc_monitor(tr, BarrierFunction(_center(st, "weight_center", tr),
+                                           st.weight_width, 3.0, 0))
 
 
 @_certificate("volume-change", "<=", "per-step change of enclosed volume "

@@ -17,12 +17,15 @@ mass by more than dt or past M + 1, with M = max(1, initial mass).
 Two readings of the same step sequence are exposed by `sample`: piecewise
 (constant on [t_i, t_{i+1})) and interpolated (partial step with the frozen
 field).  `brakke_residual` measures how far a run is from the exact
-weighted-mass balance; halving the step halves it.
+weighted-mass balance for a radial weight `barriers.BarrierFunction` (static
+when its d is 0, a shrinking-sphere weight otherwise); halving the step
+halves it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,7 +33,10 @@ from .config import CHAIN_SLACK, MAP_DETERMINANT
 from .errors import ConfigError, MassBoundExceeded, OutOfSpan, SingularMap
 from .mollifier import (Mollifier, QuadratureGrid, _Lattice,
                         curvature_with_jacobian, dissipation)
-from .varifold import DiscreteVarifold, ScalarField
+from .varifold import DiscreteVarifold
+
+if TYPE_CHECKING:
+    from .barriers import BarrierFunction
 
 
 def pushforward(V: DiscreteVarifold, positions: np.ndarray, Df: np.ndarray
@@ -220,7 +226,7 @@ def sample(trace: FlowTrace, t: float,
     return _step(snap.varifold, tau, snap.curvature, snap.curvature_jacobian)[0]
 
 
-def _weighted_fv_arrays(V: DiscreteVarifold, phi: ScalarField, t: float,
+def _weighted_fv_arrays(V: DiscreteVarifold, phi: BarrierFunction, t: float,
                         h: np.ndarray, J: np.ndarray) -> float:
     """delta(V, phi)(h) from precomputed per-atom field arrays."""
     div = np.einsum("aij,aij->a", V.planes, J)
@@ -230,7 +236,7 @@ def _weighted_fv_arrays(V: DiscreteVarifold, phi: ScalarField, t: float,
                            vals * div + np.einsum("ai,ai->a", grads, h)))
 
 
-def brakke_residual(trace: FlowTrace, phi: ScalarField,
+def brakke_residual(trace: FlowTrace, phi: BarrierFunction,
                     t1: float, t2: float) -> float:
     """Defect of the weighted mass balance over [t1, t2] (piecewise reading).
 

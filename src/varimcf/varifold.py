@@ -11,16 +11,17 @@ field X is the exact finite sum
 
     delta V (X) = sum_i m_i  S_i : DX(x_i),
 
-with M : N = trace(M N^T), evaluated here without any quadrature;
+with M : N = trace(M N^T), evaluated here without any quadrature from the
+Jacobians DX(x_i) at the atoms, so a field enters only as that array;
 smoothing enters only in the mollifier module.  Its phi-weighted refinement,
 which adds the transport term grad(phi) . X, lives in the flow module next
-to the weighted mass balance it enters.
+to the weighted mass balance it enters; the one test function phi is the
+radial weight of the barriers module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -136,143 +137,10 @@ class DiscreteVarifold:
         return DiscreteVarifold(self.n, self.d, pos, planes, self.masses)
 
 
-def first_variation(V: DiscreteVarifold, X: "VectorField") -> float:
-    """delta V (X) = sum_i m_i S_i : DX(x_i).  Exact (no quadrature)."""
+def first_variation(V: DiscreteVarifold, J: np.ndarray) -> float:
+    """delta V (X) = sum_i m_i S_i : DX(x_i), given the Jacobians (N, n, n)
+    of X at the atoms, J[i, a, b] = d X_a / d x_b.  Exact (no quadrature)."""
     if len(V) == 0:
         return 0.0
-    J = X.jacobian(V.positions)
     div = np.einsum("aij,aij->a", V.planes, J)
     return float(np.dot(V.masses, div))
-
-
-# ---------------------------------------------------------------------------
-# test functions and vector fields
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """C^2 scalar test function phi(x, t) with evaluators for derivatives.
-
-    All evaluators are vectorized over a batch of points (Q, n).  The
-    declared C^1/C^2 bounds are sums of sup norms of phi and its
-    derivatives up to the given order; hess_bound is sup ||D^2 phi|| alone.
-    """
-
-    value: Callable[[np.ndarray, float], np.ndarray]
-    grad: Callable[[np.ndarray, float], np.ndarray]
-    hess: Callable[[np.ndarray, float], np.ndarray]
-    time_derivative: Callable[[np.ndarray, float], np.ndarray]
-    c1_bound: float
-    c2_bound: float
-    hess_bound: float
-
-    @classmethod
-    def constant(cls, a: float, n: int) -> "ScalarField":
-        def value(x, t):
-            x = np.atleast_2d(np.asarray(x, float))
-            return np.full(x.shape[0], float(a))
-
-        def grad(x, t):
-            x = np.atleast_2d(np.asarray(x, float))
-            return np.zeros((x.shape[0], n))
-
-        def hess(x, t):
-            x = np.atleast_2d(np.asarray(x, float))
-            return np.zeros((x.shape[0], n, n))
-
-        def dt(x, t):
-            x = np.atleast_2d(np.asarray(x, float))
-            return np.zeros(x.shape[0])
-
-        a_ = abs(float(a))
-        return cls(value, grad, hess, dt, a_, a_, 0.0)
-
-    @classmethod
-    def bump(cls, center, radius: float, height: float = 1.0) -> "ScalarField":
-        """Compactly supported C^2 bump h * (1 - |x-c|^2/r^2)^3 on B(c, r)."""
-        c = np.asarray(center, dtype=float)
-        n = c.shape[0]
-        r2 = float(radius) ** 2
-        h = float(height)
-
-        def _u(x):
-            v = np.atleast_2d(np.asarray(x, float)) - c
-            rho = np.einsum("ai,ai->a", v, v)
-            u = np.maximum(0.0, 1.0 - rho / r2)
-            return v, u
-
-        def value(x, t):
-            _, u = _u(x)
-            return h * u**3
-
-        def grad(x, t):
-            v, u = _u(x)
-            return (-6.0 * h / r2) * (u**2)[:, None] * v
-
-        def hess(x, t):
-            v, u = _u(x)
-            eye = np.eye(n)
-            term1 = (u**2)[:, None, None] * eye[None, :, :]
-            term2 = (-4.0 / r2) * u[:, None, None] * np.einsum("ai,aj->aij", v, v)
-            return (-6.0 * h / r2) * (term1 + term2)
-
-        def dt(x, t):
-            x = np.atleast_2d(np.asarray(x, float))
-            return np.zeros(x.shape[0])
-
-        # sup norms along a radial sweep (the bump is radial)
-        rr = np.linspace(0.0, float(radius), 2049)
-        u = 1.0 - rr**2 / r2
-        g1 = np.abs(-6.0 * h / r2 * u**2 * rr)
-        # Hessian eigenvalues: radial  -6h/r2 (u^2 - 4 u rho / r2), tangential -6h/r2 u^2
-        lam_rad = np.abs(-6.0 * h / r2 * (u**2 - 4.0 * u * rr**2 / r2))
-        lam_tan = np.abs(-6.0 * h / r2 * u**2)
-        hb = float(np.max(np.maximum(lam_rad, lam_tan)))
-        c1 = abs(h) + float(np.max(g1))
-        return cls(value, grad, hess, dt, c1, c1 + hb, hb)
-
-    @classmethod
-    def time_scaled(cls, base: "ScalarField", rate: float) -> "ScalarField":
-        """(1 + rate * t) * base, with the matching time derivative."""
-        r = float(rate)
-
-        def scale(t):
-            return 1.0 + r * t
-
-        value = lambda x, t: scale(t) * base.value(x, t)
-        grad = lambda x, t: scale(t) * base.grad(x, t)
-        hess = lambda x, t: scale(t) * base.hess(x, t)
-        dt = lambda x, t: r * base.value(x, t) + scale(t) * base.time_derivative(x, t)
-        # bounds over t in [0, 1]
-        s = max(abs(scale(0.0)), abs(scale(1.0)))
-        return cls(value, grad, hess, dt, s * base.c1_bound, s * base.c2_bound,
-                   s * base.hess_bound)
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """C^1 vector field with a matching Jacobian evaluator.
-
-    value(points) -> (Q, n); jacobian(points) -> (Q, n, n) with
-    J[q, i, j] = d X_i / d x_j at points[q].
-    """
-
-    value: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def linear(cls, A, b=None) -> "VectorField":
-        A = np.asarray(A, dtype=float)
-        n = A.shape[0]
-        b_ = np.zeros(n) if b is None else np.asarray(b, dtype=float)
-
-        def value(x):
-            x = np.atleast_2d(np.asarray(x, float))
-            return x @ A.T + b_
-
-        def jac(x):
-            x = np.atleast_2d(np.asarray(x, float))
-            return np.broadcast_to(A, (x.shape[0], n, n)).copy()
-
-        return cls(value, jac)
-

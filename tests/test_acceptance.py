@@ -30,8 +30,8 @@ from varimcf.metrics import DiscreteMeasure, bounded_lipschitz
 from varimcf.mollifier import (Mollifier, QuadratureGrid,
                                curvature_with_jacobian, dissipation)
 from varimcf.presets import make_preset
-from varimcf.varifold import (DiscreteVarifold, ScalarField, VectorField,
-                              first_variation, projections_from_bases)
+from varimcf.varifold import (DiscreteVarifold, first_variation,
+                              projections_from_bases)
 
 SQRT_LAW_TARGET = math.sqrt(0.4)     # circle radius after time 0.3
 
@@ -122,10 +122,8 @@ def test_02_curvature_pairing_equals_negative_dissipation():
     for _ in range(20):
         V = random_varifold(rng, int(rng.integers(5, 51)))
         D = dissipation(V, kern, grid)
-        h = VectorField(
-            lambda p: curvature_with_jacobian(V, kern, grid, p)[0],
-            lambda p: curvature_with_jacobian(V, kern, grid, p)[1])
-        paired = first_variation(V, h)
+        Dh = curvature_with_jacobian(V, kern, grid, V.positions)[1]
+        paired = first_variation(V, Dh)
         assert abs(paired + D) <= 1e-12 * max(1.0, D)
 
 
@@ -350,7 +348,7 @@ def test_11_halving_the_step_halves_the_discretization_errors(
     gap = {dt: midstep_reading_gap(tr, dt) for dt, tr in runs.items()}
     assert lo <= gap[4e-3] / gap[2e-3] <= hi
     assert lo <= gap[2e-3] / gap[1e-3] <= hi
-    phi = ScalarField.bump((0.0, 0.0), 2.0, 1.0)
+    phi = BarrierFunction(np.zeros(2), 2.0, 3.0, 0)
     res = {dt: brakke_residual(tr, phi, 0.0, 0.06)
            for dt, tr in runs.items()}
     assert lo <= res[4e-3] / res[2e-3] <= hi

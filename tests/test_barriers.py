@@ -22,8 +22,7 @@ from varimcf.errors import (ConfigError, GridMismatch, NonpositiveWeight,
 from varimcf.flow import FlowConfig, run
 from varimcf.geometry import (mesh_to_varifold, regular_polygon_mesh,
                               simplex_distances)
-from varimcf.varifold import (DiscreteVarifold, ScalarField,
-                              projections_from_bases)
+from varimcf.varifold import DiscreteVarifold, projections_from_bases
 
 
 @pytest.fixture(scope="module")
@@ -60,19 +59,24 @@ def test_axiom_margin_by_exponent():
             assert np.max(got) >= 0.5
 
 
-def test_barrier_derivatives_match_finite_differences():
-    psi = BarrierFunction(np.array([0.2, -0.1, 0.4]), 0.9, 4.0, 2)
+@pytest.mark.parametrize("psi, spread", [
+    (BarrierFunction(np.array([0.2, -0.1, 0.4]), 0.9, 4.0, 2), 0.4),
+    # the static weight that lsc grades
+    (BarrierFunction(np.array([0.3, -0.2]), 1.7, 3.0, 0), 0.7),
+], ids=["moving-3d", "static-lsc-2d"])
+def test_barrier_derivatives_match_finite_differences(psi, spread):
     rng = np.random.default_rng(12)
+    n = psi.n
     # probe strictly inside the support of the profile
-    pts = psi.center + 0.4 * rng.normal(size=(6, 3))
+    pts = psi.center + spread * rng.normal(size=(6, n))
     t = 0.01
     step = 1e-6
     grads = psi.grad(pts, t)
     hess = psi.hess(pts, t)
     third = psi.third(pts, t)
     for a, p in enumerate(pts):
-        for j in range(3):
-            e = np.zeros(3)
+        for j in range(n):
+            e = np.zeros(n)
             e[j] = step
             fd = (psi.value((p + e)[None], t)[0]
                   - psi.value((p - e)[None], t)[0]) / (2 * step)
@@ -95,6 +99,18 @@ def test_barrier_vanishes_off_support():
     assert np.all(psi.value(far, 0.0) == 0.0)
     assert np.all(psi.grad(far, 0.0) == 0.0)
     assert np.all(psi.hess(far, 0.0) == 0.0)
+
+
+def test_moving_weight_time_derivative():
+    psi = BarrierFunction(np.zeros(2), 2.0, 3.0, 1)
+    pts = np.array([[0.3, 0.4]])
+    e = 1e-6
+    fd = (psi.value(pts, 0.5 + e) - psi.value(pts, 0.5 - e)) / (2 * e)
+    assert psi.time_derivative(pts, 0.5)[0] == pytest.approx(fd[0], abs=1e-8)
+    # psi(x, t) = (R^2 - |x|^2 - 2 d t)^3: the support shrinks as t grows
+    assert psi.value(pts, 1.2)[0] == pytest.approx(
+        (4.0 - 0.25 - 2.4) ** 3, rel=1e-12)
+    assert psi.value(pts, 1.9)[0] == 0.0
 
 
 def test_barrier_config_rejections():
@@ -322,18 +338,32 @@ def test_avoidance_rejects_mismatched_grids(circle_trace):
 # lsc monitor
 
 
+def lsc_weight(center, width):
+    """The static weight (w^2 - |x - c|^2)^3 that lsc grades."""
+    return BarrierFunction(np.asarray(center, dtype=float), width, 3.0, 0)
+
+
+def weighted_masses(trace, psi):
+    return np.array([float(np.dot(s.varifold.masses,
+                                  psi.value(s.varifold.positions, s.time)))
+                     for s in trace.snapshots])
+
+
 def test_lsc_passes_with_derived_constant(circle_trace):
-    bump = ScalarField.bump(np.array([0.0, 0.0]), 2.0, 1.0)
+    bump = lsc_weight([0.0, 0.0], 2.0)
     uptick, slack, details = lsc_monitor(circle_trace, bump)
     assert uptick <= slack
     assert details["ramp_constant"] == pytest.approx(
-        bump.hess_bound * circle_trace.snapshots[0].mass)
+        bump.hess_bound() * circle_trace.snapshots[0].mass)
 
 
 def test_lsc_trivial_off_support(circle_trace):
-    far = ScalarField.bump(np.array([50.0, 0.0]), 1.0, 1.0)
-    uptick, slack, _ = lsc_monitor(circle_trace, far, constant=0.0)
+    far = lsc_weight([50.0, 0.0], 1.0)
+    uptick, slack, details = lsc_monitor(circle_trace, far)
     assert uptick <= 0.0 < slack
+    # with the ramp removed (C = 0) the weighted mass is zero throughout
+    assert np.all(weighted_masses(circle_trace, far) == 0.0)
+    assert details["ramp_constant"] > 0.0
 
 
 def test_lsc_zero_constant_control_fails():
@@ -343,11 +373,12 @@ def test_lsc_zero_constant_control_fails():
     V4 = DiscreteVarifold(V1.n, V1.d, V1.positions, V1.planes, 4.0 * V1.masses)
     cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2)
     tr = run(V4, cfg)
-    bump = ScalarField.bump(np.array([0.0, 0.0]), 2.0, 1.0)
+    bump = lsc_weight([0.0, 0.0], 2.0)
     uptick, slack, _ = lsc_monitor(tr, bump)
     assert uptick <= slack
-    forced, forced_slack, _ = lsc_monitor(tr, bump, constant=0.0)
-    assert forced > forced_slack
+    # the same weighted masses with C = 0: the largest uptick beats the slack
+    forced = float(np.max(np.diff(weighted_masses(tr, bump))))
+    assert forced > slack
 
 
 # ---------------------------------------------------------------------------

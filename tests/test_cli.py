@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from varimcf import cli
+from varimcf.barriers import BarrierFunction
 from varimcf.cli import (Settings, _frame_header, _load_table,
                          _measure_header, _save_table, _write_trace,
                          load_manifest, main)
@@ -20,8 +21,7 @@ from varimcf.flow import FlowConfig, FlowTrace, Snapshot, brakke_residual, sampl
 from varimcf.geometry import (SurfaceMesh, mesh_to_varifold,
                               volume_change_constant)
 from varimcf.metrics import _SEED_NEIGHBOURS, _seed_pairs
-from varimcf.varifold import (DiscreteVarifold, ScalarField,
-                              projections_from_bases)
+from varimcf.varifold import DiscreteVarifold, projections_from_bases
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +137,7 @@ def test_loaded_trace_refuses_what_needs_the_curvature_jacobian(run_dir):
     _, _, traces = load_manifest(str(run_dir))
     tr = traces["main"]
     assert tr.snapshots[0].curvature_jacobian is None
-    phi = ScalarField.bump(np.zeros(2), 2.0, 1.0)
+    phi = BarrierFunction(np.zeros(2), 2.0, 3.0, 0)
     with pytest.raises(ConfigError):
         brakke_residual(tr, phi, 0.0, 0.01)
     with pytest.raises(ConfigError):
@@ -457,8 +457,11 @@ def test_failed_precondition_reports_null_not_nan(tmp_path, capsys):
     assert stored["nontriviality[main]"]["bound"] is None
 
 
-def test_avoidance_on_mismatched_grids_is_a_failed_verdict(pair_dir, tmp_path,
-                                                          capsys):
+def test_avoidance_on_mismatched_grids_is_a_usage_error(pair_dir, tmp_path,
+                                                        capsys):
+    # a recorded time off its config's subdivision is refused at load, so
+    # two loaded traces always share one grid; the library check of
+    # avoidance_distance is GridMismatch (test_barriers)
     out = tmp_path / "pair"
     shutil.copytree(pair_dir, out)
     man = manifest_of(out)
@@ -466,14 +469,10 @@ def test_avoidance_on_mismatched_grids_is_a_failed_verdict(pair_dir, tmp_path,
     (out / "manifest.json").write_text(json.dumps(man))
     capsys.readouterr()
     rc = main(["check", str(out), "--certificates", "avoidance,mass-decay"])
-    payload = strict_json(capsys.readouterr().out)
-    assert rc == 1
-    avoidance, *decay = payload["verdicts"]
-    assert avoidance["name"] == "avoidance"
-    assert avoidance["passed"] is False and avoidance["measured"] is None
-    assert "GridMismatch" in avoidance["details"]["error"]
-    assert [(v["name"], v["trace"]) for v in decay] == [
-        ("mass-decay", "first"), ("mass-decay", "second")]
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "trace 'second': 'times'" in captured.err
 
 
 def test_barrier_defect_precondition_is_a_failed_verdict(run_dir, tmp_path,
@@ -489,6 +488,37 @@ def test_barrier_defect_precondition_is_a_failed_verdict(run_dir, tmp_path,
     assert defect["name"] == "barrier-defect" and defect["passed"] is False
     assert defect["measured"] is None and defect["bound"] is None
     assert "ZeroBarrier" in defect["details"]["error"]
+    assert (decay["name"], decay["passed"]) == ("mass-decay", True)
+
+
+@pytest.mark.parametrize("key, value, stopped", [
+    ("ball_radius", "1e200", ["external-sphere", "volume-change"]),
+    ("enclosing_radius", "1e200", ["internal-sphere"]),
+    # eps-sphere-barrier overflows in grad_l2_norm, barrier-defect to NaN
+    ("barrier_radius", "1e40", ["barrier-defect", "eps-sphere-barrier"]),
+    # the weight (w^2 - |x - c|^2)^3 overflows once w is above about 2e51
+    ("weight_width", "1e60", ["lsc"]),
+    # a radius whose square underflows to 0 leaves the sphere no window
+    ("ball_radius", "1e-200", ["external-sphere"]),
+], ids=["ball_radius", "enclosing_radius", "barrier_radius", "weight_width",
+        "ball_radius-underflow"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_an_extreme_setting_fails_its_verdicts_in_strict_json(
+        run_dir, tmp_path, capsys, key, value, stopped):
+    ini = tmp_path / "extreme.ini"
+    ini.write_text(f"[certificates]\n{key} = {value}\n")
+    capsys.readouterr()
+    rc = main(["check", str(run_dir), "--certificates",
+               ",".join([*stopped, "mass-decay"]), "--config", str(ini)])
+    payload = strict_json(capsys.readouterr().out)
+    assert rc == 1
+    *failed, decay = payload["verdicts"]
+    assert [v["name"] for v in failed] == stopped
+    for v in failed:
+        assert v["passed"] is False
+        assert v["measured"] is None and v["bound"] is None
+        assert v["details"]["error"]
     assert (decay["name"], decay["passed"]) == ("mass-decay", True)
 
 
@@ -720,12 +750,21 @@ def without(mapping: dict, key: str) -> dict:
         **man["traces"][0], "frames": [], "mesh_frames": [], "times": [],
         "curvature_max": [], "dissipation": [], "step_delta": []}]},
      "trace 'main'"),
+    # recorded times that are not the subdivision of the config
+    (lambda man: {**man, "traces": [{
+        **man["traces"][0],
+        "times": [t + 5.0 for t in man["traces"][0]["times"]]}]},
+     "trace 'main': 'times'"),
+    (lambda man: {**man, "config": {**man["config"],
+                                    "dt": 2.0 * man["config"]["dt"]}},
+     "trace 'main': 'times'"),
 ], ids=["missing-traces", "traces-not-a-list", "no-traces", "missing-config",
         "unknown-config-key", "eps-not-a-number", "missing-dt",
         "missing-ambient_dimension", "seed-not-an-integer", "negative-seed",
         "top-level-list", "repeated-trace-name", "retired-mode",
         "retired-record_dissipation", "retired-enforce_gate",
-        "retired-gate_constant", "retired-mass_bound", "empty-trace"])
+        "retired-gate_constant", "retired-mass_bound", "empty-trace",
+        "shifted-times", "doubled-config-dt"])
 def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
                                               fragment):
     broken = tmp_path / "malformed"

@@ -11,11 +11,11 @@ import math
 import numpy as np
 import pytest
 
+from varimcf.barriers import BarrierFunction
 from varimcf.errors import ConfigError, OutOfSpan, SingularMap
 from varimcf.flow import (FlowConfig, brakke_residual, dissipation_budget,
                           pushforward, run, sample)
-from varimcf.varifold import (DiscreteVarifold, ScalarField, VectorField,
-                              projections_from_bases)
+from varimcf.varifold import DiscreteVarifold, projections_from_bases
 
 
 def polygon_circle(N=100, r=1.0):
@@ -180,11 +180,11 @@ def test_identity_plus_linear_field_jacobian():
     # the step map x + s X(x) and its Jacobian I + s DX, built as the
     # stepper builds them, agree with central differences of the map
     A = np.array([[0.1, -0.3], [0.2, 0.05]])
-    X = VectorField.linear(A, np.array([1.0, 2.0]))
+    b = np.array([1.0, 2.0])
     s = 0.5
-    value = lambda p: np.atleast_2d(p) + s * X.value(p)
+    value = lambda p: np.atleast_2d(p) + s * (np.atleast_2d(p) @ A.T + b)
     pts = np.array([[0.4, -0.7], [2.0, 1.0]])
-    J = np.eye(2) + s * X.jacobian(pts)
+    J = np.eye(2) + s * np.broadcast_to(A, (len(pts), 2, 2))
     step = 1e-6
     for a in range(2):
         for j in range(2):
@@ -302,13 +302,12 @@ def test_brakke_residual_vanishes_off_support():
     # weight supported away from the flow: every term in the balance is zero
     cfg = FlowConfig(eps=0.1, dt=5e-3, end_time=0.02, refinement=2)
     tr = run(polygon_circle(32), cfg)
-    base = ScalarField.bump(np.array([10.0, 0.0]), 1.0, 3.0)
-    phi = ScalarField.time_scaled(base, 0.7)
+    phi = BarrierFunction(np.array([10.0, 0.0]), 1.0, 3.0, 1)    # moving
     assert brakke_residual(tr, phi, 0.0, 0.02) == 0.0
 
 
 def test_brakke_residual_halves_with_dt():
-    phi = ScalarField.bump(np.array([0.0, 0.0]), 2.0, 1.0)
+    phi = BarrierFunction(np.array([0.0, 0.0]), 2.0, 3.0, 0)
     res = []
     for dt in (4e-3, 2e-3):
         cfg = FlowConfig(eps=0.1, dt=dt, end_time=0.04, refinement=2)

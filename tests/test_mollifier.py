@@ -10,7 +10,7 @@ from varimcf.errors import ConfigError, GridTooCoarse
 from varimcf.mollifier import (Mollifier, QuadratureGrid, SpatialHash,
                                _integer_ball, _Lattice, _pack,
                                _within, curvature_with_jacobian, dissipation)
-from varimcf.varifold import (DiscreteVarifold, VectorField, first_variation,
+from varimcf.varifold import (DiscreteVarifold, first_variation,
                               projections_from_bases)
 
 
@@ -34,11 +34,9 @@ def curvature(V, kern, grid, pts):
     return curvature_with_jacobian(V, kern, grid, pts)[0]
 
 
-def curvature_field(V, kern, grid):
-    """h_eps(., V) as a VectorField, for pairing with the first variation."""
-    return VectorField(lambda p: curvature(V, kern, grid, np.atleast_2d(p)),
-                       lambda p: curvature_with_jacobian(
-                           V, kern, grid, np.atleast_2d(p))[1])
+def curvature_jacobians(V, kern, grid):
+    """D h_eps(., V) at the atoms, for pairing with the first variation."""
+    return curvature_with_jacobian(V, kern, grid, V.positions)[1]
 
 
 def kernel_value(kern, x):
@@ -221,16 +219,10 @@ def test_smoothed_first_variation_equals_exact_pairing():
             y = lattice.nodes[1][k]
             for j, ej in enumerate(np.eye(n)):
 
-                def value(x, y=y, ej=ej):
-                    x = np.atleast_2d(x)
-                    return kernel_value(kern, y[None, :] - x)[:, None] * ej[None, :]
-
-                def jac(x, y=y, ej=ej):
-                    x = np.atleast_2d(x)
-                    return -np.einsum("i,qj->qij", ej,
-                                      kernel_grad(kern, y[None, :] - x))
-
-                assert first_variation(V, VectorField(value, jac)) == \
+                # D(Phi(y - x) e_j) = -e_j grad Phi(y - x)^T at the atoms
+                jac = -np.einsum("i,qj->qij", ej,
+                                 kernel_grad(kern, y[None, :] - V.positions))
+                assert first_variation(V, jac) == \
                     pytest.approx(fvar[k, j], abs=1e-12)
 
 
@@ -418,7 +410,7 @@ def test_dissipation_identity_on_random_varifolds():
     for _ in range(6):
         V = random_varifold(rng, int(rng.integers(5, 50)))
         D = dissipation(V, kern, grid)
-        paired = first_variation(V, curvature_field(V, kern, grid))
+        paired = first_variation(V, curvature_jacobians(V, kern, grid))
         assert D >= 0.0
         assert abs(paired + D) <= 1e-12 * max(1.0, D)
 
@@ -428,7 +420,7 @@ def test_dissipation_identity_on_circle():
     kern = Mollifier(0.1, 2)
     grid = QuadratureGrid.for_kernel(kern, 2)
     D = dissipation(V, kern, grid)
-    paired = first_variation(V, curvature_field(V, kern, grid))
+    paired = first_variation(V, curvature_jacobians(V, kern, grid))
     assert abs(paired + D) <= 1e-12 * max(1.0, D)
 
 
@@ -444,7 +436,7 @@ def test_dissipation_identity_on_isolated_atoms(n, d, atoms):
         grid = QuadratureGrid.for_kernel(kern, refinement)
         V = isolated_atoms(rng, atoms, n, d, kern, grid.spacing)
         D = dissipation(V, kern, grid)
-        paired = first_variation(V, curvature_field(V, kern, grid))
+        paired = first_variation(V, curvature_jacobians(V, kern, grid))
         assert D > 0.0
         assert abs(paired + D) <= 1e-12 * max(1.0, D)
 

@@ -1,17 +1,19 @@
-"""Atomic varifolds: plane representation, exact first variation, and
-their round trip through the recorded frame files."""
+"""Atomic varifolds: plane representation, exact first variation, the
+weighted first variation with its radial weight, and their round trip
+through the recorded frame files."""
 
 import json
 
 import numpy as np
 import pytest
 
+from varimcf.barriers import BarrierFunction
 from varimcf.cli import _write_trace, load_trace
 from varimcf.errors import ConfigError, DegenerateBasis, NonpositiveWeight
 from varimcf.flow import (FlowConfig, FlowTrace, Snapshot, _weighted_fv_arrays,
                           pushforward)
-from varimcf.varifold import (DiscreteVarifold, ScalarField, VectorField,
-                              first_variation, projections_from_bases)
+from varimcf.varifold import (DiscreteVarifold, first_variation,
+                              projections_from_bases)
 
 
 def gram_schmidt_projector(rows: np.ndarray) -> np.ndarray:
@@ -33,9 +35,10 @@ def random_varifold(rng, N, n=2, d=1):
 
 
 def push_along(V, X, s):
-    """(id + s X)_# V through the exact pushforward."""
-    Df = np.eye(V.n) + s * X.jacobian(V.positions)
-    return pushforward(V, V.positions + s * X.value(V.positions), Df)[0]
+    """(id + s X)_# V through the exact pushforward; X = (value, jacobian)."""
+    value, jacobian = X
+    Df = np.eye(V.n) + s * jacobian(V.positions)
+    return pushforward(V, V.positions + s * value(V.positions), Df)[0]
 
 
 def random_rotation(rng, n):
@@ -113,19 +116,23 @@ def test_varifold_validation():
 # first variation
 
 
+def linear_field(A, b=None):
+    """X(x) = A x + b as its (value, jacobian) functions of points (Q, n)."""
+    b = np.zeros(len(A)) if b is None else b
+    return (lambda x: x @ A.T + b,
+            lambda x: np.broadcast_to(A, (len(x), *A.shape)))
+
+
 def quadratic_field(n):
     """X(x) = (x . x) a with a fixed vector a; DX = 2 a x^T."""
     a = np.linspace(1.0, 2.0, n)
+    return (lambda x: np.einsum("qi,qi->q", x, x)[:, None] * a[None, :],
+            lambda x: 2.0 * a[None, :, None] * x[:, None, :])
 
-    def value(x):
-        x = np.atleast_2d(np.asarray(x, float))
-        return np.einsum("qi,qi->q", x, x)[:, None] * a[None, :]
 
-    def jac(x):
-        x = np.atleast_2d(np.asarray(x, float))
-        return 2.0 * a[None, :, None] * x[:, None, :]
-
-    return VectorField(value, jac)
+def jacobians(V, A):
+    """The Jacobians at the atoms of V of a linear field x -> A x."""
+    return np.broadcast_to(A, (len(V), V.n, V.n))
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2)])
@@ -134,12 +141,12 @@ def test_first_variation_is_mass_derivative(n, d):
     # difference through the exact pushforward
     rng = np.random.default_rng(5 * n + d)
     V = random_varifold(rng, 12, n=n, d=d)
-    for X in (VectorField.linear(rng.normal(size=(n, n)), rng.normal(size=n)),
+    for X in (linear_field(rng.normal(size=(n, n)), rng.normal(size=n)),
               quadratic_field(n)):
         s = 1e-5
         fd = (push_along(V, X, s).total_mass()
               - push_along(V, X, -s).total_mass()) / (2.0 * s)
-        exact = first_variation(V, X)
+        exact = first_variation(V, X[1](V.positions))
         assert exact == pytest.approx(fd, abs=1e-6 * (1.0 + abs(exact)))
 
 
@@ -147,10 +154,9 @@ def test_first_variation_linear_in_the_field():
     rng = np.random.default_rng(9)
     V = random_varifold(rng, 10, n=3, d=2)
     A, B = rng.normal(size=(2, 3, 3))
-    combo = VectorField.linear(2.0 * A - 0.5 * B)
-    lhs = first_variation(V, combo)
-    rhs = (2.0 * first_variation(V, VectorField.linear(A))
-           - 0.5 * first_variation(V, VectorField.linear(B)))
+    lhs = first_variation(V, jacobians(V, 2.0 * A - 0.5 * B))
+    rhs = (2.0 * first_variation(V, jacobians(V, A))
+           - 0.5 * first_variation(V, jacobians(V, B)))
     assert lhs == pytest.approx(rhs, abs=1e-12 * (1.0 + abs(rhs)))
 
 
@@ -160,36 +166,47 @@ def test_first_variation_rotation_invariant():
     A = rng.normal(size=(3, 3))
     R = random_rotation(rng, 3)
     # conjugating both the varifold and the field leaves the pairing fixed
-    lhs = first_variation(V.transformed(rotation=R),
-                          VectorField.linear(R @ A @ R.T))
-    rhs = first_variation(V, VectorField.linear(A))
+    lhs = first_variation(V.transformed(rotation=R), jacobians(V, R @ A @ R.T))
+    rhs = first_variation(V, jacobians(V, A))
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_tangential_divergence_axis_plane():
     # one unit atom: delta V (X) is div_S X = S : DX at the atom
     A = np.array([[2.0, 3.0], [4.0, 5.0]])
-    X = VectorField.linear(A)
     line = DiscreteVarifold.from_arrays([[0.3, -0.2]], np.diag([1.0, 0.0]),
                                         [1.0], d=1)
-    assert first_variation(line, X) == 2.0
+    assert first_variation(line, jacobians(line, A)) == 2.0
     full = DiscreteVarifold.from_arrays([[0.3, -0.2]], np.eye(2), [1.0], d=2)
-    assert first_variation(full, X) == 7.0
+    assert first_variation(full, jacobians(full, A)) == 7.0
 
 
 def weighted_first_variation(V, phi, X, t=0.0):
     """delta(V, phi)(X) through the flow's path, with X's arrays at the atoms."""
-    return _weighted_fv_arrays(V, phi, t, X.value(V.positions),
-                               X.jacobian(V.positions))
+    value, jacobian = X
+    return _weighted_fv_arrays(V, phi, t, value(V.positions),
+                               jacobian(V.positions))
+
+
+class ConstantWeight:
+    """phi = a everywhere, so its gradient is zero."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def value(self, x, t):
+        return np.full(len(x), self.a)
+
+    def grad(self, x, t):
+        return np.zeros_like(x)
 
 
 def test_weighted_first_variation_constant_weight_reduces():
     rng = np.random.default_rng(13)
     V = random_varifold(rng, 8, n=2, d=1)
-    X = VectorField.linear(rng.normal(size=(2, 2)))
-    phi = ScalarField.constant(2.5, 2)
-    assert weighted_first_variation(V, phi, X) == pytest.approx(
-        2.5 * first_variation(V, X), rel=1e-12)
+    X = linear_field(rng.normal(size=(2, 2)))
+    assert weighted_first_variation(V, ConstantWeight(2.5), X) == \
+        pytest.approx(2.5 * first_variation(V, X[1](V.positions)), rel=1e-12)
 
 
 def weighted_mass(V, phi):
@@ -201,8 +218,8 @@ def test_weighted_first_variation_is_weighted_mass_derivative():
     # oracle: delta(V, phi)(X) = d/ds integral phi d|| (id + sX)_# V || at 0
     rng = np.random.default_rng(14)
     V = random_varifold(rng, 10, n=2, d=1)
-    phi = ScalarField.bump(np.array([0.2, -0.1]), 2.5, 1.3)
-    X = VectorField.linear(rng.normal(size=(2, 2)), rng.normal(size=2))
+    phi = BarrierFunction(np.array([0.2, -0.1]), 2.5, 3.0, 0)
+    X = linear_field(rng.normal(size=(2, 2)), rng.normal(size=2))
     s = 1e-5
     fd = (weighted_mass(push_along(V, X, s), phi)
           - weighted_mass(push_along(V, X, -s), phi)) / (2.0 * s)
@@ -210,53 +227,27 @@ def test_weighted_first_variation_is_weighted_mass_derivative():
     assert exact == pytest.approx(fd, abs=1e-5 * (1.0 + abs(exact)))
 
 
-# ---------------------------------------------------------------------------
-# test-function helpers
-
-
-def test_bump_derivatives_by_finite_differences():
-    phi = ScalarField.bump(np.array([0.3, -0.2]), 1.7, 2.0)
-    rng = np.random.default_rng(16)
-    pts = np.array([0.3, -0.2]) + rng.uniform(-0.9, 0.9, (30, 2))
-    e = 1e-6
-    for p in pts:
-        g = phi.grad(p[None], 0.0)[0]
-        H = phi.hess(p[None], 0.0)[0]
-        for i in range(2):
-            dp = np.zeros(2)
-            dp[i] = e
-            fd = (phi.value((p + dp)[None], 0.0)[0]
-                  - phi.value((p - dp)[None], 0.0)[0]) / (2 * e)
-            assert g[i] == pytest.approx(fd, abs=5e-6)
-            fd2 = (phi.grad((p + dp)[None], 0.0)[0]
-                   - phi.grad((p - dp)[None], 0.0)[0]) / (2 * e)
-            assert np.allclose(H[:, i], fd2, atol=5e-6)
-
-
 def test_bump_support_and_declared_bounds():
-    phi = ScalarField.bump(np.zeros(3), 1.5, 1.0)
-    far = np.array([[2.0, 0.0, 0.0], [0.0, -1.6, 0.0]])
-    assert np.all(phi.value(far, 0.0) == 0.0)
-    assert np.all(phi.grad(far, 0.0) == 0.0)
-    rng = np.random.default_rng(17)
-    pts = rng.uniform(-1.5, 1.5, (2000, 3))
-    vals = phi.value(pts, 0.0)
-    grads = np.linalg.norm(phi.grad(pts, 0.0), axis=1)
-    hnorm = np.linalg.norm(phi.hess(pts, 0.0), ord=2, axis=(1, 2))
-    assert phi.c1_bound >= vals.max() + grads.max() - 1e-12
-    assert phi.hess_bound >= hnorm.max() - 1e-12
-    assert phi.c2_bound >= phi.c1_bound + phi.hess_bound - 1e-12
-
-
-def test_time_scaled_field_derivative():
-    base = ScalarField.bump(np.zeros(2), 2.0, 1.0)
-    phi = ScalarField.time_scaled(base, 0.7)
-    pts = np.array([[0.3, 0.4]])
-    e = 1e-6
-    fd = (phi.value(pts, 0.5 + e) - phi.value(pts, 0.5 - e)) / (2 * e)
-    assert phi.time_derivative(pts, 0.5)[0] == pytest.approx(fd[0], abs=1e-8)
-    assert phi.value(pts, 2.0)[0] == pytest.approx(
-        (1.0 + 0.7 * 2.0) * base.value(pts, 0.0)[0], rel=1e-12)
+    # the static weight (R^2 - |x|^2)^3 that lsc grades, in 2-D and 3-D
+    for n in (2, 3):
+        psi = BarrierFunction(np.zeros(n), 1.5, 3.0, 0)
+        far = np.zeros((2, n))
+        far[0, 0], far[1, 1] = 2.0, -1.6
+        assert np.all(psi.value(far, 0.0) == 0.0)
+        assert np.all(psi.grad(far, 0.0) == 0.0)
+        assert np.all(psi.hess(far, 0.0) == 0.0)
+        rng = np.random.default_rng(17)
+        pts = rng.uniform(-1.5, 1.5, (2000, n))
+        vals = psi.value(pts, 0.0)
+        grads = np.linalg.norm(psi.grad(pts, 0.0), axis=1)
+        hnorm = np.linalg.norm(psi.hess(pts, 0.0), ord=2, axis=(1, 2))
+        assert psi.hess_bound() >= hnorm.max() - 1e-12
+        assert psi.c2_bound() >= (vals.max() + grads.max() + hnorm.max()
+                                  - 1e-12)
+        # sup |psi| = R^6, and the largest Hessian eigenvalue magnitude is
+        # 6 R^4, at the centre
+        assert psi.hess_bound() == pytest.approx(6.0 * 1.5**4, rel=1e-12)
+        assert psi.c2_bound() > 1.5**6 + psi.hess_bound()
 
 
 # ---------------------------------------------------------------------------
