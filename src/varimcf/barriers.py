@@ -66,6 +66,11 @@ class BarrierFunction:
             raise ConfigError("radius must be positive")
         if self.beta <= 0.0:
             raise ConfigError("beta must be positive")
+        # a weight that vanishes everywhere grades nothing; below radius 1
+        # the peak cannot overflow
+        if self.radius < 1.0 and (self.radius**2) ** self.beta == 0.0:
+            raise ZeroBarrier(f"peak (R^2)^beta of radius {self.radius:g} and "
+                              f"beta {self.beta:g} is 0")
 
     @property
     def n(self) -> int:
@@ -78,29 +83,34 @@ class BarrierFunction:
         u = self.radius**2 - r
         return w, np.maximum(u, 0.0), u > 0.0
 
+    def _derivatives(self, u, live):
+        """gamma', gamma'' and gamma''' at R^2 - r = u, zero off `live`."""
+        b = self.beta
+        # the powers of u = 0 off the support are computed, then discarded
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (np.where(live, -b * u ** (b - 1.0), 0.0),
+                    np.where(live, b * (b - 1.0) * u ** (b - 2.0), 0.0),
+                    np.where(live, -b * (b - 1.0) * (b - 2.0) * u ** (b - 3.0),
+                             0.0))
+
     def value(self, x, t: float) -> np.ndarray:
         _, u, _ = self._uvals(x, t)
         return u**self.beta
 
     def grad(self, x, t: float) -> np.ndarray:
         w, u, live = self._uvals(x, t)
-        gp = np.where(live, -self.beta * u ** (self.beta - 1.0), 0.0)
-        return 2.0 * gp[:, None] * w
+        return 2.0 * self._derivatives(u, live)[0][:, None] * w
 
     def hess(self, x, t: float) -> np.ndarray:
         w, u, live = self._uvals(x, t)
-        b = self.beta
-        gp = np.where(live, -b * u ** (b - 1.0), 0.0)
-        gpp = np.where(live, b * (b - 1.0) * u ** (b - 2.0), 0.0)
+        gp, gpp, _ = self._derivatives(u, live)
         eye = np.eye(self.n)
         return (4.0 * gpp[:, None, None] * np.einsum("ai,aj->aij", w, w)
                 + 2.0 * gp[:, None, None] * eye[None])
 
     def third(self, x, t: float) -> np.ndarray:
         w, u, live = self._uvals(x, t)
-        b = self.beta
-        gpp = np.where(live, b * (b - 1.0) * u ** (b - 2.0), 0.0)
-        gppp = np.where(live, -b * (b - 1.0) * (b - 2.0) * u ** (b - 3.0), 0.0)
+        _, gpp, gppp = self._derivatives(u, live)
         eye = np.eye(self.n)
         www = np.einsum("ai,aj,ak->aijk", w, w, w)
         sym = (np.einsum("ij,ak->aijk", eye, w)
@@ -110,8 +120,7 @@ class BarrierFunction:
 
     def time_derivative(self, x, t: float) -> np.ndarray:
         _, u, live = self._uvals(x, t)
-        gp = np.where(live, -self.beta * u ** (self.beta - 1.0), 0.0)
-        return 2.0 * self.d * gp
+        return 2.0 * self.d * self._derivatives(u, live)[0]
 
     # -- certified norm overestimates (radial sweeps at t = 0) --------------
 
@@ -122,11 +131,7 @@ class BarrierFunction:
         rho = |x - center|^2."""
         rr = np.linspace(0.0, self.radius, BOUND_SWEEP_STEPS + 1)
         u = self.radius**2 - rr**2
-        live = u > 0.0
-        u = np.maximum(u, 0.0)
-        b = self.beta
-        gp = np.where(live, -b * u ** (b - 1.0), 0.0)
-        gpp = np.where(live, b * (b - 1.0) * u ** (b - 2.0), 0.0)
+        gp, gpp, _ = self._derivatives(np.maximum(u, 0.0), u > 0.0)
         return (np.abs(2.0 * gp * rr),
                 np.maximum(np.abs(2.0 * gp + 4.0 * gpp * rr**2),
                            np.abs(2.0 * gp)))

@@ -282,18 +282,17 @@ def _is_kind(value, kind) -> bool:
 
 
 def _flow_config(manifest: dict):
-    """The manifest's 'config' as a FlowConfig; ConfigError names the key
-    that is unknown, missing or of the wrong JSON type."""
+    """The manifest's 'config' as a FlowConfig, whose fields are all
+    numbers; ConfigError names the key that is unknown, missing or not a
+    number."""
     from .flow import FlowConfig
 
     raw = manifest.get("config")
     if not isinstance(raw, dict):
         raise ConfigError("manifest: 'config' must be an object")
-    defaults = {f.name: f.default for f in dataclasses.fields(FlowConfig)}
+    fields = {f.name for f in dataclasses.fields(FlowConfig)}
     for key, value in raw.items():
-        default = defaults.get(key, dataclasses.MISSING)
-        kind = float if default is dataclasses.MISSING else type(default)
-        if key not in defaults or not _is_kind(value, kind):
+        if key not in fields or not _is_kind(value, float):
             raise ConfigError(f"manifest config: '{key}' = {value!r} is not "
                               "a FlowConfig field of that type")
     try:
@@ -325,6 +324,10 @@ def load_trace(manifest: dict, base: Path, record: dict):
                               f"be of type {kind.__name__}")
     n = record["ambient_dimension"]
     d = record["surface_dimension"]
+    if n not in (2, 3) or not 1 <= d < n:
+        raise ConfigError(f"trace {record['name']!r}: surface_dimension {d} "
+                          f"in ambient_dimension {n} is not graded; the "
+                          "package grades n = 2 or 3 and d in 1..n-1")
     frames = record.get("frames")
     if not isinstance(frames, list) or not frames:
         raise ConfigError(f"trace {record['name']!r}: 'frames' must be a "

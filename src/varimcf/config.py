@@ -26,6 +26,11 @@ DEGENERATE_SIMPLEX = 1e-12
 # generic slack for exact chain inequalities evaluated in floats
 CHAIN_SLACK = 1e-9
 
+# the smoothing kernel's support radius, in units of eps, and the curvature
+# lattice's spacing eps / LATTICE_REFINEMENT: fixed for every run
+KERNEL_CUTOFF = 4.0
+LATTICE_REFINEMENT = 2
+
 # largest union support the bounded-Lipschitz program is built for
 DEFAULT_SUPPORT_CAP = 2000
 

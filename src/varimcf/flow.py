@@ -29,7 +29,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import CHAIN_SLACK, MAP_DETERMINANT
+from .config import (CHAIN_SLACK, KERNEL_CUTOFF, LATTICE_REFINEMENT,
+                     MAP_DETERMINANT)
 from .errors import ConfigError, MassBoundExceeded, OutOfSpan, SingularMap
 from .mollifier import (Mollifier, QuadratureGrid, _Lattice,
                         curvature_with_jacobian, dissipation)
@@ -75,19 +76,26 @@ def _step(V: DiscreteVarifold, tau: float, h: np.ndarray,
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Parameters of one flow run.
+    """The three scales of one flow run: kernel scale, step and end time.
 
-    `run` applies the structural per-step checks (positive tangential
-    Jacobians, invertible step maps) to every step.  Every run records the
-    dissipation; `sample` takes the reading between steps (piecewise or
-    interpolated).
+    The kernel support radius cutoff * eps and the lattice spacing
+    eps / refinement are package constants, the same for every run.  `run`
+    applies the structural per-step checks (positive tangential Jacobians,
+    invertible step maps) and records the dissipation; `sample` takes the
+    reading between steps (piecewise or interpolated).
     """
 
     eps: float
     dt: float
     end_time: float
-    cutoff: float = 4.0
-    refinement: int = 4
+
+    @property
+    def cutoff(self) -> float:
+        return KERNEL_CUTOFF
+
+    @property
+    def refinement(self) -> int:
+        return LATTICE_REFINEMENT
 
     def __post_init__(self):
         # the chained comparisons are false for NaN as well
@@ -180,8 +188,8 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
         # one field pass on the lattice of V: atoms, mesh vertices, dissipation
         lat = _Lattice(V, kernel, grid)
         pts = V.positions if verts is None else np.vstack([V.positions, verts])
-        h, J = curvature_with_jacobian(V, kernel, grid, pts, lat)
-        diss = dissipation(V, kernel, grid, lat)
+        h, J = curvature_with_jacobian(lat, pts)
+        diss = dissipation(lat)
         # structural step checks: the step map must stay a diffeomorphism
         # near the support, so pushforward refuses singular maps and
         # step_delta records the distance from the identity

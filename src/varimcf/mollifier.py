@@ -21,9 +21,11 @@ finite sums over atoms,
 and the regularized mean curvature field is h = Phi * q, with the quotient
 q = -(delta V * Phi) / ((||V|| * Phi) + eps).  The outer convolution is a
 midpoint rule on one lattice per varifold: the nodes y_k = a + k*eta (k
-integer, eta = eps/refinement, a the first atom) within R + sqrt(n)*eta of an
-atom, R the kernel support radius.  They include every node within R of an
-atom and q vanishes exactly at every other node, so q is evaluated once, and
+integer, a the first atom) within R + sqrt(n)*eta of an atom, where
+eta = eps/2 and the kernel support radius R = 4 eps are fixed for every run
+by config.LATTICE_REFINEMENT and config.KERNEL_CUTOFF.  They include every
+node within R of an atom and q vanishes exactly at every other node, so q is
+evaluated once, and
 
     h(y)  = eta^n sum_k Phi(y - y_k) q(y_k)
     Dh(y) = eta^n sum_k q(y_k) (x) grad Phi(y - y_k)
@@ -47,9 +49,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from .config import sphere_area
+from .config import KERNEL_CUTOFF, sphere_area
 from .errors import ConfigError, GridTooCoarse
-from .varifold import DiscreteVarifold, _as_points
+from .varifold import DiscreteVarifold
 
 _PAIR_CHUNK = 1 << 17     # candidate (point, lattice node) pairs per chunk
 _HASH_HALF_RANGE = 1 << 19  # per-axis cell index limit for int64 packing
@@ -59,7 +61,7 @@ _ROUNDOFF = 1e-6          # slack, in cells, of the lattice's range tests
 class Mollifier:
     """Radial C^2 kernel at scale eps in R^dim with support radius cutoff*eps."""
 
-    def __init__(self, eps: float, dim: int, cutoff: float = 4.0):
+    def __init__(self, eps: float, dim: int, cutoff: float = KERNEL_CUTOFF):
         if eps <= 0.0:
             raise ConfigError("kernel scale eps must be positive")
         if cutoff < 1.0:
@@ -137,7 +139,7 @@ class QuadratureGrid:
         self.weight = self.spacing**dim
 
     @classmethod
-    def for_kernel(cls, kernel: Mollifier, refinement: int = 4) -> "QuadratureGrid":
+    def for_kernel(cls, kernel: Mollifier, refinement: int) -> "QuadratureGrid":
         if refinement < 2:
             raise GridTooCoarse(f"refinement {refinement} < 2: spacing would exceed eps/2")
         return cls(kernel.dim, kernel.support_radius, kernel.eps / float(refinement))
@@ -256,7 +258,9 @@ class _Lattice:
     along the last axis of a column have consecutive codes, so the nodes near
     a point are found a column at a time: one code range per column.  That
     one lookup gives the pairs of both kernel sums: the atoms scattered onto
-    the nodes for the fields, the nodes gathered at each point by mollify.
+    the nodes for the fields, the nodes gathered at each point by
+    curvature_with_jacobian.  An empty varifold has no nodes, so its fields
+    vanish everywhere.
     """
 
     def __init__(self, V: DiscreteVarifold, kernel: Mollifier, grid: QuadratureGrid):
@@ -289,6 +293,8 @@ class _Lattice:
     @functools.cached_property
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted node codes and the node positions."""
+        if not len(self.V):
+            return np.empty(0, dtype=np.int64), np.empty((0, self.V.n))
         base = self.cells(self.V.positions)
         if np.max(np.abs(base)) >= _HASH_HALF_RANGE // 2:
             raise ConfigError("coordinates too large for the curvature lattice")
@@ -346,58 +352,40 @@ class _Lattice:
         step = max(1, _PAIR_CHUNK // int(np.sum(2 * self.half + 1)))
         return [slice(lo, lo + step) for lo in range(0, count, step)]
 
-    def mollify(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Phi * q and its Jacobian at the points, as sums over the nodes."""
-        Q, n = points.shape
-        h, J = np.zeros((Q, n)), np.zeros((Q, n, n))
-        nodes = self.nodes[1]
-        quot = self.quotient()
-        for part in self._chunks(Q):
-            chunk = points[part]
-            rows, idx = self._near(chunk)
-            rows, idx, diff, rho = _within(chunk, rows, nodes, idx,
-                                           self.kernel.support_radius**2)
-            g, gp = self.kernel._profile01(rho)
-            wq = np.take(quot, idx, axis=0)
-            wphi = self.weight * g
-            # grad Phi(x - y) = 2 g' (x - y)
-            wgrad = ((2.0 * self.weight) * gp)[:, None] * diff
-            for a in range(n):
-                h[part, a] = np.bincount(rows, weights=wphi * wq[:, a],
-                                         minlength=len(chunk))
-                for b in range(n):
-                    J[part, a, b] = np.bincount(
-                        rows, weights=wq[:, a] * wgrad[:, b], minlength=len(chunk))
-        return h, J
 
-
-def curvature_with_jacobian(V: DiscreteVarifold, kernel: Mollifier,
-                            grid: QuadratureGrid, points,
-                            lattice: _Lattice | None = None
+def curvature_with_jacobian(lattice: _Lattice, points: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray]:
-    """h_eps and its Jacobian at the points, on `lattice` (built from `grid`
-    when not given; passing the lattice of V reuses its field sums)."""
-    pts, single = _as_points(points, V.n)
-    if len(V) == 0:
-        h, J = np.zeros_like(pts), np.zeros((len(pts), V.n, V.n))
-    else:
-        h, J = (lattice or _Lattice(V, kernel, grid)).mollify(pts)
-    return (h[0], J[0]) if single else (h, J)
+    """h_eps(., V) and its Jacobian at the points (Q, n): Phi * q as sums
+    over the nodes of the lattice of V."""
+    Q, n = points.shape
+    h, J = np.zeros((Q, n)), np.zeros((Q, n, n))
+    nodes = lattice.nodes[1]
+    quot = lattice.quotient()
+    for part in lattice._chunks(Q):
+        chunk = points[part]
+        rows, idx = lattice._near(chunk)
+        rows, idx, diff, rho = _within(chunk, rows, nodes, idx,
+                                       lattice.kernel.support_radius**2)
+        g, gp = lattice.kernel._profile01(rho)
+        wq = np.take(quot, idx, axis=0)
+        wphi = lattice.weight * g
+        # grad Phi(x - y) = 2 g' (x - y)
+        wgrad = ((2.0 * lattice.weight) * gp)[:, None] * diff
+        for a in range(n):
+            h[part, a] = np.bincount(rows, weights=wphi * wq[:, a],
+                                     minlength=len(chunk))
+            for b in range(n):
+                J[part, a, b] = np.bincount(
+                    rows, weights=wq[:, a] * wgrad[:, b], minlength=len(chunk))
+    return h, J
 
 
-def dissipation(V: DiscreteVarifold, kernel: Mollifier,
-                grid: QuadratureGrid | None = None,
-                lattice: _Lattice | None = None) -> float:
+def dissipation(lattice: _Lattice) -> float:
     """integral of |delta V * Phi|^2 / ((||V|| * Phi) + eps) over R^n.
 
-    The integrand vanishes off the curvature lattice of V, here `lattice` or
-    the one built from `grid` (spacing eps/4 when not given).  Equals
-    -delta V(h_eps(., V)) to roundoff.
+    The integrand vanishes off the lattice of V, so this is a sum over its
+    nodes; it equals -delta V(h_eps(., V)) to roundoff.
     """
-    if len(V) == 0:
-        return 0.0
-    if lattice is None:
-        lattice = _Lattice(V, kernel, grid or QuadratureGrid.for_kernel(kernel))
     mass, fvar = lattice.fields
-    dens = np.einsum("qi,qi->q", fvar, fvar) / (mass + kernel.eps)
+    dens = np.einsum("qi,qi->q", fvar, fvar) / (mass + lattice.kernel.eps)
     return float(dens.sum() * lattice.weight)

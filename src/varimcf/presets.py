@@ -120,8 +120,7 @@ def make_preset(name: str, eps: float | None = None, dt: float | None = None,
         ) from None
     config = FlowConfig(eps=d_eps if eps is None else eps,
                         dt=d_dt if dt is None else dt,
-                        end_time=d_end if end_time is None else end_time,
-                        refinement=2)
+                        end_time=d_end if end_time is None else end_time)
     flows = build()
     if len(flows) == 1:
         [(V, mesh)] = flows

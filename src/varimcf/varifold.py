@@ -30,18 +30,6 @@ from .config import (GRAM_DETERMINANT, PROJECTOR_IDEMPOTENCY,
 from .errors import ConfigError, DegenerateBasis, NonpositiveWeight
 
 
-def _as_points(x: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
-    """Promote a single point (n,) to a batch (1, n); report if promoted."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 1:
-        if a.shape[0] != n:
-            raise ConfigError(f"expected a point in R^{n}, got shape {a.shape}")
-        return a[None, :], True
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ConfigError(f"expected points of shape (Q, {n}), got {a.shape}")
-    return a, False
-
-
 def projections_from_bases(bases: np.ndarray) -> np.ndarray:
     """Projections (K, n, n) onto the planes spanned by K bases at once.
 

@@ -29,7 +29,7 @@ from varimcf.varifold import DiscreteVarifold, projections_from_bases
 def circle_trace():
     mesh = regular_polygon_mesh(100)
     V0 = mesh_to_varifold(mesh)
-    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2)
+    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1)
     return run(V0, cfg, mesh_vertices=mesh.vertices, mesh_simplices=mesh.simplices)
 
 
@@ -315,7 +315,7 @@ def test_avoidance_identical_traces(circle_trace):
 
 def test_avoidance_concentric_gap_grows(circle_trace):
     inner = mesh_to_varifold(regular_polygon_mesh(60, 0.5))
-    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2)
+    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1)
     tr_inner = run(inner, cfg)
     gaps = avoidance_distance(tr_inner, circle_trace)
     assert gaps[0] == pytest.approx(0.5, abs=2e-3)
@@ -329,7 +329,7 @@ def test_avoidance_concentric_gap_grows(circle_trace):
 
 def test_avoidance_rejects_mismatched_grids(circle_trace):
     V = mesh_to_varifold(regular_polygon_mesh(30, 0.5))
-    other = run(V, FlowConfig(eps=0.1, dt=4e-3, end_time=0.1, refinement=2))
+    other = run(V, FlowConfig(eps=0.1, dt=4e-3, end_time=0.1))
     with pytest.raises(GridMismatch):
         avoidance_distance(circle_trace, other)
 
@@ -371,7 +371,7 @@ def test_lsc_zero_constant_control_fails():
     # mass genuinely climbs, so dropping the compensating constant must fail
     V1 = mesh_to_varifold(regular_polygon_mesh(100))
     V4 = DiscreteVarifold(V1.n, V1.d, V1.positions, V1.planes, 4.0 * V1.masses)
-    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2)
+    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1)
     tr = run(V4, cfg)
     bump = lsc_weight([0.0, 0.0], 2.0)
     uptick, slack, _ = lsc_monitor(tr, bump)
@@ -388,7 +388,7 @@ def test_lsc_zero_constant_control_fails():
 @pytest.fixture(scope="module")
 def admissible_trace():
     V0 = mesh_to_varifold(regular_polygon_mesh(100))
-    cfg = FlowConfig(eps=0.05, dt=1e-3, end_time=0.05, refinement=2)
+    cfg = FlowConfig(eps=0.05, dt=1e-3, end_time=0.05)
     return run(V0, cfg)
 
 
@@ -418,7 +418,7 @@ def test_certificate_rejects_coarse_subdivision(admissible_trace):
 def test_certificate_rejects_large_scale():
     # one short step at the ceiling itself, config.SCALE_CEILING = 1
     V0 = mesh_to_varifold(regular_polygon_mesh(100))
-    cfg = FlowConfig(eps=1.0, dt=1e-3, end_time=1e-3, refinement=2)
+    cfg = FlowConfig(eps=1.0, dt=1e-3, end_time=1e-3)
     with pytest.raises(PreconditionViolated, match="ceiling"):
         epsilon_barrier_certificate(run(V0, cfg), inner_barrier(),
                                     c5_cfg=1e-9)

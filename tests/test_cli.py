@@ -98,6 +98,7 @@ def test_simulate_writes_manifest_and_frames(run_dir):
     assert man["tool"] == "varimcf"
     assert man["preset"] == "circle"
     assert man["seed"] == 3
+    assert sorted(man["config"]) == ["dt", "end_time", "eps"]
     assert man["config"]["eps"] == 0.1
     assert man["config"]["dt"] == 0.002
     rec = man["traces"][0]
@@ -500,8 +501,12 @@ def test_barrier_defect_precondition_is_a_failed_verdict(run_dir, tmp_path,
     ("weight_width", "1e60", ["lsc"]),
     # a radius whose square underflows to 0 leaves the sphere no window
     ("ball_radius", "1e-200", ["external-sphere"]),
+    # and leaves a weight zero everywhere, so it grades nothing
+    ("weight_width", "1e-200", ["lsc"]),
+    ("barrier_radius", "1e-200", ["barrier-defect", "eps-sphere-barrier"]),
 ], ids=["ball_radius", "enclosing_radius", "barrier_radius", "weight_width",
-        "ball_radius-underflow"])
+        "ball_radius-underflow", "weight_width-underflow",
+        "barrier_radius-underflow"])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 def test_an_extreme_setting_fails_its_verdicts_in_strict_json(
@@ -745,6 +750,17 @@ def without(mapping: dict, key: str) -> dict:
      "'gate_constant'"),
     (lambda man: {**man, "config": {**man["config"], "mass_bound": None}},
      "'mass_bound'"),
+    (lambda man: {**man, "config": {**man["config"], "cutoff": 4.0}},
+     "'cutoff'"),
+    (lambda man: {**man, "config": {**man["config"], "refinement": 2}},
+     "'refinement'"),
+    # dimensions no certificate can grade
+    (lambda man: {**man, "traces": [{**man["traces"][0],
+                                     "surface_dimension": 0}]},
+     "surface_dimension 0 in ambient_dimension 2"),
+    (lambda man: {**man, "traces": [{**man["traces"][0],
+                                     "ambient_dimension": 4}]},
+     "surface_dimension 1 in ambient_dimension 4"),
     # a trace with no frames has nothing to grade
     (lambda man: {**man, "traces": [{
         **man["traces"][0], "frames": [], "mesh_frames": [], "times": [],
@@ -763,8 +779,9 @@ def without(mapping: dict, key: str) -> dict:
         "missing-ambient_dimension", "seed-not-an-integer", "negative-seed",
         "top-level-list", "repeated-trace-name", "retired-mode",
         "retired-record_dissipation", "retired-enforce_gate",
-        "retired-gate_constant", "retired-mass_bound", "empty-trace",
-        "shifted-times", "doubled-config-dt"])
+        "retired-gate_constant", "retired-mass_bound", "retired-cutoff",
+        "retired-refinement", "surface-dimension-0", "ambient-dimension-4",
+        "empty-trace", "shifted-times", "doubled-config-dt"])
 def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
                                               fragment):
     broken = tmp_path / "malformed"

@@ -200,7 +200,7 @@ def test_identity_plus_linear_field_jacobian():
 
 @pytest.fixture(scope="module")
 def circle_trace():
-    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2)
+    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1)
     return run(polygon_circle(100), cfg)
 
 
@@ -249,7 +249,7 @@ def test_dissipation_budget_telescopes(circle_trace):
 
 def test_run_refuses_an_ambient_dimension_other_than_2_or_3():
     V = random_varifold(np.random.default_rng(4), 4, 1, 6)
-    cfg = FlowConfig(eps=0.1, dt=1e-3, end_time=1e-3, refinement=2)
+    cfg = FlowConfig(eps=0.1, dt=1e-3, end_time=1e-3)
     with pytest.raises(ConfigError, match="dimensions 2 and 3"):
         run(V, cfg)
 
@@ -279,7 +279,7 @@ def test_sampling_gap_shrinks_with_dt():
     probes = np.arange(0.0105, 0.0196, 0.001)
     gaps = []
     for dt in (4e-3, 2e-3):
-        cfg = FlowConfig(eps=0.1, dt=dt, end_time=0.02, refinement=2)
+        cfg = FlowConfig(eps=0.1, dt=dt, end_time=0.02)
         tr = run(polygon_circle(64), cfg)
         worst = 0.0
         for t in probes:
@@ -300,7 +300,7 @@ def test_sample_rejects_out_of_span(circle_trace):
 
 def test_brakke_residual_vanishes_off_support():
     # weight supported away from the flow: every term in the balance is zero
-    cfg = FlowConfig(eps=0.1, dt=5e-3, end_time=0.02, refinement=2)
+    cfg = FlowConfig(eps=0.1, dt=5e-3, end_time=0.02)
     tr = run(polygon_circle(32), cfg)
     phi = BarrierFunction(np.array([10.0, 0.0]), 1.0, 3.0, 1)    # moving
     assert brakke_residual(tr, phi, 0.0, 0.02) == 0.0
@@ -310,7 +310,7 @@ def test_brakke_residual_halves_with_dt():
     phi = BarrierFunction(np.array([0.0, 0.0]), 2.0, 3.0, 0)
     res = []
     for dt in (4e-3, 2e-3):
-        cfg = FlowConfig(eps=0.1, dt=dt, end_time=0.04, refinement=2)
+        cfg = FlowConfig(eps=0.1, dt=dt, end_time=0.04)
         tr = run(polygon_circle(64), cfg)
         res.append(brakke_residual(tr, phi, 0.0, 0.04))
     assert 1.5 <= res[0] / res[1] <= 3.0
@@ -332,7 +332,7 @@ def test_mesh_vertices_advected_alongside():
     th = (np.arange(64) + 0.5) / 64 * 2.0 * math.pi
     verts = np.stack([np.cos(th), np.sin(th)], 1)
     simp = np.stack([np.arange(64), (np.arange(64) + 1) % 64], 1)
-    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.02, refinement=2)
+    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.02)
     tr = run(V, cfg, mesh_vertices=verts, mesh_simplices=simp)
     first = tr.snapshots[0].mesh_vertices
     last = tr.snapshots[-1].mesh_vertices

@@ -441,7 +441,7 @@ def test_volume_change_constant_formula():
 def mesh_trace():
     mesh = regular_polygon_mesh(100)
     V0 = mesh_to_varifold(mesh)
-    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1, refinement=2)
+    cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1)
     return run(V0, cfg, mesh_vertices=mesh.vertices, mesh_simplices=mesh.simplices)
 
 
@@ -494,7 +494,7 @@ def test_nontriviality_rejects_bad_ball(mesh_trace):
 
 def test_refinement_consistency_tiny_flow():
     mesh = regular_polygon_mesh(32)
-    cfg = FlowConfig(eps=0.15, dt=2e-3, end_time=0.02, refinement=2)
+    cfg = FlowConfig(eps=0.15, dt=2e-3, end_time=0.02)
     terminal = []
     for s in (1, 2, 4):
         tr = run(mesh_to_varifold(mesh, s), cfg)

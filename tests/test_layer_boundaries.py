@@ -54,6 +54,7 @@ def test_attributes_the_benchmark_reads_exist():
     cfg = presets.make_preset("circle").config
     assert isinstance(cfg.eps, float) and isinstance(cfg.cutoff, float)
     assert isinstance(cfg.refinement, int)
+    assert cfg.cutoff == 4.0 and cfg.refinement == 2
     assert len(cfg.times()) - 1 == 150
     kernel = mollifier.Mollifier(0.1, 2)
     grid = mollifier.QuadratureGrid.for_kernel(kernel, 2)
@@ -85,7 +86,7 @@ def test_run_calls_each_field_layer_once_per_step(monkeypatch):
     for owner, name in layers:
         monkeypatch.setattr(owner, name, counting(owner, name))
     mesh = regular_polygon_mesh(32)
-    cfg = FlowConfig(eps=0.15, dt=2e-3, end_time=4e-3, refinement=2)
+    cfg = FlowConfig(eps=0.15, dt=2e-3, end_time=4e-3)
     tr = flow.run(mesh_to_varifold(mesh), cfg, mesh_vertices=mesh.vertices,
                   mesh_simplices=mesh.simplices)
     assert len(tr.snapshots) == 3

@@ -341,7 +341,7 @@ def polygon_circle(N, r=1.0, jitter=None):
 
 
 def small_config(dt):
-    return FlowConfig(eps=0.1, dt=dt, end_time=0.02, refinement=2)
+    return FlowConfig(eps=0.1, dt=dt, end_time=0.02)
 
 
 def distance_at(trace_a, trace_b, t):

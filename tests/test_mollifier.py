@@ -31,12 +31,12 @@ def polygon_circle(N, R=1.0):
 
 
 def curvature(V, kern, grid, pts):
-    return curvature_with_jacobian(V, kern, grid, pts)[0]
+    return curvature_with_jacobian(_Lattice(V, kern, grid), pts)[0]
 
 
 def curvature_jacobians(V, kern, grid):
     """D h_eps(., V) at the atoms, for pairing with the first variation."""
-    return curvature_with_jacobian(V, kern, grid, V.positions)[1]
+    return curvature_with_jacobian(_Lattice(V, kern, grid), V.positions)[1]
 
 
 def kernel_value(kern, x):
@@ -137,14 +137,11 @@ def test_grid_refinement_guard():
     with pytest.raises(GridTooCoarse):
         QuadratureGrid.for_kernel(kern, 1)
     with pytest.raises(GridTooCoarse):
-        curvature_with_jacobian(polygon_circle(16), kern,
-                                QuadratureGrid(2, kern.support_radius, 0.15),
-                                np.zeros((1, 2)))
+        _Lattice(polygon_circle(16), kern,
+                 QuadratureGrid(2, kern.support_radius, 0.15))
     with pytest.raises(ConfigError):
-        curvature_with_jacobian(polygon_circle(16), kern,
-                                QuadratureGrid(2, 0.5 * kern.support_radius,
-                                               0.05),
-                                np.zeros((1, 2)))
+        _Lattice(polygon_circle(16), kern,
+                 QuadratureGrid(2, 0.5 * kern.support_radius, 0.05))
 
 
 def test_spatial_hash_finds_exactly_the_near_pairs():
@@ -312,7 +309,7 @@ def test_lattice_lookup_finds_exactly_the_nodes_within_the_support(n, d):
     diff = pts[:, None, :] - nodes[None, :, :]
     want_rows, want_idx = np.nonzero(np.einsum("qki,qki->qk", diff, diff) < R2)
     assert np.array_equal(rows, want_rows) and np.array_equal(idx, want_idx)
-    h, J = curvature_with_jacobian(V, kern, grid, pts[-1])
+    h, J = curvature_with_jacobian(lattice, pts[-1:])
     assert not np.any(h) and not np.any(J)
 
 
@@ -369,11 +366,12 @@ def test_curvature_jacobian_by_finite_differences():
     kern = Mollifier(0.15, 2)
     grid = QuadratureGrid.for_kernel(kern, 4)
     probes = np.array([[0.9, 0.05], [0.6, 0.6]])
-    h, J = curvature_with_jacobian(V, kern, grid, probes)
-    # a single point evaluates exactly as the same point inside a batch
+    lattice = _Lattice(V, kern, grid)
+    h, J = curvature_with_jacobian(lattice, probes)
+    # a one-row batch evaluates exactly as the same point inside a batch
     for q, p in enumerate(probes):
-        hq, Jq = curvature_with_jacobian(V, kern, grid, p)
-        assert np.array_equal(hq, h[q]) and np.array_equal(Jq, J[q])
+        hq, Jq = curvature_with_jacobian(lattice, p[None])
+        assert np.array_equal(hq, h[q:q + 1]) and np.array_equal(Jq, J[q:q + 1])
     e = 1e-6
     for q, p in enumerate(probes):
         for j in range(2):
@@ -409,7 +407,7 @@ def test_dissipation_identity_on_random_varifolds():
     grid = QuadratureGrid.for_kernel(kern, 4)
     for _ in range(6):
         V = random_varifold(rng, int(rng.integers(5, 50)))
-        D = dissipation(V, kern, grid)
+        D = dissipation(_Lattice(V, kern, grid))
         paired = first_variation(V, curvature_jacobians(V, kern, grid))
         assert D >= 0.0
         assert abs(paired + D) <= 1e-12 * max(1.0, D)
@@ -419,7 +417,7 @@ def test_dissipation_identity_on_circle():
     V = polygon_circle(100)
     kern = Mollifier(0.1, 2)
     grid = QuadratureGrid.for_kernel(kern, 2)
-    D = dissipation(V, kern, grid)
+    D = dissipation(_Lattice(V, kern, grid))
     paired = first_variation(V, curvature_jacobians(V, kern, grid))
     assert abs(paired + D) <= 1e-12 * max(1.0, D)
 
@@ -435,32 +433,21 @@ def test_dissipation_identity_on_isolated_atoms(n, d, atoms):
     for refinement in (2, 3):
         grid = QuadratureGrid.for_kernel(kern, refinement)
         V = isolated_atoms(rng, atoms, n, d, kern, grid.spacing)
-        D = dissipation(V, kern, grid)
+        D = dissipation(_Lattice(V, kern, grid))
         paired = first_variation(V, curvature_jacobians(V, kern, grid))
         assert D > 0.0
         assert abs(paired + D) <= 1e-12 * max(1.0, D)
 
 
-def test_shared_lattice_gives_the_same_fields():
-    rng = np.random.default_rng(31)
-    V = random_varifold(rng, 30, n=3, d=2)
-    kern = Mollifier(0.3, 3)
-    grid = QuadratureGrid.for_kernel(kern, 2)
-    lattice = _Lattice(V, kern, grid)
-    probes = np.vstack([V.positions, rng.uniform(-1.5, 1.5, (5, 3))])
-    h, J = curvature_with_jacobian(V, kern, grid, probes, lattice)
-    h0, J0 = curvature_with_jacobian(V, kern, grid, probes)
-    assert np.array_equal(h, h0) and np.array_equal(J, J0)
-    assert dissipation(V, kern, grid, lattice) == dissipation(V, kern, grid)
-
-
 def test_dissipation_guards():
-    V = polygon_circle(16)
+    # an empty varifold: its lattice has no nodes, so the curvature, its
+    # Jacobian and the dissipation all vanish
     kern = Mollifier(0.2, 2)
-    with pytest.raises(GridTooCoarse):
-        dissipation(V, kern, QuadratureGrid(2, kern.support_radius, 0.15))
-    with pytest.raises(ConfigError):  # the grid must cover the support
-        dissipation(V, kern, QuadratureGrid(2, 0.5 * kern.support_radius, 0.05))
-    assert dissipation(DiscreteVarifold.from_arrays(
-        np.zeros((0, 2)), np.zeros((0, 2, 2)), np.zeros(0), d=1),
-        kern) == 0.0
+    empty = DiscreteVarifold.from_arrays(
+        np.zeros((0, 2)), np.zeros((0, 2, 2)), np.zeros(0), d=1)
+    lattice = _Lattice(empty, kern, QuadratureGrid.for_kernel(kern, 2))
+    assert lattice.nodes[1].shape == (0, 2)
+    h, J = curvature_with_jacobian(lattice, np.array([[0.0, 0.0], [0.3, -1.0]]))
+    assert h.shape == (2, 2) and J.shape == (2, 2, 2)
+    assert not np.any(h) and not np.any(J)
+    assert dissipation(lattice) == 0.0
