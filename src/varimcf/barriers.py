@@ -19,7 +19,12 @@ collapses, for such radial profiles, to |S(x-a)|^2 ((gamma')^2/gamma -
 4 gamma''), so it is nonpositive exactly when the profile satisfies
 (gamma')^2 <= 4 gamma gamma'', which for the power profiles means
 beta >= 4/3.  The default beta = 4 keeps psi three times differentiable,
-which the certificate below needs.
+which the certificate below needs: for beta <= 3 it raises
+PreconditionViolated.
+
+Every norm a bound scales by comes from the radial profile: one sweep of
+the radii |x - a| gives the sups of psi and of its first three derivatives
+(`sup_norms`), and a radial quadrature the L^2 norm of grad psi.
 
 Monitors take a recorded flow and measure how much mass crosses a shrinking
 sphere, how far atoms stray outside the initial convex hull, and whether
@@ -44,7 +49,6 @@ from .errors import (ConfigError, GridMismatch, NonpositiveWeight,
 from .flow import FlowTrace
 from .geometry import simplex_distances
 
-NORM_GRID_STEPS = 256
 BOUND_SWEEP_STEPS = 2048
 
 
@@ -108,68 +112,45 @@ class BarrierFunction:
         return (4.0 * gpp[:, None, None] * np.einsum("ai,aj->aij", w, w)
                 + 2.0 * gp[:, None, None] * eye[None])
 
-    def third(self, x, t: float) -> np.ndarray:
-        w, u, live = self._uvals(x, t)
-        _, gpp, gppp = self._derivatives(u, live)
-        eye = np.eye(self.n)
-        www = np.einsum("ai,aj,ak->aijk", w, w, w)
-        sym = (np.einsum("ij,ak->aijk", eye, w)
-               + np.einsum("ik,aj->aijk", eye, w)
-               + np.einsum("jk,ai->aijk", eye, w))
-        return 8.0 * gppp[:, None, None, None] * www + 4.0 * gpp[:, None, None, None] * sym
-
     def time_derivative(self, x, t: float) -> np.ndarray:
         _, u, live = self._uvals(x, t)
         return 2.0 * self.d * self._derivatives(u, live)[0]
 
-    # -- certified norm overestimates (radial sweeps at t = 0) --------------
+    # -- norms at t = 0, from the radial profile ---------------------------
 
-    def _radial_sweep(self):
-        """|grad psi(., 0)| and the spectral norm of hess psi(., 0) along a
-        radial sweep of the support, the latter from the Hessian's radial
-        and tangential eigenvalues 2 gamma' + 4 gamma'' rho and 2 gamma',
-        rho = |x - center|^2."""
-        rr = np.linspace(0.0, self.radius, BOUND_SWEEP_STEPS + 1)
-        u = self.radius**2 - rr**2
-        gp, gpp, _ = self._derivatives(np.maximum(u, 0.0), u > 0.0)
-        return (np.abs(2.0 * gp * rr),
-                np.maximum(np.abs(2.0 * gp + 4.0 * gpp * rr**2),
-                           np.abs(2.0 * gp)))
+    def sup_norms(self) -> tuple[float, float, float, float, float]:
+        """The sups over x of psi(x, 0), |grad psi|, the spectral and
+        Frobenius norms of hess psi, and the Frobenius norm of D^3 psi,
+        sampled on one sweep of the radii r = |x - center| of the support.
 
-    def hess_bound(self) -> float:
-        """sup over x of the spectral norm of hess psi(x, 0)."""
-        return float(np.max(self._radial_sweep()[1]))
-
-    def c2_bound(self) -> float:
-        """sup |psi| + sup |grad psi| + sup ||hess psi||, at t = 0."""
-        grad, hess = self._radial_sweep()
-        return (self.radius**2) ** self.beta + float(np.max(grad)) \
-            + float(np.max(hess))
-
-    def c3_norm(self) -> float:
-        """sup over orders 0..3 of the derivative tensors' Frobenius norms."""
-        rho = np.linspace(0.0, self.radius, NORM_GRID_STEPS + 1)
-        pts = np.zeros((len(rho), self.n))
-        pts[:, 0] = rho
-        pts = pts + self.center
-        worst = float(np.max(self.value(pts, 0.0)))
-        worst = max(worst, float(np.max(np.linalg.norm(self.grad(pts, 0.0), axis=1))))
-        H = self.hess(pts, 0.0)
-        worst = max(worst, float(np.max(np.sqrt(np.einsum("aij,aij->a", H, H)))))
-        T = self.third(pts, 0.0)
-        worst = max(worst, float(np.max(np.sqrt(np.einsum("aijk,aijk->a", T, T)))))
-        return NORM_SAFETY * worst
+        With w = x - center, hess psi = 4 gamma'' w w^T + 2 gamma' I has the
+        eigenvalues 2 gamma' + 4 gamma'' r^2 along w and 2 gamma' (n - 1
+        times).  D^3 psi = 8 gamma''' w w w + 4 gamma'' sym(I w) has, in a
+        frame whose first axis is w, the entry 8 gamma''' r^3 + 12 gamma'' r
+        at (1, 1, 1), 4 gamma'' r at each of the 3 (n - 1) positions
+        (1, j, j), (j, 1, j) and (j, j, 1), and zeros elsewhere.
+        """
+        r = np.linspace(0.0, self.radius, BOUND_SWEEP_STEPS + 1)
+        u = np.maximum(self.radius**2 - r**2, 0.0)
+        gp, gpp, gppp = self._derivatives(u, u > 0.0)
+        along, across = 2.0 * gp + 4.0 * gpp * r**2, 2.0 * gp
+        third = 8.0 * gppp * r**3 + 12.0 * gpp * r
+        rest = self.n - 1
+        return (float(np.max(u**self.beta)),
+                float(np.max(np.abs(2.0 * gp * r))),
+                float(np.max(np.maximum(np.abs(along), np.abs(across)))),
+                float(np.max(np.sqrt(along**2 + rest * across**2))),
+                float(np.max(np.sqrt(third**2
+                                     + 3 * rest * (4.0 * gpp * r)**2))))
 
     def grad_l2_norm(self) -> float:
         """L^2 norm of grad psi(., 0) by radial quadrature."""
-        b = self.beta
-        R2 = self.radius**2
-
-        def integrand(rho):
-            gp = -b * (R2 - rho**2) ** (b - 1.0)
-            return (2.0 * abs(gp) * rho) ** 2 * rho ** (self.n - 1)
+        def integrand(r):
+            u = max(self.radius**2 - r**2, 0.0)
+            gp = self._derivatives(u, u > 0.0)[0]
+            return float((2.0 * gp * r) ** 2 * r ** (self.n - 1))
         val, _ = quad(integrand, 0.0, self.radius, limit=200)
-        return NORM_SAFETY * math.sqrt(sphere_area(self.n) * val)
+        return math.sqrt(sphere_area(self.n) * val)
 
 
 def technical_gaps(h, phi, grad_phi, P) -> np.ndarray:
@@ -350,22 +331,32 @@ def _trace_consistency(trace: FlowTrace) -> None:
                 f"mass gained more than the step length at t = {s.time:.6g}")
 
 
+def _weighted_masses(trace: FlowTrace, psi: BarrierFunction) -> np.ndarray:
+    """||V(t)||(psi(., t)) at each snapshot."""
+    return np.array([float(np.dot(s.varifold.masses,
+                                  psi.value(s.varifold.positions, s.time)))
+                     for s in trace.snapshots])
+
+
 def epsilon_barrier_certificate(trace: FlowTrace, psi: BarrierFunction,
                                 c5_cfg: float):
     """Certify the almost-nonincrease of the barrier-weighted mass.
 
     For a piecewise flow that stays admissible (fine subdivision relative to
     the smoothing scale) the weighted mass can increase between any two
-    snapshot times by at most  c (10M + 9) eps^(1/6),  with c the certified
-    overestimate of max{ C3 norm of psi, L2 norm of grad psi, 1 } doubled
+    snapshot times by at most  c (10M + 9) eps^(1/6),  with
+    c = 2 max{ NORM_SAFETY max(C3 norm of psi, L2 norm of grad psi), 1 }
     and M the trace's mass bound.
 
-    The preconditions also pin the trace to its own recorded step data, so a
+    The preconditions ask for a profile three times differentiable
+    (beta > 3), and also pin the trace to its own recorded step data, so a
     trace whose atoms moved farther than the recorded fields allow is
     rejected rather than graded.
     """
     if psi.beta <= 3.0:
-        raise ConfigError("profile must be three times differentiable (beta > 3)")
+        raise PreconditionViolated(
+            f"profile exponent {psi.beta:g} is not above 3: psi is not three "
+            "times differentiable")
     eps = trace.config.eps
     step = trace.config.delta()
     if c5_cfg * step * eps**-8 > eps * (1.0 + 1e-12):
@@ -376,16 +367,12 @@ def epsilon_barrier_certificate(trace: FlowTrace, psi: BarrierFunction,
         raise PreconditionViolated(
             f"smoothing scale {eps} not below the ceiling {SCALE_CEILING}")
     _trace_consistency(trace)
-    c = 2.0 * max(psi.c3_norm(), psi.grad_l2_norm(), 1.0)
+    value, grad, _, hess_frob, third_frob = psi.sup_norms()
+    c = 2.0 * max(NORM_SAFETY * max(value, grad, hess_frob, third_frob,
+                                    psi.grad_l2_norm()), 1.0)
     bound = c * (10.0 * trace.mass_bound + 9.0) * eps ** (1.0 / 6.0)
-    worst = -math.inf
-    weighted = [float(np.dot(s.varifold.masses,
-                             psi.value(s.varifold.positions, s.time)))
-                for s in trace.snapshots]
-    running_min = math.inf
-    for w in weighted:
-        running_min = min(running_min, w)
-        worst = max(worst, w - running_min)
+    weighted = _weighted_masses(trace, psi)
+    worst = float(np.max(weighted - np.minimum.accumulate(weighted)))
     return worst, bound, {"norm_constant": c, "notes": [
         "scale ceiling above 4^-6: admissibility is configured, not derived"]}
 
@@ -394,11 +381,9 @@ def lsc_monitor(trace: FlowTrace, psi: BarrierFunction):
     """Check that t -> ||V(t)||(psi) - C t is nonincreasing up to step slack:
     its largest uptick between snapshots, against the C^2 norm of psi times
     the largest step, with C = sup |hess psi| times the initial mass."""
-    constant = psi.hess_bound() * trace.snapshots[0].mass
-    slack = psi.c2_bound() * trace.config.delta()
-    vals = np.array([float(np.dot(s.varifold.masses,
-                                  psi.value(s.varifold.positions, s.time)))
-                     - constant * s.time for s in trace.snapshots])
-    upticks = np.diff(vals)
+    value, grad, hess = psi.sup_norms()[:3]
+    constant = hess * trace.snapshots[0].mass
+    slack = (value + grad + hess) * trace.config.delta()
+    upticks = np.diff(_weighted_masses(trace, psi) - constant * trace.times)
     worst = float(np.max(upticks)) if len(upticks) else 0.0
     return worst, slack, {"ramp_constant": constant}

@@ -305,7 +305,8 @@ def load_trace(manifest: dict, base: Path, record: dict):
     """Rebuild a FlowTrace from one manifest trace record.
 
     A trace must hold at least one frame, recorded at the times of its
-    config's subdivision, every atom a positive mass, and a recorded
+    config's subdivision, every atom a positive mass, every step before the
+    last frame a finite number for each recorded quantity, and a recorded
     boundary mesh must be closed.
     """
     import numpy as np
@@ -340,6 +341,13 @@ def load_trace(manifest: dict, base: Path, record: dict):
         if not isinstance(values, list) or len(values) != len(frames):
             raise ConfigError(f"trace {record.get('name')!r}: '{key}' must "
                               f"list one value per frame ({len(frames)})")
+    # each step records its numbers, finite ones (JSON reads 1e400 as inf);
+    # the last frame starts no step
+    for key in ("curvature_max", "dissipation", "step_delta"):
+        for i, value in enumerate(record[key][:-1]):
+            if not (_is_kind(value, float) and abs(value) <= sys.float_info.max):
+                raise ConfigError(f"trace {record['name']!r}: the {key} of "
+                                  f"step {i} is not a finite number")
     # simulate records float(t) of the subdivision's nodes, which JSON
     # returns exactly
     if record["times"] != cfg.times().tolist():

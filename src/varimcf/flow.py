@@ -51,9 +51,7 @@ def pushforward(V: DiscreteVarifold, positions: np.ndarray, Df: np.ndarray
     dets = np.linalg.det(Df)
     if np.any(np.abs(dets) <= MAP_DETERMINANT):
         raise SingularMap("step map not invertible at an atom")
-    _, vecs = np.linalg.eigh(V.planes)
-    basis = vecs[:, :, -V.d:]                       # (N, n, d)
-    Y = np.einsum("aij,ajd->aid", Df, basis)        # (N, n, d)
+    Y = np.einsum("aij,ajd->aid", Df, V.bases)      # (N, n, d)
     gram = np.einsum("aid,aie->ade", Y, Y)          # (N, d, d)
     gdet = np.linalg.det(gram)
     if np.any(gdet <= 0.0):

@@ -226,9 +226,8 @@ def _field_sums(lattice: _Lattice) -> tuple[np.ndarray, np.ndarray]:
     nodes = lattice.nodes[1]
     K, n = nodes.shape
     mass, fvar = np.zeros(K), np.zeros((K, n))
-    # orthonormal bases of the atom planes, shape (N, d, n)
-    bases = np.ascontiguousarray(np.transpose(
-        np.linalg.eigh(V.planes)[1][:, :, -V.d:], (0, 2, 1)))
+    # orthonormal bases of the atom planes as rows, shape (N, d, n)
+    bases = np.ascontiguousarray(np.transpose(V.bases, (0, 2, 1)))
     for part in lattice._chunks(len(V)):
         atoms = V.positions[part]
         rows, idx = lattice._near(atoms)

@@ -22,6 +22,7 @@ radial weight of the barriers module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,14 @@ class DiscreteVarifold:
 
     def __len__(self) -> int:
         return self.positions.shape[0]
+
+    @cached_property
+    def bases(self) -> np.ndarray:
+        """Orthonormal bases (N, n, d) of the atom planes as columns,
+        computed once for a step's field sums and its pushforward."""
+        B = np.linalg.eigh(self.planes)[1][:, :, -self.d:]
+        B.flags.writeable = False
+        return B
 
     def total_mass(self) -> float:
         return float(self.masses.sum())

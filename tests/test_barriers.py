@@ -11,8 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from varimcf.barriers import (BarrierFunction, _hull_distance,
-                              avoidance_distance, barrier_defects,
+from varimcf.barriers import (BOUND_SWEEP_STEPS, BarrierFunction,
+                              _hull_distance, avoidance_distance,
+                              barrier_defects,
                               convex_hull_monitor, epsilon_barrier_certificate,
                               external_sphere_monitor, internal_sphere_monitor,
                               lsc_monitor, technical_gaps)
@@ -59,6 +60,34 @@ def test_axiom_margin_by_exponent():
             assert np.max(got) >= 0.5
 
 
+def third(psi, x, t):
+    """D^3 psi (K, n, n, n) at K points, as the full tensor
+    8 gamma''' w w w + 4 gamma'' sym(I w), w = x - center: the reference
+    for the radial formulas of `sup_norms`."""
+    w, u, live = psi._uvals(x, t)
+    _, gpp, gppp = psi._derivatives(u, live)
+    eye = np.eye(psi.n)
+    www = np.einsum("ai,aj,ak->aijk", w, w, w)
+    sym = (np.einsum("ij,ak->aijk", eye, w)
+           + np.einsum("ik,aj->aijk", eye, w)
+           + np.einsum("jk,ai->aijk", eye, w))
+    return (8.0 * gppp[:, None, None, None] * www
+            + 4.0 * gpp[:, None, None, None] * sym)
+
+
+def tensor_norms(psi, x):
+    """psi, |grad psi|, the spectral and Frobenius norms of hess psi and the
+    Frobenius norm of D^3 psi at the points x, t = 0, from the full
+    tensors: (5, K)."""
+    H = psi.hess(x, 0.0)
+    T = third(psi, x, 0.0)
+    return np.stack([psi.value(x, 0.0),
+                     np.linalg.norm(psi.grad(x, 0.0), axis=1),
+                     np.linalg.norm(H, ord=2, axis=(1, 2)),
+                     np.sqrt(np.einsum("aij,aij->a", H, H)),
+                     np.sqrt(np.einsum("aijk,aijk->a", T, T))])
+
+
 @pytest.mark.parametrize("psi, spread", [
     (BarrierFunction(np.array([0.2, -0.1, 0.4]), 0.9, 4.0, 2), 0.4),
     # the static weight that lsc grades
@@ -73,7 +102,7 @@ def test_barrier_derivatives_match_finite_differences(psi, spread):
     step = 1e-6
     grads = psi.grad(pts, t)
     hess = psi.hess(pts, t)
-    third = psi.third(pts, t)
+    third_fd = third(psi, pts, t)
     for a, p in enumerate(pts):
         for j in range(n):
             e = np.zeros(n)
@@ -86,11 +115,49 @@ def test_barrier_derivatives_match_finite_differences(psi, spread):
             assert np.allclose(hess[a, :, j], fdg, rtol=1e-5, atol=1e-6)
             fdh = (psi.hess((p + e)[None], t)[0]
                    - psi.hess((p - e)[None], t)[0]) / (2 * step)
-            assert np.allclose(third[a, :, :, j], fdh, rtol=1e-4, atol=1e-4)
+            assert np.allclose(third_fd[a, :, :, j], fdh, rtol=1e-4, atol=1e-4)
         fdt = (psi.value(p[None], t + step)[0]
                - psi.value(p[None], t - step)[0]) / (2 * step)
         assert psi.time_derivative(p[None], t)[0] == pytest.approx(
             fdt, rel=1e-5, abs=1e-7)
+
+
+NORM_WEIGHTS = [BarrierFunction(np.array([0.2, -0.1]), 1.3, 4.0, 1),
+                BarrierFunction(np.array([0.2, -0.1, 0.4]), 0.9, 3.5, 0)]
+
+
+@pytest.mark.parametrize("psi", NORM_WEIGHTS, ids=["2d", "3d"])
+def test_sup_norms_bound_the_tensor_norms(psi):
+    rng = np.random.default_rng(13)
+    x = psi.center + rng.uniform(-psi.radius, psi.radius, (4000, psi.n))
+    sampled = tensor_norms(psi, x).max(axis=1)
+    # the sweep's radii are R / 2048 apart, so it can miss an interior
+    # maximum by a second-order amount, which the certificate's NORM_SAFETY
+    # covers
+    assert np.all(np.array(psi.sup_norms()) >= sampled * (1.0 - 1e-6))
+
+
+@pytest.mark.parametrize("psi", NORM_WEIGHTS, ids=["2d", "3d"])
+def test_sup_norms_are_the_tensor_norms_at_the_sweep_radii(psi):
+    rng = np.random.default_rng(14)
+    r = np.linspace(0.0, psi.radius, BOUND_SWEEP_STEPS + 1)
+    direction = rng.normal(size=(len(r), psi.n))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    want = tensor_norms(psi, psi.center + r[:, None] * direction).max(axis=1)
+    assert np.allclose(psi.sup_norms(), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("psi, cells", zip(NORM_WEIGHTS, (400, 80)),
+                         ids=["2d", "3d"])
+def test_grad_l2_norm_matches_a_cartesian_sum(psi, cells):
+    # the midpoint rule on the cells of a grid that covers the support
+    h = 2.0 * psi.radius / cells
+    axis = -psi.radius + h * (np.arange(cells) + 0.5)
+    grid = np.stack(np.meshgrid(*[axis] * psi.n, indexing="ij"),
+                    axis=-1).reshape(-1, psi.n)
+    g = psi.grad(psi.center + grid, 0.0)
+    assert psi.grad_l2_norm() == pytest.approx(
+        math.sqrt(float(np.sum(g * g)) * h**psi.n), rel=1e-3)
 
 
 def test_barrier_vanishes_off_support():
@@ -354,7 +421,7 @@ def test_lsc_passes_with_derived_constant(circle_trace):
     uptick, slack, details = lsc_monitor(circle_trace, bump)
     assert uptick <= slack
     assert details["ramp_constant"] == pytest.approx(
-        bump.hess_bound() * circle_trace.snapshots[0].mass)
+        bump.sup_norms()[2] * circle_trace.snapshots[0].mass)
 
 
 def test_lsc_trivial_off_support(circle_trace):
@@ -426,7 +493,7 @@ def test_certificate_rejects_large_scale():
 
 def test_certificate_rejects_wrong_profile(admissible_trace):
     rough = BarrierFunction(np.zeros(2), 0.3, 3.0, 1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(PreconditionViolated, match="exponent 3"):
         epsilon_barrier_certificate(admissible_trace, rough, c5_cfg=1e-9)
 
 

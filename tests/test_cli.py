@@ -492,10 +492,31 @@ def test_barrier_defect_precondition_is_a_failed_verdict(run_dir, tmp_path,
     assert (decay["name"], decay["passed"]) == ("mass-decay", True)
 
 
+def test_low_barrier_exponent_fails_only_its_certificate(run_dir, tmp_path,
+                                                        capsys):
+    # beta = 3 leaves psi without a third derivative at its sphere, which
+    # eps-sphere-barrier needs and barrier-defect does not
+    ini = tmp_path / "beta3.ini"
+    ini.write_text("[certificates]\nbarrier_exponent = 3\n")
+    rc = main(["check", str(run_dir), "--certificates",
+               "mass-decay,barrier-defect,eps-sphere-barrier",
+               "--config", str(ini)])
+    payload = strict_json(capsys.readouterr().out)
+    assert rc == 1
+    decay, defect, barrier = payload["verdicts"]
+    assert (decay["name"], decay["passed"]) == ("mass-decay", True)
+    assert (defect["name"], defect["passed"]) == ("barrier-defect", True)
+    assert barrier["name"] == "eps-sphere-barrier"
+    assert barrier["passed"] is False
+    assert barrier["measured"] is None and barrier["bound"] is None
+    assert "PreconditionViolated: profile exponent 3" in \
+        barrier["details"]["error"]
+
+
 @pytest.mark.parametrize("key, value, stopped", [
     ("ball_radius", "1e200", ["external-sphere", "volume-change"]),
     ("enclosing_radius", "1e200", ["internal-sphere"]),
-    # eps-sphere-barrier overflows in grad_l2_norm, barrier-defect to NaN
+    # the norms of eps-sphere-barrier overflow to inf, barrier-defect to NaN
     ("barrier_radius", "1e40", ["barrier-defect", "eps-sphere-barrier"]),
     # the weight (w^2 - |x - c|^2)^3 overflows once w is above about 2e51
     ("weight_width", "1e60", ["lsc"]),
@@ -723,6 +744,13 @@ def without(mapping: dict, key: str) -> dict:
     return {k: v for k, v in mapping.items() if k != key}
 
 
+def with_first_step(man: dict, key: str, value) -> dict:
+    """The manifest with step 0's recorded `key` of its trace set to
+    `value`."""
+    trace = man["traces"][0]
+    return {**man, "traces": [{**trace, key: [value, *trace[key][1:]]}]}
+
+
 @pytest.mark.parametrize("edit, fragment", [
     (lambda man: without(man, "traces"), "'traces'"),
     (lambda man: {**man, "traces": 5}, "'traces'"),
@@ -774,6 +802,17 @@ def without(mapping: dict, key: str) -> dict:
     (lambda man: {**man, "config": {**man["config"],
                                     "dt": 2.0 * man["config"]["dt"]}},
      "trace 'main': 'times'"),
+    # a step's recorded number that is not one
+    (lambda man: with_first_step(man, "curvature_max", "x"),
+     "the curvature_max of step 0"),
+    (lambda man: with_first_step(man, "curvature_max", True),
+     "the curvature_max of step 0"),
+    (lambda man: with_first_step(man, "dissipation", "x"),
+     "the dissipation of step 0"),
+    (lambda man: with_first_step(man, "step_delta", "x"),
+     "the step_delta of step 0"),
+    (lambda man: with_first_step(man, "step_delta", 10**400),
+     "the step_delta of step 0"),
 ], ids=["missing-traces", "traces-not-a-list", "no-traces", "missing-config",
         "unknown-config-key", "eps-not-a-number", "missing-dt",
         "missing-ambient_dimension", "seed-not-an-integer", "negative-seed",
@@ -781,7 +820,9 @@ def without(mapping: dict, key: str) -> dict:
         "retired-record_dissipation", "retired-enforce_gate",
         "retired-gate_constant", "retired-mass_bound", "retired-cutoff",
         "retired-refinement", "surface-dimension-0", "ambient-dimension-4",
-        "empty-trace", "shifted-times", "doubled-config-dt"])
+        "empty-trace", "shifted-times", "doubled-config-dt",
+        "string-curvature-max", "bool-curvature-max", "string-dissipation",
+        "string-step-delta", "huge-step-delta"])
 def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
                                               fragment):
     broken = tmp_path / "malformed"
@@ -810,6 +851,21 @@ def test_nonfinite_manifest_constants_are_usage_errors(run_dir, tmp_path,
                  "internal-sphere"]) == 2
     captured = capsys.readouterr()
     assert "is not a number a run records" in captured.err
+    assert captured.out == ""
+
+
+def test_overflowing_step_value_is_a_usage_error(run_dir, tmp_path, capsys):
+    # JSON reads the literal 1e400 as inf, which would allow any displacement
+    broken = tmp_path / "overflow"
+    shutil.copytree(run_dir, broken)
+    text = json.dumps(with_first_step(manifest_of(broken), "curvature_max",
+                                      0.5))
+    (broken / "manifest.json").write_text(
+        text.replace('"curvature_max": [0.5,', '"curvature_max": [1e400,'))
+    assert main(["check", str(broken), "--certificates",
+                 "eps-sphere-barrier"]) == 2
+    captured = capsys.readouterr()
+    assert "the curvature_max of step 0 is not a finite number" in captured.err
     assert captured.out == ""
 
 

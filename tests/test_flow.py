@@ -11,8 +11,11 @@ import math
 import numpy as np
 import pytest
 
+from varimcf import flow
 from varimcf.barriers import BarrierFunction
-from varimcf.errors import ConfigError, OutOfSpan, SingularMap
+from varimcf.config import CHAIN_SLACK
+from varimcf.errors import (ConfigError, MassBoundExceeded, OutOfSpan,
+                            SingularMap)
 from varimcf.flow import (FlowConfig, brakke_residual, dissipation_budget,
                           pushforward, run, sample)
 from varimcf.varifold import DiscreteVarifold, projections_from_bases
@@ -204,12 +207,18 @@ def circle_trace():
     return run(polygon_circle(100), cfg)
 
 
+def lone_atom():
+    """One atom of mass 1, so that M = max(1, initial mass) = 1."""
+    return DiscreteVarifold.from_arrays(np.array([[0.2, -0.4]]),
+                                        np.diag([1.0, 0.0]), np.array([1.0]),
+                                        d=1)
+
+
 def test_lone_atom_holds_position_and_sheds_mass():
     # by symmetry the regularized curvature vanishes at an isolated atom, so
     # it never moves; the field around it still contracts tangentially, so
     # the tangential Jacobian eats mass (never grows it)
-    V = DiscreteVarifold.from_arrays(np.array([[0.2, -0.4]]),
-                                     np.diag([1.0, 0.0]), np.array([1.0]), d=1)
+    V = lone_atom()
     cfg = FlowConfig(eps=0.2, dt=1e-2, end_time=0.01)
     tr = run(V, cfg)
     assert len(tr.snapshots) == 2
@@ -235,6 +244,35 @@ def test_per_step_mass_growth_bounded(circle_trace):
     dt = np.diff(tr.times)
     growth = np.diff(tr.masses)
     assert np.all(growth <= dt + 1e-9)
+
+
+def gaining_steps(monkeypatch, gain):
+    """Make every step of `run` keep the atoms and add gain(dt) to the
+    first atom's mass."""
+    def step(V, tau, h, J):
+        masses = V.masses.copy()
+        masses[0] += gain(tau)
+        return (DiscreteVarifold(V.n, V.d, V.positions, V.planes, masses),
+                np.ones(len(V)))
+    monkeypatch.setattr(flow, "_step", step)
+
+
+def test_run_refuses_a_step_that_gains_more_than_dt(monkeypatch):
+    gaining_steps(monkeypatch, lambda dt: 2.0 * dt)
+    with pytest.raises(MassBoundExceeded, match="per-step mass growth"):
+        run(lone_atom(), FlowConfig(eps=0.2, dt=0.25, end_time=1.0))
+
+
+def test_run_refuses_a_mass_past_M_plus_one(monkeypatch):
+    # each step gains just under dt + CHAIN_SLACK, so no one step is refused,
+    # but four steps of 0.25 carry the mass 1 past M + 1 = 2 by more than
+    # the slack
+    gaining_steps(monkeypatch, lambda dt: dt + 0.9 * CHAIN_SLACK)
+    with pytest.raises(MassBoundExceeded, match="exceeded M \\+ 1"):
+        run(lone_atom(), FlowConfig(eps=0.2, dt=0.25, end_time=1.0))
+    # three steps stay below M + 1
+    tr = run(lone_atom(), FlowConfig(eps=0.2, dt=0.25, end_time=0.75))
+    assert tr.masses[-1] == pytest.approx(1.75, abs=1e-8)
 
 
 def test_dissipation_budget_telescopes(circle_trace):

@@ -241,13 +241,14 @@ def test_bump_support_and_declared_bounds():
         vals = psi.value(pts, 0.0)
         grads = np.linalg.norm(psi.grad(pts, 0.0), axis=1)
         hnorm = np.linalg.norm(psi.hess(pts, 0.0), ord=2, axis=(1, 2))
-        assert psi.hess_bound() >= hnorm.max() - 1e-12
-        assert psi.c2_bound() >= (vals.max() + grads.max() + hnorm.max()
-                                  - 1e-12)
+        value, grad, hess = psi.sup_norms()[:3]
+        assert hess >= hnorm.max() - 1e-12
+        assert value + grad + hess >= (vals.max() + grads.max() + hnorm.max()
+                                       - 1e-12)
         # sup |psi| = R^6, and the largest Hessian eigenvalue magnitude is
         # 6 R^4, at the centre
-        assert psi.hess_bound() == pytest.approx(6.0 * 1.5**4, rel=1e-12)
-        assert psi.c2_bound() > 1.5**6 + psi.hess_bound()
+        assert hess == pytest.approx(6.0 * 1.5**4, rel=1e-12)
+        assert value + grad + hess > 1.5**6 + hess
 
 
 # ---------------------------------------------------------------------------
