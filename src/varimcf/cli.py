@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import dataclasses
 import json
 import math
@@ -49,6 +50,23 @@ def _apply_thread_env() -> None:
         raise ConfigError(f"{THREAD_ENV} must be a positive integer, got {raw!r}")
     for var in _THREAD_VARS:
         os.environ[var] = str(k)
+
+
+def _keep_freed_heap() -> None:
+    """Raise glibc's mmap and trim thresholds for the whole process.
+
+    Each step allocates and frees arrays of a few MiB; at glibc's default
+    thresholds they are mapped and unmapped, or the freed heap top is handed
+    back to the OS, and every step pays for it again in page faults.  A libc
+    without mallopt is left alone.
+    """
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except OSError:
+        return
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD, from glibc's malloc.h
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +837,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     try:
         _apply_thread_env()
         args = _build_parser().parse_args(argv)

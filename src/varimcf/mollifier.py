@@ -36,8 +36,11 @@ delta V(h) = -D to roundoff.  Anchored at an atom, the nodes move with V under
 translations and quarter turns.  One pair search serves both sums of a step:
 the lattice finds the nodes within R of a point a column at a time, so the
 field sums scatter each atom onto its nodes and the outer sum gathers each
-point's nodes.  All reductions are fixed-order (bincount / einsum), so results
-are bitwise reproducible regardless of thread configuration.
+point's nodes.  All reductions are fixed-order (bincount, einsum and the
+row sums of a CSR matrix), so results are bitwise reproducible regardless of
+thread configuration.  The gather's pairs come grouped by point, so a CSR row
+sum adds the same products, in the same order and from 0, as a bincount over
+the point index would.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.sparse import csr_array
 
 from .config import KERNEL_CUTOFF, sphere_area
 from .errors import ConfigError, GridTooCoarse
@@ -79,18 +83,33 @@ class Mollifier:
             raise ConfigError("kernel normalization quadrature did not converge")
 
     def _profile01(self, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The radial profile g and g' = dg/drho at rho = |x|^2."""
+        """The radial profile g and g' = dg/drho at rho = |x|^2, 0 outside
+        the support.
+
+        The pairs from _within all lie inside and are evaluated in place; an
+        input with entries outside is evaluated at rho = 0 there, then
+        masked.
+        """
         eps2 = self.eps * self.eps
         R2 = self.support_radius**2
         inside = rho < R2
-        rho_in = np.where(inside, rho, 0.0)
-        u = 1.0 - rho_in / R2
+        if not inside.all():
+            g, gp = self._profile01(np.where(inside, rho, 0.0))
+            return np.where(inside, g, 0.0), np.where(inside, gp, 0.0)
+        u = np.divide(rho, R2)
+        np.subtract(1.0, u, out=u)
         u2 = u * u
-        E = (self._amplitude / self.eps**self.dim) * np.exp(-0.5 * rho_in / eps2)
-        g = E * u2 * u
-        gp = -E * u2 * (u / (2.0 * eps2) + 3.0 / R2)
-        zero = np.zeros_like(g)
-        return np.where(inside, g, zero), np.where(inside, gp, zero)
+        E = np.multiply(rho, -0.5)
+        E /= eps2
+        np.exp(E, out=E)
+        E *= self._amplitude / self.eps**self.dim
+        E *= u2
+        g = np.multiply(E, u, out=u2)
+        # g' = -E u^2 (u / (2 eps^2) + 3 / R^2)
+        u /= 2.0 * eps2
+        u += 3.0 / R2
+        u *= E
+        return g, np.negative(u, out=u)
 
 
 def _integer_ball(dim: int, reach: float) -> np.ndarray:
@@ -355,7 +374,12 @@ class _Lattice:
 def curvature_with_jacobian(lattice: _Lattice, points: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray]:
     """h_eps(., V) and its Jacobian at the points (Q, n): Phi * q as sums
-    over the nodes of the lattice of V."""
+    over the nodes of the lattice of V.
+
+    Each chunk's pairs, grouped by point row, are the nonzeros of one sparse
+    (chunk, node) matrix; h and each column of Dh are its products with q
+    under n + 1 sets of values.
+    """
     Q, n = points.shape
     h, J = np.zeros((Q, n)), np.zeros((Q, n, n))
     nodes = lattice.nodes[1]
@@ -366,16 +390,16 @@ def curvature_with_jacobian(lattice: _Lattice, points: np.ndarray
         rows, idx, diff, rho = _within(chunk, rows, nodes, idx,
                                        lattice.kernel.support_radius**2)
         g, gp = lattice.kernel._profile01(rho)
-        wq = np.take(quot, idx, axis=0)
-        wphi = lattice.weight * g
+        indptr = np.zeros(len(chunk) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(chunk)), out=indptr[1:])
+        A = csr_array((lattice.weight * g, idx, indptr),
+                      shape=(len(chunk), len(nodes)))
+        h[part] = A @ quot
         # grad Phi(x - y) = 2 g' (x - y)
-        wgrad = ((2.0 * lattice.weight) * gp)[:, None] * diff
-        for a in range(n):
-            h[part, a] = np.bincount(rows, weights=wphi * wq[:, a],
-                                     minlength=len(chunk))
-            for b in range(n):
-                J[part, a, b] = np.bincount(
-                    rows, weights=wq[:, a] * wgrad[:, b], minlength=len(chunk))
+        wgrad = (2.0 * lattice.weight) * gp
+        for b in range(n):
+            G = csr_array((wgrad * diff[:, b], A.indices, A.indptr), shape=A.shape)
+            J[part, :, b] = G @ quot
     return h, J
 
 

@@ -151,6 +151,28 @@ def test_zero_step_run_has_one_snapshot(still_dir):
     assert len(rec["frames"]) == 1
 
 
+def test_simulate_runs_on_a_libc_without_mallopt(tmp_path, monkeypatch):
+    # main raises the heap thresholds through mallopt when libc has it, and
+    # goes on without when it does not; the frames are the same either way
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+
+    def run(tag):
+        out = tmp_path / tag
+        assert main(["simulate", "--preset", "circle", "--end-time", "0.006",
+                     "--seed", "7", "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+    frames = run("with")
+    assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    assert run("without") == frames and len(frames) > 1
+
+
 def test_unknown_preset_is_a_usage_error(tmp_path, capsys):
     rc = main(["simulate", "--preset", "klein-bottle",
                "--out", str(tmp_path / "x")])

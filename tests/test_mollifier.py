@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from varimcf import mollifier
 from varimcf.errors import ConfigError, GridTooCoarse
 from varimcf.mollifier import (Mollifier, QuadratureGrid, SpatialHash,
                                _integer_ball, _Lattice, _pack,
@@ -113,6 +114,28 @@ def test_kernel_derivatives_by_finite_differences():
             fd = (kernel_value(kern, p + dp)[0]
                   - kernel_value(kern, p - dp)[0]) / (2 * e)
             assert g[i] == pytest.approx(fd, abs=2e-4 * (1 + abs(fd)))
+
+
+@pytest.mark.parametrize("n,eps", [(2, 0.1), (3, 0.07)])
+def test_profile_outside_the_support_is_masked_to_zero(n, eps):
+    # a mixed input gives, bit for bit, the inside-only values on the inside
+    # entries and exactly +0.0 on the rest
+    kern = Mollifier(eps, n)
+    R2 = kern.support_radius**2
+    rho = np.random.default_rng(3).uniform(0.0, 1.5 * R2, 4000)
+    rho[:4] = [0.0, np.nextafter(R2, 0.0), R2, 2.0 * R2]
+    inside = rho < R2
+    g, gp = kern._profile01(rho)
+    g_in, gp_in = kern._profile01(rho[inside])
+    assert np.array_equal(g[inside], g_in) and np.array_equal(gp[inside], gp_in)
+    # the formula as written, in the same order of operations
+    eps2, r = eps * eps, rho[inside]
+    u = 1.0 - r / R2
+    E = (kern._amplitude / eps**n) * np.exp(-0.5 * r / eps2)
+    assert np.array_equal(g_in, E * (u * u) * u)
+    assert np.array_equal(gp_in, -E * (u * u) * (u / (2.0 * eps2) + 3.0 / R2))
+    for outside in (g[~inside], gp[~inside]):
+        assert np.all(outside == 0.0) and not np.any(np.signbit(outside))
 
 
 def test_kernel_config_rejections():
@@ -315,6 +338,63 @@ def test_lattice_lookup_finds_exactly_the_nodes_within_the_support(n, d):
 
 # ---------------------------------------------------------------------------
 # regularized curvature
+
+
+def bincount_gather(lattice, points):
+    """h and Dh summed pair by pair with one bincount per entry: the sums
+    curvature_with_jacobian takes as sparse row sums, in the same order."""
+    Q, n = points.shape
+    h, J = np.zeros((Q, n)), np.zeros((Q, n, n))
+    nodes = lattice.nodes[1]
+    quot = lattice.quotient()
+    for part in lattice._chunks(Q):
+        chunk = points[part]
+        rows, idx = lattice._near(chunk)
+        rows, idx, diff, rho = _within(chunk, rows, nodes, idx,
+                                       lattice.kernel.support_radius**2)
+        g, gp = lattice.kernel._profile01(rho)
+        wq = np.take(quot, idx, axis=0)
+        wphi = lattice.weight * g
+        wgrad = ((2.0 * lattice.weight) * gp)[:, None] * diff
+        for a in range(n):
+            h[part, a] = np.bincount(rows, weights=wphi * wq[:, a],
+                                     minlength=len(chunk))
+            for b in range(n):
+                J[part, a, b] = np.bincount(
+                    rows, weights=wq[:, a] * wgrad[:, b], minlength=len(chunk))
+    return h, J
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("pair_chunk", [None, 1 << 12])
+def test_sparse_gather_equals_the_bincount_gather_bitwise(n, d, pair_chunk,
+                                                          monkeypatch):
+    # at the atoms, at points between neighbouring atoms (where mesh vertices
+    # sit), at random points and at a point far off the lattice; a small
+    # chunk size splits the points over many chunks
+    if pair_chunk is not None:
+        monkeypatch.setattr(mollifier, "_PAIR_CHUNK", pair_chunk)
+    rng = np.random.default_rng(31 + n)
+    V = random_varifold(rng, 60, n=n, d=d)
+    kern = Mollifier(0.3, n)
+    lattice = _Lattice(V, kern, QuadratureGrid.for_kernel(kern, 2))
+    x = V.positions
+    near = np.argsort(np.linalg.norm(x[:, None] - x[None], axis=2), axis=1)[:, 1]
+    t = rng.uniform(0.2, 0.8, (len(x), 1))
+    pts = np.vstack([x, (1.0 - t) * x + t * x[near],
+                     rng.uniform(-1.5, 1.5, (40, n)), np.full((1, n), 1e3)])
+    assert len(lattice._chunks(len(pts))) > (1 if pair_chunk else 0)
+    h, J = curvature_with_jacobian(lattice, pts)
+    h0, J0 = bincount_gather(lattice, pts)
+    assert np.array_equal(h, h0) and np.array_equal(J, J0)
+    assert np.any(h) and not np.any(h[-1]) and not np.any(J[-1])
+    # an empty varifold: no nodes, so both gathers give zeros
+    empty = DiscreteVarifold.from_arrays(np.zeros((0, n)), np.zeros((0, n, n)),
+                                         np.zeros(0), d=d)
+    lattice = _Lattice(empty, kern, QuadratureGrid.for_kernel(kern, 2))
+    h, J = curvature_with_jacobian(lattice, pts)
+    h0, J0 = bincount_gather(lattice, pts)
+    assert np.array_equal(h, h0) and np.array_equal(J, J0) and not np.any(h)
 
 
 def test_lone_atom_has_zero_curvature():
