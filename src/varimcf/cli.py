@@ -241,9 +241,10 @@ def _load_table(path: Path, header, dtype=float):
 
 
 def _frame_header(n: int) -> list[str]:
+    """A frame's columns: each atom's position, plane and mass."""
     return ([f"x{i + 1}" for i in range(n)]
             + [f"p{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-            + ["m"] + [f"h{i + 1}" for i in range(n)])
+            + ["m"])
 
 
 def _measure_header(columns: int) -> list[str]:
@@ -259,13 +260,10 @@ def _write_trace(outdir: Path, name: str, trace) -> dict:
     frames, mesh_frames = [], []
     for i, snap in enumerate(trace.snapshots):
         V = snap.varifold
-        h = snap.curvature
-        if h is None:
-            h = np.full((len(V), n), np.nan)
         fname = f"frame_{name}_{i:04d}.csv"
         _save_table(outdir / fname, _frame_header(n),
                     np.hstack([V.positions, V.planes.reshape(len(V), n * n),
-                               V.masses[:, None], h]))
+                               V.masses[:, None]]))
         frames.append(fname)
         if snap.mesh_vertices is not None:
             mname = f"mesh_{name}_{i:04d}.csv"
@@ -325,7 +323,8 @@ def load_trace(manifest: dict, base: Path, record: dict):
     A trace must hold at least one frame, recorded at the times of its
     config's subdivision, every atom a positive mass, every step before the
     last frame a finite number for each recorded quantity, and a recorded
-    boundary mesh must be closed.
+    boundary mesh must be closed.  A frame holds no curvature field: the
+    loaded snapshots leave `curvature` and `curvature_jacobian` at None.
     """
     import numpy as np
 
@@ -379,10 +378,7 @@ def load_trace(manifest: dict, base: Path, record: dict):
     snaps = []
     for i, fname in enumerate(frames):
         arr = _load_table(base / fname, _frame_header(n))
-        h = arr[:, n + n * n + 1:]
-        curvature = None if np.all(np.isnan(h)) else h
-        # an h that is NaN throughout is the recorded "no field" marker
-        if not np.all(np.isfinite(arr if curvature is not None else arr[:, :-n])):
+        if not np.all(np.isfinite(arr)):
             raise ConfigError(f"{base / fname}: holds a non-finite value")
         if not np.all(arr[:, n + n * n] > 0.0):
             raise ConfigError(f"{base / fname}: holds a mass that is not "
@@ -399,8 +395,6 @@ def load_trace(manifest: dict, base: Path, record: dict):
         snaps.append(Snapshot(
             time=float(record["times"][i]),
             varifold=V,
-            curvature=curvature,
-            curvature_jacobian=None,
             curvature_max=record["curvature_max"][i],
             dissipation=record["dissipation"][i],
             mesh_vertices=verts,

@@ -371,43 +371,36 @@ def volume_change_constant(n: int, radius: float) -> float:
             + max(2.0**n * wn, 2.0 * n * wn * (radius + 1.0) ** (n - 1)))
 
 
-def clipped_volume_change(mesh_before: SurfaceMesh, mesh_after: SurfaceMesh,
-                          center, radius: float, delta: float
-                          ) -> tuple[float, float]:
-    """|vol(B cap after) - vol(B cap before)| and the linear-in-delta bound.
-
-    delta is the recorded step perturbation max{sup|f - id|, sup|Jf - 1|}.
-    Both volumes are exact: `_disk_area` in the plane, `_ball_volume` in
-    space.
-    """
-    if delta >= 1.0:
-        raise DeltaTooLarge(f"step perturbation {delta} must be below 1")
-    if delta < 0.0:
-        raise ConfigError("delta must be nonnegative")
-    n = mesh_before.n
-    clipped = _disk_area if n == 2 else _ball_volume
-    measured = abs(clipped(mesh_after, center, radius)
-                   - clipped(mesh_before, center, radius))
-    return measured, volume_change_constant(n, radius) * delta
-
-
 def volume_change_series(trace: FlowTrace, center, radius: float):
     """The clipped volume change of the recorded step of a mesh-carrying
     trace that comes closest to its bound (or exceeds it most), that bound
-    and the step's index."""
+    and the step's index.
+
+    A step's change is |vol(B cap after) - vol(B cap before)|, each volume
+    exact (`_disk_area` in the plane, `_ball_volume` in space) and computed
+    once per frame.  Its bound is linear in the recorded step perturbation
+    delta = max{sup|f - id|, sup|Jf - 1|}, which must lie in [0, 1).
+    """
     if trace.mesh_simplices is None:
         raise ConfigError("trace carries no boundary mesh")
-    steps = []
-    for i in range(len(trace.snapshots) - 1):
-        a, b = trace.snapshots[i], trace.snapshots[i + 1]
-        if a.step_delta is None:
+    deltas = [s.step_delta for s in trace.snapshots[:-1]]
+    for delta in deltas:
+        if delta is None:
             raise ConfigError("trace lacks recorded step perturbations")
-        before = SurfaceMesh(a.mesh_vertices, trace.mesh_simplices)
-        after = SurfaceMesh(b.mesh_vertices, trace.mesh_simplices)
-        steps.append(clipped_volume_change(before, after, center, radius,
-                                           a.step_delta))
-    if not steps:
+        if delta >= 1.0:
+            raise DeltaTooLarge(f"step perturbation {delta} must be below 1")
+        if delta < 0.0:
+            raise ConfigError("delta must be nonnegative")
+    if not deltas:
         return 0.0, 0.0, {"steps": 0}
+    meshes = [SurfaceMesh(s.mesh_vertices, trace.mesh_simplices)
+              for s in trace.snapshots]
+    n = meshes[0].n
+    clipped = _disk_area if n == 2 else _ball_volume
+    volumes = [clipped(mesh, center, radius) for mesh in meshes]
+    constant = volume_change_constant(n, radius)
+    steps = [(abs(after - before), constant * delta)
+             for before, after, delta in zip(volumes, volumes[1:], deltas)]
     worst = max(range(len(steps)), key=lambda i: steps[i][0] - steps[i][1])
     return (*steps[worst], {"steps": len(steps), "worst_step": worst})
 

@@ -14,13 +14,17 @@ from varimcf import cli
 from varimcf.barriers import BarrierFunction
 from varimcf.cli import (Settings, _frame_header, _load_table,
                          _measure_header, _save_table, _write_trace,
-                         load_manifest, main)
+                         load_manifest, load_trace, main)
 from varimcf.config import DEFECT_SAMPLES, TECHNICAL_SAMPLES
 from varimcf.errors import ConfigError
-from varimcf.flow import FlowConfig, FlowTrace, Snapshot, brakke_residual, sample
+from varimcf.flow import (FlowConfig, FlowTrace, Snapshot, brakke_residual,
+                          run, sample)
 from varimcf.geometry import (SurfaceMesh, mesh_to_varifold,
                               volume_change_constant)
 from varimcf.metrics import _SEED_NEIGHBOURS, _seed_pairs
+from varimcf.mollifier import (Mollifier, QuadratureGrid, _Lattice,
+                               curvature_with_jacobian)
+from varimcf.presets import make_preset
 from varimcf.varifold import DiscreteVarifold, projections_from_bases
 
 
@@ -123,8 +127,8 @@ def test_frames_round_trip_through_the_loader(run_dir):
     assert len(tr.snapshots) == 11
     first = tr.snapshots[0].varifold
     assert first.n == 2 and first.d == 1 and len(first) == 200
-    assert tr.snapshots[0].curvature is not None     # recorded along the run
-    assert tr.snapshots[-1].curvature is None        # nothing after the end
+    # a frame holds no field: check recomputes whatever it needs
+    assert all(s.curvature is None for s in tr.snapshots)
     assert [s.mass for s in tr.snapshots] == pytest.approx(
         frame_masses(run_dir, man["traces"][0]))
     # accepting the manifest.json path itself is equivalent
@@ -133,8 +137,8 @@ def test_frames_round_trip_through_the_loader(run_dir):
 
 
 def test_loaded_trace_refuses_what_needs_the_curvature_jacobian(run_dir):
-    # frames store h but not Dh: the readings that need Dh stop with a named
-    # error on a written-then-loaded trace
+    # frames store neither h nor Dh: the readings that need them stop with a
+    # named error on a written-then-loaded trace
     _, _, traces = load_manifest(str(run_dir))
     tr = traces["main"]
     assert tr.snapshots[0].curvature_jacobian is None
@@ -914,8 +918,8 @@ def test_missing_frame_file_is_reported(run_dir, tmp_path):
 
 
 def test_frame_text_is_fixed(tmp_path):
-    # two atoms of a 2-D curve over one step: %.17g fields, nan for h in the
-    # last frame, integer simplices
+    # two atoms of a 2-D curve over one step: %.17g fields, no column for the
+    # curvature the first snapshot carries, integer simplices
     horizontal = np.array([[1.0, 0.0], [0.0, 0.0]])
     pos = np.array([[0.1, 0.0], [-1.0 / 3.0, 2.0]])
     V0 = DiscreteVarifold.from_arrays(pos, np.stack([horizontal] * 2),
@@ -929,14 +933,14 @@ def test_frame_text_is_fixed(tmp_path):
         Snapshot(0.1, V1, mesh_vertices=np.array([[0.0, 1.0], [0.75, 0.0]])),
     ), np.array([[0, 1], [1, 0]]))
     record = _write_trace(tmp_path, "main", trace)
-    header = "x1,x2,p11,p12,p21,p22,m,h1,h2\n"
+    header = "x1,x2,p11,p12,p21,p22,m\n"
     expected = {
         "frame_main_0000.csv": header
-        + "0.10000000000000001,0,1,0,0,0,0.5,-2,0.10000000000000001\n"
-        + "-0.33333333333333331,2,1,0,0,0,0.25,0,3\n",
+        + "0.10000000000000001,0,1,0,0,0,0.5\n"
+        + "-0.33333333333333331,2,1,0,0,0,0.25\n",
         "frame_main_0001.csv": header
-        + "0.10000000000000001,0,1,0,0,0,0.5,nan,nan\n"
-        + "-0.33333333333333331,2,1,0,0,0,0.20000000000000001,nan,nan\n",
+        + "0.10000000000000001,0,1,0,0,0,0.5\n"
+        + "-0.33333333333333331,2,1,0,0,0,0.20000000000000001\n",
         "mesh_main_0000.csv": "v1,v2\n0,1\n0.5,-0\n",
         "mesh_main_0001.csv": "v1,v2\n0,1\n0.75,0\n",
         "simplices_main.csv": "s1,s2\n0,1\n1,0\n",
@@ -992,11 +996,10 @@ def test_a_broken_recorded_mesh_is_a_usage_error(run_dir, tmp_path, capsys,
     ("frame_main_0003.csv", "m", 1, "nan"),
     ("frame_main_0003.csv", "x1", 2, "nan"),
     ("frame_main_0003.csv", "p11", 1, "inf"),
-    ("frame_main_0003.csv", "h2", 1, "nan"),     # the rest of h is finite
-    ("frame_main_0010.csv", "m", 1, "-inf"),     # h is NaN throughout
+    ("frame_main_0010.csv", "m", 1, "-inf"),     # the frame that starts no step
     ("mesh_main_0003.csv", "v1", 1, "nan"),
-], ids=["nan-mass", "nan-position", "infinite-plane", "partly-nan-h",
-        "last-frame-mass", "nan-mesh-vertex"])
+], ids=["nan-mass", "nan-position", "infinite-plane", "last-frame-mass",
+        "nan-mesh-vertex"])
 def test_nonfinite_frame_values_are_usage_errors(run_dir, tmp_path, capsys,
                                                  fname, column, row, value):
     broken = tmp_path / "nonfinite"
@@ -1011,6 +1014,50 @@ def test_nonfinite_frame_values_are_usage_errors(run_dir, tmp_path, capsys,
     captured = capsys.readouterr()
     assert f"{fname}: holds a non-finite value" in captured.err
     assert captured.out == ""
+
+
+def test_a_frame_with_curvature_columns_is_refused(run_dir, tmp_path, capsys):
+    # frames once carried h after the mass; such a recording is refused by
+    # name, with the header found and the header wanted
+    old = tmp_path / "old-format"
+    shutil.copytree(run_dir, old)
+
+    def add_h(rows):
+        rows[0] += ["h1", "h2"]
+        for row in rows[1:]:
+            row += ["0.5", "-0.25"]
+    rewrite_rows(old / "frame_main_0003.csv", add_h)
+    assert main(["check", str(old)]) == 2
+    captured = capsys.readouterr()
+    assert ("frame_main_0003.csv: header x1,x2,p11,p12,p21,p22,m,h1,h2, "
+            "want x1,x2,p11,p12,p21,p22,m") in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("preset, end_time", [("circle", 0.006),
+                                              ("sphere", 0.0025)])
+def test_a_loaded_frame_gives_back_the_recorded_curvature(tmp_path, preset,
+                                                          end_time):
+    # the curvature a frame once stored is a function of the frame: rebuilt
+    # from the loaded atoms it equals, bit for bit, the field the run used
+    scenario = make_preset(preset, end_time=end_time)
+    mesh = scenario.mesh
+    trace = run(scenario.varifold, scenario.config,
+                mesh_vertices=None if mesh is None else mesh.vertices,
+                mesh_simplices=None if mesh is None else mesh.simplices)
+    record = _write_trace(tmp_path, "main", trace)
+    manifest = {"config": dataclasses.asdict(scenario.config)}
+    loaded = load_trace(manifest, tmp_path, record)
+    kernel = Mollifier(scenario.config.eps, scenario.varifold.n,
+                       scenario.config.cutoff)
+    grid = QuadratureGrid.for_kernel(kernel, scenario.config.refinement)
+    assert len(loaded.snapshots) == len(trace.snapshots) >= 2
+    for before, after in zip(trace.snapshots[:-1], loaded.snapshots):
+        V = after.varifold
+        pts = (V.positions if after.mesh_vertices is None
+               else np.vstack([V.positions, after.mesh_vertices]))
+        h, _ = curvature_with_jacobian(_Lattice(V, kernel, grid), pts)
+        assert np.array_equal(h[:len(V)], before.curvature)
 
 
 # ---------------------------------------------------------------------------

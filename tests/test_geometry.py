@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from varimcf import geometry
 from varimcf.errors import (BallNotInterior, ConfigError, DegenerateSimplex,
                             DeltaTooLarge, OpenMesh)
-from varimcf.flow import FlowConfig, run
-from varimcf.geometry import (SurfaceMesh, _ball_volume, _disk_area,
-                              clipped_volume_change, contains,
+from varimcf.flow import FlowConfig, FlowTrace, Snapshot, run
+from varimcf.geometry import (SurfaceMesh, _ball_volume, _disk_area, contains,
                               enclosed_volume, icosphere_mesh, loop_mesh,
                               mesh_to_varifold,
                               nontriviality_certificate, regular_polygon_mesh,
@@ -28,6 +28,15 @@ def moved(mesh, f):
     """The mesh with every vertex mapped by f, connectivity kept (as `run`
     advects tracked meshes)."""
     return SurfaceMesh(f(mesh.vertices), mesh.simplices)
+
+
+def one_step(before, after, delta):
+    """A one-step trace whose tracked mesh goes from `before` to `after`
+    with the recorded step perturbation delta."""
+    V = mesh_to_varifold(before)
+    return FlowTrace(FlowConfig(eps=0.1, dt=0.1, end_time=0.1), (
+        Snapshot(0.0, V, mesh_vertices=before.vertices, step_delta=delta),
+        Snapshot(0.1, V, mesh_vertices=after.vertices)), before.simplices)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +239,8 @@ def test_contains_monte_carlo_area():
 
 def test_clipped_change_identity():
     circle = regular_polygon_mesh(64)
-    change, bound = clipped_volume_change(circle, circle, [0.0, 0.0], 0.8, 0.0)
+    change, bound, _ = volume_change_series(one_step(circle, circle, 0.0),
+                                            [0.0, 0.0], 0.8)
     assert change == 0.0
     assert change <= bound
 
@@ -238,7 +248,8 @@ def test_clipped_change_identity():
 def test_clipped_change_translation_against_grid_oracle():
     sq = loop_mesh([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
     shifted = moved(sq, lambda p: p + np.array([0.5, 0.0]))
-    change, bound = clipped_volume_change(sq, shifted, [0.0, 0.0], 0.8, 0.5)
+    change, bound, _ = volume_change_series(one_step(sq, shifted, 0.5),
+                                            [0.0, 0.0], 0.8)
     g = np.linspace(-0.8, 0.8, 801)
     X, Y = np.meshgrid(g, g)
     P = np.stack([X.ravel(), Y.ravel()], 1)
@@ -287,9 +298,11 @@ def test_disk_area_closed_forms(mesh, center, r, area):
 def test_reversed_loops_give_the_same_change():
     before = regular_polygon_mesh(40)
     after = moved(before, lambda p: p + np.array([0.1, 0.05]))
-    fwd, _ = clipped_volume_change(before, after, [0.2, 0.0], 0.9, 0.1)
-    back, _ = clipped_volume_change(reversed_loops(before),
-                                    reversed_loops(after), [0.2, 0.0], 0.9, 0.1)
+    fwd, _, _ = volume_change_series(one_step(before, after, 0.1),
+                                     [0.2, 0.0], 0.9)
+    back, _, _ = volume_change_series(
+        one_step(reversed_loops(before), reversed_loops(after), 0.1),
+        [0.2, 0.0], 0.9)
     assert fwd > 0.01
     assert back == pytest.approx(fwd, abs=1e-12)
 
@@ -407,23 +420,24 @@ def test_contains_is_blind_to_orientation():
 
 def test_volume_reports_carry_no_sampling_fields():
     circle = regular_polygon_mesh(32)
-    flat = clipped_volume_change(
-        circle, moved(circle, lambda p: p + np.array([0.05, 0.0])),
-        [0.0, 0.0], 0.9, 0.05)
-    solid = clipped_volume_change(
-        ICO, moved(ICO, lambda p: p + np.array([0.05, 0.0, 0.0])),
-        [0.0, 0.0, 0.0], 0.9, 0.05)
-    # the measured change and its bound, and nothing else
-    assert len(flat) == len(solid) == 2
-    assert all(type(x) is float for x in flat + solid)
+    flat = volume_change_series(one_step(
+        circle, moved(circle, lambda p: p + np.array([0.05, 0.0])), 0.05),
+        [0.0, 0.0], 0.9)
+    solid = volume_change_series(one_step(
+        ICO, moved(ICO, lambda p: p + np.array([0.05, 0.0, 0.0])), 0.05),
+        [0.0, 0.0, 0.0], 0.9)
+    # the measured change, its bound and the step, and nothing else
+    for change, bound, details in (flat, solid):
+        assert type(change) is float and type(bound) is float
+        assert details == {"steps": 1, "worst_step": 0}
 
 
 def test_clipped_change_rejects_large_delta():
     sq = unit_square()
     with pytest.raises(DeltaTooLarge):
-        clipped_volume_change(sq, sq, [0.0, 0.0], 1.0, 1.0)
+        volume_change_series(one_step(sq, sq, 1.0), [0.0, 0.0], 1.0)
     with pytest.raises(ConfigError):
-        clipped_volume_change(sq, sq, [0.0, 0.0], 1.0, -0.1)
+        volume_change_series(one_step(sq, sq, -0.1), [0.0, 0.0], 1.0)
 
 
 def test_volume_change_constant_formula():
@@ -451,14 +465,24 @@ def test_volume_series_passes(mesh_trace):
     assert details["steps"] == len(mesh_trace.snapshots) - 1
     # the step nearest its bound keeps to it, so every step does
     assert change <= bound
-    snaps = mesh_trace.snapshots
-    changes = [clipped_volume_change(
-        SurfaceMesh(a.mesh_vertices, mesh_trace.mesh_simplices),
-        SurfaceMesh(b.mesh_vertices, mesh_trace.mesh_simplices), [0.0, 0.0],
-        0.95, a.step_delta)[0] for a, b in zip(snaps, snaps[1:])]
+    areas = [_disk_area(SurfaceMesh(s.mesh_vertices, mesh_trace.mesh_simplices),
+                        [0.0, 0.0], 0.95) for s in mesh_trace.snapshots]
+    changes = np.abs(np.diff(areas))
     assert max(changes) > 0.0
     worst = details["worst_step"]
     assert change == changes[worst]
+
+
+def test_volume_series_computes_one_area_per_frame(mesh_trace, monkeypatch):
+    calls = []
+    inner = geometry._disk_area
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+    monkeypatch.setattr(geometry, "_disk_area", counting)
+    volume_change_series(mesh_trace, [0.0, 0.0], 0.95)
+    assert len(calls) == len(mesh_trace.snapshots)
 
 
 def test_nontriviality_certificate_passes(mesh_trace):

@@ -61,6 +61,15 @@ def test_attributes_the_benchmark_reads_exist():
     assert grid.offsets.shape[1] == 2
 
 
+def test_the_frame_columns_the_benchmark_reads_stay_put():
+    # perfbench/workloads._frame_columns reads an atom's position from a
+    # frame's first n columns and its mass from column n + n^2
+    for n in (2, 3):
+        header = cli._frame_header(n)
+        assert header[:n] == [f"x{i + 1}" for i in range(n)]
+        assert header[n + n * n] == "m"
+
+
 def test_the_benchmark_grade_file_still_loads():
     # an INI key deleted from the settings while perfbench/grade.ini still
     # sets it would make every benchmark check a usage error
