@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial.distance import cdist
 
 from .config import (BARRIER_FLOOR, CHAIN_SLACK, NORM_SAFETY, SCALE_CEILING,
                      SUPPORT_SLACK, sphere_area)
@@ -298,12 +299,9 @@ def avoidance_distance(trace_a: FlowTrace, trace_b: FlowTrace) -> np.ndarray:
     ta, tb = trace_a.times, trace_b.times
     if len(ta) != len(tb) or not np.allclose(ta, tb, atol=1e-12):
         raise GridMismatch("traces use different time subdivisions")
-    gaps = []
-    for sa, sb in zip(trace_a.snapshots, trace_b.snapshots):
-        A, B = sa.varifold.positions, sb.varifold.positions
-        diff = A[:, None, :] - B[None, :, :]
-        gaps.append(float(np.min(np.linalg.norm(diff, axis=2))))
-    return np.array(gaps)
+    return np.array([float(np.min(cdist(sa.varifold.positions,
+                                        sb.varifold.positions)))
+                     for sa, sb in zip(trace_a.snapshots, trace_b.snapshots)])
 
 
 # ---------------------------------------------------------------------------

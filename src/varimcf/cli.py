@@ -321,10 +321,11 @@ def load_trace(manifest: dict, base: Path, record: dict):
     """Rebuild a FlowTrace from one manifest trace record.
 
     A trace must hold at least one frame, recorded at the times of its
-    config's subdivision, every atom a positive mass, every step before the
-    last frame a finite number for each recorded quantity, and a recorded
-    boundary mesh must be closed.  A frame holds no curvature field: the
-    loaded snapshots leave `curvature` and `curvature_jacobian` at None.
+    config's subdivision, every frame at least one atom, every atom a
+    positive mass, every step before the last frame a finite number for
+    each recorded quantity, and a recorded boundary mesh must be closed.
+    A frame holds no curvature field: the loaded snapshots leave
+    `curvature` and `curvature_jacobian` at None.
     """
     import numpy as np
 
@@ -378,6 +379,8 @@ def load_trace(manifest: dict, base: Path, record: dict):
     snaps = []
     for i, fname in enumerate(frames):
         arr = _load_table(base / fname, _frame_header(n))
+        if not len(arr):
+            raise ConfigError(f"{base / fname}: holds no atoms")
         if not np.all(np.isfinite(arr)):
             raise ConfigError(f"{base / fname}: holds a non-finite value")
         if not np.all(arr[:, n + n * n] > 0.0):

@@ -24,8 +24,10 @@ tolerance as for its own rows.  The relaxation's optimum is at least the
 full optimum, so phi is optimal.  Each round adds at least one pair, so the
 loop ends.  Scanning at tau rather than at 0 keeps the loop from chasing
 pairs broken only by the solver's tolerance.  The scans run in blocks of
-256 rows, so no pair-distance array ever holds more than 256 * K * k
-entries.
+256 rows, so no pair-distance array ever holds more than 256 * K entries.
+Every pair distance, a row's bound and a scan's gap alike, is one
+sequential sum of squares and one square root (scipy's `cdist` loop), so
+a row and the scan measure the same pair as the same double.
 
 The returned certificate is re-verified feasible over all pairs,
 independently of the solver.  Two unit point masses at distance r give
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.spatial.distance import cdist
 
 from .config import DEFAULT_SUPPORT_CAP, LP_LIPSCHITZ
 from .errors import ConfigError, SolverFailure, SupportTooLarge
@@ -103,12 +106,12 @@ _SEED_NEIGHBOURS = 8    # nearest neighbours per point in the first program
 
 def _gaps(diff: np.ndarray) -> np.ndarray:
     """Euclidean lengths of difference vectors along the last axis."""
-    return np.sqrt(np.einsum("...i,...i->...", diff, diff))
+    return np.linalg.norm(diff, axis=-1)
 
 
 def _block_gaps(points: np.ndarray, start: int) -> np.ndarray:
     """Distances from the points of one row block to every point."""
-    return _gaps(points[start:start + _BLOCK, None, :] - points[None, :, :])
+    return cdist(points[start:start + _BLOCK], points)
 
 
 def _worst_partners(points: np.ndarray, phi: np.ndarray):

@@ -20,7 +20,7 @@ from varimcf.barriers import (BOUND_SWEEP_STEPS, BarrierFunction,
 from varimcf.config import SUPPORT_SLACK
 from varimcf.errors import (ConfigError, GridMismatch, NonpositiveWeight,
                             PreconditionViolated, ZeroBarrier)
-from varimcf.flow import FlowConfig, run
+from varimcf.flow import FlowConfig, FlowTrace, Snapshot, run
 from varimcf.geometry import (mesh_to_varifold, regular_polygon_mesh,
                               simplex_distances)
 from varimcf.varifold import DiscreteVarifold, projections_from_bases
@@ -392,6 +392,28 @@ def test_avoidance_concentric_gap_grows(circle_trace):
     band = 2.0 * cfg.eps
     running = np.maximum.accumulate(gaps)
     assert np.all(gaps >= running - band)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_avoidance_matches_brute_force(n):
+    rng = np.random.default_rng(30 + n)
+    cfg = FlowConfig(eps=0.1, dt=0.05, end_time=0.1)
+
+    def cloud_trace(count):
+        planes = np.broadcast_to(np.diag([1.0] + [0.0] * (n - 1)),
+                                 (count, n, n))
+        return FlowTrace(cfg, tuple(
+            Snapshot(t, DiscreteVarifold.from_arrays(
+                rng.normal(size=(count, n)), planes, np.ones(count), d=1))
+            for t in cfg.times()))
+
+    a, b = cloud_trace(37), cloud_trace(53)
+    # with an axis, norm sums the squares in order, as one pass over a
+    # pair; without one it takes a BLAS dot product, which may round apart
+    want = [min(np.linalg.norm(x - y, axis=-1)
+                for x in sa.varifold.positions for y in sb.varifold.positions)
+            for sa, sb in zip(a.snapshots, b.snapshots)]
+    np.testing.assert_allclose(avoidance_distance(a, b), want, rtol=0)
 
 
 def test_avoidance_rejects_mismatched_grids(circle_trace):

@@ -971,6 +971,26 @@ def test_malformed_frames_are_usage_errors(run_dir, tmp_path, capsys, edit):
     assert captured.out == ""
 
 
+def test_a_frame_without_atoms_is_a_usage_error(pair_dir, tmp_path, capsys):
+    # simulate never writes one (atom counts are constant, masses positive);
+    # unrefused, the pair and hull certificates crashed on the empty frame
+    broken = tmp_path / "no-atoms"
+    shutil.copytree(pair_dir, broken)
+    for frame in sorted(broken.glob("frame_first_*.csv")):
+        rewrite_rows(frame, lambda rows: rows.__delitem__(slice(1, None)))
+    ini = tmp_path / "grade.ini"
+    ini.write_text("[constants]\ncertificate_step_constant = 1e-10\n"
+                   "[certificates]\nball_radius = 0.3\n")
+    with pytest.raises(ConfigError, match="frame_first_0000.csv: holds no atoms"):
+        load_manifest(str(broken))
+    for certificates in ("all", "convex-hull", "mass-decay"):
+        assert main(["check", str(broken), "--certificates", certificates,
+                     "--config", str(ini)]) == 2
+        captured = capsys.readouterr()
+        assert "frame_first_0000.csv: holds no atoms" in captured.err
+        assert captured.out == ""
+
+
 @pytest.mark.parametrize("edit, fragment", [
     (lambda rows: rows.pop(), "tail of exactly one segment"),
     (lambda rows: rows[5].__setitem__(0, "1000000"), "out of range"),

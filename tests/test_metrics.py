@@ -10,13 +10,16 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.spatial.distance import cdist
 
+from varimcf import metrics
 from varimcf.cli import (_frame_header, _load_table, _measure_header,
                          _save_table, main)
 from varimcf.errors import ConfigError, SolverFailure, SupportTooLarge
 from varimcf.flow import FlowConfig, run, sample
-from varimcf.metrics import (_SEED_NEIGHBOURS, BLResult, DiscreteMeasure,
-                             _seed_pairs, _union_support, bounded_lipschitz)
+from varimcf.metrics import (_BLOCK, _SEED_NEIGHBOURS, BLResult,
+                             DiscreteMeasure, _block_gaps, _gaps, _seed_pairs,
+                             _union_support, bounded_lipschitz)
 from varimcf.varifold import DiscreteVarifold
 
 
@@ -187,6 +190,41 @@ def test_feasibility_check_at_the_support_cap_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rows_and_scans_measure_a_pair_alike(n):
+    # the stopping argument compares a row's bound with the scan's gap for
+    # the same pair: they must be the same double
+    rng = np.random.default_rng(12 + n)
+    pts = rng.normal(size=(300, n)) * rng.uniform(0.01, 100.0, (300, 1))
+    i, j = np.triu_indices(len(pts), 1)
+    scans = np.vstack([_block_gaps(pts, start)
+                       for start in range(0, len(pts), _BLOCK)])
+    rows = _gaps(pts[i] - pts[j])
+    assert np.array_equal(rows, scans[i, j])
+    assert np.array_equal(rows, scans[j, i])
+
+
+def test_scans_hold_one_row_block_at_a_time(monkeypatch):
+    shapes = []
+
+    def recording(a, b, *args, **kwargs):
+        out = cdist(a, b, *args, **kwargs)
+        shapes.append(out.shape)
+        return out
+    monkeypatch.setattr(metrics, "cdist", recording)
+    rng = np.random.default_rng(13)
+    mu = DiscreteMeasure(rng.normal(size=(300, 2)), rng.uniform(size=300))
+    nu = DiscreteMeasure(rng.normal(size=(300, 2)), rng.uniform(size=300))
+    res = bounded_lipschitz(mu, nu)
+    K = len(res.points)
+    assert K > 2 * _BLOCK
+    # the seed, each round's scan and the re-check each sweep all K rows
+    blocks = -(-K // _BLOCK)
+    assert len(shapes) == blocks * (res.rounds + 2)
+    assert max(rows for rows, _ in shapes) == _BLOCK
+    assert all(cols == K for _, cols in shapes)
 
 
 def test_measure_csv_round_trip(tmp_path):
