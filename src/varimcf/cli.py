@@ -220,8 +220,8 @@ def _load_table(path: Path, header, dtype=float):
     import numpy as np
 
     path = Path(path)
-    if not path.exists():
-        raise MissingFrames(f"missing file {path}")
+    if not path.is_file():
+        raise MissingFrames(f"no file at {path}")
     with path.open() as fh:
         found = fh.readline().rstrip("\n").split(",")
         want = header(len(found)) if callable(header) else header
@@ -371,6 +371,12 @@ def load_trace(manifest: dict, base: Path, record: dict):
     if record["times"] != cfg.times().tolist():
         raise ConfigError(f"trace {record['name']!r}: 'times' is not the "
                           "subdivision of the manifest's config")
+    entries = {"frames": frames, "mesh_frames": record.get("mesh_frames") or [],
+               "simplices": [record.get("simplices") or ""]}
+    for key, names in entries.items():
+        if not all(isinstance(name, str) for name in names):
+            raise ConfigError(f"trace {record['name']!r}: each '{key}' entry "
+                              "must be a file name")
     simp = None
     if record.get("simplices"):
         simp = _load_table(base / record["simplices"],
@@ -730,7 +736,10 @@ def _cmd_simulate(args) -> int:
     scenario = make_preset(st.preset, eps=st.eps, dt=st.dt,
                            end_time=st.end_time)
     outdir = Path(st.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out {outdir}: {e.strerror}") from None
     t0 = time.perf_counter()
     if scenario.pair is not None:
         flows = zip(("first", "second"), scenario.pair,
@@ -770,9 +779,12 @@ def _cmd_check(args) -> int:
     payload = {"manifest": str(mpath),
                **_grade(st.certificates, traces, st, manifest)}
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    print(text)
     if args.json is not None:
-        Path(args.json).write_text(text + "\n")
+        try:
+            Path(args.json).write_text(text + "\n")
+        except OSError as e:
+            raise ConfigError(f"--json {args.json}: {e.strerror}") from None
+    print(text)
     return 0 if payload["all_passed"] else 1
 
 

@@ -33,14 +33,16 @@ evaluated once, and
 
 the dissipation, are sums over the same nodes; as grad Phi is odd,
 delta V(h) = -D to roundoff.  Anchored at an atom, the nodes move with V under
-translations and quarter turns.  One pair search serves both sums of a step:
-the lattice finds the nodes within R of a point a column at a time, so the
-field sums scatter each atom onto its nodes and the outer sum gathers each
-point's nodes.  All reductions are fixed-order (bincount, einsum and the
-row sums of a CSR matrix), so results are bitwise reproducible regardless of
-thread configuration.  The gather's pairs come grouped by point, so a CSR row
-sum adds the same products, in the same order and from 0, as a bincount over
-the point index would.
+translations and quarter turns.  One pair pass serves both sums of a step:
+the lattice finds the candidate nodes near a point a column at a time, and
+the kernel profile zeroes the few beyond R, so the field sums scatter each
+atom onto its nodes and the outer sum gathers each point's nodes.  All
+reductions are fixed-order (bincount, einsum and the row sums of a CSR
+matrix), so results are bitwise reproducible regardless of thread
+configuration.  The gather's pairs come grouped by point, so a CSR row sum
+adds the same products, in the same order and from 0, as a bincount over the
+point index would; no sum starts from -0.0, so the +-0.0 terms of the
+candidates beyond R change none.
 """
 
 from __future__ import annotations
@@ -86,16 +88,13 @@ class Mollifier:
         """The radial profile g and g' = dg/drho at rho = |x|^2, 0 outside
         the support.
 
-        The pairs from _within all lie inside and are evaluated in place; an
-        input with entries outside is evaluated at rho = 0 there, then
-        masked.
+        This is the package's one support test: g and g' are evaluated in
+        place at every entry, then set to exactly +0.0 where rho >= R^2, so
+        a candidate pair outside R adds only +-0.0 terms to a sum.
         """
         eps2 = self.eps * self.eps
         R2 = self.support_radius**2
-        inside = rho < R2
-        if not inside.all():
-            g, gp = self._profile01(np.where(inside, rho, 0.0))
-            return np.where(inside, g, 0.0), np.where(inside, gp, 0.0)
+        outside = rho >= R2
         u = np.divide(rho, R2)
         np.subtract(1.0, u, out=u)
         u2 = u * u
@@ -109,7 +108,9 @@ class Mollifier:
         u /= 2.0 * eps2
         u += 3.0 / R2
         u *= E
-        return g, np.negative(u, out=u)
+        np.negative(u, out=u)
+        g[outside] = u[outside] = 0.0
+        return g, u
 
 
 def _integer_ball(dim: int, reach: float) -> np.ndarray:
@@ -219,40 +220,18 @@ class SpatialHash:
         return np.concatenate(rows_out), np.concatenate(cols_out)
 
 
-def _within(a: np.ndarray, rows: np.ndarray, b: np.ndarray, cols: np.ndarray,
-            R2: float) -> tuple[np.ndarray, ...]:
-    """The pairs with |a[row] - b[col]|^2 < R2: rows, cols, differences, rho.
-
-    Rows of 2-D arrays are gathered with np.take, which copies them several
-    times faster than fancy or boolean indexing and gives the same values.
-    """
-    diff = np.take(a, rows, axis=0) - np.take(b, cols, axis=0)
-    rho = np.einsum("pi,pi->p", diff, diff)
-    inside = np.flatnonzero(rho < R2)
-    if inside.size == rho.size:
-        return rows, cols, diff, rho
-    return tuple(np.take(x, inside, axis=0) for x in (rows, cols, diff, rho))
-
-
 def _field_sums(lattice: _Lattice) -> tuple[np.ndarray, np.ndarray]:
     """Smoothed mass and smoothed first variation at the lattice nodes.
 
-    Each atom is scattered onto the nodes within R of it, which the
-    lattice's own lookup finds; bincount over the node index adds the terms
-    in a fixed order.
+    Each atom is scattered onto the nodes the lattice's own lookup finds
+    near it; bincount over the node index adds the terms in a fixed order.
     """
-    V, kernel = lattice.V, lattice.kernel
-    nodes = lattice.nodes[1]
-    K, n = nodes.shape
+    V = lattice.V
+    K, n = lattice.nodes[1].shape
     mass, fvar = np.zeros(K), np.zeros((K, n))
     # orthonormal bases of the atom planes as rows, shape (N, d, n)
     bases = np.ascontiguousarray(np.transpose(V.bases, (0, 2, 1)))
-    for part in lattice._chunks(len(V)):
-        atoms = V.positions[part]
-        rows, idx = lattice._near(atoms)
-        rows, idx, diff, rho = _within(atoms, rows, nodes, idx,
-                                       kernel.support_radius**2)
-        g, gp = kernel._profile01(rho)
+    for part, rows, idx, diff, g, gp in lattice._pairs(V.positions):
         m = np.take(V.masses[part], rows)
         mass += np.bincount(idx, weights=m * g, minlength=K)
         # S_i diff through the orthonormal basis: S v = B^T (B v)
@@ -275,9 +254,9 @@ class _Lattice:
     dissipation of a step.  Node codes are linear in the cell, and the cells
     along the last axis of a column have consecutive codes, so the nodes near
     a point are found a column at a time: one code range per column.  That
-    one lookup gives the pairs of both kernel sums: the atoms scattered onto
-    the nodes for the fields, the nodes gathered at each point by
-    curvature_with_jacobian.  An empty varifold has no nodes, so its fields
+    one lookup, through _pairs, gives the pairs of both kernel sums: the
+    atoms scattered onto the nodes for the fields, the nodes gathered at
+    each point by curvature_with_jacobian.  An empty varifold has no nodes, so its fields
     vanish everywhere.
     """
 
@@ -344,9 +323,9 @@ class _Lattice:
         Each column of the point's integer ball that passes within R gives
         the code range of the cells within R of the point along it; both
         tests are widened by _ROUNDOFF of a cell, so that the support test
-        on the pairs alone decides.  Nodes come in code order per point.  A
-        point far off the lattice can only meet far nodes, which that test
-        drops.
+        of _profile01 on the pairs alone decides.  Nodes come in code order
+        per point.  A point far off the lattice can only meet far nodes,
+        which that test zeroes.
         """
         codes = self.nodes[0]
         r2 = (self.kernel.support_radius / self.spacing) ** 2
@@ -364,11 +343,23 @@ class _Lattice:
         rows = np.repeat(np.arange(len(points)), counts.sum(axis=1))
         return rows, _ranges(first.ravel(), first.ravel() + counts.ravel())
 
-    def _chunks(self, count: int) -> list[slice]:
-        """Consecutive slices of `count` points, sized so that `_near` gives
-        about _PAIR_CHUNK candidate pairs per slice."""
+    def _pairs(self, points: np.ndarray):
+        """The kernel terms of the points' pairs, a chunk of points at a time.
+
+        Each chunk of consecutive points gets about _PAIR_CHUNK candidates
+        from _near; yields the chunk's slice, the rows and node indices, the
+        differences point - node and the profile g, g' there, which
+        _profile01 zeroes on the few candidates outside R.
+        """
+        nodes = self.nodes[1]
         step = max(1, _PAIR_CHUNK // int(np.sum(2 * self.half + 1)))
-        return [slice(lo, lo + step) for lo in range(0, count, step)]
+        for lo in range(0, len(points), step):
+            part = slice(lo, lo + step)
+            rows, idx = self._near(points[part])
+            # np.take copies rows several times faster than fancy indexing
+            diff = np.take(points[part], rows, axis=0) - np.take(nodes, idx, axis=0)
+            yield (part, rows, idx, diff,
+                   *self.kernel._profile01(np.einsum("pi,pi->p", diff, diff)))
 
 
 def curvature_with_jacobian(lattice: _Lattice, points: np.ndarray
@@ -382,18 +373,13 @@ def curvature_with_jacobian(lattice: _Lattice, points: np.ndarray
     """
     Q, n = points.shape
     h, J = np.zeros((Q, n)), np.zeros((Q, n, n))
-    nodes = lattice.nodes[1]
     quot = lattice.quotient()
-    for part in lattice._chunks(Q):
-        chunk = points[part]
-        rows, idx = lattice._near(chunk)
-        rows, idx, diff, rho = _within(chunk, rows, nodes, idx,
-                                       lattice.kernel.support_radius**2)
-        g, gp = lattice.kernel._profile01(rho)
-        indptr = np.zeros(len(chunk) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(chunk)), out=indptr[1:])
+    for part, rows, idx, diff, g, gp in lattice._pairs(points):
+        size = len(points[part])
+        indptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
         A = csr_array((lattice.weight * g, idx, indptr),
-                      shape=(len(chunk), len(nodes)))
+                      shape=(size, len(quot)))
         h[part] = A @ quot
         # grad Phi(x - y) = 2 g' (x - y)
         wgrad = (2.0 * lattice.weight) * gp

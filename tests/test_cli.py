@@ -195,6 +195,18 @@ def test_nonfinite_scales_are_usage_errors(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_output_path_on_a_file_is_a_usage_error(tmp_path, capsys, under):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "run" if under else taken
+    assert main(["simulate", "--preset", "circle", "--end-time", "0",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"--out {out}" in captured.err and captured.out == ""
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_bad_thread_count_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("VARIMCF_THREADS", "many")
     assert main(["simulate", "--preset", "circle"]) == 2
@@ -375,6 +387,18 @@ def test_check_passes_and_records_verdicts(run_dir, tmp_path, capsys):
     stored = {f"{v['name']}[{v['trace']}]": v
               for v in json.loads(report.read_text())["verdicts"]}
     assert stored["mass-decay[main]"]["passed"] is True
+
+
+def test_unwritable_json_report_is_a_usage_error(run_dir, tmp_path, capsys):
+    # the report is written before the verdicts are printed, so a path that
+    # cannot be written leaves stdout empty
+    report = tmp_path / "no-such-dir" / "verdicts.json"
+    assert main(["check", str(run_dir), "--json", str(report),
+                 "--certificates", "mass-decay"]) == 2
+    captured = capsys.readouterr()
+    assert f"--json {report}" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not report.parent.exists()
 
 
 def test_check_detects_a_teleported_atom(run_dir, tmp_path, capsys):
@@ -839,6 +863,16 @@ def with_first_step(man: dict, key: str, value) -> dict:
      "the step_delta of step 0"),
     (lambda man: with_first_step(man, "step_delta", 10**400),
      "the step_delta of step 0"),
+    # file entries that are not names of files
+    (lambda man: with_first_step(man, "frames", 5),
+     "trace 'main': each 'frames' entry"),
+    (lambda man: with_first_step(man, "mesh_frames", 5),
+     "trace 'main': each 'mesh_frames' entry"),
+    (lambda man: {**man, "traces": [{**man["traces"][0], "simplices": 5}]},
+     "trace 'main': each 'simplices' entry"),
+    (lambda man: with_first_step(man, "frames", "."), "no file at "),
+    (lambda man: {**man, "traces": [{**man["traces"][0], "simplices": "."}]},
+     "no file at "),
 ], ids=["missing-traces", "traces-not-a-list", "no-traces", "missing-config",
         "unknown-config-key", "eps-not-a-number", "missing-dt",
         "missing-ambient_dimension", "seed-not-an-integer", "negative-seed",
@@ -848,7 +882,9 @@ def with_first_step(man: dict, key: str, value) -> dict:
         "retired-refinement", "surface-dimension-0", "ambient-dimension-4",
         "empty-trace", "shifted-times", "doubled-config-dt",
         "string-curvature-max", "bool-curvature-max", "string-dissipation",
-        "string-step-delta", "huge-step-delta"])
+        "string-step-delta", "huge-step-delta", "number-frame",
+        "number-mesh-frame", "number-simplices", "directory-frame",
+        "directory-simplices"])
 def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
                                               fragment):
     broken = tmp_path / "malformed"

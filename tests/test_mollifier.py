@@ -10,7 +10,7 @@ from varimcf import mollifier
 from varimcf.errors import ConfigError, GridTooCoarse
 from varimcf.mollifier import (Mollifier, QuadratureGrid, SpatialHash,
                                _integer_ball, _Lattice, _pack,
-                               _within, curvature_with_jacobian, dissipation)
+                               curvature_with_jacobian, dissipation)
 from varimcf.varifold import (DiscreteVarifold, first_variation,
                               projections_from_bases)
 
@@ -328,7 +328,9 @@ def test_lattice_lookup_finds_exactly_the_nodes_within_the_support(n, d):
     pts = np.vstack([V.positions, rng.uniform(-1.6, 1.6, (25, n)),
                      np.full((1, n), 1e3)])
     rows, idx = lattice._near(pts)
-    rows, idx, _, _ = _within(pts, rows, nodes, idx, R2)
+    gap = pts[rows] - nodes[idx]
+    inside = np.einsum("pi,pi->p", gap, gap) < R2
+    rows, idx = rows[inside], idx[inside]
     diff = pts[:, None, :] - nodes[None, :, :]
     want_rows, want_idx = np.nonzero(np.einsum("qki,qki->qk", diff, diff) < R2)
     assert np.array_equal(rows, want_rows) and np.array_equal(idx, want_idx)
@@ -340,28 +342,33 @@ def test_lattice_lookup_finds_exactly_the_nodes_within_the_support(n, d):
 # regularized curvature
 
 
+def inside_pairs(lattice, points):
+    """The pairs of lattice._pairs with |point - node| < R, found from the
+    differences alone: the candidates beyond R are dropped, not zeroed."""
+    R2 = lattice.kernel.support_radius**2
+    for part, rows, idx, diff, g, gp in lattice._pairs(points):
+        keep = np.einsum("pi,pi->p", diff, diff) < R2
+        yield part, rows[keep], idx[keep], diff[keep], g[keep], gp[keep]
+
+
 def bincount_gather(lattice, points):
-    """h and Dh summed pair by pair with one bincount per entry: the sums
-    curvature_with_jacobian takes as sparse row sums, in the same order."""
+    """h and Dh summed pair by pair with one bincount per entry over the
+    pairs inside R: the sums curvature_with_jacobian takes as sparse row
+    sums, in the same order, less the zeroed candidates beyond R."""
     Q, n = points.shape
     h, J = np.zeros((Q, n)), np.zeros((Q, n, n))
-    nodes = lattice.nodes[1]
     quot = lattice.quotient()
-    for part in lattice._chunks(Q):
-        chunk = points[part]
-        rows, idx = lattice._near(chunk)
-        rows, idx, diff, rho = _within(chunk, rows, nodes, idx,
-                                       lattice.kernel.support_radius**2)
-        g, gp = lattice.kernel._profile01(rho)
+    for part, rows, idx, diff, g, gp in inside_pairs(lattice, points):
+        size = len(points[part])
         wq = np.take(quot, idx, axis=0)
         wphi = lattice.weight * g
         wgrad = ((2.0 * lattice.weight) * gp)[:, None] * diff
         for a in range(n):
             h[part, a] = np.bincount(rows, weights=wphi * wq[:, a],
-                                     minlength=len(chunk))
+                                     minlength=size)
             for b in range(n):
                 J[part, a, b] = np.bincount(
-                    rows, weights=wq[:, a] * wgrad[:, b], minlength=len(chunk))
+                    rows, weights=wq[:, a] * wgrad[:, b], minlength=size)
     return h, J
 
 
@@ -383,7 +390,7 @@ def test_sparse_gather_equals_the_bincount_gather_bitwise(n, d, pair_chunk,
     t = rng.uniform(0.2, 0.8, (len(x), 1))
     pts = np.vstack([x, (1.0 - t) * x + t * x[near],
                      rng.uniform(-1.5, 1.5, (40, n)), np.full((1, n), 1e3)])
-    assert len(lattice._chunks(len(pts))) > (1 if pair_chunk else 0)
+    assert len(list(lattice._pairs(pts))) > (1 if pair_chunk else 0)
     h, J = curvature_with_jacobian(lattice, pts)
     h0, J0 = bincount_gather(lattice, pts)
     assert np.array_equal(h, h0) and np.array_equal(J, J0)
@@ -395,6 +402,40 @@ def test_sparse_gather_equals_the_bincount_gather_bitwise(n, d, pair_chunk,
     h, J = curvature_with_jacobian(lattice, pts)
     h0, J0 = bincount_gather(lattice, pts)
     assert np.array_equal(h, h0) and np.array_equal(J, J0) and not np.any(h)
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("pair_chunk", [None, 1 << 12])
+def test_field_sums_equal_the_scatter_over_the_inside_pairs_bitwise(
+        n, d, pair_chunk, monkeypatch):
+    # the zeroed candidates beyond R add nothing: the fields equal a
+    # bincount scatter over the pairs inside R alone, in the same order
+    if pair_chunk is not None:
+        monkeypatch.setattr(mollifier, "_PAIR_CHUNK", pair_chunk)
+    _, lattice = field_lattice(33 + n, 60, n, d, 0.3)
+    V = lattice.V
+    K = len(lattice.nodes[1])
+    mass, fvar = np.zeros(K), np.zeros((K, n))
+    chunks = beyond = 0
+    for part, rows, idx, diff, g, gp in lattice._pairs(V.positions):
+        out = np.einsum("pi,pi->p", diff, diff) >= lattice.kernel.support_radius**2
+        zeroed = np.concatenate([g[out], gp[out]])
+        assert np.all(zeroed == 0.0) and not np.any(np.signbit(zeroed))
+        chunks, beyond = chunks + 1, beyond + np.count_nonzero(out)
+    # S_i diff through the rows B of the plane's orthonormal basis, as the
+    # field sums take it
+    bases = np.ascontiguousarray(np.transpose(V.bases, (0, 2, 1)))
+    for part, rows, idx, diff, g, gp in inside_pairs(lattice, V.positions):
+        m = V.masses[part][rows]
+        mass += np.bincount(idx, weights=m * g, minlength=K)
+        B = bases[part][rows]
+        sd = np.einsum("pk,pkj->pj", np.einsum("pkj,pj->pk", B, diff), B)
+        for axis in range(n):
+            fvar[:, axis] += np.bincount(
+                idx, weights=(2.0 * m * gp) * sd[:, axis], minlength=K)
+    assert chunks > (1 if pair_chunk else 0) and beyond > 0
+    assert np.array_equal(lattice.fields[0], mass)
+    assert np.array_equal(lattice.fields[1], fvar)
 
 
 def test_lone_atom_has_zero_curvature():
