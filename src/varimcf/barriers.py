@@ -45,8 +45,7 @@ from scipy.spatial.distance import cdist
 
 from .config import (BARRIER_FLOOR, CHAIN_SLACK, NORM_SAFETY, SCALE_CEILING,
                      SUPPORT_SLACK, sphere_area)
-from .errors import (ConfigError, GridMismatch, NonpositiveWeight,
-                     PreconditionViolated, ZeroBarrier)
+from .errors import ConfigError, PreconditionViolated
 from .flow import FlowTrace
 from .geometry import simplex_distances
 
@@ -74,8 +73,8 @@ class BarrierFunction:
         # a weight that vanishes everywhere grades nothing; below radius 1
         # the peak cannot overflow
         if self.radius < 1.0 and (self.radius**2) ** self.beta == 0.0:
-            raise ZeroBarrier(f"peak (R^2)^beta of radius {self.radius:g} and "
-                              f"beta {self.beta:g} is 0")
+            raise PreconditionViolated(f"peak (R^2)^beta of radius {self.radius:g} "
+                                       f"and beta {self.beta:g} is 0")
 
     @property
     def n(self) -> int:
@@ -162,12 +161,12 @@ def technical_gaps(h, phi, grad_phi, P) -> np.ndarray:
 
     with equality at h = -(1/2) S grad / phi, for K samples at once:
     h, grad_phi : (K, n); phi : (K,); P : (K, n, n) plane projections.
-    Raises NonpositiveWeight for the first sample with phi <= 0.
+    Raises PreconditionViolated for the first sample with phi <= 0.
     """
     phi = np.asarray(phi, dtype=float)
     bad = np.flatnonzero(phi <= 0.0)
     if len(bad):
-        raise NonpositiveWeight(f"weight value {phi[bad[0]]} must be positive")
+        raise PreconditionViolated(f"weight value {phi[bad[0]]} must be positive")
     Sg = np.einsum("kij,kj->ki", P, grad_phi)
     lhs = (-np.einsum("ki,ki->k", h, h) * phi
            + np.einsum("ki,ki->k", grad_phi - Sg, h))
@@ -182,14 +181,14 @@ def barrier_defects(psi: BarrierFunction, x, P, t) -> np.ndarray:
     x : (K, n) points; P : (K, n, n) plane projections; t : (K,) times or
     one time for all rows.  Nonpositive wherever psi > 0, provided the
     profile satisfies (gamma')^2 <= 4 gamma gamma'' (beta >= 4/3); a profile
-    violating it makes this positive somewhere.  Raises ZeroBarrier for the
-    first row where psi is at or below the barrier floor.
+    violating it makes this positive somewhere.  Raises PreconditionViolated
+    for the first row where psi is at or below the barrier floor.
     """
     x = np.asarray(x, dtype=float)
     val = psi.value(x, t)
     bad = np.flatnonzero(val <= BARRIER_FLOOR)
     if len(bad):
-        raise ZeroBarrier(f"psi = {val[bad[0]]:.3e} at row {bad[0]}")
+        raise PreconditionViolated(f"psi = {val[bad[0]]:.3e} at row {bad[0]}")
     Sg = np.einsum("kij,kj->ki", P, psi.grad(x, t))
     return (0.25 * np.einsum("ki,ki->k", Sg, Sg) / val
             - np.einsum("kij,kij->k", P, psi.hess(x, t))
@@ -298,7 +297,7 @@ def avoidance_distance(trace_a: FlowTrace, trace_b: FlowTrace) -> np.ndarray:
     """Min inter-atom distance between two flows, per shared snapshot."""
     ta, tb = trace_a.times, trace_b.times
     if len(ta) != len(tb) or not np.allclose(ta, tb, atol=1e-12):
-        raise GridMismatch("traces use different time subdivisions")
+        raise PreconditionViolated("traces use different time subdivisions")
     return np.array([float(np.min(cdist(sa.varifold.positions,
                                         sb.varifold.positions)))
                      for sa, sb in zip(trace_a.snapshots, trace_b.snapshots)])

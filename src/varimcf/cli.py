@@ -29,8 +29,7 @@ from pathlib import Path
 
 from .config import (BUDGET_RTOL, DEFAULT_SUPPORT_CAP, DEFECT_SAMPLES,
                      SUPPORT_SLACK, TECHNICAL_SAMPLES)
-from .errors import (ConfigError, MissingFrames, OpenMesh,
-                     PreconditionViolated, VarimcfError)
+from .errors import ConfigError, PreconditionViolated, VarimcfError
 
 THREAD_ENV = "VARIMCF_THREADS"
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -221,7 +220,7 @@ def _load_table(path: Path, header, dtype=float):
 
     path = Path(path)
     if not path.is_file():
-        raise MissingFrames(f"no file at {path}")
+        raise ConfigError(f"no file at {path}")
     with path.open() as fh:
         found = fh.readline().rstrip("\n").split(",")
         want = header(len(found)) if callable(header) else header
@@ -371,15 +370,16 @@ def load_trace(manifest: dict, base: Path, record: dict):
     if record["times"] != cfg.times().tolist():
         raise ConfigError(f"trace {record['name']!r}: 'times' is not the "
                           "subdivision of the manifest's config")
+    simplices = record.get("simplices")
     entries = {"frames": frames, "mesh_frames": record.get("mesh_frames") or [],
-               "simplices": [record.get("simplices") or ""]}
+               "simplices": [] if simplices is None else [simplices]}
     for key, names in entries.items():
-        if not all(isinstance(name, str) for name in names):
+        if not all(isinstance(name, str) and name for name in names):
             raise ConfigError(f"trace {record['name']!r}: each '{key}' entry "
                               "must be a file name")
     simp = None
-    if record.get("simplices"):
-        simp = _load_table(base / record["simplices"],
+    if simplices is not None:
+        simp = _load_table(base / simplices,
                            [f"s{i + 1}" for i in range(n)], dtype=np.int64)
     mesh_frames = record.get("mesh_frames") or [None] * len(frames)
     snaps = []
@@ -412,8 +412,8 @@ def load_trace(manifest: dict, base: Path, record: dict):
     if simp is not None:
         try:
             SurfaceMesh(snaps[0].mesh_vertices, simp).check_closed()
-        except (ConfigError, OpenMesh) as e:
-            raise ConfigError(f"{base / record['simplices']}: {e}") from None
+        except VarimcfError as e:
+            raise ConfigError(f"{base / simplices}: {e}") from None
     return FlowTrace(cfg, tuple(snaps), simp)
 
 
@@ -426,7 +426,7 @@ def load_manifest(path: str):
     if p.is_dir():
         p = p / "manifest.json"
     if not p.exists():
-        raise MissingFrames(f"no manifest at {p}")
+        raise ConfigError(f"no manifest at {p}")
     try:
         manifest = json.loads(p.read_text(), parse_constant=_refuse_constant)
     except json.JSONDecodeError as e:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import (CHAIN_SLACK, KERNEL_CUTOFF, LATTICE_REFINEMENT,
                      MAP_DETERMINANT)
-from .errors import ConfigError, MassBoundExceeded, OutOfSpan, SingularMap
+from .errors import ConfigError, VarimcfError
 from .mollifier import (Mollifier, QuadratureGrid, _Lattice,
                         curvature_with_jacobian, dissipation)
 from .varifold import DiscreteVarifold
@@ -50,12 +50,12 @@ def pushforward(V: DiscreteVarifold, positions: np.ndarray, Df: np.ndarray
         return V, np.zeros(0)
     dets = np.linalg.det(Df)
     if np.any(np.abs(dets) <= MAP_DETERMINANT):
-        raise SingularMap("step map not invertible at an atom")
+        raise VarimcfError("step map not invertible at an atom")
     Y = np.einsum("aij,ajd->aid", Df, V.bases)      # (N, n, d)
     gram = np.einsum("aid,aie->ade", Y, Y)          # (N, d, d)
     gdet = np.linalg.det(gram)
     if np.any(gdet <= 0.0):
-        raise SingularMap("a tangent plane degenerates under the step map")
+        raise VarimcfError("a tangent plane degenerates under the step map")
     sol = np.linalg.solve(gram, np.transpose(Y, (0, 2, 1)))  # (N, d, n)
     P = np.einsum("aid,adj->aij", Y, sol)
     P = 0.5 * (P + np.transpose(P, (0, 2, 1)))
@@ -158,7 +158,7 @@ class FlowTrace:
         """Index i with times[i] <= t < times[i+1] (last index at the end)."""
         lo, hi = self.span()
         if t < lo - 1e-12 or t > hi + 1e-12:
-            raise OutOfSpan(f"t = {t} outside [{lo}, {hi}]")
+            raise VarimcfError(f"t = {t} outside [{lo}, {hi}]")
         times = self.times
         i = int(np.searchsorted(times, t + 1e-12) - 1)
         return min(max(i, 0), len(times) - 1)
@@ -200,9 +200,9 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
                               hmax, diss, None if verts is None else verts.copy(),
                               step_delta))
         if W.total_mass() > V.total_mass() + dt + CHAIN_SLACK:
-            raise MassBoundExceeded("per-step mass growth exceeded dt")
+            raise VarimcfError("per-step mass growth exceeded dt")
         if W.total_mass() > M + 1.0 + CHAIN_SLACK:
-            raise MassBoundExceeded("total mass exceeded M + 1 along the run")
+            raise VarimcfError("total mass exceeded M + 1 along the run")
         V = W
         if verts is not None:
             verts = verts + dt * h[N:]
@@ -252,10 +252,10 @@ def brakke_residual(trace: FlowTrace, phi: BarrierFunction,
     with left-endpoint rectangle quadrature in time.
     """
     if t2 < t1:
-        raise OutOfSpan("need t1 <= t2")
+        raise VarimcfError("need t1 <= t2")
     lo, hi = trace.span()
     if t1 < lo - 1e-12 or t2 > hi + 1e-12:
-        raise OutOfSpan(f"[{t1}, {t2}] outside [{lo}, {hi}]")
+        raise VarimcfError(f"[{t1}, {t2}] outside [{lo}, {hi}]")
     Va = sample(trace, t1, "piecewise")
     Vb = sample(trace, t2, "piecewise")
     pa = float(np.dot(Va.masses, phi.value(Va.positions, t1)))

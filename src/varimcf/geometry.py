@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEGENERATE_SIMPLEX, ball_volume, isoperimetric_constant
-from .errors import (BallNotInterior, ConfigError, DegenerateSimplex,
-                     DeltaTooLarge, OpenMesh)
+from .errors import ConfigError, PreconditionViolated, VarimcfError
 from .flow import FlowTrace
 from .varifold import DiscreteVarifold
 
@@ -91,25 +90,25 @@ class SurfaceMesh:
         return self.simplices.shape[0]
 
     def check_closed(self) -> None:
-        """Closed and consistently oriented, or OpenMesh with the defect."""
+        """Closed and consistently oriented, or VarimcfError with the defect."""
         if len(self) == 0:
-            raise OpenMesh("mesh has no facets")
+            raise VarimcfError("mesh has no facets")
         if self.n == 2:
             tails = np.bincount(self.simplices[:, 0], minlength=len(self.vertices))
             heads = np.bincount(self.simplices[:, 1], minlength=len(self.vertices))
             used = np.unique(self.simplices)
             if (np.any(tails[used] != 1) or np.any(heads[used] != 1)):
-                raise OpenMesh("each vertex must be the tail of exactly one "
-                               "segment and the head of exactly one")
+                raise VarimcfError("each vertex must be the tail of exactly one "
+                                   "segment and the head of exactly one")
         else:
             e = np.vstack([self.simplices[:, [0, 1]], self.simplices[:, [1, 2]],
                            self.simplices[:, [2, 0]]])
             codes = e[:, 0] * len(self.vertices) + e[:, 1]
             if len(np.unique(codes)) != len(codes):
-                raise OpenMesh("duplicated directed edge (inconsistent orientation)")
+                raise VarimcfError("duplicated directed edge (inconsistent orientation)")
             rev = e[:, 1] * len(self.vertices) + e[:, 0]
             if not np.array_equal(np.sort(codes), np.sort(rev)):
-                raise OpenMesh("an edge lacks its oppositely oriented partner")
+                raise VarimcfError("an edge lacks its oppositely oriented partner")
 
     def measures(self) -> np.ndarray:
         """Length or area of every facet."""
@@ -183,7 +182,7 @@ def mesh_to_varifold(mesh: SurfaceMesh,
         raise ConfigError("need at least one sample per facet")
     meas = mesh.measures()
     if np.any(meas <= DEGENERATE_SIMPLEX):
-        raise DegenerateSimplex("a facet has vanishing measure")
+        raise VarimcfError("a facet has vanishing measure")
     V, S = mesh.vertices, mesh.simplices
     s = samples_per_simplex
     if mesh.n == 2:
@@ -388,7 +387,7 @@ def volume_change_series(trace: FlowTrace, center, radius: float):
         if delta is None:
             raise ConfigError("trace lacks recorded step perturbations")
         if delta >= 1.0:
-            raise DeltaTooLarge(f"step perturbation {delta} must be below 1")
+            raise PreconditionViolated(f"step perturbation {delta} must be below 1")
         if delta < 0.0:
             raise ConfigError("delta must be nonnegative")
     if not deltas:
@@ -427,13 +426,13 @@ def nontriviality_certificate(trace: FlowTrace, center, radius: float):
     clearance = float(np.min(simplex_distances(
         center, mesh0.vertices[mesh0.simplices])))
     if clearance < radius:
-        raise BallNotInterior(
+        raise PreconditionViolated(
             f"ball of radius {radius} pokes through the boundary "
             f"(clearance {clearance:.6g})")
     # after the clearance test, so the centre is off the mesh and its
     # winding number is defined
     if not bool(contains(mesh0, center[None])[0]):
-        raise BallNotInterior("ball center lies outside the initial region")
+        raise PreconditionViolated("ball center lies outside the initial region")
     constant = isoperimetric_constant(n)
     horizon = radius**2 / (8.0 * d)
     floor = constant * (0.25 * ball_volume(n, radius / 2.0)) ** ((n - 1.0) / n)

@@ -45,7 +45,7 @@ from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 
 from .config import DEFAULT_SUPPORT_CAP, LP_LIPSCHITZ
-from .errors import ConfigError, SolverFailure, SupportTooLarge
+from .errors import ConfigError, VarimcfError
 from .varifold import DiscreteVarifold
 
 
@@ -95,9 +95,9 @@ class BLResult:
     def verify_feasible(self, slack: float = LP_LIPSCHITZ) -> None:
         """Independent check of the certificate against the constraint system."""
         if np.any(np.abs(self.phi) > 1.0 + slack):
-            raise SolverFailure("certificate violates the box constraint")
+            raise VarimcfError("certificate violates the box constraint")
         if np.any(_worst_partners(self.points, self.phi)[0] > slack):
-            raise SolverFailure("certificate violates a Lipschitz constraint")
+            raise VarimcfError("certificate violates a Lipschitz constraint")
 
 
 _BLOCK = 256            # rows of the pair-distance matrix held at once
@@ -161,7 +161,7 @@ def _solve(points: np.ndarray, coef: np.ndarray, codes: np.ndarray,
     res = linprog(-coef, A_ub=A, b_ub=b, bounds=[(-1.0, 1.0)] * K, method="highs",
                   options={"primal_feasibility_tolerance": feasibility})
     if not res.success:
-        raise SolverFailure(f"linear program failed: {res.message}")
+        raise VarimcfError(f"linear program failed: {res.message}")
     return np.asarray(res.x, dtype=float)
 
 
@@ -183,7 +183,7 @@ def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure,
     pts, coef = _union_support(mu, nu)
     K = len(pts)
     if K > support_cap:
-        raise SupportTooLarge(f"union support has {K} points, cap is {support_cap}")
+        raise VarimcfError(f"union support has {K} points, cap is {support_cap}")
     if K == 0:
         return BLResult(0.0, np.zeros(0), pts, "empty", 0, 0)
     if K == 1:

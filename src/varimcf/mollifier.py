@@ -56,7 +56,7 @@ from scipy.integrate import quad
 from scipy.sparse import csr_array
 
 from .config import KERNEL_CUTOFF, sphere_area
-from .errors import ConfigError, GridTooCoarse
+from .errors import ConfigError, VarimcfError
 from .varifold import DiscreteVarifold
 
 _PAIR_CHUNK = 1 << 17     # candidate (point, lattice node) pairs per chunk
@@ -76,6 +76,12 @@ class Mollifier:
         self.dim = int(dim)
         self.cutoff = float(cutoff)
         self.support_radius = self.cutoff * self.eps
+        # the profile divides by R^2 and by eps^dim
+        try:
+            self.support_radius**2, self.eps**self.dim
+        except OverflowError:
+            raise ConfigError(f"kernel scale eps = {eps:g} overflows in "
+                              f"dimension {dim}") from None
         # unit-integral normalization, computed on the scale-free profile
         k = self.cutoff
         integrand = lambda r: r ** (self.dim - 1) * math.exp(-0.5 * r * r) * (1.0 - (r / k) ** 2) ** 3
@@ -161,7 +167,7 @@ class QuadratureGrid:
     @classmethod
     def for_kernel(cls, kernel: Mollifier, refinement: int) -> "QuadratureGrid":
         if refinement < 2:
-            raise GridTooCoarse(f"refinement {refinement} < 2: spacing would exceed eps/2")
+            raise VarimcfError(f"refinement {refinement} < 2: spacing would exceed eps/2")
         return cls(kernel.dim, kernel.support_radius, kernel.eps / float(refinement))
 
 
@@ -264,7 +270,7 @@ class _Lattice:
         if V.n not in (2, 3):
             raise ConfigError("the curvature lattice supports dimensions 2 and 3")
         if grid.spacing > kernel.eps / 2.0 + 1e-12:
-            raise GridTooCoarse(
+            raise VarimcfError(
                 f"grid spacing {grid.spacing:.3g} exceeds eps/2 = {kernel.eps / 2.0:.3g}")
         if grid.radius < kernel.support_radius - 1e-12:
             raise ConfigError("quadrature grid does not cover the kernel support")

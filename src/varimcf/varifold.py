@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import (GRAM_DETERMINANT, PROJECTOR_IDEMPOTENCY,
                      PROJECTOR_SYMMETRY, PROJECTOR_TRACE)
-from .errors import ConfigError, DegenerateBasis, NonpositiveWeight
+from .errors import ConfigError, PreconditionViolated, VarimcfError
 
 
 def projections_from_bases(bases: np.ndarray) -> np.ndarray:
@@ -36,7 +36,7 @@ def projections_from_bases(bases: np.ndarray) -> np.ndarray:
 
     `bases` is a (K, d, n) stack: the d rows of basis k span plane k and
     need not be orthonormal.  Each projection is B^T (B B^T)^-1 B, computed
-    with one batched solve.  Raises DegenerateBasis for the first basis
+    with one batched solve.  Raises VarimcfError for the first basis
     whose Gram determinant is at or below tolerance.
     """
     B = np.asarray(bases, dtype=float)
@@ -44,8 +44,8 @@ def projections_from_bases(bases: np.ndarray) -> np.ndarray:
     det = np.linalg.det(gram)
     bad = np.flatnonzero(det <= GRAM_DETERMINANT)
     if len(bad):
-        raise DegenerateBasis(f"basis {bad[0]}: Gram determinant "
-                              f"{det[bad[0]]:.3e} <= {GRAM_DETERMINANT:.0e}")
+        raise VarimcfError(f"basis {bad[0]}: Gram determinant "
+                           f"{det[bad[0]]:.3e} <= {GRAM_DETERMINANT:.0e}")
     P = B.transpose(0, 2, 1) @ np.linalg.solve(gram, B)
     return 0.5 * (P + P.transpose(0, 2, 1))
 
@@ -94,7 +94,7 @@ class DiscreteVarifold:
         if self.planes.shape != (N, self.n, self.n):
             raise ConfigError(f"planes shape {self.planes.shape}")
         if np.any(self.masses <= 0.0):
-            raise NonpositiveWeight("atom masses must be strictly positive")
+            raise PreconditionViolated("atom masses must be strictly positive")
         if N == 0:
             return
         P = self.planes

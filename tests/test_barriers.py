@@ -18,8 +18,7 @@ from varimcf.barriers import (BOUND_SWEEP_STEPS, BarrierFunction,
                               external_sphere_monitor, internal_sphere_monitor,
                               lsc_monitor, technical_gaps)
 from varimcf.config import SUPPORT_SLACK
-from varimcf.errors import (ConfigError, GridMismatch, NonpositiveWeight,
-                            PreconditionViolated, ZeroBarrier)
+from varimcf.errors import ConfigError, PreconditionViolated
 from varimcf.flow import FlowConfig, FlowTrace, Snapshot, run
 from varimcf.geometry import (mesh_to_varifold, regular_polygon_mesh,
                               simplex_distances)
@@ -234,7 +233,8 @@ def test_technical_gap_nonnegative_and_tight():
 
 def test_technical_gap_requires_positive_weight():
     P = projections_from_bases([np.array([[1.0, 0.0]])])[0]
-    with pytest.raises(NonpositiveWeight):
+    with pytest.raises(PreconditionViolated,
+                       match="weight value 0.0 must be positive"):
         gap(np.zeros(2), 0.0, np.ones(2), P)
 
 
@@ -253,7 +253,8 @@ def test_batched_gaps_match_the_scalar_formula():
         lhs = -float(h[k] @ h[k]) * phi[k] + float((g[k] - Sg) @ h[k])
         rhs = 0.25 * float(Sg @ Sg) / phi[k] + float(g[k] @ h[k])
         assert gaps[k] == pytest.approx(rhs - lhs, rel=1e-12, abs=1e-12)
-    with pytest.raises(NonpositiveWeight):
+    with pytest.raises(PreconditionViolated,
+                       match="weight value 0.0 must be positive"):
         technical_gaps(h[:2], np.array([1.0, 0.0]), g[:2], P[:2])
 
 
@@ -301,7 +302,7 @@ def test_defect_refuses_zero_weight():
     psi = BarrierFunction(np.zeros(2), 0.5, 4.0, 1)
     P = projections_from_bases([np.array([[1.0, 0.0]])] * 3)
     inside = np.array([[0.1, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    with pytest.raises(ZeroBarrier, match="at row 1"):
+    with pytest.raises(PreconditionViolated, match="psi = .* at row 1"):
         barrier_defects(psi, inside, P, 0.0)
 
 
@@ -419,7 +420,8 @@ def test_avoidance_matches_brute_force(n):
 def test_avoidance_rejects_mismatched_grids(circle_trace):
     V = mesh_to_varifold(regular_polygon_mesh(30, 0.5))
     other = run(V, FlowConfig(eps=0.1, dt=4e-3, end_time=0.1))
-    with pytest.raises(GridMismatch):
+    with pytest.raises(PreconditionViolated,
+                       match="traces use different time subdivisions"):
         avoidance_distance(circle_trace, other)
 
 

@@ -195,6 +195,33 @@ def test_nonfinite_scales_are_usage_errors(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("preset, eps, dim", [
+    ("circle", "1e200", 2), ("circle", "4e153", 2),
+    ("sphere", "1e120", 3), ("sphere", "1e103", 3)])
+def test_an_eps_that_overflows_its_dimension_is_a_usage_error(
+        tmp_path, capsys, preset, eps, dim):
+    # the kernel profile divides by R^2 and by eps^dim: past about 3.4e153
+    # in 2-D and 5.6e102 in 3-D a power overflows
+    out = tmp_path / "huge"
+    assert main(["simulate", "--preset", preset, "--eps", eps,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"configuration error: kernel scale eps = "
+                            f"{float(eps):g} overflows in dimension {dim}\n")
+    assert not (out / "manifest.json").exists()
+
+
+def test_an_aborted_run_is_a_run_error(tmp_path, capsys):
+    # a step of 0.3 gains more mass than the step allows
+    out = tmp_path / "aborted"
+    assert main(["simulate", "--preset", "circle", "--dt", "0.3",
+                 "--end-time", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "run error: per-step mass growth exceeded dt\n"
+    assert captured.out == ""
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
 def test_output_path_on_a_file_is_a_usage_error(tmp_path, capsys, under):
     taken = tmp_path / "taken"
@@ -501,7 +528,8 @@ def test_failed_precondition_reports_null_not_nan(tmp_path, capsys):
     (verdict,) = payload["verdicts"]
     assert verdict["passed"] is False
     assert verdict["measured"] is None and verdict["bound"] is None
-    assert "BallNotInterior" in verdict["details"]["error"]
+    assert verdict["details"]["error"].startswith(
+        "PreconditionViolated: ball of radius 2.0 pokes through the boundary")
     assert (out / "manifest.json").read_bytes() == before
     stored = {f"{v['name']}[{v['trace']}]": v
               for v in strict_json(report.read_text())["verdicts"]}
@@ -512,7 +540,7 @@ def test_avoidance_on_mismatched_grids_is_a_usage_error(pair_dir, tmp_path,
                                                         capsys):
     # a recorded time off its config's subdivision is refused at load, so
     # two loaded traces always share one grid; the library check of
-    # avoidance_distance is GridMismatch (test_barriers)
+    # avoidance_distance is a PreconditionViolated (test_barriers)
     out = tmp_path / "pair"
     shutil.copytree(pair_dir, out)
     man = manifest_of(out)
@@ -538,7 +566,8 @@ def test_barrier_defect_precondition_is_a_failed_verdict(run_dir, tmp_path,
     defect, decay = payload["verdicts"]
     assert defect["name"] == "barrier-defect" and defect["passed"] is False
     assert defect["measured"] is None and defect["bound"] is None
-    assert "ZeroBarrier" in defect["details"]["error"]
+    assert defect["details"]["error"].startswith("PreconditionViolated: psi = ")
+    assert "at row 0" in defect["details"]["error"]
     assert (decay["name"], decay["passed"]) == ("mass-decay", True)
 
 
@@ -644,14 +673,16 @@ def test_nontriviality_fails_one_trace_and_grades_the_other(pair_dir,
     inner, outer = strict_json(capsys.readouterr().out)["verdicts"]
     assert rc == 1
     assert inner["trace"] == "first" and inner["passed"] is False
-    assert "BallNotInterior" in inner["details"]["error"]
+    assert inner["details"]["error"].startswith(
+        "PreconditionViolated: ball of radius 0.7 pokes through the boundary")
     assert outer["trace"] == "second" and outer["passed"] is True
     assert outer["relation"] == ">=" and outer["measured"] >= outer["bound"]
 
 
 def test_a_stopped_verdict_keeps_its_certificates_relation(pair_dir,
                                                            tmp_path, capsys):
-    # BallNotInterior stops the inner trace's verdict; the outer is graded
+    # the ball pokes out of the inner trace's region, which stops its
+    # verdict; the outer is graded
     ini = tmp_path / "ball.ini"
     ini.write_text("[certificates]\nball_radius = 0.7\n")
     main(["check", str(pair_dir), "--certificates", "nontriviality,convex-hull",
@@ -870,6 +901,15 @@ def with_first_step(man: dict, key: str, value) -> dict:
      "trace 'main': each 'mesh_frames' entry"),
     (lambda man: {**man, "traces": [{**man["traces"][0], "simplices": 5}]},
      "trace 'main': each 'simplices' entry"),
+    # a falsy entry is no file name either; only null means no mesh
+    (lambda man: {**man, "traces": [{**man["traces"][0], "simplices": 0}]},
+     "trace 'main': each 'simplices' entry"),
+    (lambda man: {**man, "traces": [{**man["traces"][0], "simplices": False}]},
+     "trace 'main': each 'simplices' entry"),
+    (lambda man: {**man, "traces": [{**man["traces"][0], "simplices": ""}]},
+     "trace 'main': each 'simplices' entry"),
+    (lambda man: {**man, "traces": [{**man["traces"][0], "simplices": []}]},
+     "trace 'main': each 'simplices' entry"),
     (lambda man: with_first_step(man, "frames", "."), "no file at "),
     (lambda man: {**man, "traces": [{**man["traces"][0], "simplices": "."}]},
      "no file at "),
@@ -883,7 +923,9 @@ def with_first_step(man: dict, key: str, value) -> dict:
         "empty-trace", "shifted-times", "doubled-config-dt",
         "string-curvature-max", "bool-curvature-max", "string-dissipation",
         "string-step-delta", "huge-step-delta", "number-frame",
-        "number-mesh-frame", "number-simplices", "directory-frame",
+        "number-mesh-frame", "number-simplices", "zero-simplices",
+        "false-simplices", "empty-string-simplices", "empty-list-simplices",
+        "directory-frame",
         "directory-simplices"])
 def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
                                               fragment):

@@ -14,8 +14,7 @@ import pytest
 from varimcf import flow
 from varimcf.barriers import BarrierFunction
 from varimcf.config import CHAIN_SLACK
-from varimcf.errors import (ConfigError, MassBoundExceeded, OutOfSpan,
-                            SingularMap)
+from varimcf.errors import ConfigError, VarimcfError
 from varimcf.flow import (FlowConfig, brakke_residual, dissipation_budget,
                           pushforward, run, sample)
 from varimcf.varifold import DiscreteVarifold, projections_from_bases
@@ -165,7 +164,7 @@ def test_pushforward_singular_map_raises():
         lambda p: np.atleast_2d(np.asarray(p, float)) * np.array([1.0, 0.0]),
         lambda p: np.broadcast_to(np.diag([1.0, 0.0]),
                                   (np.atleast_2d(p).shape[0], 2, 2)).copy())
-    with pytest.raises(SingularMap):
+    with pytest.raises(VarimcfError, match="step map not invertible"):
         push(V, squash)
 
 
@@ -259,7 +258,7 @@ def gaining_steps(monkeypatch, gain):
 
 def test_run_refuses_a_step_that_gains_more_than_dt(monkeypatch):
     gaining_steps(monkeypatch, lambda dt: 2.0 * dt)
-    with pytest.raises(MassBoundExceeded, match="per-step mass growth"):
+    with pytest.raises(VarimcfError, match="per-step mass growth exceeded dt"):
         run(lone_atom(), FlowConfig(eps=0.2, dt=0.25, end_time=1.0))
 
 
@@ -268,7 +267,8 @@ def test_run_refuses_a_mass_past_M_plus_one(monkeypatch):
     # but four steps of 0.25 carry the mass 1 past M + 1 = 2 by more than
     # the slack
     gaining_steps(monkeypatch, lambda dt: dt + 0.9 * CHAIN_SLACK)
-    with pytest.raises(MassBoundExceeded, match="exceeded M \\+ 1"):
+    with pytest.raises(VarimcfError,
+                       match="total mass exceeded M \\+ 1 along the run"):
         run(lone_atom(), FlowConfig(eps=0.2, dt=0.25, end_time=1.0))
     # three steps stay below M + 1
     tr = run(lone_atom(), FlowConfig(eps=0.2, dt=0.25, end_time=0.75))
@@ -330,9 +330,9 @@ def test_sampling_gap_shrinks_with_dt():
 
 
 def test_sample_rejects_out_of_span(circle_trace):
-    with pytest.raises(OutOfSpan):
+    with pytest.raises(VarimcfError, match=r"t = -0\.01 outside \["):
         sample(circle_trace, -0.01)
-    with pytest.raises(OutOfSpan):
+    with pytest.raises(VarimcfError, match=r"t = 0\.2 outside \["):
         sample(circle_trace, 0.2)
 
 

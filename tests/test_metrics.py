@@ -15,7 +15,7 @@ from scipy.spatial.distance import cdist
 from varimcf import metrics
 from varimcf.cli import (_frame_header, _load_table, _measure_header,
                          _save_table, main)
-from varimcf.errors import ConfigError, SolverFailure, SupportTooLarge
+from varimcf.errors import ConfigError, VarimcfError
 from varimcf.flow import FlowConfig, run, sample
 from varimcf.metrics import (_BLOCK, _SEED_NEIGHBOURS, BLResult,
                              DiscreteMeasure, _block_gaps, _gaps, _seed_pairs,
@@ -136,7 +136,8 @@ def test_support_cap_enforced():
     rng = np.random.default_rng(7)
     mu = DiscreteMeasure(rng.normal(size=(30, 2)), np.ones(30))
     nu = DiscreteMeasure(rng.normal(size=(30, 2)), np.ones(30))
-    with pytest.raises(SupportTooLarge):
+    with pytest.raises(VarimcfError,
+                       match="union support has 60 points, cap is 50"):
         bounded_lipschitz(mu, nu, support_cap=50)
 
 
@@ -153,10 +154,10 @@ def test_measure_validation():
 def test_certificate_feasibility_check_rejects_corrupt_phi():
     pts = np.array([[0.0, 0.0], [0.1, 0.0]])
     bad_box = BLResult(1.0, np.array([1.5, 0.0]), pts, "corrupt", 0, 0)
-    with pytest.raises(SolverFailure):
+    with pytest.raises(VarimcfError, match="violates the box constraint"):
         bad_box.verify_feasible()
     bad_lip = BLResult(1.0, np.array([1.0, -1.0]), pts, "corrupt", 0, 0)
-    with pytest.raises(SolverFailure):
+    with pytest.raises(VarimcfError, match="violates a Lipschitz constraint"):
         bad_lip.verify_feasible()
 
 
@@ -173,7 +174,7 @@ def test_feasibility_check_finds_one_broken_pair(k, l):
     phi[l] = 0.95
     BLResult(0.0, phi, pts, "probe", 0, 0).verify_feasible()
     phi[l] = -1.0
-    with pytest.raises(SolverFailure, match="Lipschitz"):
+    with pytest.raises(VarimcfError, match="violates a Lipschitz constraint"):
         BLResult(0.0, phi, pts, "probe", 0, 0).verify_feasible()
 
 
@@ -323,7 +324,7 @@ def random_sweep(count):
 def test_solution_passes_the_feasibility_recheck():
     # the 52nd pair of this sweep: at HiGHS's default primal feasibility
     # tolerance (1e-7) its optimum broke a Lipschitz row by more than the
-    # 1e-9 slack of the re-check, and the call raised SolverFailure
+    # 1e-9 slack of the re-check, and the call raised its VarimcfError
     *_, (dim, mu, nu) = random_sweep(52)
     assert (dim, len(mu)) == (2, 64)
     assert_matches_oracle(mu, nu)

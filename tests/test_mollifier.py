@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from varimcf import mollifier
-from varimcf.errors import ConfigError, GridTooCoarse
+from varimcf.errors import ConfigError, VarimcfError
 from varimcf.mollifier import (Mollifier, QuadratureGrid, SpatialHash,
                                _integer_ball, _Lattice, _pack,
                                curvature_with_jacobian, dissipation)
@@ -157,9 +157,9 @@ def test_grid_covers_the_ball_and_centers_a_node():
 
 def test_grid_refinement_guard():
     kern = Mollifier(0.2, 2)
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(VarimcfError, match="refinement 1 < 2"):
         QuadratureGrid.for_kernel(kern, 1)
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(VarimcfError, match="grid spacing 0.15 exceeds eps/2"):
         _Lattice(polygon_circle(16), kern,
                  QuadratureGrid(2, kern.support_radius, 0.15))
     with pytest.raises(ConfigError):
