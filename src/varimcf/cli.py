@@ -27,8 +27,8 @@ import time
 import warnings
 from pathlib import Path
 
-from .config import (BUDGET_RTOL, DEFAULT_SUPPORT_CAP, DEFECT_SAMPLES,
-                     SUPPORT_SLACK, TECHNICAL_SAMPLES)
+from .config import (BUDGET_RTOL, DEFECT_SAMPLES, SUPPORT_SLACK,
+                     TECHNICAL_SAMPLES)
 from .errors import ConfigError, PreconditionViolated, VarimcfError
 
 THREAD_ENV = "VARIMCF_THREADS"
@@ -90,7 +90,6 @@ class Settings:
     # [constants]
     certificate_step_constant: float = 1e-9  # admissibility constant in the
     #                                    smoothing-scale certificate
-    lp_support_cap: int = DEFAULT_SUPPORT_CAP  # max LP support for distances
     # [certificates]
     certificates: tuple[str, ...] = ("mass-decay",)
     ball_center: tuple[float, ...] = (0.0, 0.0)
@@ -132,7 +131,6 @@ _INI_PARSERS = {
     },
     "constants": {
         "certificate_step_constant": ("certificate_step_constant", float),
-        "lp_support_cap": ("lp_support_cap", int),
     },
     "certificates": {
         "list": ("certificates", _parse_cert_list),
@@ -190,10 +188,7 @@ def load_settings(config_path: str | None, args: argparse.Namespace) -> Settings
         if "float" in field.type and value is not None and not all(
                 map(math.isfinite, value if "tuple" in field.type else [value])):
             raise ConfigError(f"{field.name} must be finite")
-    # the distance LP needs room for one support point, and the random
-    # sweeps key their streams by the seed, which must be >= 0
-    if st.lp_support_cap < 1:
-        raise ConfigError("lp_support_cap must be at least 1")
+    # the random sweeps key their streams by the seed, which must be >= 0
     if st.seed < 0:
         raise ConfigError("seed must be nonnegative")
     return st
@@ -401,6 +396,11 @@ def load_trace(manifest: dict, base: Path, record: dict):
                                 [f"v{i + 1}" for i in range(n)])
             if not np.all(np.isfinite(verts)):
                 raise ConfigError(f"{base / mesh_frames[i]}: holds a non-finite value")
+            # the mesh moves its vertices; its simplices index the first frame's
+            if snaps and len(verts) != len(snaps[0].mesh_vertices):
+                raise ConfigError(
+                    f"{base / mesh_frames[i]}: holds {len(verts)} vertices, "
+                    f"the first mesh frame {len(snaps[0].mesh_vertices)}")
         snaps.append(Snapshot(
             time=float(record["times"][i]),
             varifold=V,
@@ -735,25 +735,24 @@ def _cmd_simulate(args) -> int:
 
     scenario = make_preset(st.preset, eps=st.eps, dt=st.dt,
                            end_time=st.end_time)
-    outdir = Path(st.out)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise ConfigError(f"--out {outdir}: {e.strerror}") from None
     t0 = time.perf_counter()
     if scenario.pair is not None:
         flows = zip(("first", "second"), scenario.pair,
                     scenario.pair_meshes or (None, None))
     else:
         flows = [("main", scenario.varifold, scenario.mesh)]
-    records, summary = [], []
-    for nm, V, mesh in flows:
-        tr = run(V, scenario.config,
-                 mesh_vertices=None if mesh is None else mesh.vertices,
-                 mesh_simplices=None if mesh is None else mesh.simplices)
-        records.append(_write_trace(outdir, nm, tr))
-        summary.append(f"{nm}: {len(tr.snapshots)} frames, "
-                       f"mass {tr.masses[0]:.6f} -> {tr.masses[-1]:.6f}")
+    traces = [(nm, run(V, scenario.config,
+                       mesh_vertices=None if mesh is None else mesh.vertices,
+                       mesh_simplices=None if mesh is None else mesh.simplices))
+              for nm, V, mesh in flows]
+    # made only once every flow has run, so that a refused or aborted run
+    # leaves no directory behind
+    outdir = Path(st.out)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out {outdir}: {e.strerror}") from None
+    records = [_write_trace(outdir, nm, tr) for nm, tr in traces]
     wall = time.perf_counter() - t0
     from . import __version__
     manifest = {
@@ -768,7 +767,9 @@ def _cmd_simulate(args) -> int:
     }
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print("\n".join(summary))
+    for nm, tr in traces:
+        print(f"{nm}: {len(tr.snapshots)} frames, "
+              f"mass {tr.masses[0]:.6f} -> {tr.masses[-1]:.6f}")
     print(f"manifest: {outdir / 'manifest.json'}")
     return 0
 
@@ -789,12 +790,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    st = load_settings(args.config, args)
     from .metrics import DiscreteMeasure, bounded_lipschitz
     tables = [_load_table(path, _measure_header)
               for path in (args.first, args.second)]
     mu, nu = (DiscreteMeasure(t[:, :-1], t[:, -1]) for t in tables)
-    res = bounded_lipschitz(mu, nu, support_cap=st.lp_support_cap)
+    res = bounded_lipschitz(mu, nu)
     print(json.dumps({
         "distance": res.distance,
         "rounds": res.rounds,
@@ -838,9 +838,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="bounded-Lipschitz distance of two measures")
     dist.add_argument("first", help="measure CSV")
     dist.add_argument("second", help="measure CSV")
-    dist.add_argument("--config", help="INI settings file")
-    dist.add_argument("--support-cap", dest="lp_support_cap", type=int,
-                      help="largest joint support the LP accepts")
     dist.set_defaults(func=_cmd_distance)
     return p
 

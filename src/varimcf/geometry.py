@@ -245,11 +245,14 @@ def _solid_angle(a, b, c) -> np.ndarray:
 
 
 def contains(mesh: SurfaceMesh, points) -> np.ndarray:
-    """True for points the mesh winds around an odd number of times.
+    """True for points the mesh winds around a nonzero number of times.
 
     The signed angles (n = 2) or solid angles (n = 3) that the facets
     subtend at a point sum to 2 pi or 4 pi times its winding number, so
-    either orientation gives the same answer.  Undefined on the mesh itself.
+    either orientation gives the same answer.  On a simple loop or surface
+    this is the parity rule; on nested boundaries of one orientation, such
+    as two concentric circles, the inner region winds twice and is inside.
+    Undefined on the mesh itself.
     """
     mesh.check_closed()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -270,7 +273,7 @@ def contains(mesh: SurfaceMesh, points) -> np.ndarray:
         else:
             angles = _solid_angle(rel[:, :, 0], rel[:, :, 1], rel[:, :, 2])
         winding[lo:lo + step] = angles.sum(axis=1) / full_turn
-    return np.rint(winding).astype(np.int64) % 2 == 1
+    return np.rint(winding) != 0.0
 
 
 def _cut_at_sphere(A: np.ndarray, D: np.ndarray, r: float) -> np.ndarray:

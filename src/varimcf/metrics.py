@@ -44,7 +44,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 
-from .config import DEFAULT_SUPPORT_CAP, LP_LIPSCHITZ
+from . import config
+from .config import LP_LIPSCHITZ
 from .errors import ConfigError, VarimcfError
 from .varifold import DiscreteVarifold
 
@@ -177,13 +178,14 @@ def _union_support(mu: DiscreteMeasure, nu: DiscreteMeasure):
     return uniq, coef
 
 
-def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                      support_cap: int = DEFAULT_SUPPORT_CAP) -> BLResult:
-    """Exact bounded-Lipschitz distance of two finitely supported measures."""
+def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure) -> BLResult:
+    """Exact bounded-Lipschitz distance of two finitely supported measures,
+    whose union support holds at most config.DEFAULT_SUPPORT_CAP points."""
     pts, coef = _union_support(mu, nu)
     K = len(pts)
-    if K > support_cap:
-        raise VarimcfError(f"union support has {K} points, cap is {support_cap}")
+    cap = config.DEFAULT_SUPPORT_CAP
+    if K > cap:
+        raise VarimcfError(f"union support has {K} points, cap is {cap}")
     if K == 0:
         return BLResult(0.0, np.zeros(0), pts, "empty", 0, 0)
     if K == 1:

@@ -34,21 +34,20 @@ evaluated once, and
 the dissipation, are sums over the same nodes; as grad Phi is odd,
 delta V(h) = -D to roundoff.  Anchored at an atom, the nodes move with V under
 translations and quarter turns.  One pair pass serves both sums of a step:
-the lattice finds the candidate nodes near a point a column at a time, and
-the kernel profile zeroes the few beyond R, so the field sums scatter each
-atom onto its nodes and the outer sum gathers each point's nodes.  All
-reductions are fixed-order (bincount, einsum and the row sums of a CSR
-matrix), so results are bitwise reproducible regardless of thread
-configuration.  The gather's pairs come grouped by point, so a CSR row sum
-adds the same products, in the same order and from 0, as a bincount over the
-point index would; no sum starts from -0.0, so the +-0.0 terms of the
-candidates beyond R change none.
+the lattice's one search, _Lattice.neighbor_pairs, finds the candidate nodes
+near a point a column at a time, and the kernel profile zeroes the few
+beyond R, so the field sums scatter each atom onto its nodes and the outer
+sum gathers each point's nodes.  All reductions are fixed-order (bincount,
+einsum and the row sums of a CSR matrix), so results are bitwise
+reproducible regardless of thread configuration.  The gather's pairs come
+grouped by point, so a CSR row sum adds the same products, in the same order
+and from 0, as a bincount over the point index would; no sum starts from
+-0.0, so the +-0.0 terms of the candidates beyond R change none.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -128,15 +127,6 @@ def _integer_ball(dim: int, reach: float) -> np.ndarray:
     return ints[np.einsum("ai,ai->a", ints, ints) <= reach * reach]
 
 
-def _pack(cells: np.ndarray) -> np.ndarray:
-    """One int64 code per row of cell indices, ordered as the rows sort.
-
-    Indices out of range wrap around instead of failing.
-    """
-    dims = (2 * _HASH_HALF_RANGE,) * cells.shape[1]
-    return np.ravel_multi_index(tuple((cells + _HASH_HALF_RANGE).T), dims, mode="wrap")
-
-
 def _ranges(lo: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """arange(lo[i], stop[i]) for every i, concatenated (stop >= lo)."""
     counts = stop - lo
@@ -169,61 +159,6 @@ class QuadratureGrid:
         if refinement < 2:
             raise VarimcfError(f"refinement {refinement} < 2: spacing would exceed eps/2")
         return cls(kernel.dim, kernel.support_radius, kernel.eps / float(refinement))
-
-
-class SpatialHash:
-    """Exact fixed-radius neighbor lookup on a uniform grid of cells.
-
-    Cell size equals the query radius, so all neighbors of a query point lie
-    in its cell or the 3^dim surrounding cells.  Atom indices are kept in a
-    cell-sorted order; pair generation is fully vectorized and deterministic.
-    Nothing in the package calls it; perfbench/tracing.py still wraps
-    neighbor_pairs until that span moves to _Lattice._near.
-    """
-
-    def __init__(self, points: np.ndarray, cell_size: float):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        self.dim = pts.shape[1]
-        if self.dim > 3:
-            raise ConfigError("spatial hash supports dimensions 2 and 3")
-        self.cell_size = float(cell_size)
-        cells = np.floor(pts / self.cell_size).astype(np.int64)
-        if cells.size and np.max(np.abs(cells)) >= _HASH_HALF_RANGE - 1:
-            raise ConfigError("coordinates too large for the spatial hash")
-        codes = _pack(cells)
-        self.order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[self.order]
-        self.cell_codes, self.starts = np.unique(sorted_codes, return_index=True)
-        counts = np.empty_like(self.starts)
-        if len(self.starts):
-            counts[:-1] = np.diff(self.starts)
-            counts[-1] = sorted_codes.shape[0] - self.starts[-1]
-        self.counts = counts
-        self._neighborhood = np.array(
-            list(itertools.product((-1, 0, 1), repeat=self.dim)), dtype=np.int64)
-
-    def neighbor_pairs(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """All (query row, point index) pairs within one cell ring."""
-        q = np.atleast_2d(np.asarray(queries, dtype=float))
-        qcells = np.floor(q / self.cell_size).astype(np.int64)
-        rows_out, cols_out = [], []
-        for off in self._neighborhood:
-            codes = _pack(qcells + off)
-            pos = np.searchsorted(self.cell_codes, codes)
-            pos_c = np.minimum(pos, len(self.cell_codes) - 1) if len(self.cell_codes) else pos
-            hit = np.zeros(codes.shape[0], dtype=bool)
-            if len(self.cell_codes):
-                hit = self.cell_codes[pos_c] == codes
-            if not np.any(hit):
-                continue
-            starts = self.starts[pos_c[hit]]
-            counts = self.counts[pos_c[hit]]
-            flat = _ranges(starts, starts + counts)
-            rows_out.append(np.repeat(np.nonzero(hit)[0], counts))
-            cols_out.append(self.order[flat])
-        if not rows_out:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        return np.concatenate(rows_out), np.concatenate(cols_out)
 
 
 def _field_sums(lattice: _Lattice) -> tuple[np.ndarray, np.ndarray]:
@@ -260,10 +195,10 @@ class _Lattice:
     dissipation of a step.  Node codes are linear in the cell, and the cells
     along the last axis of a column have consecutive codes, so the nodes near
     a point are found a column at a time: one code range per column.  That
-    one lookup, through _pairs, gives the pairs of both kernel sums: the
-    atoms scattered onto the nodes for the fields, the nodes gathered at
-    each point by curvature_with_jacobian.  An empty varifold has no nodes, so its fields
-    vanish everywhere.
+    one search, neighbor_pairs, called through _pairs, gives the pairs of
+    both kernel sums: the atoms scattered onto the nodes for the fields, the
+    nodes gathered at each point by curvature_with_jacobian.  An empty
+    varifold has no nodes, so its fields vanish everywhere.
     """
 
     def __init__(self, V: DiscreteVarifold, kernel: Mollifier, grid: QuadratureGrid):
@@ -323,7 +258,7 @@ class _Lattice:
         mass, fvar = self.fields
         return -fvar / (mass + self.kernel.eps)[:, None]
 
-    def _near(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def neighbor_pairs(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(point row, node index) pairs holding every node within R of a point.
 
         Each column of the point's integer ball that passes within R gives
@@ -353,20 +288,25 @@ class _Lattice:
         """The kernel terms of the points' pairs, a chunk of points at a time.
 
         Each chunk of consecutive points gets about _PAIR_CHUNK candidates
-        from _near; yields the chunk's slice, the rows and node indices, the
-        differences point - node and the profile g, g' there, which
-        _profile01 zeroes on the few candidates outside R.
+        from neighbor_pairs; yields the chunk's slice, the rows and node
+        indices, the differences point - node and the profile g, g' there,
+        which _profile01 zeroes on the few candidates outside R.
         """
         nodes = self.nodes[1]
         step = max(1, _PAIR_CHUNK // int(np.sum(2 * self.half + 1)))
         for lo in range(0, len(points), step):
             part = slice(lo, lo + step)
-            rows, idx = self._near(points[part])
+            rows, idx = self.neighbor_pairs(points[part])
             # np.take copies rows several times faster than fancy indexing
             diff = np.take(points[part], rows, axis=0) - np.take(nodes, idx, axis=0)
             yield (part, rows, idx, diff,
                    *self.kernel._profile01(np.einsum("pi,pi->p", diff, diff)))
 
+
+# perfbench/tracing.py wraps mollifier.SpatialHash.neighbor_pairs, so the
+# traced pair search is the lattice's; ROADMAP item 2a drops this name when
+# it retargets that span
+SpatialHash = _Lattice
 
 def curvature_with_jacobian(lattice: _Lattice, points: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray]:

@@ -10,13 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varimcf import cli
+from varimcf import cli, config, flow
 from varimcf.barriers import BarrierFunction
 from varimcf.cli import (Settings, _frame_header, _load_table,
                          _measure_header, _save_table, _write_trace,
                          load_manifest, load_trace, main)
 from varimcf.config import DEFECT_SAMPLES, TECHNICAL_SAMPLES
-from varimcf.errors import ConfigError
+from varimcf.errors import ConfigError, VarimcfError
 from varimcf.flow import (FlowConfig, FlowTrace, Snapshot, brakke_residual,
                           run, sample)
 from varimcf.geometry import (SurfaceMesh, mesh_to_varifold,
@@ -208,7 +208,7 @@ def test_an_eps_that_overflows_its_dimension_is_a_usage_error(
     captured = capsys.readouterr()
     assert captured.err == (f"configuration error: kernel scale eps = "
                             f"{float(eps):g} overflows in dimension {dim}\n")
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
 
 
 def test_an_aborted_run_is_a_run_error(tmp_path, capsys):
@@ -219,7 +219,26 @@ def test_an_aborted_run_is_a_run_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "run error: per-step mass growth exceeded dt\n"
     assert captured.out == ""
-    assert not (out / "manifest.json").exists()
+    assert not out.exists()
+
+
+def test_a_run_aborted_on_its_second_flow_writes_nothing(tmp_path, capsys,
+                                                         monkeypatch):
+    # the first flow's frames are not written without the manifest
+    calls = []
+
+    def aborting(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise VarimcfError("second flow aborted")
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "run", aborting)
+    out = tmp_path / "half"
+    assert main(["simulate", "--preset", "two-concentric-circles",
+                 "--end-time", "0.002", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "run error: second flow aborted\n"
+    assert len(calls) == 2 and not out.exists()
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
@@ -278,7 +297,8 @@ def test_config_file_drives_the_run(tmp_path):
     ("[constants]\nenforce_gate = ture\n", "enforce_gate"),
     ("[constants]\ngate_constant = 0\nenforce_gate = yes\n", "gate_constant"),
     ("[constants]\ngate_constant = inf\n", "gate_constant"),
-    # numbers that are not finite, and a support cap with no room
+    # numbers that are not finite, and the retired support cap, refused as
+    # an unknown key
     ("[constants]\ncertificate_step_constant = inf\n",
      "certificate_step_constant"),
     ("[certificates]\nball_radius = inf\n", "ball_radius"),
@@ -1114,6 +1134,23 @@ def test_nonfinite_frame_values_are_usage_errors(run_dir, tmp_path, capsys,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("fname, edit, count", [
+    ("mesh_main_0010.csv", lambda rows: rows.append(rows[-1]), 201),
+    ("mesh_main_0003.csv", lambda rows: rows.pop(), 199),
+], ids=["vertex-appended", "vertex-dropped"])
+def test_a_mesh_frame_with_another_vertex_count_is_a_usage_error(
+        run_dir, tmp_path, capsys, fname, edit, count):
+    broken = tmp_path / "recounted"
+    shutil.copytree(run_dir, broken)
+    rewrite_rows(broken / fname, edit)
+    # the simplices index the first frame's vertices
+    assert main(["check", str(broken), "--certificates", "mass-decay"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"configuration error: {broken / fname}: holds "
+                            f"{count} vertices, the first mesh frame 200\n")
+    assert captured.out == ""
+
+
 def test_a_frame_with_curvature_columns_is_refused(run_dir, tmp_path, capsys):
     # frames once carried h after the mass; such a recording is refused by
     # name, with the header found and the header wanted
@@ -1257,25 +1294,15 @@ def test_distance_reports_the_size_of_the_final_program(pair_dir, tmp_path,
     assert 0 < payload["rows"] <= seed + 400 * (payload["rounds"] - 1)
 
 
-def test_distance_respects_the_support_cap(tmp_path, capsys):
+def test_distance_respects_the_support_cap(tmp_path, capsys, monkeypatch):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     pts = np.linspace(0.0, 1.0, 12)[:, None]
     save_measure(a, pts, np.ones(12))
     save_measure(b, pts + 0.001, np.ones(12))
-    assert main(["distance", str(a), str(b), "--support-cap", "10"]) == 1
+    monkeypatch.setattr(config, "DEFAULT_SUPPORT_CAP", 10)
+    assert main(["distance", str(a), str(b)]) == 1
     assert "support" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("cap", ["0", "-5"])
-def test_a_support_cap_below_one_is_a_usage_error(tmp_path, capsys, cap):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    save_measure(a, [[0.0], [1.0]], [1.0, 1.0])
-    save_measure(b, [[0.5]], [1.0])
-    assert main(["distance", str(a), str(b), "--support-cap", cap]) == 2
-    captured = capsys.readouterr()
-    assert "lp_support_cap must be at least 1" in captured.err
-    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,20 @@ def test_contains_is_blind_to_orientation():
         assert np.array_equal(contains(reversed_loops(mesh), pts), inside)
 
 
+def test_contains_counts_nested_loops_of_one_orientation_as_inside():
+    # the union of the two-region preset's circles: the inner disk winds
+    # twice, the annulus once and the exterior not at all
+    inner, outer = regular_polygon_mesh(64, 0.5), regular_polygon_mesh(128, 1.0)
+    union = SurfaceMesh(np.vstack([inner.vertices, outer.vertices]),
+                        np.vstack([inner.simplices,
+                                   outer.simplices + len(inner.vertices)]))
+    pts = np.array([[0.0, 0.0], [0.2, -0.1], [0.75, 0.0], [0.0, -0.9],
+                    [1.2, 0.0], [-0.8, 0.9]])
+    want = [True, True, True, True, False, False]
+    assert list(contains(union, pts)) == want
+    assert list(contains(reversed_loops(union), pts)) == want
+
+
 def test_volume_reports_carry_no_sampling_fields():
     circle = regular_polygon_mesh(32)
     flat = volume_change_series(one_step(

@@ -103,3 +103,33 @@ def test_run_calls_each_field_layer_once_per_step(monkeypatch):
     assert calls == {"curvature_with_jacobian": 2, "dissipation": 2,
                      "_field_sums": 2}
     assert np.all(np.isfinite(tr.snapshots[-1].mesh_vertices))
+
+
+def test_the_traced_pair_search_is_the_one_both_kernel_sums_use(monkeypatch):
+    # a wrapper installed on the class, as the tracer installs it, must see
+    # every candidate pair that reaches the kernel profile
+    assert mollifier.SpatialHash is mollifier._Lattice
+    searches, candidates, profiled = [0], [0], [0]
+    search = vars(mollifier._Lattice)["neighbor_pairs"]
+    profile = vars(mollifier.Mollifier)["_profile01"]
+
+    def counted_search(self, points):
+        rows, idx = search(self, points)
+        searches[0] += 1
+        candidates[0] += len(rows)
+        return rows, idx
+
+    def counted_profile(self, rho):
+        profiled[0] += rho.size
+        return profile(self, rho)
+
+    monkeypatch.setattr(mollifier._Lattice, "neighbor_pairs", counted_search)
+    monkeypatch.setattr(mollifier.Mollifier, "_profile01", counted_profile)
+    mesh = regular_polygon_mesh(32)
+    cfg = FlowConfig(eps=0.15, dt=2e-3, end_time=2e-3)
+    tr = flow.run(mesh_to_varifold(mesh), cfg, mesh_vertices=mesh.vertices,
+                  mesh_simplices=mesh.simplices)
+    assert len(tr.snapshots) == 2
+    # the atoms scattered onto the nodes, then the points gathering them
+    assert searches[0] >= 2
+    assert candidates[0] > 0 and candidates[0] == profiled[0]

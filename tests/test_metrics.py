@@ -12,7 +12,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 
-from varimcf import metrics
+from varimcf import config, metrics
 from varimcf.cli import (_frame_header, _load_table, _measure_header,
                          _save_table, main)
 from varimcf.errors import ConfigError, VarimcfError
@@ -132,13 +132,14 @@ def test_scalar_support_promotes_to_column():
     assert res.distance == pytest.approx(2.0, abs=1e-9)
 
 
-def test_support_cap_enforced():
+def test_support_cap_enforced(monkeypatch):
+    monkeypatch.setattr(config, "DEFAULT_SUPPORT_CAP", 50)
     rng = np.random.default_rng(7)
     mu = DiscreteMeasure(rng.normal(size=(30, 2)), np.ones(30))
     nu = DiscreteMeasure(rng.normal(size=(30, 2)), np.ones(30))
     with pytest.raises(VarimcfError,
                        match="union support has 60 points, cap is 50"):
-        bounded_lipschitz(mu, nu, support_cap=50)
+        bounded_lipschitz(mu, nu)
 
 
 def test_measure_validation():

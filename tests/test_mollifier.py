@@ -8,8 +8,8 @@ import pytest
 
 from varimcf import mollifier
 from varimcf.errors import ConfigError, VarimcfError
-from varimcf.mollifier import (Mollifier, QuadratureGrid, SpatialHash,
-                               _integer_ball, _Lattice, _pack,
+from varimcf.mollifier import (_HASH_HALF_RANGE, Mollifier, QuadratureGrid,
+                               _integer_ball, _Lattice,
                                curvature_with_jacobian, dissipation)
 from varimcf.varifold import (DiscreteVarifold, first_variation,
                               projections_from_bases)
@@ -167,23 +167,6 @@ def test_grid_refinement_guard():
                  QuadratureGrid(2, 0.5 * kern.support_radius, 0.05))
 
 
-def test_spatial_hash_finds_exactly_the_near_pairs():
-    rng = np.random.default_rng(2)
-    pts = rng.uniform(-2.0, 2.0, (300, 2))
-    queries = rng.uniform(-2.5, 2.5, (40, 2))
-    radius = 0.3
-    hash_ = SpatialHash(pts, radius)
-    rows, cols = hash_.neighbor_pairs(queries)
-    got = set(zip(rows.tolist(), cols.tolist()))
-    dist = np.linalg.norm(queries[:, None, :] - pts[None, :, :], axis=2)
-    for q in range(len(queries)):
-        for p in range(len(pts)):
-            if dist[q, p] < radius:           # must never be missed
-                assert (q, p) in got
-            if (q, p) in got:                 # candidates stay in one cell ring
-                assert dist[q, p] <= radius * (1.0 + 2.0 * math.sqrt(2.0))
-
-
 # ---------------------------------------------------------------------------
 # smoothed fields against brute-force sums
 
@@ -296,6 +279,12 @@ def test_lattice_holds_every_node_near_an_atom(n, d, refinement):
         assert all(tuple(c) in found for c in cand[near].tolist())
 
 
+def _pack(cells):
+    """One int64 code per row of cell indices, ordered as the rows sort."""
+    dims = (2 * _HASH_HALF_RANGE,) * cells.shape[1]
+    return np.ravel_multi_index(tuple((cells + _HASH_HALF_RANGE).T), dims)
+
+
 @pytest.mark.parametrize("n,d", [(2, 1), (3, 2)])
 def test_lattice_nodes_are_the_integer_balls_around_the_atoms(n, d):
     # the merged column ranges hold exactly the cells within R + sqrt(n)
@@ -327,7 +316,7 @@ def test_lattice_lookup_finds_exactly_the_nodes_within_the_support(n, d):
     R2 = kern.support_radius**2
     pts = np.vstack([V.positions, rng.uniform(-1.6, 1.6, (25, n)),
                      np.full((1, n), 1e3)])
-    rows, idx = lattice._near(pts)
+    rows, idx = lattice.neighbor_pairs(pts)
     gap = pts[rows] - nodes[idx]
     inside = np.einsum("pi,pi->p", gap, gap) < R2
     rows, idx = rows[inside], idx[inside]
