@@ -150,7 +150,10 @@ def load_settings(config_path: str | None, args: argparse.Namespace) -> Settings
     st = Settings()
     if config_path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(config_path)
+        try:
+            read = parser.read(config_path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as e:
+            raise ConfigError(f"config file {config_path}: {e}") from None
         if not read:
             raise ConfigError(f"cannot read config file {config_path}")
         for section in parser.sections():
@@ -216,19 +219,19 @@ def _load_table(path: Path, header, dtype=float):
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"no file at {path}")
-    with path.open() as fh:
-        found = fh.readline().rstrip("\n").split(",")
-        want = header(len(found)) if callable(header) else header
-        if found != want:
-            raise ConfigError(f"{path}: header {','.join(found)}, "
-                              f"want {','.join(want)}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a header, no rows
-            try:
+    try:    # a row numpy cannot parse, or bytes that are not UTF-8
+        with path.open(encoding="utf-8") as fh:
+            found = fh.readline().rstrip("\n").split(",")
+            want = header(len(found)) if callable(header) else header
+            if found != want:
+                raise ConfigError(f"{path}: header {','.join(found)}, "
+                                  f"want {','.join(want)}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a header, no rows
                 rows = np.loadtxt(fh, dtype=dtype, delimiter=",",
                                   comments=None, ndmin=2)
-            except ValueError as e:
-                raise ConfigError(f"{path}: {e}") from None
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
     if rows.size and rows.shape[1] != len(want):
         raise ConfigError(f"{path}: {rows.shape[1]} columns, want {len(want)}")
     return rows.reshape(-1, len(want))
@@ -318,8 +321,8 @@ def load_trace(manifest: dict, base: Path, record: dict):
     config's subdivision, every frame at least one atom, every atom a
     positive mass, every step before the last frame a finite number for
     each recorded quantity, and a recorded boundary mesh must be closed.
-    A frame holds no curvature field: the loaded snapshots leave
-    `curvature` and `curvature_jacobian` at None.
+    A frame holds no curvature field: `flow.sample` and `flow.brakke_residual`
+    compute h and Dh from the loaded varifolds, as from the run's own.
     """
     import numpy as np
 
@@ -360,9 +363,9 @@ def load_trace(manifest: dict, base: Path, record: dict):
             if not (_is_kind(value, float) and abs(value) <= sys.float_info.max):
                 raise ConfigError(f"trace {record['name']!r}: the {key} of "
                                   f"step {i} is not a finite number")
-    # simulate records float(t) of the subdivision's nodes, which JSON
-    # returns exactly
-    if record["times"] != cfg.times().tolist():
+    # the step count first, so a tiny dt is refused before its subdivision is
+    # built; simulate records float(t) of the nodes, which JSON returns exactly
+    if len(frames) != cfg.steps + 1 or record["times"] != cfg.times().tolist():
         raise ConfigError(f"trace {record['name']!r}: 'times' is not the "
                           "subdivision of the manifest's config")
     simplices = record.get("simplices")
@@ -384,12 +387,12 @@ def load_trace(manifest: dict, base: Path, record: dict):
             raise ConfigError(f"{base / fname}: holds no atoms")
         if not np.all(np.isfinite(arr)):
             raise ConfigError(f"{base / fname}: holds a non-finite value")
-        if not np.all(arr[:, n + n * n] > 0.0):
-            raise ConfigError(f"{base / fname}: holds a mass that is not "
-                              "positive")
-        V = DiscreteVarifold.from_arrays(arr[:, :n],
-                                         arr[:, n:n + n * n].reshape(-1, n, n),
-                                         arr[:, n + n * n], d=d)
+        try:
+            V = DiscreteVarifold.from_arrays(arr[:, :n],
+                                             arr[:, n:n + n * n].reshape(-1, n, n),
+                                             arr[:, n + n * n], d=d)
+        except VarimcfError as e:
+            raise ConfigError(f"{base / fname}: {e}") from None
         verts = None
         if mesh_frames[i] is not None:
             verts = _load_table(base / mesh_frames[i],
@@ -427,9 +430,10 @@ def load_manifest(path: str):
         p = p / "manifest.json"
     if not p.exists():
         raise ConfigError(f"no manifest at {p}")
-    try:
-        manifest = json.loads(p.read_text(), parse_constant=_refuse_constant)
-    except json.JSONDecodeError as e:
+    try:        # bytes that are not UTF-8 are no JSON either
+        manifest = json.loads(p.read_text(encoding="utf-8"),
+                              parse_constant=_refuse_constant)
+    except ValueError as e:
         raise ConfigError(f"{p}: not valid JSON ({e})") from None
     if not isinstance(manifest, dict):
         raise ConfigError(f"{p}: the manifest must be a JSON object")

@@ -104,24 +104,23 @@ class FlowConfig:
         if not 0.0 <= self.end_time <= 1.0 + 1e-12:
             raise ConfigError(f"end_time must lie in [0, 1], got {self.end_time}")
 
+    @property
+    def steps(self) -> int:
+        """Number of steps of the subdivision: none when end_time is 0."""
+        return 0 if self.end_time == 0.0 else max(1, round(self.end_time / self.dt))
+
     def times(self) -> np.ndarray:
-        if self.end_time == 0.0:
-            return np.zeros(1)
-        steps = max(1, int(round(self.end_time / self.dt)))
-        return np.linspace(0.0, self.end_time, steps + 1)
+        return np.linspace(0.0, self.end_time, self.steps + 1)
 
     def delta(self) -> float:
         """Fineness of the subdivision (largest step); 0 for a one-node grid."""
-        diffs = np.diff(self.times())
-        return float(np.max(diffs)) if len(diffs) else 0.0
+        return float(np.max(np.diff(self.times()), initial=0.0))
 
 
 @dataclass(frozen=True)
 class Snapshot:
     time: float
     varifold: DiscreteVarifold
-    curvature: np.ndarray | None = None        # h at the atoms (N, n)
-    curvature_jacobian: np.ndarray | None = None
     curvature_max: float | None = None         # max |h| over atoms and mesh vertices
     dissipation: float | None = None
     mesh_vertices: np.ndarray | None = None
@@ -151,17 +150,19 @@ class FlowTrace:
     def masses(self) -> np.ndarray:
         return np.array([s.mass for s in self.snapshots])
 
-    def span(self) -> tuple[float, float]:
-        return float(self.snapshots[0].time), float(self.snapshots[-1].time)
-
     def locate(self, t: float) -> int:
         """Index i with times[i] <= t < times[i+1] (last index at the end)."""
-        lo, hi = self.span()
-        if t < lo - 1e-12 or t > hi + 1e-12:
-            raise VarimcfError(f"t = {t} outside [{lo}, {hi}]")
         times = self.times
+        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
+            raise VarimcfError(f"t = {t} outside [{times[0]}, {times[-1]}]")
         i = int(np.searchsorted(times, t + 1e-12) - 1)
         return min(max(i, 0), len(times) - 1)
+
+
+def _kernel(config: FlowConfig, n: int) -> tuple[Mollifier, QuadratureGrid]:
+    """The smoothing kernel and lattice spacing of config's flow in R^n."""
+    kernel = Mollifier(config.eps, n, config.cutoff)
+    return kernel, QuadratureGrid.for_kernel(kernel, config.refinement)
 
 
 def run(V0: DiscreteVarifold, config: FlowConfig,
@@ -175,8 +176,7 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
     """
     M = max(1.0, V0.total_mass())
     times = config.times()
-    kernel = Mollifier(config.eps, V0.n, config.cutoff)
-    grid = QuadratureGrid.for_kernel(kernel, config.refinement)
+    kernel, grid = _kernel(config, V0.n)
     N = len(V0)
     snaps: list[Snapshot] = []
     V = V0
@@ -196,9 +196,8 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
         dets_v = np.linalg.det(np.eye(V.n) + dt * J[N:])
         excess = np.abs(np.concatenate([dets, dets_v]) - 1.0)
         step_delta = max(dt * hmax, float(np.max(excess, initial=0.0)))
-        snaps.append(Snapshot(float(times[i]), V, h[:N], J[:N],
-                              hmax, diss, None if verts is None else verts.copy(),
-                              step_delta))
+        snaps.append(Snapshot(float(times[i]), V, hmax, diss,
+                              None if verts is None else verts.copy(), step_delta))
         if W.total_mass() > V.total_mass() + dt + CHAIN_SLACK:
             raise VarimcfError("per-step mass growth exceeded dt")
         if W.total_mass() > M + 1.0 + CHAIN_SLACK:
@@ -207,7 +206,7 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
         if verts is not None:
             verts = verts + dt * h[N:]
     snaps.append(Snapshot(float(times[-1]), V, None, None,
-                          None, None, None if verts is None else verts.copy(), None))
+                          None if verts is None else verts.copy(), None))
     return FlowTrace(config, tuple(snaps), mesh_simplices)
 
 
@@ -216,20 +215,17 @@ def sample(trace: FlowTrace, t: float,
     """The flow at time t, in piecewise or interpolated reading.
 
     Piecewise: V(t) = V(t_i) on [t_i, t_{i+1}).  Interpolated: the partial
-    pushforward under x + (t - t_i) h(., V(t_i)), using the stored fields.
+    pushforward under x + (t - t_i) h(., V(t_i)), with h and Dh computed
+    from V(t_i), so a loaded trace reads as the run that wrote it.
     """
     if mode not in ("piecewise", "interpolated"):
         raise ConfigError(f"unknown sampling mode {mode!r}")
     i = trace.locate(t)
-    snap = trace.snapshots[i]
-    if mode == "piecewise" or i == len(trace.snapshots) - 1:
-        return snap.varifold
-    tau = t - snap.time
-    if tau <= 1e-15:
-        return snap.varifold
-    if snap.curvature is None or snap.curvature_jacobian is None:
-        raise ConfigError("trace lacks stored curvature fields; cannot interpolate")
-    return _step(snap.varifold, tau, snap.curvature, snap.curvature_jacobian)[0]
+    V, tau = trace.snapshots[i].varifold, t - trace.snapshots[i].time
+    if mode == "piecewise" or i == len(trace.snapshots) - 1 or tau <= 1e-15:
+        return V
+    lattice = _Lattice(V, *_kernel(trace.config, V.n))
+    return _step(V, tau, *curvature_with_jacobian(lattice, V.positions))[0]
 
 
 def _weighted_fv_arrays(V: DiscreteVarifold, phi: BarrierFunction, t: float,
@@ -249,15 +245,14 @@ def brakke_residual(trace: FlowTrace, phi: BarrierFunction,
     |  ||V(t2)||(phi(., t2)) - ||V(t1)||(phi(., t1))
        - int delta(V, phi)(h) dt - int (d phi/dt) d||V|| dt  |
 
-    with left-endpoint rectangle quadrature in time.
+    with left-endpoint rectangle quadrature in time, h and Dh computed from
+    each step's varifold.
     """
     if t2 < t1:
         raise VarimcfError("need t1 <= t2")
-    lo, hi = trace.span()
-    if t1 < lo - 1e-12 or t2 > hi + 1e-12:
-        raise VarimcfError(f"[{t1}, {t2}] outside [{lo}, {hi}]")
     Va = sample(trace, t1, "piecewise")
     Vb = sample(trace, t2, "piecewise")
+    kernel, grid = _kernel(trace.config, Va.n)
     pa = float(np.dot(Va.masses, phi.value(Va.positions, t1)))
     pb = float(np.dot(Vb.masses, phi.value(Vb.positions, t2)))
     total = pb - pa
@@ -267,12 +262,10 @@ def brakke_residual(trace: FlowTrace, phi: BarrierFunction,
         w = min(times[i + 1], t2) - max(times[i], t1)
         if w <= 1e-15:
             continue
-        s = trace.snapshots[i]
-        if s.curvature is None or s.curvature_jacobian is None:
-            raise ConfigError("trace lacks stored curvature fields")
-        V = s.varifold
-        wfv = _weighted_fv_arrays(V, phi, s.time, s.curvature, s.curvature_jacobian)
-        dphi = float(np.dot(V.masses, phi.time_derivative(V.positions, s.time)))
+        V = trace.snapshots[i].varifold
+        h, J = curvature_with_jacobian(_Lattice(V, kernel, grid), V.positions)
+        wfv = _weighted_fv_arrays(V, phi, times[i], h, J)
+        dphi = float(np.dot(V.masses, phi.time_derivative(V.positions, times[i])))
         integral += w * (wfv + dphi)
     return abs(total - integral)
 

@@ -222,7 +222,11 @@ class _Lattice:
         self.strides = (2 * _HASH_HALF_RANGE) ** np.arange(V.n - 1, -1, -1)
 
     def cells(self, points: np.ndarray) -> np.ndarray:
-        return np.floor((points - self.anchor) / self.spacing).astype(np.int64)
+        cells = np.floor((points - self.anchor) / self.spacing)
+        # tested before the int64 cast, which maps NaN and overflow to INT64_MIN
+        if not np.all(np.abs(cells) < _HASH_HALF_RANGE // 2):
+            raise ConfigError("coordinates too large for the curvature lattice")
+        return cells.astype(np.int64)
 
     def _code(self, heads: np.ndarray, last: np.ndarray) -> np.ndarray:
         """Codes of the cells (heads, last); heads carry the first n - 1 axes."""
@@ -234,8 +238,6 @@ class _Lattice:
         if not len(self.V):
             return np.empty(0, dtype=np.int64), np.empty((0, self.V.n))
         base = self.cells(self.V.positions)
-        if np.max(np.abs(base)) >= _HASH_HALF_RANGE // 2:
-            raise ConfigError("coordinates too large for the curvature lattice")
         # the code range of each column around each atom, merged in code order
         lo = self._code(base[:, None, :-1] + self.heads,
                         base[:, None, -1] - self.half).ravel()

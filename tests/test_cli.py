@@ -127,8 +127,6 @@ def test_frames_round_trip_through_the_loader(run_dir):
     assert len(tr.snapshots) == 11
     first = tr.snapshots[0].varifold
     assert first.n == 2 and first.d == 1 and len(first) == 200
-    # a frame holds no field: check recomputes whatever it needs
-    assert all(s.curvature is None for s in tr.snapshots)
     assert [s.mass for s in tr.snapshots] == pytest.approx(
         frame_masses(run_dir, man["traces"][0]))
     # accepting the manifest.json path itself is equivalent
@@ -136,17 +134,31 @@ def test_frames_round_trip_through_the_loader(run_dir):
     assert man2["traces"][0]["frames"] == man["traces"][0]["frames"]
 
 
-def test_loaded_trace_refuses_what_needs_the_curvature_jacobian(run_dir):
-    # frames store neither h nor Dh: the readings that need them stop with a
-    # named error on a written-then-loaded trace
-    _, _, traces = load_manifest(str(run_dir))
-    tr = traces["main"]
-    assert tr.snapshots[0].curvature_jacobian is None
-    phi = BarrierFunction(np.zeros(2), 2.0, 3.0, 0)
-    with pytest.raises(ConfigError):
-        brakke_residual(tr, phi, 0.0, 0.01)
-    with pytest.raises(ConfigError):
-        sample(tr, 0.005, "interpolated")
+@pytest.mark.parametrize("preset, end_time", [("circle", 0.006),
+                                              ("sphere", 0.0025)])
+def test_a_loaded_trace_reads_as_the_run_that_wrote_it(tmp_path, preset,
+                                                       end_time):
+    # frames store neither h nor Dh: the readings that need them compute both
+    # from each step's varifold, so a written-then-loaded trace gives the
+    # interpolated samples and the Brakke residuals of the run, bit for bit
+    scenario = make_preset(preset, end_time=end_time)
+    mesh = scenario.mesh
+    trace = run(scenario.varifold, scenario.config,
+                mesh_vertices=mesh.vertices, mesh_simplices=mesh.simplices)
+    record = _write_trace(tmp_path, "main", trace)
+    manifest = {"config": dataclasses.asdict(scenario.config)}
+    loaded = load_trace(manifest, tmp_path, record)
+    n = scenario.varifold.n
+    for t in end_time * np.array([0.38, 0.87]):
+        a, b = (sample(tr, t, "interpolated") for tr in (trace, loaded))
+        assert not np.array_equal(a.positions, sample(trace, t).positions)
+        for field in ("positions", "planes", "masses"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+    for phi in (BarrierFunction(np.zeros(n), 2.0, 3.0, 0),
+                BarrierFunction(np.zeros(n), 1.2, 4.0, n - 1)):
+        residual = brakke_residual(trace, phi, 0.0, end_time)
+        assert residual > 0.0
+        assert brakke_residual(loaded, phi, 0.0, end_time) == residual
 
 
 def test_zero_step_run_has_one_snapshot(still_dir):
@@ -208,6 +220,23 @@ def test_an_eps_that_overflows_its_dimension_is_a_usage_error(
     captured = capsys.readouterr()
     assert captured.err == (f"configuration error: kernel scale eps = "
                             f"{float(eps):g} overflows in dimension {dim}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, eps, end_time", [
+    ("circle", "1e-25", "0.002"), ("circle", "1e-100", "0.002"),
+    ("sphere", "1e-30", "0.0025")])
+def test_coordinates_past_the_lattice_range_are_a_usage_error(
+        tmp_path, capsys, preset, eps, end_time):
+    # the atoms lie about 1/eps cells from the lattice's anchor: past the
+    # packing range at eps 1e-25, and past the int64 range, which the cast
+    # would turn into INT64_MIN, at 1e-100 and (in 3-D) 1e-30
+    out = tmp_path / "tiny"
+    assert main(["simulate", "--preset", preset, "--eps", eps,
+                 "--end-time", end_time, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("configuration error: coordinates too large for "
+                            "the curvature lattice\n")
     assert not out.exists()
 
 
@@ -312,6 +341,26 @@ def test_bad_config_files_are_usage_errors(tmp_path, capsys, body, fragment):
     ini.write_text(body)
     assert main(["simulate", "--config", str(ini)]) == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    b"preset = circle\n",
+    b"[run]\nseed = 1\nseed = 2\n",
+    b"[run]\nseed = 1\n[run]\npreset = circle\n",
+    b"[run]\npreset = circle\xff\xfe\n",
+], ids=["no-section-header", "repeated-key", "repeated-section", "not-utf-8"])
+def test_unparsable_config_files_are_usage_errors(run_dir, tmp_path, capsys,
+                                                  body):
+    # the INI parser's own refusals and undecodable bytes name the file
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(body)
+    for argv in (["check", str(run_dir)], ["simulate", "--end-time", "0",
+                                           "--out", str(tmp_path / "o")]):
+        assert main([*argv, "--config", str(ini)]) == 2
+        captured = capsys.readouterr()
+        assert f"config file {ini}: " in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key, value, certificates", [
@@ -933,6 +982,9 @@ def with_first_step(man: dict, key: str, value) -> dict:
     (lambda man: with_first_step(man, "frames", "."), "no file at "),
     (lambda man: {**man, "traces": [{**man["traces"][0], "simplices": "."}]},
      "no file at "),
+    # a dt whose subdivision numpy cannot allocate, refused by its step count
+    (lambda man: {**man, "config": {**man["config"], "dt": 1e-13}}, "'times'"),
+    (lambda man: {**man, "config": {**man["config"], "dt": 1e-300}}, "'times'"),
 ], ids=["missing-traces", "traces-not-a-list", "no-traces", "missing-config",
         "unknown-config-key", "eps-not-a-number", "missing-dt",
         "missing-ambient_dimension", "seed-not-an-integer", "negative-seed",
@@ -946,7 +998,7 @@ def with_first_step(man: dict, key: str, value) -> dict:
         "number-mesh-frame", "number-simplices", "zero-simplices",
         "false-simplices", "empty-string-simplices", "empty-list-simplices",
         "directory-frame",
-        "directory-simplices"])
+        "directory-simplices", "tiny-dt", "tiniest-dt"])
 def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
                                               fragment):
     broken = tmp_path / "malformed"
@@ -1016,8 +1068,8 @@ def test_missing_frame_file_is_reported(run_dir, tmp_path):
 
 
 def test_frame_text_is_fixed(tmp_path):
-    # two atoms of a 2-D curve over one step: %.17g fields, no column for the
-    # curvature the first snapshot carries, integer simplices
+    # two atoms of a 2-D curve over one step: %.17g fields and integer
+    # simplices
     horizontal = np.array([[1.0, 0.0], [0.0, 0.0]])
     pos = np.array([[0.1, 0.0], [-1.0 / 3.0, 2.0]])
     V0 = DiscreteVarifold.from_arrays(pos, np.stack([horizontal] * 2),
@@ -1026,8 +1078,7 @@ def test_frame_text_is_fixed(tmp_path):
                                       [0.5, 0.2], d=1)
     cfg = FlowConfig(eps=0.1, dt=0.1, end_time=0.1)
     trace = FlowTrace(cfg, (
-        Snapshot(0.0, V0, curvature=np.array([[-2.0, 0.1], [0.0, 3.0]]),
-                 mesh_vertices=np.array([[0.0, 1.0], [0.5, -0.0]])),
+        Snapshot(0.0, V0, mesh_vertices=np.array([[0.0, 1.0], [0.5, -0.0]])),
         Snapshot(0.1, V1, mesh_vertices=np.array([[0.0, 1.0], [0.75, 0.0]])),
     ), np.array([[0, 1], [1, 0]]))
     record = _write_trace(tmp_path, "main", trace)
@@ -1056,7 +1107,10 @@ def test_frame_text_is_fixed(tmp_path):
     # an atom's mass must be positive; NaN is refused as non-finite
     lambda rows: rows[1].__setitem__(rows[0].index("m"), "0"),
     lambda rows: rows[2].__setitem__(rows[0].index("m"), "-0.01"),
-], ids=["swapped-header", "ragged-row", "zero-mass", "negative-mass"])
+    # the varifold's own refusal names the frame too
+    lambda rows: rows[1].__setitem__(rows[0].index("p12"), "0.5"),
+], ids=["swapped-header", "ragged-row", "zero-mass", "negative-mass",
+        "asymmetric-plane"])
 def test_malformed_frames_are_usage_errors(run_dir, tmp_path, capsys, edit):
     broken = tmp_path / "malformed"
     shutil.copytree(run_dir, broken)
@@ -1066,6 +1120,32 @@ def test_malformed_frames_are_usage_errors(run_dir, tmp_path, capsys, edit):
     assert main(["check", str(broken)]) == 2
     captured = capsys.readouterr()
     assert "frame_main_0003.csv" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fname", ["manifest.json", "frame_main_0003.csv",
+                                   "mesh_main_0003.csv", "simplices_main.csv"])
+def test_a_recorded_file_that_is_not_utf_8_is_a_usage_error(
+        run_dir, tmp_path, capsys, fname):
+    broken = tmp_path / "not-utf-8"
+    shutil.copytree(run_dir, broken)
+    path = broken / fname
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    with pytest.raises(ConfigError, match=fname):
+        load_manifest(str(broken))
+    assert main(["check", str(broken)]) == 2
+    captured = capsys.readouterr()
+    assert f"{path}: " in captured.err and "utf-8" in captured.err
+    assert captured.out == ""
+
+
+def test_a_measure_file_that_is_not_utf_8_is_a_usage_error(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_measure(a, [[0.0], [1.0]], [1.0, 1.0])
+    b.write_bytes(b"x1,w\n0.5,1\n1,\xff\n")
+    assert main(["distance", str(a), str(b)]) == 2
+    captured = capsys.readouterr()
+    assert f"{b}: " in captured.err and "utf-8" in captured.err
     assert captured.out == ""
 
 
@@ -1171,28 +1251,37 @@ def test_a_frame_with_curvature_columns_is_refused(run_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("preset, end_time", [("circle", 0.006),
                                               ("sphere", 0.0025)])
-def test_a_loaded_frame_gives_back_the_recorded_curvature(tmp_path, preset,
-                                                          end_time):
+def test_a_loaded_frame_gives_back_the_recorded_curvature(tmp_path, monkeypatch,
+                                                          preset, end_time):
     # the curvature a frame once stored is a function of the frame: rebuilt
-    # from the loaded atoms it equals, bit for bit, the field the run used
+    # from the loaded atoms it equals, bit for bit, the field the run used,
+    # captured here through flow's module global as the tracer wraps it
+    used = []
+
+    def recording(lattice, points):
+        h, J = curvature_with_jacobian(lattice, points)
+        used.append(h[:len(lattice.V)])
+        return h, J
+    monkeypatch.setattr(flow, "curvature_with_jacobian", recording)
     scenario = make_preset(preset, end_time=end_time)
     mesh = scenario.mesh
     trace = run(scenario.varifold, scenario.config,
                 mesh_vertices=None if mesh is None else mesh.vertices,
                 mesh_simplices=None if mesh is None else mesh.simplices)
+    monkeypatch.undo()
     record = _write_trace(tmp_path, "main", trace)
     manifest = {"config": dataclasses.asdict(scenario.config)}
     loaded = load_trace(manifest, tmp_path, record)
     kernel = Mollifier(scenario.config.eps, scenario.varifold.n,
                        scenario.config.cutoff)
     grid = QuadratureGrid.for_kernel(kernel, scenario.config.refinement)
-    assert len(loaded.snapshots) == len(trace.snapshots) >= 2
-    for before, after in zip(trace.snapshots[:-1], loaded.snapshots):
+    assert len(loaded.snapshots) == len(trace.snapshots) == len(used) + 1 >= 2
+    for recorded, after in zip(used, loaded.snapshots):
         V = after.varifold
         pts = (V.positions if after.mesh_vertices is None
                else np.vstack([V.positions, after.mesh_vertices]))
         h, _ = curvature_with_jacobian(_Lattice(V, kernel, grid), pts)
-        assert np.array_equal(h[:len(V)], before.curvature)
+        assert np.array_equal(h[:len(V)], recorded)
 
 
 # ---------------------------------------------------------------------------

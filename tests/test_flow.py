@@ -292,6 +292,16 @@ def test_run_refuses_an_ambient_dimension_other_than_2_or_3():
         run(V, cfg)
 
 
+def test_run_refuses_an_atom_at_nan():
+    # NaN fails the lattice's range test, before the cast to int64
+    V = polygon_circle(32)
+    pos = V.positions.copy()
+    pos[5, 1] = np.nan
+    V = DiscreteVarifold.from_arrays(pos, V.planes, V.masses, d=1)
+    with pytest.raises(ConfigError, match="coordinates too large"):
+        run(V, FlowConfig(eps=0.1, dt=2e-3, end_time=4e-3))
+
+
 def test_sampling_piecewise_constant(circle_trace):
     tr = circle_trace
     t = tr.times[3]
