@@ -806,7 +806,7 @@ def _cmd_distance(args) -> int:
         "status": res.status,
         "support_first": len(mu),
         "support_second": len(nu),
-    }, indent=2, sort_keys=True))
+    }, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

@@ -103,6 +103,9 @@ class FlowConfig:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 <= self.end_time <= 1.0 + 1e-12:
             raise ConfigError(f"end_time must lie in [0, 1], got {self.end_time}")
+        if not np.isfinite(self.end_time / self.dt):
+            raise ConfigError(f"dt = {self.dt} gives a step count end_time / dt "
+                              "that is not finite")
 
     @property
     def steps(self) -> int:
@@ -110,7 +113,11 @@ class FlowConfig:
         return 0 if self.end_time == 0.0 else max(1, round(self.end_time / self.dt))
 
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.end_time, self.steps + 1)
+        try:
+            return np.linspace(0.0, self.end_time, self.steps + 1)
+        except (MemoryError, ValueError):    # numpy refuses to allocate it
+            raise ConfigError(f"dt = {self.dt} gives {self.steps} steps, a "
+                              "subdivision too large to allocate") from None
 
     def delta(self) -> float:
         """Fineness of the subdivision (largest step); 0 for a one-node grid."""

@@ -11,27 +11,33 @@ distance is the optimum of the finite linear program
 
 The program has a Lipschitz row pair for each of the K(K-1)/2 pairs of
 support points, but few of them bind, so it is solved by row generation
-(Kelley's cutting planes).  The first program holds the pairs that join each
-point to its 8 nearest neighbours.  After each solve one scan finds, for
-every point k, its largest Lipschitz excess |phi_k - phi_l| - |z_k - z_l|
-and the partner l that gives it; the next program adds those per-point
-pairs whose excess is above the solver's own feasibility tolerance
-tau = 0.1 * LP_LIPSCHITZ and that are not rows yet.  The loop stops when no
-such pair is left.  Then every point's largest excess is either at most tau
-or belongs to a row, and HiGHS holds its rows to tau, so every pair is
-broken by at most tau: phi is feasible for the full program to the same
-tolerance as for its own rows.  The relaxation's optimum is at least the
-full optimum, so phi is optimal.  Each round adds at least one pair, so the
-loop ends.  Scanning at tau rather than at 0 keeps the loop from chasing
-pairs broken only by the solver's tolerance.  The scans run in blocks of
-256 rows, so no pair-distance array ever holds more than 256 * K entries.
+(Kelley's cutting planes).  It is the dual of a transport problem (the
+Kantorovich-Rubinstein norm), so the rows that bind join surplus points
+(nu_k > mu_k) to deficit points.  The first program holds the pairs that
+join each point to its 8 nearest neighbours, and each point of nonzero
+coefficient to its nearest point of opposite sign.  After each solve one
+scan finds, for every point k, its largest Lipschitz excess
+|phi_k - phi_l| - |z_k - z_l| and the partner l that gives it; the next
+program adds those per-point pairs whose excess is above the solver's own
+feasibility tolerance tau = 0.1 * LP_LIPSCHITZ and that are not rows yet.
+The loop stops when no such pair is left.  Then every point's largest
+excess is either at most tau or belongs to a row, and HiGHS holds its rows
+to tau, so every pair is broken by at most tau: phi is feasible for the full
+program to the same tolerance as for its own rows.  The relaxation's
+optimum is at least the full optimum, so phi is optimal.  Each round adds
+at least one pair, so the loop ends.  Scanning at tau rather than at 0
+keeps the loop from chasing pairs broken only by the solver's tolerance.
+The seed and the scans run in blocks of 256 rows, so no pair-distance array
+ever holds more than 256 * K entries.
 Every pair distance, a row's bound and a scan's gap alike, is one
 sequential sum of squares and one square root (scipy's `cdist` loop), so
 a row and the scan measure the same pair as the same double.
 
-The returned certificate is re-verified feasible over all pairs,
-independently of the solver.  Two unit point masses at distance r give
-min(r, 2).
+The final scan is also the re-check of the returned certificate over all
+pairs, independent of the solver: |phi| <= 1 + LP_LIPSCHITZ and every
+excess at most LP_LIPSCHITZ.  Measures whose total weight or support
+diameter is not a finite double are refused.  Two unit point masses at
+distance r give min(r, 2).
 """
 
 from __future__ import annotations
@@ -93,13 +99,6 @@ class BLResult:
     rounds: int          # linear programs solved
     rows: int            # Lipschitz pairs in the final linear program
 
-    def verify_feasible(self, slack: float = LP_LIPSCHITZ) -> None:
-        """Independent check of the certificate against the constraint system."""
-        if np.any(np.abs(self.phi) > 1.0 + slack):
-            raise VarimcfError("certificate violates the box constraint")
-        if np.any(_worst_partners(self.points, self.phi)[0] > slack):
-            raise VarimcfError("certificate violates a Lipschitz constraint")
-
 
 _BLOCK = 256            # rows of the pair-distance matrix held at once
 _SEED_NEIGHBOURS = 8    # nearest neighbours per point in the first program
@@ -129,18 +128,24 @@ def _worst_partners(points: np.ndarray, phi: np.ndarray):
     return excess, partner
 
 
-def _seed_pairs(points: np.ndarray, neighbours: int) -> np.ndarray:
+def _seed_pairs(points: np.ndarray, coef: np.ndarray,
+                neighbours: int) -> np.ndarray:
     """Sorted codes k * K + l, k < l, of the pairs that join each point to
-    its nearest neighbours."""
+    its nearest neighbours, and each point with a nonzero coefficient to its
+    nearest point of opposite sign."""
     K = len(points)
+    sign = np.sign(coef)
     codes = []
     for start in range(0, K, _BLOCK):
         gaps = _block_gaps(points, start)
         rows = np.arange(start, start + len(gaps))
         gaps[rows - start, rows] = np.inf    # not its own neighbour
         near = np.argpartition(gaps, neighbours - 1, axis=1)[:, :neighbours]
-        k = np.repeat(rows, neighbours)
-        l = near.ravel()
+        gaps[sign[rows, None] * sign >= 0.0] = np.inf
+        far = gaps.argmin(axis=1)
+        signed = np.isfinite(gaps[rows - start, far])
+        k = np.concatenate([np.repeat(rows, neighbours), rows[signed]])
+        l = np.concatenate([near.ravel(), far[signed]])
         codes.append(np.minimum(k, l) * K + np.maximum(k, l))
     return np.unique(np.concatenate(codes).astype(np.int64))
 
@@ -181,6 +186,9 @@ def _union_support(mu: DiscreteMeasure, nu: DiscreteMeasure):
 def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure) -> BLResult:
     """Exact bounded-Lipschitz distance of two finitely supported measures,
     whose union support holds at most config.DEFAULT_SUPPORT_CAP points."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(mu.weights.sum() + nu.weights.sum()):
+            raise ConfigError("the measures' total weight overflows a double")
     pts, coef = _union_support(mu, nu)
     K = len(pts)
     cap = config.DEFAULT_SUPPORT_CAP
@@ -191,10 +199,14 @@ def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure) -> BLResult:
     if K == 1:
         phi = np.array([math.copysign(1.0, coef[0]) if coef[0] != 0.0 else 0.0])
         return BLResult(abs(float(coef[0])), phi, pts, "closed-form", 0, 0)
+    # the bounding box's diagonal bounds every pair distance, computed alike
+    with np.errstate(over="ignore"):
+        if not np.isfinite(_gaps(np.ptp(pts, axis=0))):
+            raise ConfigError("the support's diameter overflows a double")
     # HiGHS accepts rows broken by up to its primal feasibility tolerance
-    # (1e-7 by default): hold it below the slack of BLResult.verify_feasible
+    # (1e-7 by default): hold it below the slack of the final re-check
     feasibility = 0.1 * LP_LIPSCHITZ
-    codes = _seed_pairs(pts, min(_SEED_NEIGHBOURS, K - 1))
+    codes = _seed_pairs(pts, coef, min(_SEED_NEIGHBOURS, K - 1))
     rounds = 0
     while True:
         phi = _solve(pts, coef, codes, feasibility)
@@ -207,7 +219,10 @@ def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure) -> BLResult:
         if not fresh.size:
             break
         codes = np.union1d(codes, fresh)
+    # the last scan re-checks the certificate over all pairs
+    if np.any(np.abs(phi) > 1.0 + LP_LIPSCHITZ):
+        raise VarimcfError("certificate violates the box constraint")
+    if np.any(excess > LP_LIPSCHITZ):
+        raise VarimcfError("certificate violates a Lipschitz constraint")
     value = float(np.dot(coef, phi))
-    out = BLResult(max(value, 0.0), phi, pts, "optimal", rounds, len(codes))
-    out.verify_feasible()
-    return out
+    return BLResult(max(value, 0.0), phi, pts, "optimal", rounds, len(codes))

@@ -21,7 +21,8 @@ from varimcf.flow import (FlowConfig, FlowTrace, Snapshot, brakke_residual,
                           run, sample)
 from varimcf.geometry import (SurfaceMesh, mesh_to_varifold,
                               volume_change_constant)
-from varimcf.metrics import _SEED_NEIGHBOURS, _seed_pairs
+from varimcf.metrics import (_SEED_NEIGHBOURS, DiscreteMeasure, _seed_pairs,
+                             _union_support)
 from varimcf.mollifier import (Mollifier, QuadratureGrid, _Lattice,
                                curvature_with_jacobian)
 from varimcf.presets import make_preset
@@ -237,6 +238,23 @@ def test_coordinates_past_the_lattice_range_are_a_usage_error(
     captured = capsys.readouterr()
     assert captured.err == ("configuration error: coordinates too large for "
                             "the curvature lattice\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt, fragment", [
+    ("5e-324", "a step count end_time / dt that is not finite"),
+    ("1e-13", "a subdivision too large to allocate"),
+    ("1e-300", "a subdivision too large to allocate")])
+def test_a_dt_without_an_allocatable_subdivision_is_a_usage_error(
+        tmp_path, capsys, dt, fragment):
+    # numpy refuses both subdivisions at once: 1e-13 needs 8.7 TiB
+    # (MemoryError), 1e-300 more elements than an array may hold (ValueError)
+    out = tmp_path / "tiny-dt"
+    assert main(["simulate", "--preset", "circle", "--dt", dt,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert fragment in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -985,6 +1003,9 @@ def with_first_step(man: dict, key: str, value) -> dict:
     # a dt whose subdivision numpy cannot allocate, refused by its step count
     (lambda man: {**man, "config": {**man["config"], "dt": 1e-13}}, "'times'"),
     (lambda man: {**man, "config": {**man["config"], "dt": 1e-300}}, "'times'"),
+    # and one whose step count overflows to inf
+    (lambda man: {**man, "config": {**man["config"], "dt": 5e-324}},
+     "step count end_time / dt that is not finite"),
 ], ids=["missing-traces", "traces-not-a-list", "no-traces", "missing-config",
         "unknown-config-key", "eps-not-a-number", "missing-dt",
         "missing-ambient_dimension", "seed-not-an-integer", "negative-seed",
@@ -998,7 +1019,7 @@ def with_first_step(man: dict, key: str, value) -> dict:
         "number-mesh-frame", "number-simplices", "zero-simplices",
         "false-simplices", "empty-string-simplices", "empty-list-simplices",
         "directory-frame",
-        "directory-simplices", "tiny-dt", "tiniest-dt"])
+        "directory-simplices", "tiny-dt", "tiniest-dt", "subnormal-dt"])
 def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
                                               fragment):
     broken = tmp_path / "malformed"
@@ -1377,10 +1398,46 @@ def test_distance_reports_the_size_of_the_final_program(pair_dir, tmp_path,
     assert payload["support_first"] == 200 == payload["support_second"]
     assert payload["rounds"] >= 1
     # each round after the first adds at most one pair per support point
-    support = np.unique(np.vstack([f[:, :2] for f in frames]), axis=0)
+    support, coef = _union_support(
+        *(DiscreteMeasure(f[:, :2], f[:, 6]) for f in frames))
     assert len(support) == 400
-    seed = len(_seed_pairs(support, _SEED_NEIGHBOURS))
+    seed = len(_seed_pairs(support, coef, _SEED_NEIGHBOURS))
     assert 0 < payload["rows"] <= seed + 400 * (payload["rounds"] - 1)
+
+
+def strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity extensions."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("first, second, status", [
+    ("", "", "empty"),
+    ("0,0.5\n", "", "closed-form"),
+    ("0,0.5\n", "0.25,1\n", "optimal")])
+def test_distance_prints_standard_json(tmp_path, capsys, first, second,
+                                       status):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path, rows in zip(paths, (first, second)):
+        path.write_text("x1,w\n" + rows)
+    assert main(["distance", *map(str, paths)]) == 0
+    assert strict_json(capsys.readouterr().out)["status"] == status
+
+
+@pytest.mark.parametrize("first, second, fragment", [
+    ("0,1e308\n", "5,1e308\n", "total weight overflows"),
+    ("-1e308,1\n1e308,1\n", "0,1\n", "diameter overflows")],
+    ids=["weight", "diameter"])
+def test_distance_sums_that_overflow_are_usage_errors(tmp_path, capsys, first,
+                                                      second, fragment):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for path, rows in zip(paths, (first, second)):
+        path.write_text("x1,w\n" + rows)
+    assert main(["distance", *map(str, paths)]) == 2
+    captured = capsys.readouterr()
+    assert fragment in captured.err
+    assert captured.out == ""
 
 
 def test_distance_respects_the_support_cap(tmp_path, capsys, monkeypatch):

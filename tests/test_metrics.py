@@ -15,11 +15,12 @@ from scipy.spatial.distance import cdist
 from varimcf import config, metrics
 from varimcf.cli import (_frame_header, _load_table, _measure_header,
                          _save_table, main)
+from varimcf.config import LP_LIPSCHITZ
 from varimcf.errors import ConfigError, VarimcfError
 from varimcf.flow import FlowConfig, run, sample
-from varimcf.metrics import (_BLOCK, _SEED_NEIGHBOURS, BLResult,
-                             DiscreteMeasure, _block_gaps, _gaps, _seed_pairs,
-                             _union_support, bounded_lipschitz)
+from varimcf.metrics import (_BLOCK, _SEED_NEIGHBOURS, DiscreteMeasure,
+                             _block_gaps, _gaps, _seed_pairs, _union_support,
+                             _worst_partners, bounded_lipschitz)
 from varimcf.varifold import DiscreteVarifold
 
 
@@ -152,14 +153,15 @@ def test_measure_validation():
                           DiscreteMeasure(np.zeros((1, 3)), np.ones(1)))
 
 
-def test_certificate_feasibility_check_rejects_corrupt_phi():
-    pts = np.array([[0.0, 0.0], [0.1, 0.0]])
-    bad_box = BLResult(1.0, np.array([1.5, 0.0]), pts, "corrupt", 0, 0)
-    with pytest.raises(VarimcfError, match="violates the box constraint"):
-        bad_box.verify_feasible()
-    bad_lip = BLResult(1.0, np.array([1.0, -1.0]), pts, "corrupt", 0, 0)
-    with pytest.raises(VarimcfError, match="violates a Lipschitz constraint"):
-        bad_lip.verify_feasible()
+def test_certificate_feasibility_check_rejects_corrupt_phi(monkeypatch):
+    # a solver that breaks its own rows: the final scan re-checks its answer
+    mu, nu = dirac([0.0, 0.0]), dirac([0.1, 0.0])
+    for phi, message in (([1.5, 0.0], "violates the box constraint"),
+                         ([1.0, -1.0], "violates a Lipschitz constraint")):
+        monkeypatch.setattr(metrics, "_solve",
+                            lambda *args, phi=phi: np.array(phi))
+        with pytest.raises(VarimcfError, match=message):
+            bounded_lipschitz(mu, nu)
 
 
 @pytest.mark.parametrize("k,l", [(255, 256), (298, 299), (0, 299)],
@@ -173,10 +175,11 @@ def test_feasibility_check_finds_one_broken_pair(k, l):
     phi = rng.uniform(-1.0, 1.0, 300)
     phi[k] = 1.0
     phi[l] = 0.95
-    BLResult(0.0, phi, pts, "probe", 0, 0).verify_feasible()
+    assert _worst_partners(pts, phi)[0].max() <= LP_LIPSCHITZ
     phi[l] = -1.0
-    with pytest.raises(VarimcfError, match="violates a Lipschitz constraint"):
-        BLResult(0.0, phi, pts, "probe", 0, 0).verify_feasible()
+    excess, partner = _worst_partners(pts, phi)
+    assert np.flatnonzero(excess > LP_LIPSCHITZ).tolist() == [k, l]
+    assert (partner[k], partner[l]) == (l, k)
 
 
 def test_feasibility_check_at_the_support_cap_stays_small():
@@ -184,10 +187,9 @@ def test_feasibility_check_at_the_support_cap_stays_small():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-2.0, 2.0, (2000, 3))
     phi = 0.5 * np.clip(pts[:, 0], -1.0, 1.0)
-    res = BLResult(0.0, phi, pts, "probe", 0, 0)
     tracemalloc.start()
     try:
-        res.verify_feasible()
+        _worst_partners(pts, phi)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -222,9 +224,10 @@ def test_scans_hold_one_row_block_at_a_time(monkeypatch):
     res = bounded_lipschitz(mu, nu)
     K = len(res.points)
     assert K > 2 * _BLOCK
-    # the seed, each round's scan and the re-check each sweep all K rows
+    # the seed and each round's scan, the last of which is the re-check,
+    # each sweep all K rows
     blocks = -(-K // _BLOCK)
-    assert len(shapes) == blocks * (res.rounds + 2)
+    assert len(shapes) == blocks * (res.rounds + 1)
     assert max(rows for rows, _ in shapes) == _BLOCK
     assert all(cols == K for _, cols in shapes)
 
@@ -267,11 +270,12 @@ def all_pairs_lp(mu, nu):
     return max(float(np.dot(coef, res.x)), 0.0)
 
 
-def assert_one_pair_per_point_per_round(res):
+def assert_one_pair_per_point_per_round(mu, nu, res):
     """Each round after the first adds at most one pair per support point."""
-    K = len(res.points)
+    pts, coef = _union_support(mu, nu)
+    K = len(pts)
     if res.rounds:
-        seed = len(_seed_pairs(res.points, min(_SEED_NEIGHBOURS, K - 1)))
+        seed = len(_seed_pairs(pts, coef, min(_SEED_NEIGHBOURS, K - 1)))
         assert res.rows <= seed + K * (res.rounds - 1)
 
 
@@ -281,7 +285,7 @@ def assert_matches_oracle(mu, nu):
                                          abs=0.0)
     K = len(res.points)
     assert res.rows <= K * (K - 1) // 2
-    assert_one_pair_per_point_per_round(res)
+    assert_one_pair_per_point_per_round(mu, nu, res)
     return res
 
 
@@ -300,6 +304,37 @@ def test_matches_the_all_pairs_program(n, seed):
     assert res.status == "optimal"
     assert len(res.points) == 60 + 50 - 15
     assert res.rounds >= 1
+
+
+def test_seed_joins_each_point_to_its_nearest_point_of_opposite_sign(
+        concentric_measures):
+    rng = np.random.default_rng(14)
+    cases = [_union_support(mu, nu) for mu, nu in concentric_measures]
+    # uneven weights on shared points leave some coefficients zero
+    pts = rng.normal(size=(300, 3))
+    cases.append((pts, rng.choice([-1.0, 0.0, 0.5], 300)))
+    for pts, coef in cases:
+        K = len(pts)
+        codes = set(_seed_pairs(pts, coef, _SEED_NEIGHBOURS).tolist())
+        gaps = cdist(pts, pts)
+        for k in np.flatnonzero(coef):
+            opposite = np.flatnonzero(coef * coef[k] < 0.0)
+            if opposite.size:
+                l = opposite[gaps[k, opposite].argmin()]
+                assert min(k, l) * K + max(k, l) in codes
+
+
+@pytest.mark.parametrize("same", [False, True],
+                         ids=["one-measure-weightless", "identical-measures"])
+def test_sign_degenerate_measures_match_the_all_pairs_program(same):
+    # every coefficient of one sign, or every coefficient zero: no point has
+    # a partner of opposite sign
+    rng = np.random.default_rng(15)
+    mu = DiscreteMeasure(rng.normal(size=(80, 2)), np.zeros(80))
+    nu = DiscreteMeasure(rng.normal(size=(70, 2)), rng.uniform(size=70))
+    if same:
+        mu = nu
+    assert assert_matches_oracle(mu, nu).status == "optimal"
 
 
 @pytest.mark.parametrize("mu,nu", [
@@ -334,12 +369,12 @@ def test_solution_passes_the_feasibility_recheck():
 def test_one_dimensional_pairs_end_in_two_rounds():
     # a scan for excess above 0 rather than above the solver's tolerance
     # chased pairs broken by less than 1e-10 and took up to 20 rounds here
-    results = [bounded_lipschitz(mu, nu)
-               for dim, mu, nu in random_sweep(40) if dim == 1]
-    assert len(results) == 7
-    for res in results:
+    pairs = [(mu, nu) for dim, mu, nu in random_sweep(40) if dim == 1]
+    assert len(pairs) == 7
+    for mu, nu in pairs:
+        res = bounded_lipschitz(mu, nu)
         assert res.rounds <= 2
-        assert_one_pair_per_point_per_round(res)
+        assert_one_pair_per_point_per_round(mu, nu, res)
 
 
 @pytest.fixture(scope="module")
@@ -361,8 +396,9 @@ def concentric_measures(tmp_path_factory):
 def test_recorded_concentric_measures_match_the_all_pairs_program(
         concentric_measures):
     results = [assert_matches_oracle(mu, nu) for mu, nu in concentric_measures]
-    # the nearest-neighbour seed misses pairs that bind
-    assert max(r.rounds for r in results) > 1
+    # the flow moves atoms farther than their spacing: the pairs that bind
+    # join each point to its nearest point of opposite sign, all in the seed
+    assert [r.rounds for r in results] == [1, 1]
 
 
 # ---------------------------------------------------------------------------
