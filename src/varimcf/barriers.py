@@ -313,8 +313,6 @@ def _trace_consistency(trace: FlowTrace) -> None:
     for i in range(len(snaps) - 1):
         s, nxt = snaps[i], snaps[i + 1]
         dt = nxt.time - s.time
-        if s.curvature_max is None:
-            raise PreconditionViolated("trace lacks recorded step fields")
         if len(s.varifold) != len(nxt.varifold):
             raise PreconditionViolated("atom count changed between snapshots")
         moved = np.linalg.norm(nxt.varifold.positions - s.varifold.positions, axis=1)

@@ -111,8 +111,8 @@ def _parse_cert_list(raw: str) -> tuple[str, ...]:
     if not names:
         raise ConfigError("empty certificate list: name at least one "
                           f"certificate, or 'all'; known: {', '.join(CERTIFICATES)}")
-    if names == ["all"]:
-        return tuple(CERTIFICATES)
+    if names == ["all"]:    # expanded by `_grade`, which knows the run
+        return ("all",)
     for nm in names:
         if nm not in CERTIFICATES:
             raise ConfigError(
@@ -262,10 +262,10 @@ def _write_trace(outdir: Path, name: str, trace) -> dict:
                     np.hstack([V.positions, V.planes.reshape(len(V), n * n),
                                V.masses[:, None]]))
         frames.append(fname)
-        if snap.mesh_vertices is not None:
+        if snap.mesh is not None:
             mname = f"mesh_{name}_{i:04d}.csv"
             _save_table(outdir / mname, [f"v{i + 1}" for i in range(n)],
-                        snap.mesh_vertices)
+                        snap.mesh.vertices)
             mesh_frames.append(mname)
     record = {
         "name": name,
@@ -279,10 +279,10 @@ def _write_trace(outdir: Path, name: str, trace) -> dict:
         "dissipation": [s.dissipation for s in trace.snapshots],
         "step_delta": [s.step_delta for s in trace.snapshots],
     }
-    if trace.mesh_simplices is not None:
+    if mesh_frames:     # every snapshot's mesh has frame 0's simplices
         sname = f"simplices_{name}.csv"
         _save_table(outdir / sname, [f"s{i + 1}" for i in range(n)],
-                    trace.mesh_simplices, fmt="%d")
+                    trace.snapshots[0].mesh.simplices, fmt="%d")
         record["simplices"] = sname
     return record
 
@@ -319,8 +319,9 @@ def load_trace(manifest: dict, base: Path, record: dict):
 
     A trace must hold at least one frame, recorded at the times of its
     config's subdivision, every frame at least one atom, every atom a
-    positive mass, every step before the last frame a finite number for
-    each recorded quantity, and a recorded boundary mesh must be closed.
+    positive mass, every step a finite number >= 0 for each recorded
+    quantity and the last frame `null`, and each mesh frame with the
+    simplices, which come with mesh frames or not at all, a `SurfaceMesh`.
     A frame holds no curvature field: `flow.sample` and `flow.brakke_residual`
     compute h and Dh from the loaded varifolds, as from the run's own.
     """
@@ -348,38 +349,45 @@ def load_trace(manifest: dict, base: Path, record: dict):
     if not isinstance(frames, list) or not frames:
         raise ConfigError(f"trace {record['name']!r}: 'frames' must be a "
                           "non-empty list")
+    simplices = record.get("simplices")
+    meshed = record.get("mesh_frames") is not None
+    if meshed != (simplices is not None):
+        raise ConfigError(f"trace {record['name']!r}: 'mesh_frames' and "
+                          "'simplices' must both be null or both be given")
     per_frame = ["times", "curvature_max", "dissipation", "step_delta"]
-    if record.get("mesh_frames") is not None:
+    if meshed:
         per_frame.append("mesh_frames")
     for key in per_frame:
         values = record.get(key)
         if not isinstance(values, list) or len(values) != len(frames):
             raise ConfigError(f"trace {record.get('name')!r}: '{key}' must "
                               f"list one value per frame ({len(frames)})")
-    # each step records its numbers, finite ones (JSON reads 1e400 as inf);
-    # the last frame starts no step
+    # each step records its numbers: norms and a sum of squares, so finite
+    # (JSON reads 1e400 as inf) and >= 0; the last frame starts no step
     for key in ("curvature_max", "dissipation", "step_delta"):
-        for i, value in enumerate(record[key][:-1]):
-            if not (_is_kind(value, float) and abs(value) <= sys.float_info.max):
+        *steps, last = record[key]
+        for i, value in enumerate(steps):
+            if not (_is_kind(value, float)
+                    and 0.0 <= value <= sys.float_info.max):
                 raise ConfigError(f"trace {record['name']!r}: the {key} of "
-                                  f"step {i} is not a finite number")
+                                  f"step {i} is not a finite number >= 0")
+        if last is not None:
+            raise ConfigError(f"trace {record['name']!r}: the {key} of the "
+                              "last frame, which starts no step, must be null")
     # the step count first, so a tiny dt is refused before its subdivision is
     # built; simulate records float(t) of the nodes, which JSON returns exactly
     if len(frames) != cfg.steps + 1 or record["times"] != cfg.times().tolist():
         raise ConfigError(f"trace {record['name']!r}: 'times' is not the "
                           "subdivision of the manifest's config")
-    simplices = record.get("simplices")
     entries = {"frames": frames, "mesh_frames": record.get("mesh_frames") or [],
-               "simplices": [] if simplices is None else [simplices]}
+               "simplices": [simplices] if meshed else []}
     for key, names in entries.items():
         if not all(isinstance(name, str) and name for name in names):
             raise ConfigError(f"trace {record['name']!r}: each '{key}' entry "
                               "must be a file name")
-    simp = None
-    if simplices is not None:
+    if meshed:
         simp = _load_table(base / simplices,
                            [f"s{i + 1}" for i in range(n)], dtype=np.int64)
-    mesh_frames = record.get("mesh_frames") or [None] * len(frames)
     snaps = []
     for i, fname in enumerate(frames):
         arr = _load_table(base / fname, _frame_header(n))
@@ -393,31 +401,30 @@ def load_trace(manifest: dict, base: Path, record: dict):
                                              arr[:, n + n * n], d=d)
         except VarimcfError as e:
             raise ConfigError(f"{base / fname}: {e}") from None
-        verts = None
-        if mesh_frames[i] is not None:
-            verts = _load_table(base / mesh_frames[i],
-                                [f"v{i + 1}" for i in range(n)])
+        mesh = None
+        if meshed:
+            mpath = base / record["mesh_frames"][i]
+            verts = _load_table(mpath, [f"v{i + 1}" for i in range(n)])
             if not np.all(np.isfinite(verts)):
-                raise ConfigError(f"{base / mesh_frames[i]}: holds a non-finite value")
+                raise ConfigError(f"{mpath}: holds a non-finite value")
             # the mesh moves its vertices; its simplices index the first frame's
-            if snaps and len(verts) != len(snaps[0].mesh_vertices):
+            if snaps and len(verts) != len(snaps[0].mesh.vertices):
                 raise ConfigError(
-                    f"{base / mesh_frames[i]}: holds {len(verts)} vertices, "
-                    f"the first mesh frame {len(snaps[0].mesh_vertices)}")
+                    f"{mpath}: holds {len(verts)} vertices, "
+                    f"the first mesh frame {len(snaps[0].mesh.vertices)}")
+            try:
+                mesh = SurfaceMesh(verts, simp)
+            except VarimcfError as e:
+                raise ConfigError(f"{base / simplices}: {e}") from None
         snaps.append(Snapshot(
             time=float(record["times"][i]),
             varifold=V,
             curvature_max=record["curvature_max"][i],
             dissipation=record["dissipation"][i],
-            mesh_vertices=verts,
+            mesh=mesh,
             step_delta=record["step_delta"][i],
         ))
-    if simp is not None:
-        try:
-            SurfaceMesh(snaps[0].mesh_vertices, simp).check_closed()
-        except VarimcfError as e:
-            raise ConfigError(f"{base / simplices}: {e}") from None
-    return FlowTrace(cfg, tuple(snaps), simp)
+    return FlowTrace(cfg, tuple(snaps))
 
 
 def _refuse_constant(name: str):
@@ -492,27 +499,24 @@ def _verdict(name: str, trace: str, statement: str, relation: str, grade,
                    {"error": error})
 
 
-def _subjects(name: str, over: str, traces: dict) -> list:
-    """(label, subject) of each verdict a certificate graded `over` gives."""
+def _subjects(over: str, traces: dict) -> list:
+    """(label, subject) of each verdict a certificate graded `over` gives;
+    none when the run has no such subject."""
     if over == "run":       # the random sweeps need only its dimensions
         return [("-", next(iter(traces.values())))]
     if over == "pair":
         if len(traces) != 2:
-            raise ConfigError(f"{name} needs a run with exactly two flows "
-                              f"(manifest has {len(traces)})")
+            return []
         (na, ta), (nb, tb) = traces.items()
         return [(f"{na}+{nb}", (ta, tb))]
-    if over == "mesh":
-        traces = {k: tr for k, tr in traces.items()
-                  if tr.mesh_simplices is not None}
-        if not traces:
-            raise ConfigError(f"{name} needs a run that tracked a mesh")
-    return list(traces.items())
+    return [(k, tr) for k, tr in traces.items()
+            if over == "trace" or tr.snapshots[0].mesh is not None]
 
 
 # name -> certificate(traces, st, manifest) -> list[Verdict], in the order
 # of definition below, which is the order `all` grades them in
 CERTIFICATES = {}
+_OVER = {}      # name -> the `over` it was registered with
 
 
 def _certificate(name: str, relation: str, statement: str, over: str):
@@ -520,16 +524,22 @@ def _certificate(name: str, relation: str, statement: str, over: str):
     the certificate `name`, passing when `measured relation bound` holds.
 
     `over` says what one verdict grades: each trace (`trace`), each trace
-    that tracked a boundary mesh, of which the run must have one (`mesh`),
-    the run's two flows as a pair (`pair`), or the run once, through its
-    first trace (`run`).
+    that tracked a boundary mesh (`mesh`), the run's two flows as a pair
+    (`pair`), or the run once, through its first trace (`run`).  Named on a
+    run without a mesh or a pair, the certificate is a ConfigError.
     """
     def register(grade):
         def certificate(traces, st, manifest):
+            subjects = _subjects(over, traces)
+            if not subjects:    # only a pair or a mesh can be missing
+                need = ("exactly two flows" if over == "pair"
+                        else "a tracked mesh")
+                raise ConfigError(f"{name} needs a run with {need}")
             return [_verdict(name, label, statement, relation, grade,
                              subject, st, manifest)
-                    for label, subject in _subjects(name, over, traces)]
+                    for label, subject in subjects]
         CERTIFICATES[name] = certificate
+        _OVER[name] = over
         return grade
     return register
 
@@ -720,7 +730,9 @@ def _nontriviality(tr, st, manifest):
 
 def _grade(names, traces, st, manifest) -> dict:
     """The verdicts of the named certificates and whether all of them
-    passed."""
+    passed; `all` names each certificate whose subject the run has."""
+    if tuple(names) == ("all",):
+        names = [nm for nm in CERTIFICATES if _subjects(_OVER[nm], traces)]
     # looked up here, at the call, so that a wrapped entry is the one called
     verdicts = [v for name in names
                 for v in CERTIFICATES[name](traces, st, manifest)]
@@ -745,10 +757,7 @@ def _cmd_simulate(args) -> int:
                     scenario.pair_meshes or (None, None))
     else:
         flows = [("main", scenario.varifold, scenario.mesh)]
-    traces = [(nm, run(V, scenario.config,
-                       mesh_vertices=None if mesh is None else mesh.vertices,
-                       mesh_simplices=None if mesh is None else mesh.simplices))
-              for nm, V, mesh in flows]
+    traces = [(nm, run(V, scenario.config, mesh)) for nm, V, mesh in flows]
     # made only once every flow has run, so that a refused or aborted run
     # leaves no directory behind
     outdir = Path(st.out)

@@ -24,7 +24,7 @@ halves it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,8 +36,9 @@ from .mollifier import (Mollifier, QuadratureGrid, _Lattice,
                         curvature_with_jacobian, dissipation)
 from .varifold import DiscreteVarifold
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:      # geometry imports this module
     from .barriers import BarrierFunction
+    from .geometry import SurfaceMesh
 
 
 def pushforward(V: DiscreteVarifold, positions: np.ndarray, Df: np.ndarray
@@ -130,7 +131,7 @@ class Snapshot:
     varifold: DiscreteVarifold
     curvature_max: float | None = None         # max |h| over atoms and mesh vertices
     dissipation: float | None = None
-    mesh_vertices: np.ndarray | None = None
+    mesh: SurfaceMesh | None = None            # the tracked boundary, advected
     step_delta: float | None = None            # max(|f - id|, |det Df - 1|)
 
     @property
@@ -142,7 +143,6 @@ class Snapshot:
 class FlowTrace:
     config: FlowConfig
     snapshots: tuple[Snapshot, ...]
-    mesh_simplices: np.ndarray | None = None
 
     @property
     def mass_bound(self) -> float:
@@ -173,13 +173,13 @@ def _kernel(config: FlowConfig, n: int) -> tuple[Mollifier, QuadratureGrid]:
 
 
 def run(V0: DiscreteVarifold, config: FlowConfig,
-        mesh_vertices: np.ndarray | None = None,
-        mesh_simplices: np.ndarray | None = None) -> FlowTrace:
+        mesh: SurfaceMesh | None = None) -> FlowTrace:
     """Run the flow over the configured subdivision, recording diagnostics.
 
-    When mesh vertex/simplex arrays are given, the vertices are advected by
-    the same step maps (the simplices are connectivity only and never change);
-    per-step perturbation sizes are recorded for the volume certificates.
+    A tracked boundary `mesh`, closed by construction, has its vertices
+    advected by the same step maps; its simplices never change, so every
+    snapshot carries the same closed mesh at its moved vertices.  Per-step
+    perturbation sizes are recorded for the volume certificates.
     """
     M = max(1.0, V0.total_mass())
     times = config.times()
@@ -187,12 +187,12 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
     N = len(V0)
     snaps: list[Snapshot] = []
     V = V0
-    verts = None if mesh_vertices is None else np.asarray(mesh_vertices, dtype=float)
     for i in range(len(times) - 1):
         dt = float(times[i + 1] - times[i])
         # one field pass on the lattice of V: atoms, mesh vertices, dissipation
         lat = _Lattice(V, kernel, grid)
-        pts = V.positions if verts is None else np.vstack([V.positions, verts])
+        pts = V.positions if mesh is None else np.vstack([V.positions,
+                                                          mesh.vertices])
         h, J = curvature_with_jacobian(lat, pts)
         diss = dissipation(lat)
         # structural step checks: the step map must stay a diffeomorphism
@@ -203,18 +203,17 @@ def run(V0: DiscreteVarifold, config: FlowConfig,
         dets_v = np.linalg.det(np.eye(V.n) + dt * J[N:])
         excess = np.abs(np.concatenate([dets, dets_v]) - 1.0)
         step_delta = max(dt * hmax, float(np.max(excess, initial=0.0)))
-        snaps.append(Snapshot(float(times[i]), V, hmax, diss,
-                              None if verts is None else verts.copy(), step_delta))
+        snaps.append(Snapshot(float(times[i]), V, hmax, diss, mesh,
+                              step_delta))
         if W.total_mass() > V.total_mass() + dt + CHAIN_SLACK:
             raise VarimcfError("per-step mass growth exceeded dt")
         if W.total_mass() > M + 1.0 + CHAIN_SLACK:
             raise VarimcfError("total mass exceeded M + 1 along the run")
         V = W
-        if verts is not None:
-            verts = verts + dt * h[N:]
-    snaps.append(Snapshot(float(times[-1]), V, None, None,
-                          None if verts is None else verts.copy(), None))
-    return FlowTrace(config, tuple(snaps), mesh_simplices)
+        if mesh is not None:
+            mesh = replace(mesh, vertices=mesh.vertices + dt * h[N:])
+    snaps.append(Snapshot(float(times[-1]), V, None, None, mesh, None))
+    return FlowTrace(config, tuple(snaps))
 
 
 def sample(trace: FlowTrace, t: float,
@@ -283,7 +282,5 @@ def dissipation_budget(trace: FlowTrace) -> float:
     total = 0.0
     for i in range(len(times) - 1):
         d = trace.snapshots[i].dissipation
-        if d is None:
-            raise ConfigError(f"trace lacks the dissipation of step {i}")
         total += float(times[i + 1] - times[i]) * d
     return total

@@ -1,9 +1,11 @@
 """Boundary meshes, enclosed volumes, and the certificates that need them.
 
 Regions are known only through their oriented boundaries: segment loops in
-the plane, triangle meshes in space.  Everything downstream (point-in-region
-tests, clipped volumes, the nontriviality bound) works off that boundary
-representation alone.
+the plane, triangle meshes in space.  A `SurfaceMesh` is closed and
+consistently oriented by construction, so everything downstream
+(point-in-region tests, clipped volumes, the nontriviality bound) works off
+that boundary representation alone and checks no topology of its own.  A
+flow's tracked boundary is one such mesh per snapshot (`Snapshot.mesh`).
 
 Atoms are manufactured from a mesh by exact quadrature: a segment is cut
 into equal pieces sampled at midpoints; a triangle is cut into strips of
@@ -62,7 +64,8 @@ def simplex_distances(points, corners) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SurfaceMesh:
-    """Oriented boundary mesh: segments when n = 2, triangles when n = 3."""
+    """Closed, consistently oriented boundary mesh: segments when n = 2,
+    triangles when n = 3.  Construction refuses any other (`check_closed`)."""
 
     vertices: np.ndarray   # (M, n)
     simplices: np.ndarray  # (F, n) integer
@@ -81,6 +84,7 @@ class SurfaceMesh:
         s.flags.writeable = False
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "simplices", s)
+        self.check_closed()
 
     @property
     def n(self) -> int:
@@ -218,7 +222,6 @@ def mesh_to_varifold(mesh: SurfaceMesh,
 
 def enclosed_volume(mesh: SurfaceMesh) -> float:
     """Divergence-theorem volume; positive for outward orientation."""
-    mesh.check_closed()
     V, S = mesh.vertices, mesh.simplices
     if mesh.n == 2:
         A, B = V[S[:, 0]], V[S[:, 1]]
@@ -254,7 +257,6 @@ def contains(mesh: SurfaceMesh, points) -> np.ndarray:
     as two concentric circles, the inner region winds twice and is inside.
     Undefined on the mesh itself.
     """
-    mesh.check_closed()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != mesh.n:
         raise ConfigError("query points have the wrong ambient dimension")
@@ -309,7 +311,6 @@ def _disk_area(mesh: SurfaceMesh, center, r: float) -> float:
     where it is 0 or -1, as for a clockwise one.  Every planar preset mesh
     is one simple loop, and an orientation-preserving step keeps it one.
     """
-    mesh.check_closed()
     V = mesh.vertices - np.asarray(center, dtype=float)
     A = V[mesh.simplices[:, 0]]
     P = _cut_at_sphere(A, V[mesh.simplices[:, 1]] - A, r)
@@ -339,7 +340,6 @@ def _ball_volume(mesh: SurfaceMesh, center, r: float) -> float:
     winding number of the mesh: the enclosed volume for an outward mesh,
     its negative for an inward one.
     """
-    mesh.check_closed()
     V = mesh.vertices - np.asarray(center, dtype=float)
     corners = V[mesh.simplices]                        # (F, 3, 3)
     normal = np.cross(corners[:, 1] - corners[:, 0],
@@ -383,20 +383,15 @@ def volume_change_series(trace: FlowTrace, center, radius: float):
     once per frame.  Its bound is linear in the recorded step perturbation
     delta = max{sup|f - id|, sup|Jf - 1|}, which must lie in [0, 1).
     """
-    if trace.mesh_simplices is None:
+    meshes = [s.mesh for s in trace.snapshots]
+    if meshes[0] is None:
         raise ConfigError("trace carries no boundary mesh")
     deltas = [s.step_delta for s in trace.snapshots[:-1]]
     for delta in deltas:
-        if delta is None:
-            raise ConfigError("trace lacks recorded step perturbations")
         if delta >= 1.0:
             raise PreconditionViolated(f"step perturbation {delta} must be below 1")
-        if delta < 0.0:
-            raise ConfigError("delta must be nonnegative")
     if not deltas:
         return 0.0, 0.0, {"steps": 0}
-    meshes = [SurfaceMesh(s.mesh_vertices, trace.mesh_simplices)
-              for s in trace.snapshots]
     n = meshes[0].n
     clipped = _disk_area if n == 2 else _ball_volume
     volumes = [clipped(mesh, center, radius) for mesh in meshes]
@@ -420,12 +415,12 @@ def nontriviality_certificate(trace: FlowTrace, center, radius: float):
     with c_n the sharp isoperimetric constant.  Returns the least mass up to
     the horizon, the floor, and the horizon and c_n.
     """
-    if trace.mesh_simplices is None:
+    mesh0 = trace.snapshots[0].mesh
+    if mesh0 is None:
         raise ConfigError("trace carries no boundary mesh")
     center = np.asarray(center, dtype=float)
     V0 = trace.snapshots[0].varifold
     n, d = V0.n, V0.d
-    mesh0 = SurfaceMesh(trace.snapshots[0].mesh_vertices, trace.mesh_simplices)
     clearance = float(np.min(simplex_distances(
         center, mesh0.vertices[mesh0.simplices])))
     if clearance < radius:

@@ -24,8 +24,8 @@ from varimcf.barriers import (BarrierFunction, avoidance_distance,
                               technical_gaps)
 from varimcf.errors import PreconditionViolated
 from varimcf.flow import brakke_residual, run, sample
-from varimcf.geometry import (SurfaceMesh, _disk_area,
-                              nontriviality_certificate, volume_change_series)
+from varimcf.geometry import (_disk_area, nontriviality_certificate,
+                              volume_change_series)
 from varimcf.metrics import DiscreteMeasure, bounded_lipschitz
 from varimcf.mollifier import (Mollifier, QuadratureGrid, _Lattice,
                                curvature_with_jacobian, dissipation)
@@ -51,9 +51,7 @@ def circle_traces():
     for eps in (0.2, 0.1, 0.05):
         sc = make_preset("circle", eps=eps, dt=2e-3, end_time=0.3)
         if eps == 0.05:
-            traces[eps] = run(sc.varifold, sc.config,
-                              mesh_vertices=sc.mesh.vertices,
-                              mesh_simplices=sc.mesh.simplices)
+            traces[eps] = run(sc.varifold, sc.config, sc.mesh)
         else:
             traces[eps] = run(sc.varifold, sc.config)
     return traces
@@ -258,8 +256,7 @@ def test_07_windowed_volume_change_stays_within_bound(circle_traces):
     # the step nearest its bound keeps to it, so every step does
     assert change <= bound
     # the moving curve really crosses the window: the change is not all zero
-    areas = [_disk_area(SurfaceMesh(s.mesh_vertices, tr.mesh_simplices),
-                        (0.0, 0.0), 0.8) for s in tr.snapshots]
+    areas = [_disk_area(s.mesh, (0.0, 0.0), 0.8) for s in tr.snapshots]
     changes = np.abs(np.diff(areas))
     assert max(changes) > 1e-3
 

@@ -30,7 +30,7 @@ def circle_trace():
     mesh = regular_polygon_mesh(100)
     V0 = mesh_to_varifold(mesh)
     cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.1)
-    return run(V0, cfg, mesh_vertices=mesh.vertices, mesh_simplices=mesh.simplices)
+    return run(V0, cfg, mesh)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ tamper detection, the certificate registry and standalone distances."""
 import csv
 import dataclasses
 import json
+import shlex
 import shutil
 from pathlib import Path
 
@@ -143,9 +144,7 @@ def test_a_loaded_trace_reads_as_the_run_that_wrote_it(tmp_path, preset,
     # from each step's varifold, so a written-then-loaded trace gives the
     # interpolated samples and the Brakke residuals of the run, bit for bit
     scenario = make_preset(preset, end_time=end_time)
-    mesh = scenario.mesh
-    trace = run(scenario.varifold, scenario.config,
-                mesh_vertices=mesh.vertices, mesh_simplices=mesh.simplices)
+    trace = run(scenario.varifold, scenario.config, scenario.mesh)
     record = _write_trace(tmp_path, "main", trace)
     manifest = {"config": dataclasses.asdict(scenario.config)}
     loaded = load_trace(manifest, tmp_path, record)
@@ -750,6 +749,177 @@ def test_every_verdict_passes_by_its_stated_relation(pair_dir, tmp_path,
     assert rc == (0 if payload["all_passed"] else 1)
 
 
+@pytest.mark.parametrize("preset, count", [
+    ("circle", 11), ("sphere", 11), ("two-concentric-circles", 21),
+    ("square-partition", 11), ("two-region", 21), ("enlaced-circles", 17)])
+def test_all_grades_what_each_preset_run_has(tmp_path, capsys, preset, count):
+    # `all` grades the pair certificate on a two-flow run only and the mesh
+    # ones on the traces that tracked a mesh only; named, each is refused
+    # on a run without its subject
+    out = tmp_path / preset
+    assert main(["simulate", "--preset", preset, "--end-time", "0.006",
+                 "--out", str(out)]) == 0
+    scenario = make_preset(preset)
+    V = scenario.varifold if scenario.pair is None else scenario.pair[0]
+    centre = ", ".join(["0"] * V.n)
+    ini = tmp_path / "centres.ini"
+    ini.write_text(f"[certificates]\nball_center = {centre}\n"
+                   f"barrier_center = {centre}\nweight_center = {centre}\n")
+    capsys.readouterr()
+    rc = main(["check", str(out), "--certificates", "all",
+               "--config", str(ini)])
+    payload = strict_json(capsys.readouterr().out)
+    assert rc == (0 if payload["all_passed"] else 1)
+    assert len(payload["verdicts"]) == count
+    lacking = set()
+    if scenario.pair is None:
+        lacking.add("avoidance")
+    if scenario.mesh is None and scenario.pair_meshes is None:
+        lacking |= {"volume-change", "nontriviality"}
+    assert {v["name"] for v in payload["verdicts"]} == \
+        set(cli.CERTIFICATES) - lacking
+    for name in sorted(lacking):
+        assert main(["check", str(out), "--certificates", name,
+                     "--config", str(ini)]) == 2
+        captured = capsys.readouterr()
+        assert f"{name} needs a run" in captured.err
+        assert captured.out == ""
+
+
+def test_the_readme_quickstart_grades_its_own_recording(tmp_path, monkeypatch,
+                                                       capsys):
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    simulate, check = [shlex.split(line)[1:] for line in lines
+                       if line.startswith("varimcf ")][:2]
+    assert simulate[0] == "simulate"
+    assert check == ["check", "runs/circle", "--certificates", "all"]
+    monkeypatch.chdir(tmp_path)
+    assert main(simulate) == 0
+    capsys.readouterr()
+    assert main(check) == 0
+    assert strict_json(capsys.readouterr().out)["all_passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# the mutation table: one edit of a recorded run per certificate that reads
+# frames, which must fail it while the unedited run passes
+
+
+def edit_column(path: Path, columns, edit, row=None) -> None:
+    """Replace the values of `columns` of a recorded table by edit(values),
+    values being an array (rows, columns): in every row, or in `row` only."""
+    def apply(rows):
+        cols = [rows[0].index(c) for c in columns]
+        picked = range(1, len(rows)) if row is None else [row]
+        values = np.array([[float(rows[r][c]) for c in cols] for r in picked])
+        for r, new in zip(picked, edit(values)):
+            for c, v in zip(cols, new):
+                rows[r][c] = repr(float(v))
+    rewrite_rows(path, apply)
+
+
+def gain_two_steps_of_mass(run: Path) -> None:
+    # frame 2 of the outer flow holds 2 dt more mass than frame 1
+    man = manifest_of(run)
+    before, after = frame_masses(run, man["traces"][1])[1:3]
+    target = before + 2.0 * man["config"]["dt"]
+    edit_column(run / "frame_second_0002.csv", ["m"],
+                lambda m: m * (target / after))
+
+
+def scale_dissipation(run: Path) -> None:
+    man = manifest_of(run)
+    for rec in man["traces"]:
+        rec["dissipation"] = [None if x is None else 1.5 * x
+                              for x in rec["dissipation"]]
+    (run / "manifest.json").write_text(json.dumps(man))
+
+
+def move_out_past_the_enclosing_ball(run: Path) -> None:
+    # one outer atom of the last frame to 3 eps beyond the enclosing radius
+    eps = manifest_of(run)["config"]["eps"]
+    radius = Settings().enclosing_radius + 3.0 * eps
+    edit_column(run / "frame_second_0004.csv", ["x1", "x2"],
+                lambda x: radius * x / np.linalg.norm(x), row=1)
+
+
+def move_into_the_ball(run: Path) -> None:
+    edit_column(run / "frame_first_0002.csv", ["x1", "x2"],
+                lambda x: [[0.1, 0.0]], row=1)
+
+
+def move_onto_the_outer_flow(run: Path) -> None:
+    # an inner atom of the last frame onto an outer atom
+    outer = _load_table(run / "frame_second_0004.csv", _frame_header(2))
+    edit_column(run / "frame_first_0004.csv", ["x1", "x2"],
+                lambda x: [outer[0, :2]], row=1)
+
+
+def scale_frame_masses(run: Path) -> None:
+    edit_column(run / "frame_first_0002.csv", ["m"], lambda m: 1.1 * m)
+
+
+def scale_mesh_frame(run: Path) -> None:
+    # the inner boundary shrinks inside the window for one frame
+    edit_column(run / "mesh_first_0002.csv", ["v1", "v2"], lambda v: 0.25 * v)
+
+
+def starve_the_window(run: Path) -> None:
+    for frame in sorted(run.glob("frame_first_*.csv")):
+        edit_column(frame, ["m"], lambda m: 0.1 * m)
+
+
+MUTATIONS = {
+    "mass-decay": gain_two_steps_of_mass,
+    "dissipation-budget": scale_dissipation,
+    "external-sphere": move_into_the_ball,
+    "internal-sphere": move_out_past_the_enclosing_ball,
+    "convex-hull": move_out_past_the_enclosing_ball,
+    "avoidance": move_onto_the_outer_flow,
+    "lsc": scale_frame_masses,
+    "volume-change": scale_mesh_frame,
+    "nontriviality": starve_the_window,
+}
+
+# the certificates without a row, each with its reason
+UNMUTATED = {
+    "eps-sphere-barrier": "on every trace it accepts, measured <= (M + 1) "
+                          "sup psi < c (10M + 9) eps^(1/6), its bound: only "
+                          "its preconditions can fail it",
+    "technical-lemma": "a random sweep of a formula, which reads no frame",
+    "barrier-defect": "a random sweep of a formula, which reads no frame",
+}
+
+GRADE_INI = ("[constants]\ncertificate_step_constant = 1e-10\n"
+             "[certificates]\nball_radius = 0.3\n")
+
+
+def test_the_mutation_table_names_every_certificate():
+    assert set(MUTATIONS) | set(UNMUTATED) == set(cli.CERTIFICATES)
+    assert not set(MUTATIONS) & set(UNMUTATED)
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_each_mutation_fails_its_certificate(pair_dir, tmp_path, capsys,
+                                             name):
+    ini = tmp_path / "grade.ini"
+    ini.write_text(GRADE_INI)
+    args = ["--certificates", name, "--config", str(ini)]
+    assert main(["check", str(pair_dir), *args]) == 0
+    capsys.readouterr()
+    edited = tmp_path / "edited"
+    shutil.copytree(pair_dir, edited)
+    MUTATIONS[name](edited)
+    assert main(["check", str(edited), *args]) == 1
+    failed = [v for v in strict_json(capsys.readouterr().out)["verdicts"]
+              if not v["passed"]]
+    # failed by its inequality, not stopped by a precondition
+    assert failed and all(v["name"] == name and v["measured"] is not None
+                          for v in failed)
+
+
 def test_nontriviality_fails_one_trace_and_grades_the_other(pair_dir,
                                                            tmp_path, capsys):
     # the ball fits inside the outer circle but not the inner one
@@ -1006,6 +1176,23 @@ def with_first_step(man: dict, key: str, value) -> dict:
     # and one whose step count overflows to inf
     (lambda man: {**man, "config": {**man["config"], "dt": 5e-324}},
      "step count end_time / dt that is not finite"),
+    # a step's recorded number below zero: norms and a sum of squares
+    (lambda man: with_first_step(man, "step_delta", -1e-3),
+     "trace 'main': the step_delta of step 0 is not a finite number >= 0"),
+    (lambda man: with_first_step(man, "dissipation", -5.0),
+     "trace 'main': the dissipation of step 0 is not a finite number >= 0"),
+    (lambda man: with_first_step(man, "curvature_max", -5.0),
+     "trace 'main': the curvature_max of step 0 is not a finite number >= 0"),
+    # the last frame starts no step, so it records no number
+    (lambda man: {**man, "traces": [{
+        **man["traces"][0],
+        "dissipation": man["traces"][0]["dissipation"][:-1] + ["junk"]}]},
+     "trace 'main': the dissipation of the last frame"),
+    # mesh frames without simplices, and simplices without mesh frames
+    (lambda man: {**man, "traces": [{**man["traces"][0], "simplices": None}]},
+     "trace 'main': 'mesh_frames' and 'simplices' must both"),
+    (lambda man: {**man, "traces": [{**man["traces"][0], "mesh_frames": None}]},
+     "trace 'main': 'mesh_frames' and 'simplices' must both"),
 ], ids=["missing-traces", "traces-not-a-list", "no-traces", "missing-config",
         "unknown-config-key", "eps-not-a-number", "missing-dt",
         "missing-ambient_dimension", "seed-not-an-integer", "negative-seed",
@@ -1019,7 +1206,10 @@ def with_first_step(man: dict, key: str, value) -> dict:
         "number-mesh-frame", "number-simplices", "zero-simplices",
         "false-simplices", "empty-string-simplices", "empty-list-simplices",
         "directory-frame",
-        "directory-simplices", "tiny-dt", "tiniest-dt", "subnormal-dt"])
+        "directory-simplices", "tiny-dt", "tiniest-dt", "subnormal-dt",
+        "negative-step-delta", "negative-dissipation",
+        "negative-curvature-max", "last-frame-dissipation",
+        "mesh-frames-without-simplices", "simplices-without-mesh-frames"])
 def test_malformed_manifests_are_usage_errors(run_dir, tmp_path, capsys, edit,
                                               fragment):
     broken = tmp_path / "malformed"
@@ -1098,10 +1288,11 @@ def test_frame_text_is_fixed(tmp_path):
     V1 = DiscreteVarifold.from_arrays(pos, np.stack([horizontal] * 2),
                                       [0.5, 0.2], d=1)
     cfg = FlowConfig(eps=0.1, dt=0.1, end_time=0.1)
+    segments = [[0, 1], [1, 0]]
     trace = FlowTrace(cfg, (
-        Snapshot(0.0, V0, mesh_vertices=np.array([[0.0, 1.0], [0.5, -0.0]])),
-        Snapshot(0.1, V1, mesh_vertices=np.array([[0.0, 1.0], [0.75, 0.0]])),
-    ), np.array([[0, 1], [1, 0]]))
+        Snapshot(0.0, V0, mesh=SurfaceMesh([[0.0, 1.0], [0.5, -0.0]], segments)),
+        Snapshot(0.1, V1, mesh=SurfaceMesh([[0.0, 1.0], [0.75, 0.0]], segments)),
+    ))
     record = _write_trace(tmp_path, "main", trace)
     header = "x1,x2,p11,p12,p21,p22,m\n"
     expected = {
@@ -1285,10 +1476,7 @@ def test_a_loaded_frame_gives_back_the_recorded_curvature(tmp_path, monkeypatch,
         return h, J
     monkeypatch.setattr(flow, "curvature_with_jacobian", recording)
     scenario = make_preset(preset, end_time=end_time)
-    mesh = scenario.mesh
-    trace = run(scenario.varifold, scenario.config,
-                mesh_vertices=None if mesh is None else mesh.vertices,
-                mesh_simplices=None if mesh is None else mesh.simplices)
+    trace = run(scenario.varifold, scenario.config, scenario.mesh)
     monkeypatch.undo()
     record = _write_trace(tmp_path, "main", trace)
     manifest = {"config": dataclasses.asdict(scenario.config)}
@@ -1299,8 +1487,8 @@ def test_a_loaded_frame_gives_back_the_recorded_curvature(tmp_path, monkeypatch,
     assert len(loaded.snapshots) == len(trace.snapshots) == len(used) + 1 >= 2
     for recorded, after in zip(used, loaded.snapshots):
         V = after.varifold
-        pts = (V.positions if after.mesh_vertices is None
-               else np.vstack([V.positions, after.mesh_vertices]))
+        pts = (V.positions if after.mesh is None
+               else np.vstack([V.positions, after.mesh.vertices]))
         h, _ = curvature_with_jacobian(_Lattice(V, kernel, grid), pts)
         assert np.array_equal(h[:len(V)], recorded)
 
@@ -1481,9 +1669,10 @@ def test_volume_verdict_in_space_is_exact():
     V = mesh_to_varifold(cube)
     cfg = FlowConfig(eps=0.1, dt=0.01, end_time=0.01)
     trace = FlowTrace(cfg, (
-        Snapshot(0.0, V, mesh_vertices=cube.vertices, step_delta=0.1),
-        Snapshot(0.01, V, mesh_vertices=cube.vertices + [0.1, 0.0, 0.0]),
-    ), cube.simplices)
+        Snapshot(0.0, V, mesh=cube, step_delta=0.1),
+        Snapshot(0.01, V, mesh=SurfaceMesh(cube.vertices + [0.1, 0.0, 0.0],
+                                           cube.simplices)),
+    ))
     st = dataclasses.replace(Settings(), ball_center=(0.0, 0.0, 0.0),
                              ball_radius=0.5)
     (verdict,) = cli.CERTIFICATES["volume-change"]({"main": trace}, st,

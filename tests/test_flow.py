@@ -17,6 +17,7 @@ from varimcf.config import CHAIN_SLACK
 from varimcf.errors import ConfigError, VarimcfError
 from varimcf.flow import (FlowConfig, brakke_residual, dissipation_budget,
                           pushforward, run, sample)
+from varimcf.geometry import SurfaceMesh
 from varimcf.varifold import DiscreteVarifold, projections_from_bases
 
 
@@ -381,12 +382,13 @@ def test_mesh_vertices_advected_alongside():
     verts = np.stack([np.cos(th), np.sin(th)], 1)
     simp = np.stack([np.arange(64), (np.arange(64) + 1) % 64], 1)
     cfg = FlowConfig(eps=0.1, dt=2e-3, end_time=0.02)
-    tr = run(V, cfg, mesh_vertices=verts, mesh_simplices=simp)
-    first = tr.snapshots[0].mesh_vertices
-    last = tr.snapshots[-1].mesh_vertices
+    tr = run(V, cfg, SurfaceMesh(verts, simp))
+    first = tr.snapshots[0].mesh.vertices
+    last = tr.snapshots[-1].mesh.vertices
     assert np.allclose(first, verts)
     r_last = np.linalg.norm(last, axis=1)
     assert np.all(r_last < 1.0)
     # vertices coincide with atom positions here, so they track them exactly
     assert np.allclose(last, tr.snapshots[-1].varifold.positions, atol=1e-9)
-    assert tr.mesh_simplices is simp
+    # the connectivity never changes: every snapshot shares the one array
+    assert all(s.mesh.simplices is simp for s in tr.snapshots)

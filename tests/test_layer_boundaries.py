@@ -7,6 +7,7 @@ silently drop out of the per-layer metrics, so this pins each one down.
 
 import argparse
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,32 @@ def test_the_frame_columns_the_benchmark_reads_stay_put():
         assert header[n + n * n] == "m"
 
 
+def test_the_manifest_keys_the_benchmark_reads_stay_put(tmp_path):
+    # perfbench/workloads reads these keys of each trace record:
+    # frame_files the frame, mesh-frame and simplex names, with mesh_frames
+    # null or a list and simplices null or a string, and radius_law_error
+    # and write_measures the dimensions, times and name
+    for preset, meshed in (("circle", True), ("enlaced-circles", False)):
+        out = tmp_path / preset
+        assert cli.main(["simulate", "--preset", preset, "--end-time", "0.006",
+                         "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        for rec in manifest["traces"]:
+            assert isinstance(rec["name"], str)
+            assert isinstance(rec["ambient_dimension"], int)
+            assert isinstance(rec["surface_dimension"], int)
+            assert all(isinstance(t, float) for t in rec["times"])
+            assert all(isinstance(f, str) for f in rec["frames"])
+            assert len(rec["frames"]) == len(rec["times"]) > 1
+            if meshed:
+                assert isinstance(rec["mesh_frames"], list)
+                assert len(rec["mesh_frames"]) == len(rec["frames"])
+                assert all(isinstance(f, str) for f in rec["mesh_frames"])
+                assert isinstance(rec["simplices"], str)
+            else:
+                assert rec["mesh_frames"] is None
+                assert rec["simplices"] is None
+
 def test_the_benchmark_grade_file_still_loads():
     # an INI key deleted from the settings while perfbench/grade.ini still
     # sets it would make every benchmark check a usage error
@@ -96,13 +123,12 @@ def test_run_calls_each_field_layer_once_per_step(monkeypatch):
         monkeypatch.setattr(owner, name, counting(owner, name))
     mesh = regular_polygon_mesh(32)
     cfg = FlowConfig(eps=0.15, dt=2e-3, end_time=4e-3)
-    tr = flow.run(mesh_to_varifold(mesh), cfg, mesh_vertices=mesh.vertices,
-                  mesh_simplices=mesh.simplices)
+    tr = flow.run(mesh_to_varifold(mesh), cfg, mesh)
     assert len(tr.snapshots) == 3
     # one smoothed-field pass per step serves the curvature and dissipation
     assert calls == {"curvature_with_jacobian": 2, "dissipation": 2,
                      "_field_sums": 2}
-    assert np.all(np.isfinite(tr.snapshots[-1].mesh_vertices))
+    assert np.all(np.isfinite(tr.snapshots[-1].mesh.vertices))
 
 
 def test_the_traced_pair_search_is_the_one_both_kernel_sums_use(monkeypatch):
@@ -127,8 +153,7 @@ def test_the_traced_pair_search_is_the_one_both_kernel_sums_use(monkeypatch):
     monkeypatch.setattr(mollifier.Mollifier, "_profile01", counted_profile)
     mesh = regular_polygon_mesh(32)
     cfg = FlowConfig(eps=0.15, dt=2e-3, end_time=2e-3)
-    tr = flow.run(mesh_to_varifold(mesh), cfg, mesh_vertices=mesh.vertices,
-                  mesh_simplices=mesh.simplices)
+    tr = flow.run(mesh_to_varifold(mesh), cfg, mesh)
     assert len(tr.snapshots) == 2
     # the atoms scattered onto the nodes, then the points gathering them
     assert searches[0] >= 2
