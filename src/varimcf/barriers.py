@@ -48,6 +48,7 @@ from .config import (BARRIER_FLOOR, CHAIN_SLACK, NORM_SAFETY, SCALE_CEILING,
 from .errors import ConfigError, PreconditionViolated
 from .flow import FlowTrace
 from .geometry import simplex_distances
+from .varifold import _frozen
 
 BOUND_SWEEP_STEPS = 2048
 
@@ -63,9 +64,7 @@ class BarrierFunction:
     d: int
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        c.flags.writeable = False
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", _frozen(self.center))
         if self.radius <= 0.0:
             raise ConfigError("radius must be positive")
         if self.beta <= 0.0:

@@ -393,6 +393,10 @@ def load_trace(manifest: dict, base: Path, record: dict):
         arr = _load_table(base / fname, _frame_header(n))
         if not len(arr):
             raise ConfigError(f"{base / fname}: holds no atoms")
+        # a step moves atoms but never adds or drops one
+        if snaps and len(arr) != len(snaps[0].varifold):
+            raise ConfigError(f"{base / fname}: holds {len(arr)} atoms, "
+                              f"the first frame {len(snaps[0].varifold)}")
         if not np.all(np.isfinite(arr)):
             raise ConfigError(f"{base / fname}: holds a non-finite value")
         try:

@@ -34,7 +34,7 @@ from .config import (CHAIN_SLACK, KERNEL_CUTOFF, LATTICE_REFINEMENT,
 from .errors import ConfigError, VarimcfError
 from .mollifier import (Mollifier, QuadratureGrid, _Lattice,
                         curvature_with_jacobian, dissipation)
-from .varifold import DiscreteVarifold
+from .varifold import DiscreteVarifold, projections_from_bases
 
 if TYPE_CHECKING:      # geometry imports this module
     from .barriers import BarrierFunction
@@ -57,11 +57,8 @@ def pushforward(V: DiscreteVarifold, positions: np.ndarray, Df: np.ndarray
     gdet = np.linalg.det(gram)
     if np.any(gdet <= 0.0):
         raise VarimcfError("a tangent plane degenerates under the step map")
-    sol = np.linalg.solve(gram, np.transpose(Y, (0, 2, 1)))  # (N, d, n)
-    P = np.einsum("aid,adj->aij", Y, sol)
-    P = 0.5 * (P + np.transpose(P, (0, 2, 1)))
-    W = DiscreteVarifold(V.n, V.d, positions, P, V.masses * np.sqrt(gdet))
-    return W, dets
+    P = projections_from_bases(np.transpose(Y, (0, 2, 1)))
+    return DiscreteVarifold(V.n, V.d, positions, P, V.masses * np.sqrt(gdet)), dets
 
 
 def _step(V: DiscreteVarifold, tau: float, h: np.ndarray,
@@ -160,7 +157,8 @@ class FlowTrace:
     def locate(self, t: float) -> int:
         """Index i with times[i] <= t < times[i+1] (last index at the end)."""
         times = self.times
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
+        # the chained comparison is false for NaN as well
+        if not times[0] - 1e-12 <= t <= times[-1] + 1e-12:
             raise VarimcfError(f"t = {t} outside [{times[0]}, {times[-1]}]")
         i = int(np.searchsorted(times, t + 1e-12) - 1)
         return min(max(i, 0), len(times) - 1)

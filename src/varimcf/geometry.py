@@ -7,15 +7,16 @@ consistently oriented by construction, so everything downstream
 that boundary representation alone and checks no topology of its own.  A
 flow's tracked boundary is one such mesh per snapshot (`Snapshot.mesh`).
 
-Atoms are manufactured from a mesh by exact quadrature: a segment is cut
-into equal pieces sampled at midpoints; a triangle is cut into strips of
-equal area between similar copies of itself scaled about a vertex, sampled
-at the strip centroids.  Total mass equals total mesh measure exactly.
+Every facet formula (quadrature, measure, enclosed volume, point distance)
+is one rule for a d-simplex, d = n - 1.  Atoms are manufactured from a mesh
+by exact quadrature: a facet is cut into pieces of equal measure between
+copies of itself scaled about its first vertex, each sampled at its
+centroid, so total mass equals total mesh measure exactly.
 
 The volume of a region inside a ball is exact in both dimensions: the
 divergence theorem over the boundary facets, each edge cut where it crosses
-the sphere.  Containment is the parity of the winding number, a sum of
-signed (solid) angles.
+the sphere.  Containment is a nonzero winding number, a sum of signed
+(solid) angles.
 """
 
 from __future__ import annotations
@@ -28,38 +29,34 @@ import numpy as np
 from .config import DEGENERATE_SIMPLEX, ball_volume, isoperimetric_constant
 from .errors import ConfigError, PreconditionViolated, VarimcfError
 from .flow import FlowTrace
-from .varifold import DiscreteVarifold
+from .varifold import (DiscreteVarifold, _frozen, _independent,
+                       projections_from_bases)
 
 
 def simplex_distances(points, corners) -> np.ndarray:
-    """Distances (P, F) from points (P, n) to closed simplices: segments
-    `corners` (F, 2, n), or filled triangles (F, 3, 3)."""
+    """Distances (P, F) from points (P, n) to closed k-simplices `corners`
+    (F, k + 1, n): the foot of the perpendicular on a simplex's affine hull
+    where its barycentric coordinates are all >= 0, and the nearest facet of
+    the simplex elsewhere, down to its corners."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     corners = np.asarray(corners, dtype=float)
     p = points[:, None, :]
     a = corners[:, 0]
-    ab, ap = corners[:, 1] - a, p - a                   # (F, n), (P, F, n)
-    if corners.shape[1] == 2:
-        denom = np.einsum("fi,fi->f", ab, ab)
-        t = np.einsum("pfi,fi->pf", ap, ab) / np.where(denom > 0.0, denom, 1.0)
-        return np.linalg.norm(p - (a + np.clip(t, 0.0, 1.0)[..., None] * ab),
-                              axis=2)
-    # the foot of the perpendicular where it falls in the triangle, and the
-    # nearest edge elsewhere
-    ac = corners[:, 2] - a
-    g00, g01, g11 = (np.einsum("fi,fi->f", x, y)
-                     for x, y in ((ab, ab), (ab, ac), (ac, ac)))
-    r0, r1 = (np.einsum("pfi,fi->pf", ap, x) for x in (ab, ac))
-    det = g00 * g11 - g01 * g01
-    solvable = np.abs(det) > 1e-18
-    det = np.where(solvable, det, 1.0)
-    u, v = (r0 * g11 - r1 * g01) / det, (g00 * r1 - g01 * r0) / det
-    inside = solvable & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0)
-    face = np.linalg.norm(p - (a + u[..., None] * ab + v[..., None] * ac),
-                          axis=2)
-    edges = simplex_distances(points, corners[:, [[0, 1], [1, 2], [0, 2]]]
-                              .reshape(-1, 2, corners.shape[2]))
-    return np.where(inside, face, edges.reshape(len(points), -1, 3).min(axis=2))
+    k = corners.shape[1] - 1
+    if k == 0:
+        return np.linalg.norm(p - a, axis=2)
+    E = corners[:, 1:] - a[:, None, :]                 # (F, k, n)
+    gram = E @ E.transpose(0, 2, 1)
+    solvable = _independent(gram)
+    # coordinates c of the foot a + c E: c = (p - a) . G^-1 E
+    dual = np.linalg.solve(np.where(solvable[:, None, None], gram, np.eye(k)), E)
+    c = np.einsum("pfi,fki->pfk", p - a, dual)
+    inside = solvable & np.all(c >= 0.0, axis=2) & (c.sum(axis=2) <= 1.0)
+    foot = np.linalg.norm(p - a - np.einsum("pfk,fki->pfi", c, E), axis=2)
+    faces = [np.delete(np.arange(k + 1), j) for j in range(k + 1)]
+    nearest = simplex_distances(points, corners[:, faces].reshape(-1, k, points.shape[1]))
+    return np.where(inside, foot,
+                    nearest.reshape(len(points), -1, k + 1).min(axis=2))
 
 
 @dataclass(frozen=True)
@@ -71,8 +68,8 @@ class SurfaceMesh:
     simplices: np.ndarray  # (F, n) integer
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
-        s = np.ascontiguousarray(np.asarray(self.simplices, dtype=np.int64))
+        v = _frozen(self.vertices)
+        s = _frozen(self.simplices, np.int64)
         if v.ndim != 2 or v.shape[1] not in (2, 3):
             raise ConfigError("vertices must be (M, 2) or (M, 3)")
         if s.ndim != 2 or s.shape[1] != v.shape[1]:
@@ -80,8 +77,6 @@ class SurfaceMesh:
                               "width matching the ambient dimension")
         if len(s) and (s.min() < 0 or s.max() >= len(v)):
             raise ConfigError("simplex index out of range")
-        v.flags.writeable = False
-        s.flags.writeable = False
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "simplices", s)
         self.check_closed()
@@ -115,13 +110,11 @@ class SurfaceMesh:
                 raise VarimcfError("an edge lacks its oppositely oriented partner")
 
     def measures(self) -> np.ndarray:
-        """Length or area of every facet."""
-        V = self.vertices
-        S = self.simplices
-        if self.n == 2:
-            return np.linalg.norm(V[S[:, 1]] - V[S[:, 0]], axis=1)
-        cr = np.cross(V[S[:, 1]] - V[S[:, 0]], V[S[:, 2]] - V[S[:, 0]])
-        return 0.5 * np.linalg.norm(cr, axis=1)
+        """Measure sqrt(det E E^T) / (n - 1)! of each facet, E its edge rows."""
+        corners = self.vertices[self.simplices]
+        E = corners[:, 1:] - corners[:, :1]
+        return (np.sqrt(np.linalg.det(E @ E.transpose(0, 2, 1)))
+                / math.factorial(self.n - 1))
 
 
 def loop_mesh(points) -> SurfaceMesh:
@@ -181,53 +174,35 @@ def icosphere_mesh(level: int = 2, radius: float = 1.0,
 
 def mesh_to_varifold(mesh: SurfaceMesh,
                      samples_per_simplex: int = 1) -> DiscreteVarifold:
-    """Atoms at facet quadrature points; total mass = total measure exactly."""
+    """Atoms at facet quadrature points; total mass = total measure exactly.
+
+    Piece k of s lies between the facet's copies scaled about its first
+    vertex A by tau_(k-1) and tau_k = (k/s)^(1/d).  Its centroid is
+    A + lambda_k (Q - A), Q the centroid of the opposite face, with
+    lambda_k = d/(d+1) (tau_k^(d+1) - tau_(k-1)^(d+1)) / (tau_k^d - tau_(k-1)^d).
+    """
     if samples_per_simplex < 1:
         raise ConfigError("need at least one sample per facet")
     meas = mesh.measures()
     if np.any(meas <= DEGENERATE_SIMPLEX):
         raise VarimcfError("a facet has vanishing measure")
-    V, S = mesh.vertices, mesh.simplices
-    s = samples_per_simplex
-    if mesh.n == 2:
-        A, B = V[S[:, 0]], V[S[:, 1]]
-        frac = (np.arange(s) + 0.5) / s
-        pos = A[:, None, :] + frac[None, :, None] * (B - A)[:, None, :]
-        pos = pos.reshape(-1, 2)
-        tang = np.repeat(B - A, s, axis=0)
-        masses = np.repeat(meas / s, s)
-        d = 1
-    else:
-        A, B, C = V[S[:, 0]], V[S[:, 1]], V[S[:, 2]]
-        Q = 0.5 * (B + C)
-        tau = np.sqrt(np.arange(s + 1) / s)
-        lam = (2.0 / 3.0) * (tau[1:] ** 3 - tau[:-1] ** 3) / (tau[1:] ** 2 - tau[:-1] ** 2)
-        pos = A[:, None, :] + lam[None, :, None] * (Q - A)[:, None, :]
-        pos = pos.reshape(-1, 3)
-        e1 = np.repeat(B - A, s, axis=0)
-        e2 = np.repeat(C - A, s, axis=0)
-        tang = np.stack([e1, e2], axis=1)  # (F*s, 2, 3)
-        masses = np.repeat(meas / s, s)
-        d = 2
-    if mesh.n == 2:
-        norms2 = np.einsum("ai,ai->a", tang, tang)
-        planes = np.einsum("ai,aj->aij", tang, tang) / norms2[:, None, None]
-    else:
-        gram = np.einsum("aki,ali->akl", tang, tang)     # (F*s, 2, 2)
-        sol = np.linalg.solve(gram, tang)                # G^-1 B rows
-        planes = np.einsum("aki,akj->aij", tang, sol)
-        planes = 0.5 * (planes + np.transpose(planes, (0, 2, 1)))
-    return DiscreteVarifold.from_arrays(pos, planes, masses, d=d)
+    corners = mesh.vertices[mesh.simplices]            # (F, n, n)
+    s, d = samples_per_simplex, mesh.n - 1
+    A = corners[:, 0]
+    Q = corners[:, 1:].mean(axis=1)
+    tau = (np.arange(s + 1) / s) ** (1.0 / d)
+    lam = d / (d + 1.0) * np.diff(tau ** (d + 1)) / np.diff(tau ** d)
+    pos = A[:, None, :] + lam[None, :, None] * (Q - A)[:, None, :]
+    planes = projections_from_bases(corners[:, 1:] - A[:, None, :])
+    return DiscreteVarifold.from_arrays(
+        pos.reshape(-1, mesh.n), np.repeat(planes, s, axis=0),
+        np.repeat(meas / s, s), d=d)
 
 
 def enclosed_volume(mesh: SurfaceMesh) -> float:
-    """Divergence-theorem volume; positive for outward orientation."""
-    V, S = mesh.vertices, mesh.simplices
-    if mesh.n == 2:
-        A, B = V[S[:, 0]], V[S[:, 1]]
-        return float(0.5 * np.sum(A[:, 0] * B[:, 1] - A[:, 1] * B[:, 0]))
-    A, B, C = V[S[:, 0]], V[S[:, 1]], V[S[:, 2]]
-    return float(np.sum(np.einsum("ai,ai->a", A, np.cross(B, C))) / 6.0)
+    """Divergence-theorem volume sum det(corners) / n!, positive if outward."""
+    return float(np.linalg.det(mesh.vertices[mesh.simplices]).sum()
+                 / math.factorial(mesh.n))
 
 
 # ---------------------------------------------------------------------------

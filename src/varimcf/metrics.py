@@ -53,7 +53,7 @@ from scipy.spatial.distance import cdist
 from . import config
 from .config import LP_LIPSCHITZ
 from .errors import ConfigError, VarimcfError
-from .varifold import DiscreteVarifold
+from .varifold import DiscreteVarifold, _frozen
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,8 @@ class DiscreteMeasure:
             raise ConfigError("points and weights must be finite")
         if np.any(w < 0.0):
             raise ConfigError("weights must be nonnegative")
-        pts = np.ascontiguousarray(pts)
-        w = np.ascontiguousarray(w)
-        pts.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "points", _frozen(pts))
+        object.__setattr__(self, "weights", _frozen(w))
 
     @classmethod
     def from_varifold(cls, V: DiscreteVarifold) -> "DiscreteMeasure":

@@ -15,7 +15,7 @@ from .errors import ConfigError
 from .flow import FlowConfig
 from .geometry import (SurfaceMesh, icosphere_mesh, loop_mesh,
                        mesh_to_varifold, regular_polygon_mesh)
-from .varifold import DiscreteVarifold
+from .varifold import DiscreteVarifold, projections_from_bases
 
 __all__ = ["Scenario", "PRESET_NAMES", "make_preset"]
 
@@ -55,10 +55,9 @@ def _ring3d(center, radius: float, axes, count: int) -> DiscreteVarifold:
            + radius * np.sin(th)[:, None] * e2[None, :])
     nxt = np.roll(pts, -1, axis=0)
     chord = nxt - pts
-    lengths = np.linalg.norm(chord, axis=1)
-    t = chord / lengths[:, None]
-    planes = np.einsum("ai,aj->aij", t, t)
-    return DiscreteVarifold.from_arrays(0.5 * (pts + nxt), planes, lengths, d=1)
+    return DiscreteVarifold.from_arrays(
+        0.5 * (pts + nxt), projections_from_bases(chord[:, None, :]),
+        np.linalg.norm(chord, axis=1), d=1)
 
 
 def _enlaced() -> list:

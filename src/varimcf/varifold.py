@@ -31,21 +31,38 @@ from .config import (GRAM_DETERMINANT, PROJECTOR_IDEMPOTENCY,
 from .errors import ConfigError, PreconditionViolated, VarimcfError
 
 
+def _frozen(a, dtype=float) -> np.ndarray:
+    """`a` as a read-only C-contiguous array that owns its data, copied unless
+    it is one: an object keeping it leaves the caller's array writable."""
+    if not (isinstance(a, np.ndarray) and a.base is None and a.dtype == dtype
+            and not a.flags.writeable and a.flags.c_contiguous):
+        a = np.array(a, dtype=dtype, order="C")
+        a.flags.writeable = False
+    return a
+
+
+def _independent(gram: np.ndarray) -> np.ndarray:
+    """Which Gram matrices (K, d, d) have independent rows: det G above
+    GRAM_DETERMINANT times the diagonal's product, whatever the rows' scale."""
+    diagonal = np.prod(np.diagonal(gram, axis1=1, axis2=2), axis=1)
+    return np.linalg.det(gram) > GRAM_DETERMINANT * diagonal
+
+
 def projections_from_bases(bases: np.ndarray) -> np.ndarray:
     """Projections (K, n, n) onto the planes spanned by K bases at once.
 
     `bases` is a (K, d, n) stack: the d rows of basis k span plane k and
     need not be orthonormal.  Each projection is B^T (B B^T)^-1 B, computed
-    with one batched solve.  Raises VarimcfError for the first basis
-    whose Gram determinant is at or below tolerance.
+    with one batched solve.  Raises VarimcfError for the first basis whose
+    rows are dependent (`_independent`), at any scale of the rows.
     """
     B = np.asarray(bases, dtype=float)
     gram = B @ B.transpose(0, 2, 1)
-    det = np.linalg.det(gram)
-    bad = np.flatnonzero(det <= GRAM_DETERMINANT)
+    bad = np.flatnonzero(~_independent(gram))
     if len(bad):
         raise VarimcfError(f"basis {bad[0]}: Gram determinant "
-                           f"{det[bad[0]]:.3e} <= {GRAM_DETERMINANT:.0e}")
+                           f"{np.linalg.det(gram[bad[0]]):.3e} is at most "
+                           f"{GRAM_DETERMINANT:.0e} times its diagonal's product")
     P = B.transpose(0, 2, 1) @ np.linalg.solve(gram, B)
     return 0.5 * (P + P.transpose(0, 2, 1))
 
@@ -66,24 +83,14 @@ class DiscreteVarifold:
     masses: np.ndarray
 
     def __post_init__(self):
-        pos = np.ascontiguousarray(np.asarray(self.positions, dtype=float))
-        pl = np.ascontiguousarray(np.asarray(self.planes, dtype=float))
-        m = np.ascontiguousarray(np.asarray(self.masses, dtype=float))
-        for a in (pos, pl, m):
-            a.flags.writeable = False
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "planes", pl)
-        object.__setattr__(self, "masses", m)
+        for name in ("positions", "planes", "masses"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @classmethod
     def from_arrays(cls, positions, planes, masses, d: int) -> "DiscreteVarifold":
-        positions = np.atleast_2d(np.asarray(positions, dtype=float))
-        planes = np.asarray(planes, dtype=float)
-        masses = np.atleast_1d(np.asarray(masses, dtype=float))
-        n = positions.shape[1]
-        if planes.ndim == 2:
-            planes = planes[None, :, :]
-        V = cls(n, d, positions, planes, masses)
+        positions, planes = np.atleast_2d(positions), np.asarray(planes)
+        V = cls(positions.shape[1], d, positions,
+                planes[None] if planes.ndim == 2 else planes, np.atleast_1d(masses))
         V.validate()
         return V
 

@@ -1443,6 +1443,23 @@ def test_a_mesh_frame_with_another_vertex_count_is_a_usage_error(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("fname, edit, count", [
+    ("frame_main_0010.csv", lambda rows: rows.append(rows[-1]), 201),
+    ("frame_main_0003.csv", lambda rows: rows.pop(), 199),
+], ids=["atom-appended", "atom-dropped"])
+def test_a_frame_with_another_atom_count_is_a_usage_error(
+        run_dir, tmp_path, capsys, fname, edit, count):
+    broken = tmp_path / "recounted"
+    shutil.copytree(run_dir, broken)
+    rewrite_rows(broken / fname, edit)
+    # refused at load, before any certificate grades the frame
+    assert main(["check", str(broken), "--certificates", "mass-decay"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"configuration error: {broken / fname}: holds "
+                            f"{count} atoms, the first frame 200\n")
+    assert captured.out == ""
+
+
 def test_a_frame_with_curvature_columns_is_refused(run_dir, tmp_path, capsys):
     # frames once carried h after the mass; such a recording is refused by
     # name, with the header found and the header wanted

@@ -345,6 +345,12 @@ def test_sample_rejects_out_of_span(circle_trace):
         sample(circle_trace, -0.01)
     with pytest.raises(VarimcfError, match=r"t = 0\.2 outside \["):
         sample(circle_trace, 0.2)
+    # NaN fails every comparison, so it must not fall through to a snapshot
+    with pytest.raises(VarimcfError, match=r"t = nan outside \["):
+        sample(circle_trace, math.nan)
+    phi = BarrierFunction(np.array([0.0, 0.0]), 2.0, 4.0, 0)
+    with pytest.raises(VarimcfError, match=r"t = nan outside \["):
+        brakke_residual(circle_trace, phi, 0.0, math.nan)
 
 
 def test_brakke_residual_vanishes_off_support():
@@ -390,5 +396,8 @@ def test_mesh_vertices_advected_alongside():
     assert np.all(r_last < 1.0)
     # vertices coincide with atom positions here, so they track them exactly
     assert np.allclose(last, tr.snapshots[-1].varifold.positions, atol=1e-9)
-    # the connectivity never changes: every snapshot shares the one array
-    assert all(s.mesh.simplices is simp for s in tr.snapshots)
+    # the connectivity never changes: every snapshot shares the one array,
+    # the mesh's own copy of the caller's
+    simplices = tr.snapshots[0].mesh.simplices
+    assert np.array_equal(simplices, simp) and simplices is not simp
+    assert all(s.mesh.simplices is simplices for s in tr.snapshots)

@@ -76,6 +76,15 @@ def test_point_triangle_distance_brute_force():
         assert got[k, k] == pytest.approx(brute, abs=1e-4)
 
 
+def test_distance_above_a_tiny_triangle_is_its_height():
+    # whether the foot is solvable is judged relative to the triangle's own
+    # scale, so a triangle of side 1e-5 still has an interior
+    s = 1e-5
+    tri = np.array([[[0.0, 0.0, 0.0], [s, 0.0, 0.0], [0.0, s, 0.0]]])
+    got = simplex_distances([[s / 4, s / 4, 1e-3]], tri)
+    assert got[0, 0] == pytest.approx(1e-3, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # meshes and exact quadrature
 
@@ -158,6 +167,21 @@ def test_triangle_strip_quadrature_first_moment():
         V = mesh_to_varifold(mesh, s)
         moment = (V.masses[:, None] * V.positions).sum(axis=0)
         assert np.allclose(moment, area * bary, atol=1e-12)
+
+
+@pytest.mark.parametrize("build, scale", [
+    (lambda r: regular_polygon_mesh(200, r), 1e-6),
+    (lambda r: icosphere_mesh(2, r), 1e-4),
+], ids=["polygon", "icosphere"])
+def test_sampling_is_blind_to_the_mesh_scale(build, scale):
+    # the planes come from the facets' edges at their own scale: a tiny mesh
+    # gives the unit mesh's planes, its positions and masses scaled
+    unit, small = mesh_to_varifold(build(1.0)), mesh_to_varifold(build(scale))
+    assert np.allclose(small.planes, unit.planes, rtol=0.0, atol=1e-13)
+    assert np.allclose(small.positions / scale, unit.positions,
+                       rtol=0.0, atol=1e-13)
+    assert np.allclose(small.masses / scale ** (unit.n - 1), unit.masses,
+                       rtol=1e-13, atol=0.0)
 
 
 def test_varifold_planes_match_facets():

@@ -7,7 +7,9 @@ silently drop out of the per-layer metrics, so this pins each one down.
 
 import argparse
 import dataclasses
+import importlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +106,22 @@ def test_the_benchmark_grade_file_still_loads():
     st = cli.load_settings(str(grade), argparse.Namespace())
     assert st.ball_radius == 0.3
     assert st.certificate_step_constant == 1e-10
+
+
+def test_the_benchmark_set_up_prepares_the_pinned_workloads(monkeypatch):
+    # perfbench/workloads.prepare builds each workload's preset, kernel and
+    # stencil; a change that breaks it fails here rather than in a benchmark
+    # run.  The module is imported read-only, writing no bytecode beside it.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    assert workloads.prepare("sphere-3d") == workloads.Prepared(
+        atoms=320, tracked_vertices=162, steps=1, stencil_nodes=2103)
+    assert workloads.prepare("grade-concentric") == workloads.Prepared(
+        atoms=300, tracked_vertices=300, steps=60, stencil_nodes=193)
 
 
 def test_run_calls_each_field_layer_once_per_step(monkeypatch):

@@ -12,6 +12,8 @@ from varimcf.cli import _write_trace, load_trace
 from varimcf.errors import ConfigError, PreconditionViolated, VarimcfError
 from varimcf.flow import (FlowConfig, FlowTrace, Snapshot, _weighted_fv_arrays,
                           pushforward)
+from varimcf.geometry import SurfaceMesh
+from varimcf.metrics import DiscreteMeasure
 from varimcf.varifold import (DiscreteVarifold, first_variation,
                               projections_from_bases)
 
@@ -73,6 +75,24 @@ def test_degenerate_basis_rejected():
         projections_from_bases([np.array([[1.0, 0.0], [2.0, 0.0]])])
 
 
+def test_planes_are_blind_to_the_scale_of_each_row():
+    rng = np.random.default_rng(21)
+    for n, d in ((2, 1), (3, 1), (3, 2)):
+        bases = rng.normal(size=(50, d, n))
+        scaled = bases * 10.0 ** rng.uniform(-8.0, 8.0, size=(50, d, 1))
+        assert np.allclose(projections_from_bases(scaled),
+                           projections_from_bases(bases), rtol=0.0, atol=1e-12)
+    # a short line basis spans a line
+    assert np.allclose(projections_from_bases([[[1e-7, 0.0]]])[0],
+                       np.diag([1.0, 0.0]), rtol=0.0, atol=1e-15)
+    # dependent and zero rows stay refused at any scale
+    for scale in (1e-8, 1.0, 1e8):
+        for rows in ([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]],
+                     [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]):
+            with pytest.raises(VarimcfError, match="basis 0: Gram determinant"):
+                projections_from_bases([scale * np.array(rows)])
+
+
 def test_batched_planes_match_one_at_a_time():
     rng = np.random.default_rng(12)
     for d in (1, 2):
@@ -91,6 +111,27 @@ def test_batched_planes_name_the_first_degenerate_basis():
         projections_from_bases([plane, collinear, plane, np.zeros((2, 3))])
     with pytest.raises(VarimcfError, match="basis 1:"):
         projections_from_bases([plane, np.zeros((2, 3)), collinear])
+
+
+@pytest.mark.parametrize("build, arrays, attributes", [
+    (lambda x, p, m: DiscreteVarifold.from_arrays(x, p, m, d=1),
+     ([[0.5, 0.0]], [np.diag([1.0, 0.0])], [2.0]),
+     ("positions", "planes", "masses")),
+    (SurfaceMesh, ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                   [[0, 1], [1, 2], [2, 0]]), ("vertices", "simplices")),
+    (DiscreteMeasure, ([[0.5, 1.0]], [2.0]), ("points", "weights")),
+    (lambda c: BarrierFunction(c, 1.0, 4.0, 0), ([0.5, 0.0],), ("center",)),
+], ids=["varifold", "mesh", "measure", "barrier"])
+def test_constructors_keep_their_own_read_only_copies(build, arrays, attributes):
+    arrays = [np.array(a) for a in arrays]
+    kept = build(*arrays)
+    for array, name in zip(arrays, attributes):
+        own = getattr(kept, name)
+        assert not own.flags.writeable
+        before = own.copy()
+        array.flat[0] = array.flat[0]       # the caller's array stays writable
+        array.flat[0] += 1
+        assert np.array_equal(getattr(kept, name), before)
 
 
 def test_projection_validation_rejects_junk():
