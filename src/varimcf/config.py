@@ -21,8 +21,6 @@ LP_LIPSCHITZ = 1e-9
 # barriers
 BARRIER_FLOOR = 1e-14
 NORM_SAFETY = 1.05
-# meshes
-DEGENERATE_SIMPLEX = 1e-12
 # generic slack for exact chain inequalities evaluated in floats
 CHAIN_SLACK = 1e-9
 

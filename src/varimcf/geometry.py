@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEGENERATE_SIMPLEX, ball_volume, isoperimetric_constant
+from .config import ball_volume, isoperimetric_constant
 from .errors import ConfigError, PreconditionViolated, VarimcfError
 from .flow import FlowTrace
 from .varifold import (DiscreteVarifold, _frozen, _independent,
@@ -183,20 +183,20 @@ def mesh_to_varifold(mesh: SurfaceMesh,
     """
     if samples_per_simplex < 1:
         raise ConfigError("need at least one sample per facet")
-    meas = mesh.measures()
-    if np.any(meas <= DEGENERATE_SIMPLEX):
-        raise VarimcfError("a facet has vanishing measure")
     corners = mesh.vertices[mesh.simplices]            # (F, n, n)
     s, d = samples_per_simplex, mesh.n - 1
     A = corners[:, 0]
+    edges = corners[:, 1:] - A[:, None, :]
+    if not np.all(_independent(edges @ edges.transpose(0, 2, 1))):
+        raise VarimcfError("a facet has vanishing measure")
     Q = corners[:, 1:].mean(axis=1)
     tau = (np.arange(s + 1) / s) ** (1.0 / d)
     lam = d / (d + 1.0) * np.diff(tau ** (d + 1)) / np.diff(tau ** d)
     pos = A[:, None, :] + lam[None, :, None] * (Q - A)[:, None, :]
-    planes = projections_from_bases(corners[:, 1:] - A[:, None, :])
+    planes = projections_from_bases(edges)
     return DiscreteVarifold.from_arrays(
         pos.reshape(-1, mesh.n), np.repeat(planes, s, axis=0),
-        np.repeat(meas / s, s), d=d)
+        np.repeat(mesh.measures() / s, s), d=d)
 
 
 def enclosed_volume(mesh: SurfaceMesh) -> float:

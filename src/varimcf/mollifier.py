@@ -33,21 +33,24 @@ evaluated once, and
 
 the dissipation, are sums over the same nodes; as grad Phi is odd,
 delta V(h) = -D to roundoff.  Anchored at an atom, the nodes move with V under
-translations and quarter turns.  One pair pass serves both sums of a step:
-the lattice's one search, _Lattice.neighbor_pairs, finds the candidate nodes
-near a point a column at a time, and the kernel profile zeroes the few
-beyond R, so the field sums scatter each atom onto its nodes and the outer
-sum gathers each point's nodes.  All reductions are fixed-order (bincount,
-einsum and the row sums of a CSR matrix), so results are bitwise
-reproducible regardless of thread configuration.  The gather's pairs come
-grouped by point, so a CSR row sum adds the same products, in the same order
-and from 0, as a bincount over the point index would; no sum starts from
--0.0, so the +-0.0 terms of the candidates beyond R change none.
+translations and quarter turns.  The lattice's one search,
+_Lattice.neighbor_pairs, finds the candidate nodes near a point a column at a
+time; each chunk of points and its candidates is one CSR kernel matrix
+(point, node), whose values the kernel profile zeroes beyond R.  The field
+sums are the transposed products of the atoms' matrices, the outer sum the
+plain products of the points' matrices, and the atoms' search is kept for
+both.  All reductions are fixed-order (the row and column sums of a CSR
+matrix), so results are bitwise reproducible regardless of thread
+configuration.  The pairs come grouped by point, so a product adds the same
+terms, in the same order and from 0, as a bincount over the point or node
+index would, however the points are chunked; no sum starts from -0.0, so
+the +-0.0 terms of the candidates beyond R change none.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -164,26 +167,20 @@ class QuadratureGrid:
 def _field_sums(lattice: _Lattice) -> tuple[np.ndarray, np.ndarray]:
     """Smoothed mass and smoothed first variation at the lattice nodes.
 
-    Each atom is scattered onto the nodes the lattice's own lookup finds
-    near it; bincount over the node index adds the terms in a fixed order.
+    The transposed products of the atoms' kernel matrices M scatter the
+    atoms onto the nodes: mass = M^T m, and fvar = sum_b M^T (m S[:, :, b])
+    under the values 2 g' diff_b, as -grad Phi(y_k - x_i) = 2 g' (x_i - y_k).
     """
     V = lattice.V
     K, n = lattice.nodes[1].shape
     mass, fvar = np.zeros(K), np.zeros((K, n))
-    # orthonormal bases of the atom planes as rows, shape (N, d, n)
-    bases = np.ascontiguousarray(np.transpose(V.bases, (0, 2, 1)))
-    for part, rows, idx, diff, g, gp in lattice._pairs(V.positions):
-        m = np.take(V.masses[part], rows)
-        mass += np.bincount(idx, weights=m * g, minlength=K)
-        # S_i diff through the orthonormal basis: S v = B^T (B v)
-        B = np.take(bases[part], rows, axis=0)
-        coeff = np.einsum("pkj,pj->pk", B, diff)
-        sd = np.einsum("pk,pkj->pj", coeff, B)
-        # diff = x_i - y_k, so -grad Phi(y_k - x_i) = 2 g' diff
-        coef = 2.0 * m * gp
-        for axis in range(n):
-            fvar[:, axis] += np.bincount(idx, weights=coef * sd[:, axis],
-                                         minlength=K)
+    for part, indptr, idx in lattice._atom_search:
+        M, grads = lattice._kernel_matrix(V.positions[part], indptr, idx, 1.0)
+        m = V.masses[part]
+        mass += M.T @ m
+        for b, values in enumerate(grads):
+            M.data = values
+            fvar += M.T @ (m[:, None] * V.planes[part, :, b])
     return mass, fvar
 
 
@@ -195,9 +192,9 @@ class _Lattice:
     dissipation of a step.  Node codes are linear in the cell, and the cells
     along the last axis of a column have consecutive codes, so the nodes near
     a point are found a column at a time: one code range per column.  That
-    one search, neighbor_pairs, called through _pairs, gives the pairs of
-    both kernel sums: the atoms scattered onto the nodes for the fields, the
-    nodes gathered at each point by curvature_with_jacobian.  An empty
+    one search, neighbor_pairs, called a chunk at a time by _search, gives
+    the pattern of each chunk's _kernel_matrix in both kernel sums; the
+    atoms' search, not its kernel values, is kept for both.  An empty
     varifold has no nodes, so its fields vanish everywhere.
     """
 
@@ -286,23 +283,34 @@ class _Lattice:
         rows = np.repeat(np.arange(len(points)), counts.sum(axis=1))
         return rows, _ranges(first.ravel(), first.ravel() + counts.ravel())
 
-    def _pairs(self, points: np.ndarray):
-        """The kernel terms of the points' pairs, a chunk of points at a time.
-
-        Each chunk of consecutive points gets about _PAIR_CHUNK candidates
-        from neighbor_pairs; yields the chunk's slice, the rows and node
-        indices, the differences point - node and the profile g, g' there,
-        which _profile01 zeroes on the few candidates outside R.
-        """
-        nodes = self.nodes[1]
+    def _search(self, points: np.ndarray, start: int = 0):
+        """The pairs of points[start:], a chunk of about _PAIR_CHUNK
+        candidates at a time: the chunk's slice and the CSR pattern of its
+        kernel matrix, row pointer and node indices."""
         step = max(1, _PAIR_CHUNK // int(np.sum(2 * self.half + 1)))
-        for lo in range(0, len(points), step):
-            part = slice(lo, lo + step)
+        for lo in range(start, len(points), step):
+            part = slice(lo, min(lo + step, len(points)))
             rows, idx = self.neighbor_pairs(points[part])
-            # np.take copies rows several times faster than fancy indexing
-            diff = np.take(points[part], rows, axis=0) - np.take(nodes, idx, axis=0)
-            yield (part, rows, idx, diff,
-                   *self.kernel._profile01(np.einsum("pi,pi->p", diff, diff)))
+            yield part, np.searchsorted(rows, np.arange(part.stop - lo + 1)), idx
+
+    @functools.cached_property
+    def _atom_search(self) -> list:
+        """The atoms' search, kept for both kernel sums of a step."""
+        return list(self._search(self.V.positions))
+
+    def _kernel_matrix(self, points: np.ndarray, indptr: np.ndarray,
+                       idx: np.ndarray, scale: float):
+        """One searched chunk as a CSR matrix (points, nodes) with the values
+        scale g, and the values (2 scale) g' diff_b it takes for each axis b,
+        diff = point - node; all are zero beyond R."""
+        rows = np.repeat(np.arange(len(points)), np.diff(indptr))
+        # np.take copies rows several times faster than fancy indexing
+        diff = np.take(points, rows, axis=0) - np.take(self.nodes[1], idx, axis=0)
+        g, gp = self.kernel._profile01(np.einsum("pi,pi->p", diff, diff))
+        M = csr_array((scale * g, idx, indptr),
+                      shape=(len(points), len(self.nodes[1])))
+        gp *= 2.0 * scale
+        return M, [gp * diff[:, b] for b in range(diff.shape[1])]
 
 
 # perfbench/tracing.py wraps mollifier.SpatialHash.neighbor_pairs, so the
@@ -315,25 +323,24 @@ def curvature_with_jacobian(lattice: _Lattice, points: np.ndarray
     """h_eps(., V) and its Jacobian at the points (Q, n): Phi * q as sums
     over the nodes of the lattice of V.
 
-    Each chunk's pairs, grouped by point row, are the nonzeros of one sparse
-    (chunk, node) matrix; h and each column of Dh are its products with q
-    under n + 1 sets of values.
+    Each chunk's pairs, grouped by point row, are the nonzeros of one kernel
+    matrix (chunk, node); h and each column of Dh are its products with q
+    under its n + 1 sets of values.  Points that begin with exactly the atoms
+    take the atoms' kept search for those rows; only the rest are searched.
     """
     Q, n = points.shape
     h, J = np.zeros((Q, n)), np.zeros((Q, n, n))
     quot = lattice.quotient()
-    for part, rows, idx, diff, g, gp in lattice._pairs(points):
-        size = len(points[part])
-        indptr = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-        A = csr_array((lattice.weight * g, idx, indptr),
-                      shape=(size, len(quot)))
-        h[part] = A @ quot
-        # grad Phi(x - y) = 2 g' (x - y)
-        wgrad = (2.0 * lattice.weight) * gp
-        for b in range(n):
-            G = csr_array((wgrad * diff[:, b], A.indices, A.indptr), shape=A.shape)
-            J[part, :, b] = G @ quot
+    N = len(lattice.V)
+    head = N if np.array_equal(points[:N], lattice.V.positions) else 0
+    for part, indptr, idx in itertools.chain(
+            lattice._atom_search if head else (), lattice._search(points, head)):
+        M, grads = lattice._kernel_matrix(points[part], indptr, idx,
+                                          lattice.weight)
+        h[part] = M @ quot
+        for b, values in enumerate(grads):
+            M.data = values
+            J[part, :, b] = M @ quot
     return h, J
 
 

@@ -145,6 +145,15 @@ def test_degenerate_simplex_rejected():
         mesh_to_varifold(mesh)
 
 
+@pytest.mark.parametrize("mesh", [icosphere_mesh(2, 1e-6),
+                                  regular_polygon_mesh(200, 1e-11)])
+def test_tiny_meshes_convert_with_their_measure(mesh):
+    # facets are refused by the scale-free dependence test of their edges,
+    # not by their measure: these have facet measures below 1e-12
+    assert np.max(mesh.measures()) < 1e-12
+    assert mesh_to_varifold(mesh).total_mass() == mesh.measures().sum()
+
+
 def test_subdivided_sampling_keeps_mass_exact():
     sq = unit_square()
     for s in (1, 2, 5):

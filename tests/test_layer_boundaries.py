@@ -151,9 +151,10 @@ def test_run_calls_each_field_layer_once_per_step(monkeypatch):
 
 def test_the_traced_pair_search_is_the_one_both_kernel_sums_use(monkeypatch):
     # a wrapper installed on the class, as the tracer installs it, must see
-    # every candidate pair that reaches the kernel profile
+    # every candidate pair that reaches the kernel profile: the atoms' pairs
+    # are searched once and profiled by both kernel sums
     assert mollifier.SpatialHash is mollifier._Lattice
-    searches, candidates, profiled = [0], [0], [0]
+    searches, candidates, profiled, lattices = [0], [0], [0], {}
     search = vars(mollifier._Lattice)["neighbor_pairs"]
     profile = vars(mollifier.Mollifier)["_profile01"]
 
@@ -161,6 +162,7 @@ def test_the_traced_pair_search_is_the_one_both_kernel_sums_use(monkeypatch):
         rows, idx = search(self, points)
         searches[0] += 1
         candidates[0] += len(rows)
+        lattices[id(self)] = self
         return rows, idx
 
     def counted_profile(self, rho):
@@ -173,6 +175,10 @@ def test_the_traced_pair_search_is_the_one_both_kernel_sums_use(monkeypatch):
     cfg = FlowConfig(eps=0.15, dt=2e-3, end_time=2e-3)
     tr = flow.run(mesh_to_varifold(mesh), cfg, mesh)
     assert len(tr.snapshots) == 2
-    # the atoms scattered onto the nodes, then the points gathering them
-    assert searches[0] >= 2
-    assert candidates[0] > 0 and candidates[0] == profiled[0]
+    # the atoms scattered onto the nodes, then the mesh vertices gathering
+    # them; the atoms' rows of the gather take the atoms' kept search
+    assert searches[0] >= 2 and len(lattices) == 1
+    atoms = sum(len(idx) for lat in lattices.values()
+                for _, _, idx in lat._atom_search)
+    assert 0 < atoms < candidates[0]
+    assert profiled[0] == candidates[0] + atoms

@@ -331,11 +331,21 @@ def test_lattice_lookup_finds_exactly_the_nodes_within_the_support(n, d):
 # regularized curvature
 
 
+def searched_pairs(lattice, points):
+    """Per chunk of lattice._search: the slice, the rows and node indices of
+    its pairs, the differences point - node and the profile g, g' there."""
+    for part, indptr, idx in lattice._search(points):
+        rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        diff = points[part][rows] - lattice.nodes[1][idx]
+        yield (part, rows, idx, diff,
+               *lattice.kernel._profile01(np.einsum("pi,pi->p", diff, diff)))
+
+
 def inside_pairs(lattice, points):
-    """The pairs of lattice._pairs with |point - node| < R, found from the
+    """The searched pairs with |point - node| < R, found from the
     differences alone: the candidates beyond R are dropped, not zeroed."""
     R2 = lattice.kernel.support_radius**2
-    for part, rows, idx, diff, g, gp in lattice._pairs(points):
+    for part, rows, idx, diff, g, gp in searched_pairs(lattice, points):
         keep = np.einsum("pi,pi->p", diff, diff) < R2
         yield part, rows[keep], idx[keep], diff[keep], g[keep], gp[keep]
 
@@ -379,7 +389,7 @@ def test_sparse_gather_equals_the_bincount_gather_bitwise(n, d, pair_chunk,
     t = rng.uniform(0.2, 0.8, (len(x), 1))
     pts = np.vstack([x, (1.0 - t) * x + t * x[near],
                      rng.uniform(-1.5, 1.5, (40, n)), np.full((1, n), 1e3)])
-    assert len(list(lattice._pairs(pts))) > (1 if pair_chunk else 0)
+    assert len(list(lattice._search(pts))) > (1 if pair_chunk else 0)
     h, J = curvature_with_jacobian(lattice, pts)
     h0, J0 = bincount_gather(lattice, pts)
     assert np.array_equal(h, h0) and np.array_equal(J, J0)
@@ -406,25 +416,73 @@ def test_field_sums_equal_the_scatter_over_the_inside_pairs_bitwise(
     K = len(lattice.nodes[1])
     mass, fvar = np.zeros(K), np.zeros((K, n))
     chunks = beyond = 0
-    for part, rows, idx, diff, g, gp in lattice._pairs(V.positions):
+    for part, rows, idx, diff, g, gp in searched_pairs(lattice, V.positions):
         out = np.einsum("pi,pi->p", diff, diff) >= lattice.kernel.support_radius**2
         zeroed = np.concatenate([g[out], gp[out]])
         assert np.all(zeroed == 0.0) and not np.any(np.signbit(zeroed))
         chunks, beyond = chunks + 1, beyond + np.count_nonzero(out)
-    # S_i diff through the rows B of the plane's orthonormal basis, as the
-    # field sums take it
-    bases = np.ascontiguousarray(np.transpose(V.bases, (0, 2, 1)))
+    # S_i diff column by column, as the transposed products of the field
+    # sums take it: the values 2 g' diff_b against m S[:, :, b], for each b
     for part, rows, idx, diff, g, gp in inside_pairs(lattice, V.positions):
-        m = V.masses[part][rows]
-        mass += np.bincount(idx, weights=m * g, minlength=K)
-        B = bases[part][rows]
-        sd = np.einsum("pk,pkj->pj", np.einsum("pkj,pj->pk", B, diff), B)
-        for axis in range(n):
-            fvar[:, axis] += np.bincount(
-                idx, weights=(2.0 * m * gp) * sd[:, axis], minlength=K)
+        m = V.masses[part]
+        mass += np.bincount(idx, weights=g * m[rows], minlength=K)
+        for b in range(n):
+            mS = (m[:, None] * V.planes[part, :, b])[rows]
+            for axis in range(n):
+                fvar[:, axis] += np.bincount(
+                    idx, weights=((2.0 * gp) * diff[:, b]) * mS[:, axis],
+                    minlength=K)
     assert chunks > (1 if pair_chunk else 0) and beyond > 0
     assert np.array_equal(lattice.fields[0], mass)
     assert np.array_equal(lattice.fields[1], fvar)
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("pair_chunk", [None, 1 << 12])
+def test_the_gather_reuses_the_atoms_search_exactly(n, d, pair_chunk,
+                                                    monkeypatch):
+    # points that begin with exactly the atoms take the atoms' kept search
+    # and search only the rest; the same rows in another order, or with one
+    # atom nudged by one ulp, are searched afresh and give the same bits
+    # row for row
+    if pair_chunk is not None:
+        monkeypatch.setattr(mollifier, "_PAIR_CHUNK", pair_chunk)
+    rng, lattice = field_lattice(37 + n, 60, n, d, 0.3)
+    atoms = lattice.V.positions
+    pts = np.vstack([atoms, rng.uniform(-1.2, 1.2, (30, n))])
+    searched = []
+    search = vars(mollifier._Lattice)["neighbor_pairs"]
+
+    def counted_search(self, points):
+        searched.append(len(points))
+        return search(self, points)
+
+    monkeypatch.setattr(mollifier._Lattice, "neighbor_pairs", counted_search)
+    lattice.fields
+    assert sum(searched) == len(atoms) and len(lattice._atom_search) > (
+        1 if pair_chunk else 0)
+
+    def gather(points):
+        searched.clear()
+        return (*curvature_with_jacobian(lattice, points), sum(searched))
+
+    h, J, count = gather(pts)
+    assert count == len(pts) - len(atoms) and np.any(h)
+    # a shuffle that starts with a point which is not an atom
+    order = rng.permutation(len(pts))
+    first = np.argmax(order >= len(atoms))
+    order[[0, first]] = order[[first, 0]]
+    h0, J0, count = gather(pts[order])
+    assert count == len(pts)
+    assert np.array_equal(h[order], h0) and np.array_equal(J[order], J0)
+    nudged = pts.copy()
+    nudged[5, 0] = np.nextafter(nudged[5, 0], np.inf)
+    h1, J1, count = gather(nudged)
+    assert count == len(pts)
+    h0, J0, _ = gather(nudged[order])
+    assert np.array_equal(h1[order], h0) and np.array_equal(J1[order], J0)
+    same = np.arange(len(pts)) != 5
+    assert np.array_equal(h1[same], h[same]) and np.array_equal(J1[same], J[same])
 
 
 def test_lone_atom_has_zero_curvature():
