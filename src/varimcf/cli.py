@@ -72,36 +72,6 @@ def _keep_freed_heap() -> None:
 # settings
 
 
-@dataclasses.dataclass
-class Settings:
-    """Everything configurable, with package defaults.
-
-    Values come from an INI file (sections [run], [constants],
-    [certificates]) overridden by command-line flags.
-    """
-
-    # [run]
-    preset: str = "circle"
-    out: str = "runs/run"
-    seed: int = 0
-    eps: float | None = None
-    dt: float | None = None
-    end_time: float | None = None
-    # [constants]
-    certificate_step_constant: float = 1e-9  # admissibility constant in the
-    #                                    smoothing-scale certificate
-    # [certificates]
-    certificates: tuple[str, ...] = ("mass-decay",)
-    ball_center: tuple[float, ...] = (0.0, 0.0)
-    ball_radius: float = 0.8
-    enclosing_radius: float = 1.05
-    barrier_center: tuple[float, ...] = (0.0, 0.0)
-    barrier_radius: float = 0.3
-    barrier_exponent: float = 4.0
-    weight_center: tuple[float, ...] = (0.0, 0.0)
-    weight_width: float = 2.0
-
-
 def _parse_vector(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in raw.replace(",", " ").split())
 
@@ -120,55 +90,76 @@ def _parse_cert_list(raw: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-_INI_PARSERS = {
-    "run": {
-        "preset": ("preset", str),
-        "out": ("out", str),
-        "seed": ("seed", int),
-        "eps": ("eps", float),
-        "dt": ("dt", float),
-        "end_time": ("end_time", float),
-    },
-    "constants": {
-        "certificate_step_constant": ("certificate_step_constant", float),
-    },
-    "certificates": {
-        "list": ("certificates", _parse_cert_list),
-        "ball_center": ("ball_center", _parse_vector),
-        "ball_radius": ("ball_radius", float),
-        "enclosing_radius": ("enclosing_radius", float),
-        "barrier_center": ("barrier_center", _parse_vector),
-        "barrier_radius": ("barrier_radius", float),
-        "barrier_exponent": ("barrier_exponent", float),
-        "weight_center": ("weight_center", _parse_vector),
-        "weight_width": ("weight_width", float),
-    },
-}
+def _setting(section: str, default, parse, flag: str | None = None,
+             key: str | None = None):
+    """A field of Settings: the INI `key` (the field's name unless given) of
+    `section`, read by `parse`.  With `flag` help it is also a flag, named
+    after the field, of the subcommand that reads the section."""
+    return dataclasses.field(default=default, metadata={
+        "section": section, "key": key, "parse": parse, "flag": flag})
+
+
+@dataclasses.dataclass
+class Settings:
+    """Everything configurable, with package defaults: the one table that
+    `load_settings` reads INI keys by and `_build_parser` makes flags from.
+
+    Values come from an INI file (sections [run], [constants],
+    [certificates]) overridden by command-line flags.
+    """
+
+    preset: str = _setting("run", "circle", str, "scenario name")
+    out: str = _setting("run", "runs/run", str, "output directory")
+    seed: int = _setting("run", 0, int, "seed echoed into the manifest")
+    eps: float | None = _setting("run", None, float, "smoothing scale")
+    dt: float | None = _setting("run", None, float, "time step")
+    end_time: float | None = _setting(
+        "run", None, float, "final time (0 records a single snapshot)")
+    # admissibility constant in the smoothing-scale certificate
+    certificate_step_constant: float = _setting("constants", 1e-9, float)
+    certificates: tuple[str, ...] = _setting(
+        "certificates", ("mass-decay",), _parse_cert_list,
+        "comma-separated certificate names, or 'all'", key="list")
+    # the centre of every ball, the barrier and the lsc weight; None is the
+    # origin of the run's R^n
+    ball_center: tuple[float, ...] | None = _setting("certificates", None,
+                                                     _parse_vector)
+    ball_radius: float = _setting("certificates", 0.8, float)
+    enclosing_radius: float = _setting("certificates", 1.05, float)
+    barrier_radius: float = _setting("certificates", 0.3, float)
+    barrier_exponent: float = _setting("certificates", 4.0, float)
+    weight_width: float = _setting("certificates", 2.0, float)
 
 
 def load_settings(config_path: str | None, args: argparse.Namespace) -> Settings:
     st = Settings()
+    rows = {(f.metadata["section"], f.metadata["key"] or f.name): f
+            for f in dataclasses.fields(Settings)}
     if config_path is not None:
-        parser = configparser.ConfigParser()
+        # values are taken literally: a % in a path is a character
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             read = parser.read(config_path, encoding="utf-8")
         except (configparser.Error, UnicodeDecodeError) as e:
             raise ConfigError(f"config file {config_path}: {e}") from None
         if not read:
             raise ConfigError(f"cannot read config file {config_path}")
+        # configparser would read a [DEFAULT] key into every other section
+        if parser.defaults():
+            raise ConfigError(f"[{parser.default_section}]: unknown section")
         for section in parser.sections():
-            if section not in _INI_PARSERS:
+            if section not in {s for s, _ in rows}:
                 raise ConfigError(f"[{section}]: unknown section")
             for key, raw in parser[section].items():
                 # a retired key that perfbench/grade.ini still sets; ROADMAP
                 # item 2 deletes this skip together with that line
                 if (section, key) == ("constants", "mc_samples"):
                     continue
-                if key not in _INI_PARSERS[section]:
+                if (section, key) not in rows:
                     raise ConfigError(f"[{section}] {key}: unknown key")
-                attr, conv = _INI_PARSERS[section][key]
+                field = rows[section, key]
                 try:
-                    setattr(st, attr, conv(raw))
+                    setattr(st, field.name, field.metadata["parse"](raw))
                 except (ValueError, TypeError) as e:
                     raise ConfigError(f"[{section}] {key}: bad value {raw!r} "
                                       f"({e})") from None
@@ -187,9 +178,9 @@ def load_settings(config_path: str | None, args: argparse.Namespace) -> Settings
     # an infinite radius or centre, or a NaN one, gives a verdict a measured
     # value no comparison can grade
     for field in dataclasses.fields(Settings):
-        value = getattr(st, field.name)
-        if "float" in field.type and value is not None and not all(
-                map(math.isfinite, value if "tuple" in field.type else [value])):
+        value, parse = getattr(st, field.name), field.metadata["parse"]
+        if parse in (float, _parse_vector) and value is not None and not all(
+                map(math.isfinite, value if parse is _parse_vector else [value])):
             raise ConfigError(f"{field.name} must be finite")
     # the random sweeps key their streams by the seed, which must be >= 0
     if st.seed < 0:
@@ -548,20 +539,23 @@ def _certificate(name: str, relation: str, statement: str, over: str):
     return register
 
 
-def _center(st, what: str, tr):
-    """The point the setting `what` names, which must lie in the run's R^n."""
+def _center(st, tr):
+    """The setting ball_center, which must lie in the run's R^n; unset, the
+    origin of that R^n."""
     import numpy as np
-    c = np.asarray(getattr(st, what), dtype=float)
     n = tr.snapshots[0].varifold.n
+    if st.ball_center is None:
+        return np.zeros(n)
+    c = np.asarray(st.ball_center, dtype=float)
     if c.shape != (n,):
-        raise ConfigError(f"{what} has dimension {len(c)}, run is in R^{n}")
+        raise ConfigError(f"ball_center has dimension {len(c)}, run is in R^{n}")
     return c
 
 
 def _barrier(st, tr):
     """The comparison weight the settings describe, for the run."""
     from .barriers import BarrierFunction
-    return BarrierFunction(center=_center(st, "barrier_center", tr),
+    return BarrierFunction(center=_center(st, tr),
                            radius=st.barrier_radius, beta=st.barrier_exponent,
                            d=tr.snapshots[0].varifold.d)
 
@@ -574,15 +568,15 @@ def _stream(manifest, name: str):
     return np.random.default_rng([int(manifest.get("seed", 0)), *name.encode()])
 
 
-def _random_planes(rng, k: int, n: int):
-    """Projections (k, n, n) onto random planes of random dimension 1..n-1:
-    the dimensions first, then one stack of bases per dimension."""
+def _random_planes(rng, k: int, n: int, top: int):
+    """Projections (k, n, n) onto random planes in R^n of random dimension
+    1..top: the dimensions first, then one stack of bases per dimension."""
     import numpy as np
 
     from .varifold import projections_from_bases
-    dims = rng.integers(1, n, size=k)
+    dims = rng.integers(1, top + 1, size=k)
     planes = np.empty((k, n, n))
-    for d in range(1, n):
+    for d in range(1, top + 1):
         rows = dims == d
         planes[rows] = projections_from_bases(
             rng.normal(size=(np.count_nonzero(rows), d, n)))
@@ -628,7 +622,7 @@ def _technical_lemma(tr, st, manifest):
     h, grad = rng.normal(size=(2, m, n))
     phi = rng.uniform(0.05, 3.0, size=m)
     worst = float(np.min(technical_gaps(h, phi, grad,
-                                        _random_planes(rng, m, n))))
+                                        _random_planes(rng, m, n, n - 1))))
     return worst, -1e-12, {"samples": m}
 
 
@@ -651,7 +645,9 @@ def _barrier_defect(tr, st, manifest):
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     live = (R2 - 2.0 * d * times) * 0.95      # the window keeps it positive
     x = psi.center + np.sqrt(rng.uniform(0.0, live))[:, None] * direction
-    worst = float(np.max(barrier_defects(psi, x, _random_planes(rng, k, n),
+    # the weight shrinks at the rate of a d-dimensional flow, so it is a
+    # barrier for planes of dimension at most d
+    worst = float(np.max(barrier_defects(psi, x, _random_planes(rng, k, n, d),
                                          times)))
     return (worst, 1e-10, {"samples": DEFECT_SAMPLES,
                            "exponent": st.barrier_exponent})
@@ -670,8 +666,7 @@ def _eps_sphere_barrier(tr, st, manifest):
               "comparison ball", over="trace")
 def _external_sphere(tr, st, manifest):
     from .barriers import external_sphere_monitor
-    return external_sphere_monitor(tr, _center(st, "ball_center", tr),
-                                   st.ball_radius)
+    return external_sphere_monitor(tr, _center(st, tr), st.ball_radius)
 
 
 @_certificate("internal-sphere", "<=", "the support stays inside the "
@@ -679,8 +674,7 @@ def _external_sphere(tr, st, manifest):
               over="trace")
 def _internal_sphere(tr, st, manifest):
     from .barriers import internal_sphere_monitor
-    return internal_sphere_monitor(tr, _center(st, "ball_center", tr),
-                                   st.enclosing_radius)
+    return internal_sphere_monitor(tr, _center(st, tr), st.enclosing_radius)
 
 
 @_certificate("convex-hull", "<=", "the support never leaves the convex hull "
@@ -710,8 +704,8 @@ def _avoidance(pair, st, manifest):
 def _lsc(tr, st, manifest):
     from .barriers import BarrierFunction, lsc_monitor
     # the static weight (w^2 - |x - c|^2)^3 on the ball B(c, w)
-    return lsc_monitor(tr, BarrierFunction(_center(st, "weight_center", tr),
-                                           st.weight_width, 3.0, 0))
+    return lsc_monitor(tr, BarrierFunction(_center(st, tr), st.weight_width,
+                                           3.0, 0))
 
 
 @_certificate("volume-change", "<=", "per-step change of enclosed volume "
@@ -719,8 +713,7 @@ def _lsc(tr, st, manifest):
               over="mesh")
 def _volume_change(tr, st, manifest):
     from .geometry import volume_change_series
-    return volume_change_series(tr, _center(st, "ball_center", tr),
-                                st.ball_radius)
+    return volume_change_series(tr, _center(st, tr), st.ball_radius)
 
 
 @_certificate("nontriviality", ">=", "total mass stays above the "
@@ -728,8 +721,7 @@ def _volume_change(tr, st, manifest):
               "guaranteed horizon", over="mesh")
 def _nontriviality(tr, st, manifest):
     from .geometry import nontriviality_certificate
-    return nontriviality_certificate(tr, _center(st, "ball_center", tr),
-                                     st.ball_radius)
+    return nontriviality_certificate(tr, _center(st, tr), st.ball_radius)
 
 
 def _grade(names, traces, st, manifest) -> dict:
@@ -834,20 +826,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a preset and record frames")
     sim.add_argument("--config", help="INI settings file")
-    sim.add_argument("--preset", help="scenario name")
-    sim.add_argument("--out", help="output directory")
-    sim.add_argument("--seed", type=int, help="seed echoed into the manifest")
-    sim.add_argument("--eps", type=float, help="smoothing scale")
-    sim.add_argument("--dt", type=float, help="time step")
-    sim.add_argument("--end-time", dest="end_time", type=float,
-                     help="final time (0 records a single snapshot)")
-    sim.set_defaults(func=_cmd_simulate)
-
     chk = sub.add_parser("check", help="evaluate certificates on a run")
     chk.add_argument("manifest", help="manifest.json or its directory")
     chk.add_argument("--config", help="INI settings file")
-    chk.add_argument("--certificates", type=_parse_cert_list,
-                     help="comma-separated certificate names, or 'all'")
+    # a [run] setting with a flag is a flag of simulate, a [certificates]
+    # one a flag of check
+    for field in dataclasses.fields(Settings):
+        if field.metadata["flag"] is not None:
+            {"run": sim, "certificates": chk}[field.metadata["section"]] \
+                .add_argument("--" + field.name.replace("_", "-"),
+                              dest=field.name, type=field.metadata["parse"],
+                              help=field.metadata["flag"])
+    sim.set_defaults(func=_cmd_simulate)
     chk.add_argument("--json", help="also write the verdicts to this file")
     chk.set_defaults(func=_cmd_check)
 

@@ -338,6 +338,10 @@ def test_config_file_drives_the_run(tmp_path):
     ("[constants]\nscale_ceiling = -1\n", "scale_ceiling"),
     ("[constants]\nbudget_rtol = 0\n", "budget_rtol"),
     ("[constants]\nslack_factor = nan\n", "slack_factor"),
+    # the retired barrier and weight centres, refused as unknown keys:
+    # ball_center is the one centre
+    ("[certificates]\nbarrier_center = 0,inf\n", "barrier_center"),
+    ("[certificates]\nweight_center = nan,0\n", "weight_center"),
     # the keys of the deleted step gate are refused as unknown keys, whatever
     # their value
     ("[constants]\nenforce_gate = ture\n", "enforce_gate"),
@@ -349,9 +353,13 @@ def test_config_file_drives_the_run(tmp_path):
      "certificate_step_constant"),
     ("[certificates]\nball_radius = inf\n", "ball_radius"),
     ("[certificates]\nweight_width = inf\n", "weight_width"),
-    ("[certificates]\nbarrier_center = 0,inf\n", "barrier_center"),
-    ("[certificates]\nweight_center = nan,0\n", "weight_center"),
     ("[constants]\nlp_support_cap = 0\n", "lp_support_cap"),
+    # configparser reads a [DEFAULT] key into every section, so none is
+    # taken, alone or next to another section
+    ("[DEFAULT]\nball_radius = -5\nnonsense = 1\n",
+     "[DEFAULT]: unknown section"),
+    ("[DEFAULT]\nball_radius = 0.5\n[run]\npreset = circle\n",
+     "[DEFAULT]: unknown section"),
 ])
 def test_bad_config_files_are_usage_errors(tmp_path, capsys, body, fragment):
     ini = tmp_path / "bad.ini"
@@ -467,6 +475,34 @@ def test_retired_volume_sample_count_is_ignored(pair_dir, tmp_path, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["all_passed"] is True
+
+
+@pytest.mark.parametrize("name", ["100%", "%(preset)s_run"])
+def test_config_values_are_taken_literally(tmp_path, name):
+    # a % is a character of the value, never the start of an interpolation
+    ini = tmp_path / "percent.ini"
+    ini.write_text(f"[run]\npreset = circle\nend_time = 0\n"
+                   f"out = {tmp_path / name}\n")
+    assert main(["simulate", "--config", str(ini)]) == 0
+    assert (tmp_path / name / "manifest.json").exists()
+
+
+def test_the_flags_are_the_settings_table_rows():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, cli.argparse._SubParsersAction)]
+    flags = {name: {s for a in sub.choices[name]._actions
+                    for s in a.option_strings} - {"-h", "--help"}
+             for name in ("simulate", "check")}
+    assert flags == {
+        "simulate": {"--config", "--preset", "--out", "--seed", "--eps",
+                     "--dt", "--end-time"},
+        "check": {"--config", "--certificates", "--json"}}
+    args = parser.parse_args(["simulate", "--end-time", "0.5", "--seed", "4"])
+    st = cli.load_settings(None, args)
+    assert (st.end_time, st.seed) == (0.5, 4)
+    args = parser.parse_args(["check", "unused", "--certificates", "lsc"])
+    assert cli.load_settings(None, args).certificates == ("lsc",)
 
 
 def test_missing_config_file_is_a_usage_error(tmp_path):
@@ -762,15 +798,23 @@ def test_all_grades_what_each_preset_run_has(tmp_path, capsys, preset, count):
     scenario = make_preset(preset)
     V = scenario.varifold if scenario.pair is None else scenario.pair[0]
     centre = ", ".join(["0"] * V.n)
-    ini = tmp_path / "centres.ini"
-    ini.write_text(f"[certificates]\nball_center = {centre}\n"
-                   f"barrier_center = {centre}\nweight_center = {centre}\n")
+    ini = tmp_path / "centre.ini"
+    ini.write_text(f"[certificates]\nball_center = {centre}\n")
     capsys.readouterr()
     rc = main(["check", str(out), "--certificates", "all",
                "--config", str(ini)])
     payload = strict_json(capsys.readouterr().out)
     assert rc == (0 if payload["all_passed"] else 1)
     assert len(payload["verdicts"]) == count
+    # with no settings file the centre is the origin of the run's R^n, so a
+    # 3-D run grades the same verdicts; the barrier is one for planes of the
+    # flow's dimension, so it passes on a curve in space too
+    assert main(["check", str(out), "--certificates", "all"]) == rc
+    assert strict_json(capsys.readouterr().out)["verdicts"] == \
+        payload["verdicts"]
+    (defect,) = [v for v in payload["verdicts"]
+                 if v["name"] == "barrier-defect"]
+    assert defect["passed"], defect
     lacking = set()
     if scenario.pair is None:
         lacking.add("avoidance")
@@ -1038,7 +1082,7 @@ def test_barrier_defect_matches_the_defect_formula_on_its_own_stream(run_dir):
     # formula one sample at a time
     rng = np.random.default_rng([manifest["seed"], *b"barrier-defect"])
     d, n = 1, 2
-    c = np.asarray(st.barrier_center, dtype=float)
+    c = np.zeros(n)
     R2, beta = st.barrier_radius**2, st.barrier_exponent
     times = np.repeat(np.linspace(0.0, 0.8 * R2 / (2.0 * d), 5),
                       DEFECT_SAMPLES // 5)
